@@ -111,12 +111,14 @@ def _num(obj, path: str, key: str, default=None):
     return float(v)
 
 
-def _int(obj, path: str, key: str, default=None):
+def _int(obj, path: str, key: str, default=None, minimum: int | None = None):
     if key not in obj:
         return default
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, int):
         raise ScenarioError(f"{path}.{key}: expected an integer")
+    if minimum is not None and v < minimum:
+        raise ScenarioError(f"{path}.{key}: must be at least {minimum}")
     return v
 
 
@@ -223,11 +225,11 @@ def _run_risk(name: str, model, sampler_cfg: dict, tols: dict) -> RunResult:
     _check_keys(sampler_cfg, "sampler", set(),
                 {"resolution", "seed", "n_random_triples", "n_pairs", "n_alphas"})
     sampler = risk_mod.SimplexSampler(
-        resolution=_int(sampler_cfg, "sampler", "resolution", 11),
+        resolution=_int(sampler_cfg, "sampler", "resolution", 11, minimum=1),
         seed=_int(sampler_cfg, "sampler", "seed", 0),
-        n_random_triples=_int(sampler_cfg, "sampler", "n_random_triples", 100),
-        n_pairs=_int(sampler_cfg, "sampler", "n_pairs", 20),
-        n_alphas=_int(sampler_cfg, "sampler", "n_alphas", 5),
+        n_random_triples=_int(sampler_cfg, "sampler", "n_random_triples", 100, minimum=0),
+        n_pairs=_int(sampler_cfg, "sampler", "n_pairs", 20, minimum=1),
+        n_alphas=_int(sampler_cfg, "sampler", "n_alphas", 5, minimum=1),
     )
     tol = tols["bisect"]
     slack = tols["slack"]
@@ -290,10 +292,13 @@ def _run_uncertainty(name: str, model, sampler_cfg: dict, tols: dict) -> RunResu
     sampler = unc_mod.BoxSampler(
         n_states=model.n_states,
         bound=_num(sampler_cfg, "sampler", "bound", 10.0),
-        resolution=_int(sampler_cfg, "sampler", "resolution", 11),
+        resolution=_int(sampler_cfg, "sampler", "resolution", 11, minimum=2),
         seed=_int(sampler_cfg, "sampler", "seed", 0),
-        n_random_pairs=_int(sampler_cfg, "sampler", "n_random_pairs", 100),
+        n_random_pairs=_int(sampler_cfg, "sampler", "n_random_pairs", 100, minimum=0),
     )
+    quasiconcave = _bool(sampler_cfg, "sampler", "quasiconcave", False)
+    qc_res = _int(sampler_cfg, "sampler", "qc_resolution", 21, minimum=2)
+    level_res = _int(sampler_cfg, "sampler", "level_resolution", 64, minimum=2)
     tol = tols["bisect"]
     verify_tol = tols["verify"]
     result = RunResult(name=name, domain="uncertainty")
@@ -345,9 +350,7 @@ def _run_uncertainty(name: str, model, sampler_cfg: dict, tols: dict) -> RunResu
             result.notes.append(f"homogeneous-bound failed: {exc}")
         except NotConverged as exc:
             result.notes.append(f"scaling limit did not converge: {exc}")
-    if _bool(sampler_cfg, "sampler", "quasiconcave", False):
-        qc_res = _int(sampler_cfg, "sampler", "qc_resolution", 21)
-        level_res = _int(sampler_cfg, "sampler", "level_resolution", 64)
+    if quasiconcave:
         envelope = unc_mod.quasiconcavify(model, box_bound=sampler.bound,
                                           resolution=qc_res,
                                           level_resolution=level_res,
@@ -387,8 +390,8 @@ def _run_time_discrete(name: str, model, sampler_cfg: dict, tols: dict) -> RunRe
     _check_keys(sampler_cfg, "sampler", set(), {"t_sample", "n_max", "w_t_max"})
     t_sample = [int(t) for t in _numlist(sampler_cfg, "sampler", "t_sample",
                                          [1, 2, 3, 5, 8])]
-    n_max = _int(sampler_cfg, "sampler", "n_max", 40)
-    w_t_max = _int(sampler_cfg, "sampler", "w_t_max", 16)
+    n_max = _int(sampler_cfg, "sampler", "n_max", 40, minimum=1)
+    w_t_max = _int(sampler_cfg, "sampler", "w_t_max", 16, minimum=1)
     result = RunResult(name=name, domain="time-discrete")
     theta_rep, converged = time_mod.theta_over_sample(model, t_sample, n_max=n_max)
     result.reports.append(theta_rep.as_dict())
@@ -443,12 +446,10 @@ def _run_time_discrete(name: str, model, sampler_cfg: dict, tols: dict) -> RunRe
             gp, defect = None, None
         rows.append([t, d, gp, defect])
     result.tables["curve"] = (header, rows)
+    series = [time_mod.theta_series(model, t, n_max=n_max) for t in t_sample]
     result.tables["theta"] = (
         ["t", "theta", "converged"],
-        [[t,
-          time_mod.theta_series(model, t, n_max=n_max).value,
-          time_mod.theta_series(model, t, n_max=n_max).details["converged"]]
-         for t in t_sample],
+        [[t, rep.value, rep.details["converged"]] for t, rep in zip(t_sample, series)],
     )
     return result
 
@@ -457,11 +458,11 @@ def _run_time_continuous(name: str, model, sampler_cfg: dict, tols: dict) -> Run
     _check_keys(sampler_cfg, "sampler", set(),
                 {"x_min", "x_count", "t_max", "t_count", "delta_max", "delta_count"})
     x_min = _num(sampler_cfg, "sampler", "x_min", model.x_bar - 2.0)
-    x_count = _int(sampler_cfg, "sampler", "x_count", 9)
+    x_count = _int(sampler_cfg, "sampler", "x_count", 9, minimum=1)
     t_top = _num(sampler_cfg, "sampler", "t_max", 10.0)
-    t_count = _int(sampler_cfg, "sampler", "t_count", 11)
+    t_count = _int(sampler_cfg, "sampler", "t_count", 11, minimum=1)
     d_top = _num(sampler_cfg, "sampler", "delta_max", 2.0)
-    d_count = _int(sampler_cfg, "sampler", "delta_count", 4)
+    d_count = _int(sampler_cfg, "sampler", "delta_count", 4, minimum=1)
     if x_min > model.x_bar:
         raise ScenarioError("sampler.x_min: must not exceed the model ceiling")
     xs = np.linspace(x_min, model.x_bar, x_count)

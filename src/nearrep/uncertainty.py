@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, QhullError
 
 from .core import (
     BoundViolated,
@@ -555,18 +553,142 @@ def measure_eps_ua(model, sampler: BoxSampler | None = None,
 
 
 @dataclass(frozen=True, eq=False)
+class LevelHull:
+    """Convex hull of one level cloud, stored as half-spaces in an affine frame.
+
+    verts is the vertex array the decomposition LP runs on. The frame
+    (origin, orthonormal basis rows) spans the cloud: the identity for a
+    full-dimensional cloud, a lower-dimensional one for a flat cloud (one
+    point, a segment, a planar set in 3-D). Inside the frame the hull is
+    A y + b <= 0 with unit normals, so each row is a signed distance: Qhull's
+    facets, an interval, or nothing at all for a single point.
+    """
+
+    verts: np.ndarray
+    origin: np.ndarray
+    basis: np.ndarray
+    A: np.ndarray
+    b: np.ndarray
+
+    def contains(self, X: np.ndarray, tol: float) -> np.ndarray:
+        """Row mask of X inside the hull, up to tol * (1 + |(x, 1)|)."""
+        thr = tol * (1.0 + np.sqrt(np.einsum("ij,ij->i", X, X) + 1.0))
+        rel = X - self.origin
+        coords = rel @ self.basis.T
+        off = rel - coords @ self.basis
+        near = np.sqrt(np.einsum("ij,ij->i", off, off)) <= thr
+        return near & (coords @ self.A.T + self.b <= thr[:, None]).all(axis=1)
+
+
+def _membership(hulls: Sequence[LevelHull], X: np.ndarray, tol: float) -> np.ndarray:
+    """levels x rows boolean matrix: row j of X inside hull i."""
+    return np.stack([h.contains(X, tol) for h in hulls])
+
+
+def _affine_frame(cloud: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Origin and orthonormal basis rows of the cloud's affine span (Gram-Schmidt)."""
+    origin = cloud[0]
+    rel = cloud - origin
+    floor = tol * (1.0 + float(np.max(np.abs(cloud))))
+    basis = []
+    for _ in range(cloud.shape[1]):
+        norms = np.sqrt(np.einsum("ij,ij->i", rel, rel))
+        i = int(np.argmax(norms))
+        if norms[i] <= floor:
+            break
+        e = rel[i] / norms[i]
+        basis.append(e)
+        rel = rel - np.outer(rel @ e, e)
+    return origin, np.array(basis).reshape(len(basis), cloud.shape[1])
+
+
+def _level_hull(cloud: np.ndarray, tol: float) -> LevelHull:
+    from scipy.spatial import ConvexHull, QhullError
+
+    d = cloud.shape[1]
+    if d > 1 and len(cloud) >= d + 1:
+        try:
+            hull = ConvexHull(cloud)
+            eq = hull.equations
+            return LevelHull(verts=cloud[hull.vertices], origin=np.zeros(d),
+                             basis=np.eye(d), A=eq[:, :-1], b=eq[:, -1])
+        except QhullError:
+            pass  # flat cloud: handled in its own affine frame below
+    if d == 1:
+        verts = np.array([[float(np.min(cloud))], [float(np.max(cloud))]])
+    else:
+        verts = cloud
+    origin, basis = _affine_frame(cloud, tol)
+    coords = (cloud - origin) @ basis.T
+    k = len(basis)
+    if k == 0:
+        A, b = np.zeros((0, 0)), np.zeros(0)
+    elif k == 1:
+        A = np.array([[1.0], [-1.0]])
+        b = np.array([-float(np.max(coords)), float(np.min(coords))])
+    else:
+        eq = ConvexHull(coords).equations
+        A, b = eq[:, :-1], eq[:, -1]
+    return LevelHull(verts=verts, origin=origin, basis=basis, A=A, b=b)
+
+
+def _hull_decomposition(x: np.ndarray, verts: np.ndarray,
+                        tol: float) -> tuple[bool, np.ndarray]:
+    """Convex weights on verts reproducing x, from one feasibility LP.
+
+    Solved as an equality-feasibility linear program on the vertex matrix
+    with an appended normalization row. The solver's verdict is not taken
+    on faith: the weights are substituted back and the rebuilt residual must
+    be tiny relative to the target. Simplex solutions are basic, so at most
+    d + 1 weights are nonzero, which is what the pairwise peeling bound needs.
+    """
+    from scipy.optimize import linprog
+
+    A = np.vstack([verts.T, np.ones((1, len(verts)))])
+    b = np.append(x, 1.0)
+    res = linprog(np.zeros(len(verts)), A_eq=A, b_eq=b, bounds=(0.0, None),
+                  method="highs")
+    if not res.success:
+        return False, np.zeros(len(verts))
+    w = np.asarray(res.x, dtype=float)
+    residual = float(np.linalg.norm(A @ w - b))
+    ok = residual <= tol * (1.0 + float(np.linalg.norm(b)))
+    return ok, w
+
+
+def _bisect_levels(member: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Per column, bisect upward from lo on a levels x points membership matrix.
+
+    The same steps as a scalar bisection run on each column: mid rounds up,
+    a member mid raises lo, a non-member mid lowers hi.
+    """
+    hi = np.full_like(lo, member.shape[0] - 1)
+    cols = np.arange(member.shape[1])
+    active = lo < hi
+    while active.any():
+        mid = (lo + hi + 1) // 2
+        ok = member[mid, cols]
+        lo = np.where(active & ok, mid, lo)
+        hi = np.where(active & ~ok, mid - 1, hi)
+        active = lo < hi
+    return lo
+
+
+@dataclass(frozen=True, eq=False)
 class QuasiConcaveBenchmark:
     """Level-hull envelope v(x) = best hull level containing x, clamped to u.
 
     Grid points carry v = max(u(x), top feasible level); off-grid evaluation
-    returns the top feasible level on the same nested hull family.
+    returns the top feasible level on the same nested hull family. Membership
+    is a half-space test against each level's stored facets, run for a
+    whole block of acts at once.
     """
 
     points: np.ndarray = field(repr=False)
     u_values: np.ndarray = field(repr=False)
     v_values: np.ndarray = field(repr=False)
     levels: np.ndarray = field(repr=False)
-    hulls: tuple[np.ndarray, ...] = field(repr=False)
+    hulls: tuple[LevelHull, ...] = field(repr=False)
     box_bound: float
     resolution: int
     membership_tol: float
@@ -582,46 +704,19 @@ class QuasiConcaveBenchmark:
             return 0.0
         return float(self.levels[1] - self.levels[0])
 
-    def _member(self, x: np.ndarray, idx: int) -> bool:
-        ok, _ = _hull_membership(x, self.hulls[idx], self.membership_tol)
-        return ok
+    def evaluate_batch(self, X) -> np.ndarray:
+        """Top feasible hull level for each row of X (acts in the box)."""
+        X = np.asarray(X, dtype=float).reshape(-1, self.n_states)
+        member = _membership(self.hulls, X, self.membership_tol)
+        outside = np.flatnonzero(~member[0])
+        if len(outside):
+            raise InvalidModel(
+                f"act {tuple(X[outside[0]])} lies outside the sampled hull family")
+        return self.levels[_bisect_levels(member, np.zeros(len(X), dtype=int))]
 
     def evaluate(self, x) -> float:
         """Top feasible hull level for an arbitrary act in the box."""
-        x = np.asarray(x, dtype=float)
-        if not self._member(x, 0):
-            raise InvalidModel(f"act {tuple(x)} lies outside the sampled hull family")
-        lo, hi = 0, len(self.levels) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self._member(x, mid):
-                lo = mid
-            else:
-                hi = mid - 1
-        return float(self.levels[lo])
-
-
-def _hull_membership(x: np.ndarray, verts: np.ndarray,
-                     tol: float) -> tuple[bool, np.ndarray]:
-    """Convex-combination test: nonnegative weights reproducing (x, 1).
-
-    Solved as an equality-feasibility linear program on the vertex matrix
-    with an appended normalization row. The solver's verdict is not taken
-    on faith: the weights are substituted back and membership requires the
-    rebuilt residual to be tiny relative to the target. Simplex solutions
-    are basic, so at most d + 1 weights are nonzero, which is what the
-    pairwise peeling bound needs.
-    """
-    A = np.vstack([verts.T, np.ones((1, len(verts)))])
-    b = np.append(x, 1.0)
-    res = linprog(np.zeros(len(verts)), A_eq=A, b_eq=b, bounds=(0.0, None),
-                  method="highs")
-    if not res.success:
-        return False, np.zeros(len(verts))
-    w = np.asarray(res.x, dtype=float)
-    residual = float(np.linalg.norm(A @ w - b))
-    ok = residual <= tol * (1.0 + float(np.linalg.norm(b)))
-    return ok, w
+        return float(self.evaluate_batch(x)[0])
 
 
 def quasiconcavify(model, box_bound: float = 10.0, resolution: int = 21,
@@ -631,11 +726,13 @@ def quasiconcavify(model, box_bound: float = 10.0, resolution: int = 21,
 
     Supported for up to 3 states (hull cost). For each level c on an even
     grid spanning the sampled utility range, the hull of {x : u(x) >= c} is
-    precomputed; the envelope value of a grid point is the highest level
-    whose hull still contains it (feasibility is monotone because the hulls
-    are nested), clamped below by u(x) so v >= u holds exactly. The convex
-    decompositions discovered along the way are returned as probes for the
-    uncertainty-aversion meter.
+    precomputed as half-spaces; membership of every grid point in every
+    hull is one boolean matrix. The envelope value of a grid point is the
+    highest level whose hull still contains it (feasibility is monotone
+    because the hulls are nested), clamped below by u(x) so v >= u holds
+    exactly. One LP per grid point, at its final level only, gives the
+    convex decomposition returned as a probe for the uncertainty-aversion
+    meter.
     """
     d = model.n_states
     if d > 3:
@@ -646,51 +743,27 @@ def quasiconcavify(model, box_bound: float = 10.0, resolution: int = 21,
     if hi <= lo:
         raise InvalidModel("utility is constant on the box; envelope is trivial")
     levels = np.linspace(lo, hi, level_resolution)
-    hulls: list[np.ndarray] = []
-    for c in levels:
-        cloud = pts[u >= c - 1e-12]
-        if d == 1:
-            verts = np.array([[float(np.min(cloud))], [float(np.max(cloud))]])
-        elif len(cloud) >= d + 1:
-            try:
-                hull = ConvexHull(cloud)
-                verts = cloud[hull.vertices]
-            except QhullError:
-                verts = cloud  # degenerate cloud (flat); use the points directly
-        else:
-            verts = cloud
-        hulls.append(verts)
-    v = np.empty_like(u)
+    hulls = tuple(_level_hull(pts[u >= c - 1e-12], membership_tol) for c in levels)
+    member = _membership(hulls, pts, membership_tol)
+    cols = np.arange(len(pts))
+    start = np.clip(np.searchsorted(levels, u + 1e-12) - 1, 0, len(levels) - 1)
+    # x is in its own level cloud; only rounding can make it step down
+    down = ~member[start, cols] & (start > 0)
+    while down.any():
+        start = start - down
+        down = ~member[start, cols] & (start > 0)
+    top = _bisect_levels(member, start)
+    v = np.maximum(levels[top], u)
     probes: list[tuple[np.ndarray, np.ndarray]] = []
-    for j, x in enumerate(pts):
-        start = int(np.searchsorted(levels, u[j] + 1e-12) - 1)
-        start = min(max(start, 0), len(levels) - 1)
-        ok, w = _hull_membership(x, hulls[start], membership_tol)
-        while not ok and start > 0:
-            # x is in its own level cloud; only rounding can land here
-            start -= 1
-            ok, w = _hull_membership(x, hulls[start], membership_tol)
-        lo_idx, hi_idx = start, len(levels) - 1
-        best_w = w if ok else None
-        best_idx = start
-        while lo_idx < hi_idx:
-            mid = (lo_idx + hi_idx + 1) // 2
-            ok, w_mid = _hull_membership(x, hulls[mid], membership_tol)
-            if ok:
-                lo_idx = mid
-                best_w, best_idx = w_mid, mid
-            else:
-                hi_idx = mid - 1
-        v[j] = max(float(levels[lo_idx]), float(u[j]))
-        if best_w is not None:
-            mask = best_w > 1e-10
-            if int(np.count_nonzero(mask)) >= 2:
-                support = hulls[best_idx][mask]
-                weights = best_w[mask]
-                weights = weights / weights.sum()
-                probes.append((support, weights))
+    for j in np.flatnonzero(member[top, cols]):
+        verts = hulls[top[j]].verts
+        ok, w = _hull_decomposition(pts[j], verts, membership_tol)
+        mask = w > 1e-10
+        if ok and int(np.count_nonzero(mask)) >= 2:
+            weights = w[mask]
+            probes.append((verts[mask], weights / weights.sum()))
     return QuasiConcaveBenchmark(
-        points=pts, u_values=u, v_values=v, levels=levels, hulls=tuple(hulls),
+        points=pts, u_values=u, v_values=v, levels=levels, hulls=hulls,
         box_bound=box_bound, resolution=resolution, membership_tol=membership_tol,
         probes=tuple(probes),
     )
@@ -706,7 +779,8 @@ def verify_quasiconcave_bound(model, benchmark: QuasiConcaveBenchmark,
     slack defaults to one level spacing plus 1e-9 (the envelope is resolved
     only to the level grid). Quasi-concavity is spot-checked on seeded grid
     pairs: the envelope at a mixture may not fall more than one level
-    spacing below the worse endpoint.
+    spacing below the worse endpoint. All mixtures are evaluated in one
+    batched half-space pass; the first violation in draw order is raised.
     """
     spacing = benchmark.level_spacing
     if slack is None:
@@ -728,14 +802,18 @@ def verify_quasiconcave_bound(model, benchmark: QuasiConcaveBenchmark,
             f"sup |v - u| = {sup!r} exceeds d eps + slack = {bound + slack!r}",
             witness={"x": tuple(benchmark.points[i_max]), "gap": sup})
     rng = np.random.default_rng(seed)
+    pts = benchmark.points
+    pairs = np.array([rng.integers(0, len(pts), size=2) for _ in range(n_qc_checks)],
+                     dtype=int).reshape(-1, 2)
+    lam_col = np.asarray(lambdas, dtype=float)[None, :, None]
+    mixtures = lam_col * pts[pairs[:, 0]][:, None, :] \
+        + (1.0 - lam_col) * pts[pairs[:, 1]][:, None, :]
+    vms = benchmark.evaluate_batch(mixtures.reshape(-1, d)).reshape(len(pairs), len(lambdas))
     qc_worst = 0.0
     qc_witness = None
-    for _ in range(n_qc_checks):
-        i, j = rng.integers(0, len(benchmark.points), size=2)
-        for lam in lambdas:
-            m = lam * benchmark.points[i] + (1.0 - lam) * benchmark.points[j]
-            vm = benchmark.evaluate(m)
-            shortfall = min(float(v[i]), float(v[j])) - spacing - vm
+    for (i, j), row in zip(pairs, vms):
+        for lam, vm in zip(lambdas, row):
+            shortfall = min(float(v[i]), float(v[j])) - spacing - float(vm)
             if shortfall > qc_worst:
                 qc_worst = shortfall
                 qc_witness = {"x": tuple(benchmark.points[i]),

@@ -160,7 +160,7 @@ def test_criterion_06_meu_divergence_and_homothetic_exactness():
 
 
 def test_criterion_07_quasiconcave_envelope_two_states():
-    with criterion(7, 120.0):
+    with criterion(7, 10.0):
         model = SmoothAmbiguity("sqrt1pz2", ((0.3, 0.7), (0.8, 0.2)), (0.5, 0.5))
         env = quasiconcavify(model, box_bound=10.0, resolution=41)
         assert np.all(env.v_values >= env.u_values)

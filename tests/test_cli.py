@@ -69,6 +69,33 @@ def test_run_rejects_bad_name(tmp_path):
     assert main(["run", _write(tmp_path, "s.json", scenario)]) == 1
 
 
+UNC_SCENARIO = {
+    "version": 1,
+    "name": "meu-hull",
+    "domain": "uncertainty",
+    "model": {"type": "meu", "priors": [[0.3, 0.7], [0.7, 0.3]]},
+    "sampler": {"resolution": 3, "n_random_pairs": 5, "homog": False,
+                "quasiconcave": True, "qc_resolution": 5, "level_resolution": 4},
+}
+
+
+@pytest.mark.parametrize("key,value,minimum", [("level_resolution", 0, 2),
+                                               ("n_random_pairs", -3, 0)])
+def test_run_rejects_bad_count(tmp_path, capsys, key, value, minimum):
+    scenario = json.loads(json.dumps(UNC_SCENARIO))
+    scenario["sampler"][key] = value
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, "s.json", scenario), "--out", str(out)]) == 1
+    assert f"sampler.{key}: must be at least {minimum}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_quasiconcave_scenario(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, "s.json", UNC_SCENARIO), "--out", str(out)]) == 0
+    assert "PASS quasiconcave-bound" in capsys.readouterr().out
+
+
 def test_run_risk_scenario_outputs(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["run", _write(tmp_path, "s.json", RISK_SCENARIO),

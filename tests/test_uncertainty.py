@@ -1,7 +1,12 @@
 """Doubling limits, defect series, and benchmark bounds for act models."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import nearrep
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +24,7 @@ from nearrep.core import (
 )
 from nearrep.uncertainty import (
     BoxSampler,
+    _level_hull,
     ce_utility,
     dyadic_phi_series,
     extract_prior,
@@ -316,6 +322,84 @@ def test_envelope_midpoint_never_below_level():
         m = 0.5 * (pts[i] + pts[j])
         vm = env.evaluate(m)
         assert vm >= min(env.v_values[i], env.v_values[j]) - env.level_spacing - 1e-9
+
+
+def _lp_member(x, cloud, tol=1e-9):
+    """Reference membership: a feasibility LP for convex weights on the cloud."""
+    from scipy.optimize import linprog
+    A = np.vstack([cloud.T, np.ones((1, len(cloud)))])
+    b = np.append(x, 1.0)
+    res = linprog(np.zeros(len(cloud)), A_eq=A, b_eq=b, bounds=(0.0, None),
+                  method="highs")
+    if not res.success:
+        return False
+    residual = float(np.linalg.norm(A @ res.x - b))
+    return residual <= tol * (1.0 + float(np.linalg.norm(b)))
+
+
+@st.composite
+def _cloud_and_queries(draw):
+    d = draw(st.integers(1, 3))
+    shape = draw(st.sampled_from(["general", "point", "line", "plane"]))
+    vec = lambda lo=-2, hi=2: np.array(draw(st.lists(st.integers(lo, hi), min_size=d,
+                                                     max_size=d)), dtype=float)
+    origin = vec(0, 6)
+    n = draw(st.integers(1, 7))
+    if shape == "point":
+        cloud = np.repeat(origin[None, :], n, axis=0)
+    elif shape == "line":
+        step = vec()
+        cloud = np.array([origin + draw(st.integers(-3, 3)) * step for _ in range(n)])
+    elif shape == "plane" and d == 3:
+        a, c = vec(), vec()
+        cloud = np.array([origin + draw(st.integers(-2, 2)) * a + draw(st.integers(-2, 2)) * c
+                          for _ in range(n)])
+    else:
+        # "plane" needs three axes; with fewer it draws a general cloud
+        cloud = np.array([vec(0, 6) for _ in range(n)])
+    cloud = 0.5 * cloud
+    outside = [0.5 * vec(-3, 9) for _ in range(draw(st.integers(1, 5)))]
+    queries = list(cloud) + outside
+    for _ in range(draw(st.integers(1, 6))):
+        x = queries[draw(st.integers(0, len(queries) - 1))]
+        y = queries[draw(st.integers(0, len(queries) - 1))]
+        queries += [lam * x + (1.0 - lam) * y for lam in (0.25, 0.5, 0.75)]
+    return cloud, np.array(queries)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_cloud_and_queries())
+def test_halfspace_membership_matches_lp(case):
+    cloud, queries = case
+    got = _level_hull(cloud, 1e-9).contains(queries, 1e-9)
+    want = np.array([_lp_member(x, cloud) for x in queries])
+    assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("model,res", [(SMOOTH_SQRT, 9),
+                                       (CESUtility((1.0, 2.0, 3.0), 0.5), 4)])
+def test_envelope_probes_are_short_convex_decompositions(model, res):
+    env = quasiconcavify(model, box_bound=10.0, resolution=res, level_resolution=16)
+    d = env.n_states
+    assert env.probes
+    for support, weights in env.probes:
+        assert 2 <= len(support) <= d + 1
+        assert np.all(weights >= 0.0)
+        assert abs(weights.sum() - 1.0) <= 1e-12
+        rebuilt = weights @ support
+        dist = np.sqrt(np.sum((env.points - rebuilt) ** 2, axis=1))
+        j = int(np.argmin(dist))
+        scale = 1.0 + math.sqrt(float(env.points[j] @ env.points[j]) + 1.0)
+        assert dist[j] <= env.membership_tol * scale
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(nearrep.__file__).resolve().parents[1]))
+    code = ("import sys, nearrep.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_ce_monotone_in_payoffs():
