@@ -6,162 +6,12 @@ stationarity) and builds the benchmark representation each theorem
 promises, verifying the advertised closeness bound on a sampled grid.
 """
 
-from .core import (
-    Act,
-    BoundViolated,
-    CESUtility,
-    CumulativeProspect,
-    DatedReward,
-    ExpectedUtility,
-    Exponential,
-    Hyperbolic,
-    HypothesisFailed,
-    InvalidModel,
-    LinearDelay,
-    LinearPlusBounded,
-    LogDelay,
-    Lottery,
-    MaxminExpected,
-    NearRepError,
-    NearRepresentation,
-    NoBracket,
-    NoSuchTau,
-    NotAdditive,
-    NotConverged,
-    QuasiHyperbolic,
-    ScenarioError,
-    SmoothAmbiguity,
-    SubjectiveExpected,
-    TabulatedDiscount,
-    TabulatedUtility,
-    ViolationReport,
-    bisect_monotone,
-    discount,
-    dyadic_tail_sum,
-    grid_sample,
-)
-from .risk import (
-    AffineBenchmark,
-    SimplexSampler,
-    allais_report,
-    build_affine_benchmark,
-    converse_check_4eps,
-    figure1_data,
-    measure_eps_independence,
-    measure_eps_rcl,
-    mixture_utility,
-    verify_thm1,
-    verify_thm2,
-)
-from .timepref import (
-    continuous_gamma_curve,
-    exact_recovery,
-    fit_gamma,
-    gamma_of,
-    measure_W_axiom,
-    measure_eps_stationarity,
-    measure_lambda_lipschitz,
-    psi,
-    same_ordering,
-    theta_over_sample,
-    theta_series,
-    verify_exp3_bound,
-    verify_exp_bound,
-)
-from .uncertainty import (
-    BoxSampler,
-    LinearBenchmark,
-    QuasiConcaveBenchmark,
-    ce_utility,
-    dyadic_phi_series,
-    extract_prior,
-    homog_limit,
-    hyers_ulam_limit,
-    measure_eps_ua,
-    measure_homog_deviation,
-    measure_phi,
-    quasiconcavify,
-    smooth_ambiguity_bound,
-    theta_estimate,
-    verify_aa_bound,
-    verify_homog_bound,
-    verify_quasiconcave_bound,
-)
+from . import core, risk, timepref, uncertainty
+from .core import *  # noqa: F401,F403
+from .risk import *  # noqa: F401,F403
+from .timepref import *  # noqa: F401,F403
+from .uncertainty import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Act",
-    "AffineBenchmark",
-    "BoundViolated",
-    "BoxSampler",
-    "CESUtility",
-    "CumulativeProspect",
-    "DatedReward",
-    "ExpectedUtility",
-    "Exponential",
-    "Hyperbolic",
-    "HypothesisFailed",
-    "InvalidModel",
-    "LinearBenchmark",
-    "LinearDelay",
-    "LinearPlusBounded",
-    "LogDelay",
-    "Lottery",
-    "MaxminExpected",
-    "NearRepError",
-    "NearRepresentation",
-    "NoBracket",
-    "NoSuchTau",
-    "NotAdditive",
-    "NotConverged",
-    "QuasiConcaveBenchmark",
-    "QuasiHyperbolic",
-    "ScenarioError",
-    "SimplexSampler",
-    "SmoothAmbiguity",
-    "SubjectiveExpected",
-    "TabulatedDiscount",
-    "TabulatedUtility",
-    "ViolationReport",
-    "allais_report",
-    "bisect_monotone",
-    "build_affine_benchmark",
-    "ce_utility",
-    "continuous_gamma_curve",
-    "converse_check_4eps",
-    "discount",
-    "dyadic_phi_series",
-    "dyadic_tail_sum",
-    "exact_recovery",
-    "extract_prior",
-    "figure1_data",
-    "fit_gamma",
-    "gamma_of",
-    "grid_sample",
-    "homog_limit",
-    "hyers_ulam_limit",
-    "measure_W_axiom",
-    "measure_eps_independence",
-    "measure_eps_rcl",
-    "measure_eps_stationarity",
-    "measure_eps_ua",
-    "measure_homog_deviation",
-    "measure_lambda_lipschitz",
-    "measure_phi",
-    "mixture_utility",
-    "psi",
-    "quasiconcavify",
-    "same_ordering",
-    "smooth_ambiguity_bound",
-    "theta_estimate",
-    "theta_over_sample",
-    "theta_series",
-    "verify_aa_bound",
-    "verify_exp3_bound",
-    "verify_exp_bound",
-    "verify_homog_bound",
-    "verify_quasiconcave_bound",
-    "verify_thm1",
-    "verify_thm2",
-]
+__all__ = [*core.__all__, *risk.__all__, *timepref.__all__, *uncertainty.__all__]

@@ -221,6 +221,30 @@ def _build_continuous_model(cfg: dict):
 # ---------------------------------------------------------------------------
 # domain pipelines
 
+def _check(result: RunResult, verdict: str, thunk, label: str | None = None):
+    """Run one bound check and record its verdict; return the representation.
+
+    On success the representation is appended and the verdict passes; a
+    BoundViolated fails the verdict, adds a "<label> failed: ..." note
+    (label defaults to the verdict name) and returns None.
+    """
+    try:
+        rep = thunk()
+    except BoundViolated as exc:
+        result.verdicts[verdict] = False
+        result.notes.append(f"{label or verdict} failed: {exc}")
+        return None
+    result.representations.append(rep.as_dict())
+    result.verdicts[verdict] = True
+    return rep
+
+
+def _smooth_cap(result: RunResult, table_name: str, model, sampler):
+    """smooth_ambiguity_bound's representation; its defect table goes into result."""
+    rep, result.tables[table_name] = unc_mod.smooth_ambiguity_bound(model, sampler)
+    return rep
+
+
 def _run_risk(name: str, model, sampler_cfg: dict, tols: dict) -> RunResult:
     _check_keys(sampler_cfg, "sampler", set(),
                 {"resolution", "seed", "n_random_triples", "n_pairs", "n_alphas"})
@@ -238,24 +262,14 @@ def _run_risk(name: str, model, sampler_cfg: dict, tols: dict) -> RunResult:
     rcl = risk_mod.measure_eps_rcl(model, sampler, tol=tol, cache=cache)
     result.reports.append(rcl.as_dict())
     benchmark = risk_mod.build_affine_benchmark(model, tol=tol)
-    try:
-        rep1 = risk_mod.verify_thm1(model, benchmark, rcl.value, sampler,
-                                    slack=slack, tol=tol, cache=cache)
-        result.representations.append(rep1.as_dict())
-        result.verdicts["mixture-support-bound"] = True
-    except BoundViolated as exc:
-        result.verdicts["mixture-support-bound"] = False
-        result.notes.append(f"mixture-support-bound failed: {exc}")
+    _check(result, "mixture-support-bound",
+           lambda: risk_mod.verify_thm1(model, benchmark, rcl.value, sampler,
+                                        slack=slack, tol=tol, cache=cache))
     ind = risk_mod.measure_eps_independence(model, sampler, tol=tol)
     result.reports.append(ind.as_dict())
-    try:
-        rep2 = risk_mod.verify_thm2(model, ind.value, sampler, benchmark=benchmark,
-                                    slack=slack, tol=tol, cache=cache)
-        result.representations.append(rep2.as_dict())
-        result.verdicts["independence-square-bound"] = True
-    except BoundViolated as exc:
-        result.verdicts["independence-square-bound"] = False
-        result.notes.append(f"independence-square-bound failed: {exc}")
+    _check(result, "independence-square-bound",
+           lambda: risk_mod.verify_thm2(model, ind.value, sampler, benchmark=benchmark,
+                                        slack=slack, tol=tol, cache=cache))
     header = [f"p{i}" for i in range(model.n_outcomes)] + \
         ["calibrated_utility", "affine_value", "gap", "allowed"]
     rows = []
@@ -313,15 +327,10 @@ def _run_uncertainty(name: str, model, sampler_cfg: dict, tols: dict) -> RunResu
     except NotConverged as exc:
         result.notes.append(f"doubling limit did not converge: {exc}")
     if benchmark is not None and converged:
-        try:
-            rep = unc_mod.verify_aa_bound(model, benchmark, theta_rep.value, sampler,
-                                          converged=converged, tol=verify_tol,
-                                          bisect_tol=tol)
-            result.representations.append(rep.as_dict())
-            result.verdicts["linear-theta-bound"] = True
-        except BoundViolated as exc:
-            result.verdicts["linear-theta-bound"] = False
-            result.notes.append(f"linear-theta-bound failed: {exc}")
+        _check(result, "linear-theta-bound",
+               lambda: unc_mod.verify_aa_bound(model, benchmark, theta_rep.value, sampler,
+                                               converged=converged, tol=verify_tol,
+                                               bisect_tol=tol))
     elif not converged:
         result.notes.append(
             "dyadic defect series classified divergent; linear closeness bound "
@@ -331,23 +340,13 @@ def _run_uncertainty(name: str, model, sampler_cfg: dict, tols: dict) -> RunResu
         result.verdicts["homothetic-exactness"] = passed
         result.notes.append(f"homothetic exactness defect {exact:.3g}")
     if isinstance(model, SmoothAmbiguity):
-        try:
-            rep_raw, table = unc_mod.smooth_ambiguity_bound(model, sampler)
-            result.representations.append(rep_raw.as_dict())
-            result.verdicts["raw-defect-cap"] = True
-            result.tables["smooth-defects"] = table
-        except BoundViolated as exc:
-            result.verdicts["raw-defect-cap"] = False
-            result.notes.append(f"raw-defect-cap failed: {exc}")
+        _check(result, "raw-defect-cap",
+               lambda: _smooth_cap(result, "smooth-defects", model, sampler))
     if _bool(sampler_cfg, "sampler", "homog", True):
         try:
-            rep_h = unc_mod.verify_homog_bound(model, sampler, bisect_tol=tol,
-                                               tol=verify_tol)
-            result.representations.append(rep_h.as_dict())
-            result.verdicts["homogeneous-bound"] = True
-        except BoundViolated as exc:
-            result.verdicts["homogeneous-bound"] = False
-            result.notes.append(f"homogeneous-bound failed: {exc}")
+            _check(result, "homogeneous-bound",
+                   lambda: unc_mod.verify_homog_bound(model, sampler, bisect_tol=tol,
+                                                      tol=verify_tol))
         except NotConverged as exc:
             result.notes.append(f"scaling limit did not converge: {exc}")
     if quasiconcave:
@@ -358,14 +357,9 @@ def _run_uncertainty(name: str, model, sampler_cfg: dict, tols: dict) -> RunResu
         ua = unc_mod.measure_eps_ua(model, sampler, extra_probes=envelope.probes,
                                     tol=tol)
         result.reports.append(ua.as_dict())
-        try:
-            rep_qc = unc_mod.verify_quasiconcave_bound(model, envelope, ua.value,
-                                                       seed=sampler.seed)
-            result.representations.append(rep_qc.as_dict())
-            result.verdicts["quasiconcave-bound"] = True
-        except BoundViolated as exc:
-            result.verdicts["quasiconcave-bound"] = False
-            result.notes.append(f"quasiconcave-bound failed: {exc}")
+        _check(result, "quasiconcave-bound",
+               lambda: unc_mod.verify_quasiconcave_bound(model, envelope, ua.value,
+                                                         seed=sampler.seed))
     header = [f"x{i}" for i in range(model.n_states)] + ["ce_utility"]
     if benchmark is not None:
         header += ["linear_value", "gap"]
@@ -408,15 +402,9 @@ def _run_time_discrete(name: str, model, sampler_cfg: dict, tols: dict) -> RunRe
     except NotConverged as exc:
         result.notes.append(f"rate fit did not converge: {exc}")
     if fit is not None and not fit.degenerate and converged:
-        try:
-            rep = time_mod.verify_exp_bound(model, fit.gamma, theta_rep.value,
-                                            t_range=[0, *t_sample],
-                                            tol=tols["time"])
-            result.representations.append(rep.as_dict())
-            result.verdicts["exponential-log-bound"] = True
-        except BoundViolated as exc:
-            result.verdicts["exponential-log-bound"] = False
-            result.notes.append(f"exponential-log-bound failed: {exc}")
+        _check(result, "exponential-log-bound",
+               lambda: time_mod.verify_exp_bound(model, fit.gamma, theta_rep.value,
+                                                 t_range=[0, *t_sample], tol=tols["time"]))
     elif not converged:
         result.notes.append(
             "stationarity defect series classified divergent; exponential "
@@ -476,13 +464,8 @@ def _run_time_continuous(name: str, model, sampler_cfg: dict, tols: dict) -> Run
     result.reports.append(eps.as_dict())
     lam = time_mod.measure_lambda_lipschitz(model, xs, ts, deltas)
     result.reports.append(lam.as_dict())
-    try:
-        rep = time_mod.verify_exp3_bound(model, eps.value, lam.value, xs, ts, tol=tol)
-        result.representations.append(rep.as_dict())
-        result.verdicts["time-shift-bound"] = True
-    except BoundViolated as exc:
-        result.verdicts["time-shift-bound"] = False
-        result.notes.append(f"time-shift-bound failed: {exc}")
+    _check(result, "time-shift-bound",
+           lambda: time_mod.verify_exp3_bound(model, eps.value, lam.value, xs, ts, tol=tol))
     gmap = dict(zip(curve.xs, curve.gammas))
     rows = []
     for x in curve.xs:
@@ -591,17 +574,13 @@ def _builtin_smooth_bound() -> RunResult:
     for f_name in ("sqrt1pz2", "z_minus_exp"):
         model = SmoothAmbiguity(f_name, priors, weights)
         sampler = unc_mod.BoxSampler(n_states=2, bound=10.0, resolution=50)
-        try:
-            rep, table = unc_mod.smooth_ambiguity_bound(model, sampler)
-            result.representations.append(rep.as_dict())
-            result.verdicts[f"{f_name}-defect-cap"] = True
-            result.tables[f"{f_name}-defects"] = table
+        rep = _check(result, f"{f_name}-defect-cap",
+                     lambda: _smooth_cap(result, f"{f_name}-defects", model, sampler),
+                     label=f"{f_name} defect cap")
+        if rep is not None:
             result.notes.append(
                 f"{f_name}: sup defect {rep.achieved_distance!r}, closed-form "
                 f"identity gap {rep.details['identity_gap']:.3g}")
-        except BoundViolated as exc:
-            result.verdicts[f"{f_name}-defect-cap"] = False
-            result.notes.append(f"{f_name} defect cap failed: {exc}")
         try:
             benchmark = unc_mod.extract_prior(model, tol=1e-9)
             mean = model.mean_prior
@@ -630,15 +609,11 @@ def _builtin_quasi_hyperbolic() -> RunResult:
     result.verdicts["theta-matches-beta"] = abs(theta_rep.value - target) <= 1e-9
     fit = time_mod.fit_gamma(model, n_max=40)
     result.verdicts["gamma-matches-delta"] = abs(fit.gamma - model.delta) <= 1e-6
-    try:
-        rep = time_mod.verify_exp_bound(model, fit.gamma, theta_rep.value,
-                                        t_range=range(0, 201), tol=1e-9)
-        result.representations.append(rep.as_dict())
-        result.verdicts["exponential-log-bound"] = True
+    rep = _check(result, "exponential-log-bound",
+                 lambda: time_mod.verify_exp_bound(model, fit.gamma, theta_rep.value,
+                                                   t_range=range(0, 201), tol=1e-9))
+    if rep is not None:
         result.verdicts["bound-tight"] = abs(rep.achieved_distance - theta_rep.value) <= 1e-9
-    except BoundViolated as exc:
-        result.verdicts["exponential-log-bound"] = False
-        result.notes.append(f"exponential-log-bound failed: {exc}")
     w = time_mod.measure_W_axiom(model, t_max=16)
     result.reports.append(w.as_dict())
     rec = time_mod.exact_recovery(model, w.value)

@@ -36,8 +36,6 @@ __all__ = [
     "NoSuchTau",
     "ScenarioError",
     "Lottery",
-    "Act",
-    "DatedReward",
     "ViolationReport",
     "NearRepresentation",
     "ExpectedUtility",
@@ -54,7 +52,7 @@ __all__ = [
     "TabulatedDiscount",
     "LinearDelay",
     "LogDelay",
-    "ContinuousTime",
+    "discount",
     "bisect_monotone",
     "grid_sample",
     "dyadic_tail_sum",
@@ -79,20 +77,20 @@ class NoBracket(NearRepError):
     """Bisection endpoints do not straddle a sign change."""
 
 
-class BoundViolated(NearRepError):
+class _WitnessedError(NearRepError):
+    """An error that carries the inputs which exhibited it."""
+
+    def __init__(self, message: str, witness: dict | None = None):
+        super().__init__(message)
+        self.witness = witness or {}
+
+
+class BoundViolated(_WitnessedError):
     """A verified theorem bound failed numerically; carries the witness."""
 
-    def __init__(self, message: str, witness: dict | None = None):
-        super().__init__(message)
-        self.witness = witness or {}
 
-
-class HypothesisFailed(NearRepError):
+class HypothesisFailed(_WitnessedError):
     """A theorem's hypothesis does not hold on the supplied inputs."""
-
-    def __init__(self, message: str, witness: dict | None = None):
-        super().__init__(message)
-        self.witness = witness or {}
 
 
 class NotConverged(NearRepError):
@@ -103,12 +101,8 @@ class NotConverged(NearRepError):
         self.iterates = list(iterates)
 
 
-class NotAdditive(NearRepError):
+class NotAdditive(_WitnessedError):
     """Recovered coordinate values do not sum to the value of the sure act."""
-
-    def __init__(self, message: str, witness: dict | None = None):
-        super().__init__(message)
-        self.witness = witness or {}
 
 
 class NoSuchTau(NearRepError):
@@ -177,36 +171,6 @@ def mix_probs(p: Sequence[float], q: Sequence[float], lam: float) -> tuple[float
 
 
 @dataclass(frozen=True)
-class Act:
-    """State-contingent payoff vector, nonnegative coordinates."""
-
-    payoffs: tuple[float, ...]
-
-    def __post_init__(self):
-        x = tuple(float(v) for v in self.payoffs)
-        if any(v < 0.0 or not math.isfinite(v) for v in x):
-            raise InvalidModel(f"negative or non-finite payoff in {x}")
-        object.__setattr__(self, "payoffs", x)
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.asarray(self.payoffs, dtype=float)
-
-
-@dataclass(frozen=True)
-class DatedReward:
-    """A payment received after an integer delay."""
-
-    payment: float
-    delay: int
-
-    def __post_init__(self):
-        if self.delay < 0 or int(self.delay) != self.delay:
-            raise InvalidModel(f"delay must be a nonnegative integer, got {self.delay!r}")
-        object.__setattr__(self, "delay", int(self.delay))
-
-
-@dataclass(frozen=True)
 class ViolationReport:
     """Measured worst-case axiom defect with a re-evaluable witness.
 
@@ -270,8 +234,6 @@ def _jsonable(obj: Any) -> Any:
         return int(obj)
     if isinstance(obj, (Lottery,)):
         return list(obj.probs)
-    if isinstance(obj, (Act,)):
-        return list(obj.payoffs)
     return obj
 
 
@@ -416,7 +378,8 @@ class TabulatedUtility:
 
 
 # ---------------------------------------------------------------------------
-# uncertainty models: value(x) over acts x in R^d_+
+# uncertainty models: value(x) over acts x in R^d_+, and ce(x, tol), the sure
+# payoff with the same value (ce_utility handles constant acts before calling it)
 
 def _validate_prior(prior: Sequence[float], what: str = "prior") -> tuple[float, ...]:
     p = tuple(float(v) for v in prior)
@@ -448,6 +411,9 @@ class SubjectiveExpected:
     def value(self, x: np.ndarray) -> float:
         return float(np.dot(self.prior, x))
 
+    def ce(self, x: np.ndarray, tol: float) -> float:
+        return self.value(x)
+
 
 @dataclass(frozen=True)
 class MaxminExpected:
@@ -473,6 +439,9 @@ class MaxminExpected:
 
     def value(self, x: np.ndarray) -> float:
         return float(np.min(self._prior_matrix @ np.asarray(x, dtype=float)))
+
+    def ce(self, x: np.ndarray, tol: float) -> float:
+        return self.value(x)
 
 
 def _f_sqrt1pz2(z: np.ndarray | float):
@@ -511,8 +480,7 @@ class SmoothAmbiguity:
     """Second-order model: raw functional is a mixture of f(prior . x).
 
     f_name selects the strictly increasing transform; raw_value is the
-    integral functional itself, value/certainty equivalents are handled by
-    the uncertainty module.
+    integral functional itself, and f_inv of it is the certainty equivalent.
     """
 
     f_name: str
@@ -562,6 +530,9 @@ class SmoothAmbiguity:
     def value(self, x: np.ndarray) -> float:
         return self.raw_value(x)
 
+    def ce(self, x: np.ndarray, tol: float) -> float:
+        return self.f_inv(self.raw_value(x))
+
 
 @dataclass(frozen=True)
 class CESUtility:
@@ -595,6 +566,9 @@ class CESUtility:
         z = np.asarray(x, dtype=float) ** self.rho
         return float(self._weight_vector @ z) ** (1.0 / self.rho)
 
+    def ce(self, x: np.ndarray, tol: float) -> float:
+        return self.value(x) / self.unit_level
+
 
 @dataclass(frozen=True)
 class LinearPlusBounded:
@@ -619,6 +593,12 @@ class LinearPlusBounded:
     def value(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
         return float(np.dot(self.prior, x)) + self.bump * (1.0 - math.exp(-float(np.sum(x))))
+
+    def ce(self, x: np.ndarray, tol: float) -> float:
+        """No closed form: bisected between min(x) and max(x)."""
+        target = self.value(x)
+        return bisect_monotone(lambda c: self.value(np.full(x.shape[0], c)) - target,
+                               float(np.min(x)), float(np.max(x)), tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -762,18 +742,6 @@ class LogDelay:
 
     def gamma_closed_form(self, x: float) -> float:
         return (math.exp(self.x_bar - x) - 1.0) / self.k
-
-
-@dataclass(frozen=True, eq=False)
-class ContinuousTime:
-    """Generic evaluator u(x, t) for library use and tests."""
-
-    fn: Callable[[float, float], float]
-    x_bar: float
-
-    def value(self, x: float, t: float) -> float:
-        _check_xt(self, x, t)
-        return float(self.fn(x, t))
 
 
 def _check_xt(model, x: float, t: float) -> None:

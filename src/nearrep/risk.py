@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .core import (
     InvalidModel,
     Lottery,
     NearRepresentation,
-    NoBracket,
     ViolationReport,
     bisect_monotone,
     grid_sample,
@@ -158,12 +156,41 @@ def _peel_chain(p: Lottery) -> list[tuple[Lottery, Lottery, float, Lottery]]:
     return chain
 
 
-def _mixture_defect(model, left: Lottery, right: Lottery, lam: float,
-                    tol: float, cache: dict) -> tuple[float, Lottery]:
-    mixed = left.mix(right, lam)
+def _mixture_probes(points: list[Lottery], sampler: SimplexSampler):
+    """Yield (left, right, lam, mixture) with mixture = lam * left + (1 - lam) * right.
+
+    Every vertex-peeling step of every grid lottery comes first (these are
+    the triples whose defects bound the affine gap pointwise), then a seeded
+    batch of random grid-pair mixtures at uniform weights. The probes are
+    streamed, never held as a list: fine grids give thousands of them.
+    """
+    for p in points:
+        if not p.is_degenerate:
+            yield from _peel_chain(p)
+    rng = np.random.default_rng(sampler.seed)
+    for _ in range(sampler.n_random_triples):
+        i, j = rng.integers(0, len(points), size=2)
+        lam = float(rng.uniform())
+        yield points[i], points[j], lam, points[i].mix(points[j], lam)
+
+
+def _worst_mixture_defect(model, points: list[Lottery], sampler: SimplexSampler,
+                          tol: float, cache: dict) -> tuple[float, dict, int]:
+    """Largest |u(mixture) - (lam u(left) + (1 - lam) u(right))| over the probes.
+
+    Returns the defect (0.0 when nothing was probed), its witness and the
+    number of probes, on the model's calibrated utility.
+    """
     u = lambda q: mixture_utility(model, q, tol=tol, cache=cache)
-    defect = abs(u(mixed) - (lam * u(left) + (1.0 - lam) * u(right)))
-    return defect, mixed
+    best = (-1.0, None)
+    count = 0
+    for left, right, lam, whole in _mixture_probes(points, sampler):
+        defect = abs(u(whole) - (lam * u(left) + (1.0 - lam) * u(right)))
+        count += 1
+        if defect > best[0]:
+            best = (defect, {"left": left.probs, "right": right.probs,
+                             "lam": lam, "mixture": whole.probs})
+    return max(best[0], 0.0), best[1] or {}, count
 
 
 def measure_eps_rcl(model, sampler: SimplexSampler | None = None,
@@ -177,32 +204,11 @@ def measure_eps_rcl(model, sampler: SimplexSampler | None = None,
     sampler = sampler or SimplexSampler()
     cache = {} if cache is None else cache
     points = sampler.points(model.n_outcomes)
-    best = (-1.0, None)
-    count = 0
-    for p in points:
-        if p.is_degenerate:
-            continue
-        for vertex, tail, lam, whole in _peel_chain(p):
-            u = lambda q: mixture_utility(model, q, tol=tol, cache=cache)
-            defect = abs(u(whole) - (lam * u(vertex) + (1.0 - lam) * u(tail)))
-            count += 1
-            if defect > best[0]:
-                best = (defect, {"left": vertex.probs, "right": tail.probs,
-                                 "lam": lam, "mixture": whole.probs})
-    rng = np.random.default_rng(sampler.seed)
-    for _ in range(sampler.n_random_triples):
-        i, j = rng.integers(0, len(points), size=2)
-        lam = float(rng.uniform())
-        defect, mixed = _mixture_defect(model, points[i], points[j], lam, tol, cache)
-        count += 1
-        if defect > best[0]:
-            best = (defect, {"left": points[i].probs, "right": points[j].probs,
-                             "lam": lam, "mixture": mixed.probs})
-    max_defect = max(best[0], 0.0)
+    max_defect, witness, count = _worst_mixture_defect(model, points, sampler, tol, cache)
     return ViolationReport(
         axiom="reduction-of-compound-lotteries",
         value=max_defect + STRICTNESS_MARGIN,
-        witness=best[1] or {},
+        witness=witness,
         samples_evaluated=count,
         details={"margin": STRICTNESS_MARGIN, "max_defect": max_defect,
                  "resolution": sampler.resolution, "seed": sampler.seed,
@@ -286,37 +292,15 @@ def converse_check_4eps(model, benchmark: AffineBenchmark, eps: float,
         raise HypothesisFailed(
             f"sup |u - l| = {sup_gap!r} is not below eps = {eps!r}",
             witness={"p": sup_p.probs if sup_p else None, "gap": sup_gap, "eps": eps})
-    cache: dict = {}
-    best = (-1.0, None)
-    count = 0
-    for p in points:
-        if p.is_degenerate:
-            continue
-        for vertex, tail, lam, whole in _peel_chain(p):
-            u = lambda q: mixture_utility(model, q, tol=tol, cache=cache)
-            defect = abs(u(whole) - (lam * u(vertex) + (1.0 - lam) * u(tail)))
-            count += 1
-            if defect > best[0]:
-                best = (defect, {"left": vertex.probs, "right": tail.probs,
-                                 "lam": lam, "mixture": whole.probs})
-    rng = np.random.default_rng(sampler.seed)
-    for _ in range(sampler.n_random_triples):
-        i, j = rng.integers(0, len(points), size=2)
-        lam = float(rng.uniform())
-        defect, mixed = _mixture_defect(model, points[i], points[j], lam, tol, cache)
-        count += 1
-        if defect > best[0]:
-            best = (defect, {"left": points[i].probs, "right": points[j].probs,
-                             "lam": lam, "mixture": mixed.probs})
-    max_defect = max(best[0], 0.0)
+    max_defect, witness, count = _worst_mixture_defect(model, points, sampler, tol, {})
     if max_defect >= 4.0 * eps:
         raise BoundViolated(
             f"mixture defect {max_defect!r} reached 4 eps = {4.0 * eps!r}",
-            witness=best[1] or {})
+            witness=witness)
     return ViolationReport(
         axiom="reduction-of-compound-lotteries",
         value=max_defect,
-        witness=best[1] or {},
+        witness=witness,
         samples_evaluated=count,
         details={"eps": eps, "ratio_to_eps": max_defect / eps if eps > 0 else math.inf,
                  "sup_gap": sup_gap, "passes_4eps": True,

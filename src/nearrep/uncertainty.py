@@ -21,17 +21,13 @@ import numpy as np
 
 from .core import (
     BoundViolated,
-    CESUtility,
     HypothesisFailed,
     InvalidModel,
-    MaxminExpected,
     NearRepresentation,
     NotAdditive,
     NotConverged,
     SmoothAmbiguity,
-    SubjectiveExpected,
     ViolationReport,
-    bisect_monotone,
     dyadic_tail_sum,
     grid_sample,
 )
@@ -39,8 +35,7 @@ from .core import (
 __all__ = [
     "BoxSampler",
     "LinearBenchmark",
-    "DoublingResult",
-    "HomogResult",
+    "ScaledLimit",
     "QuasiConcaveBenchmark",
     "ce_utility",
     "measure_phi",
@@ -92,23 +87,15 @@ def ce_utility(model, x, tol: float = 1e-10) -> float:
     """Certainty equivalent: the c with model(c * ones) = model(x).
 
     Constant acts return their level exactly, so u(c * ones) = c holds with
-    no rounding for every model. Closed forms are used where the model
-    admits them; anything else is bisected between min(x) and max(x).
+    no rounding for every model. Every other act goes to the model's own
+    ce(x, tol): a closed form where the model admits one, a bisection
+    between min(x) and max(x) otherwise.
     """
     x = _as_act(model, x)
     first = float(x[0])
     if np.all(x == first):
         return first
-    if isinstance(model, (SubjectiveExpected, MaxminExpected)):
-        return model.value(x)
-    if isinstance(model, SmoothAmbiguity):
-        return model.f_inv(model.raw_value(x))
-    if isinstance(model, CESUtility):
-        return model.value(x) / model.unit_level
-    target = model.value(x)
-    lo, hi = float(np.min(x)), float(np.max(x))
-    return bisect_monotone(lambda c: model.value(np.full(x.shape[0], c)) - target,
-                           lo, hi, tol=tol)
+    return model.ce(x, tol)
 
 
 def measure_phi(model, x, y, tol: float = 1e-10) -> float:
@@ -203,55 +190,69 @@ def theta_estimate(model, sampler: BoxSampler | None = None, n_max: int = 40,
 
 
 @dataclass(frozen=True)
-class DoublingResult:
-    """Limit of 2^{-n} u(2^n x) with the Cauchy trace that certified it."""
+class ScaledLimit:
+    """Limit of base^{-n} u(base^n x) with the Cauchy trace that certified it.
+
+    theta sums the increments plus the geometric tail estimate: the scaled
+    defect series that bounds |u(x) - value|.
+    """
 
     value: float
+    theta: float
     n_used: int
     tail_bound: float
     iterates: tuple[float, ...]
 
 
-def hyers_ulam_limit(model, x, tol: float = 1e-9, n_max: int = 40,
-                     bisect_tol: float = 1e-10) -> DoublingResult:
-    """Doubling limit v(x) = lim 2^{-n} u(2^n x) of the certainty equivalent.
+def _scaled_limit(model, x, base: float, tol: float, n_max: int, bisect_tol: float,
+                  what: str) -> ScaledLimit:
+    """lim base^{-n} u(base^n x), stopped by the scaled Cauchy test.
 
-    Stops once the increment falls below the scaled Cauchy threshold
-    tol * 2^{-n} (or a 1e-15 relative floor); raises NotConverged with the
-    iterates when the cap or the coordinate guard arrives first. Curves
-    whose increments decay exactly like 2^{-n} never meet the scaled
-    criterion; the iterates in the exception show the stall.
+    Stops once the increment falls below tol * base^{-n} (or a 1e-15
+    relative floor); raises NotConverged, naming the `what` iterates and
+    carrying them, when the cap or the coordinate guard arrives first.
     """
     x = _as_act(model, x)
     v0 = ce_utility(model, x, tol=bisect_tol)
     if not np.any(x):
-        return DoublingResult(value=v0, n_used=0, tail_bound=0.0, iterates=(v0,))
-    cap = _scale_cap(x, None, n_max)
+        return ScaledLimit(value=v0, theta=0.0, n_used=0, tail_bound=0.0, iterates=(v0,))
+    cap = _scale_cap(x, None, n_max, base=base)
     iterates = [v0]
     increments: list[float] = []
     converged = False
     n = 0
     while n < cap:
         n += 1
-        scale = 2.0 ** n
+        scale = base ** n
         v = ce_utility(model, scale * x, tol=bisect_tol) / scale
         inc = abs(v - iterates[-1])
         iterates.append(v)
         increments.append(inc)
-        if inc <= tol * (2.0 ** -n) or inc <= 1e-15 * max(1.0, abs(v)):
+        if inc <= tol * (base ** -n) or inc <= 1e-15 * max(1.0, abs(v)):
             converged = True
             break
     if not converged:
         raise NotConverged(
-            f"doubling iterates not Cauchy within n={cap} (last increment "
+            f"{what} iterates not Cauchy within n={cap} (last increment "
             f"{increments[-1] if increments else 0.0!r})", iterates)
     tail = 0.0
     if len(increments) >= 2 and increments[-2] > 0.0:
         r = increments[-1] / increments[-2]
         if r < 1.0:
             tail = increments[-1] * r / (1.0 - r)
-    return DoublingResult(value=iterates[-1], n_used=n, tail_bound=tail,
-                          iterates=tuple(iterates))
+    return ScaledLimit(value=iterates[-1], theta=math.fsum(increments) + tail,
+                       n_used=n, tail_bound=tail, iterates=tuple(iterates))
+
+
+def hyers_ulam_limit(model, x, tol: float = 1e-9, n_max: int = 40,
+                     bisect_tol: float = 1e-10) -> ScaledLimit:
+    """Doubling limit v(x) = lim 2^{-n} u(2^n x) of the certainty equivalent.
+
+    Raises NotConverged with the iterates when the scaled Cauchy test
+    tol * 2^{-n} is not met within n_max doublings. Curves whose increments
+    decay exactly like 2^{-n} never meet it; the iterates show the stall.
+    """
+    return _scaled_limit(model, x, 2.0, tol, n_max, bisect_tol, "doubling")
 
 
 @dataclass(frozen=True)
@@ -389,19 +390,8 @@ def measure_homog_deviation(model, x, lam: float, tol: float = 1e-10) -> float:
     return abs(ce_utility(model, lam * x, tol=tol) - lam * ce_utility(model, x, tol=tol))
 
 
-@dataclass(frozen=True)
-class HomogResult:
-    """Limit of eta^{-n} u(eta^n x) plus the scaling-defect series it summed."""
-
-    value: float
-    theta: float
-    n_used: int
-    tail_bound: float
-    iterates: tuple[float, ...]
-
-
 def homog_limit(model, x, eta: float = 2.0, tol: float = 1e-9, n_max: int = 60,
-                bisect_tol: float = 1e-10) -> HomogResult:
+                bisect_tol: float = 1e-10) -> ScaledLimit:
     """Scaling limit v(x) = lim eta^{-n} u(eta^n x) with its defect series.
 
     The increment at step n equals eta^{-n} times the scaling deviation of
@@ -410,36 +400,7 @@ def homog_limit(model, x, eta: float = 2.0, tol: float = 1e-9, n_max: int = 60,
     """
     if not eta > 1.0:
         raise InvalidModel("eta must exceed 1")
-    x = _as_act(model, x)
-    v0 = ce_utility(model, x, tol=bisect_tol)
-    if not np.any(x):
-        return HomogResult(value=v0, theta=0.0, n_used=0, tail_bound=0.0, iterates=(v0,))
-    cap = _scale_cap(x, None, n_max, base=eta)
-    iterates = [v0]
-    increments: list[float] = []
-    converged = False
-    n = 0
-    while n < cap:
-        n += 1
-        scale = eta ** n
-        v = ce_utility(model, scale * x, tol=bisect_tol) / scale
-        inc = abs(v - iterates[-1])
-        iterates.append(v)
-        increments.append(inc)
-        if inc <= tol * (eta ** -n) or inc <= 1e-15 * max(1.0, abs(v)):
-            converged = True
-            break
-    if not converged:
-        raise NotConverged(
-            f"scaling iterates not Cauchy within n={cap} (last increment "
-            f"{increments[-1] if increments else 0.0!r})", iterates)
-    tail = 0.0
-    if len(increments) >= 2 and increments[-2] > 0.0:
-        r = increments[-1] / increments[-2]
-        if r < 1.0:
-            tail = increments[-1] * r / (1.0 - r)
-    return HomogResult(value=iterates[-1], theta=math.fsum(increments) + tail,
-                       n_used=n, tail_bound=tail, iterates=tuple(iterates))
+    return _scaled_limit(model, x, eta, tol, n_max, bisect_tol, "scaling")
 
 
 def verify_homog_bound(model, sampler: BoxSampler | None = None, eta: float = 2.0,
@@ -462,7 +423,7 @@ def verify_homog_bound(model, sampler: BoxSampler | None = None, eta: float = 2.
     homog_defect = 0.0
     for x in pts:
         res = homog_limit(model, x, eta=eta, tol=1e-9, n_max=n_max, bisect_tol=bisect_tol)
-        gap = abs(ce_utility(model, x, tol=bisect_tol) - res.value)
+        gap = abs(res.iterates[0] - res.value)  # iterates[0] is u(x)
         theta_max = max(theta_max, res.theta)
         if gap > 2.0 * res.theta + tol:
             raise BoundViolated(

@@ -228,3 +228,19 @@ def test_dyadic_tail_sum_zero_terms_convergent():
     total, converged = dyadic_tail_sum(lambda i: 0.0, 10)
     assert converged
     assert total == 0.0
+
+
+# --- package exports ---------------------------------------------------------
+
+def test_every_module_export_resolves_on_the_package():
+    import nearrep
+    from nearrep import core, risk, timepref, uncertainty
+
+    modules = (core, risk, timepref, uncertainty)
+    for mod in modules:
+        for name in mod.__all__:
+            assert getattr(nearrep, name) is getattr(mod, name), (mod.__name__, name)
+    assert len(nearrep.__all__) == len(set(nearrep.__all__))
+    assert set(nearrep.__all__) == {n for mod in modules for n in mod.__all__}
+    assert "discount" in core.__all__ and "discount" in nearrep.__all__
+    assert nearrep.discount is discount

@@ -9,7 +9,7 @@ from pathlib import Path
 import nearrep
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nearrep.core import (
@@ -19,6 +19,7 @@ from nearrep.core import (
     LinearPlusBounded,
     MaxminExpected,
     NotAdditive,
+    NotConverged,
     SmoothAmbiguity,
     SubjectiveExpected,
 )
@@ -418,3 +419,96 @@ def test_meu_value_is_min_of_priors(a, b, c, d):
     for z in (x, y, 0.5 * (x + y)):
         direct = min(0.3 * z[0] + 0.7 * z[1], 0.7 * z[0] + 0.3 * z[1])
         assert MEU.value(z) == pytest.approx(direct, abs=1e-12)
+
+
+# --- model-owned certainty equivalents ---------------------------------------
+
+CE_TOL = 1e-10  # bisection tolerance on c for models without a closed form
+# A bisected c is within CE_TOL / 2 of the root, and no drawn model's value
+# rises faster than 4 per unit of c (LinearPlusBounded: 1 + bump * d with
+# bump <= 1, d <= 3), so value(c * ones) may miss value(x) by 2 * CE_TOL.
+CE_VALUE_TOL = 10.0 * CE_TOL
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def _model_and_act(draw):
+    d = draw(st.integers(2, 3))
+
+    def prior():
+        raw = draw(st.lists(st.floats(0.05, 1.0), min_size=d, max_size=d))
+        total = math.fsum(raw)
+        return tuple(v / total for v in raw)
+
+    kind = draw(st.sampled_from(["seu", "meu", "sqrt1pz2", "z_minus_exp", "ces", "lpb"]))
+    if kind == "seu":
+        model = SubjectiveExpected(prior())
+    elif kind == "meu":
+        model = MaxminExpected((prior(), prior()))
+    elif kind in ("sqrt1pz2", "z_minus_exp"):
+        w = draw(st.floats(0.05, 0.95))
+        model = SmoothAmbiguity(kind, (prior(), prior()), (w, 1.0 - w))
+    elif kind == "ces":
+        model = CESUtility(tuple(draw(st.lists(st.floats(0.1, 3.0), min_size=d, max_size=d))),
+                           draw(st.floats(0.2, 1.0)))
+    else:
+        model = LinearPlusBounded(prior(), draw(st.floats(0.0, 1.0)))
+    x = np.array(draw(st.lists(st.floats(0.0, 10.0), min_size=d, max_size=d)))
+    assume(not np.all(x == x[0]))
+    return model, x
+
+
+def _ce_range_slack(model, x) -> float:
+    """Rounding allowance on min(x) <= ce <= max(x)."""
+    if getattr(model, "f_name", None) == "sqrt1pz2":
+        # f_inv(w) = sqrt(w^2 - 1) cancels at w ~ 1 (acts near zero): a few
+        # ulps in w move c by up to sqrt(4 eps) w. See the pinned case below.
+        return math.sqrt(4.0 * EPS) * model.raw_value(x)
+    return 4.0 * EPS * max(1.0, float(np.max(x)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_model_and_act())
+def test_model_ce_meets_its_defining_equation(case):
+    model, x = case
+    c = ce_utility(model, x, tol=CE_TOL)
+    slack = _ce_range_slack(model, x)
+    assert float(np.min(x)) - slack <= c <= float(np.max(x)) + slack
+    target = model.value(x)
+    assert abs(model.value(np.full(len(x), c)) - target) <= CE_VALUE_TOL * max(1.0, abs(target))
+
+
+@pytest.mark.xfail(strict=True, reason="sqrt1pz2 certainty equivalent loses about half "
+                   "its digits for acts near zero (sqrt(w^2 - 1) at w ~ 1)")
+def test_sqrt1pz2_ce_stays_in_range_near_zero():
+    x = np.array([6.69438024e-08, 7.43820026e-08])
+    c = ce_utility(SMOOTH_SQRT, x)
+    assert x.min() <= c <= x.max()
+
+
+# --- scaled limits -----------------------------------------------------------
+
+class _UnitOffset:
+    """ce(x) = p . x + 1 off zero: base^-n u(base^n x) = p . x + base^-n exactly."""
+
+    n_states = 2
+    prior = np.array([0.5, 0.5])
+
+    def value(self, x):
+        return float(self.prior @ x) + 1.0 if np.any(x) else 0.0
+
+    def ce(self, x, tol):
+        return self.value(x)
+
+
+@pytest.mark.parametrize("limit, label", [(hyers_ulam_limit, "doubling"),
+                                          (homog_limit, "scaling")])
+def test_scaled_limit_failure_is_labelled_and_carries_iterates(limit, label):
+    # increments are exactly 2^-n, never below tol * 2^-n, and the 1e12
+    # coordinate guard stops doubling before the 1e-15 relative floor
+    with pytest.raises(NotConverged, match=f"^{label} iterates not Cauchy") as exc:
+        limit(_UnitOffset(), np.array([1.0, 0.0]))
+    iterates = exc.value.iterates
+    assert len(iterates) > 1
+    assert [a - b for a, b in zip(iterates, iterates[1:])] == \
+        [2.0 ** -n for n in range(1, len(iterates))]
