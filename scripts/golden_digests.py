@@ -1,34 +1,45 @@
-"""Print one `case exit-code digest` line per golden CLI case.
+"""Golden CLI cases: digest them, keep their outputs, compare two kept trees.
 
-Usage: PYTHONPATH=src python scripts/golden_digests.py > digests.txt
+Usage:
+  PYTHONPATH=src python scripts/golden_digests.py > digests.txt
+  PYTHONPATH=src python scripts/golden_digests.py --keep DIR > digests.txt
+  python scripts/golden_digests.py --compare OLD_DIR NEW_DIR
 
 The digest is a sha256 of everything a case prints (with its output
 directory masked) and of every file it writes, in name order. Running this
 on two versions of the package and diffing the outputs shows whether a
 change kept every exit code, report and CSV byte-identical.
 
+--keep DIR also stores each case's printed output (`DIR/<case>/stdout.txt`)
+and written files under `DIR/<case>/`, and the digest lines in
+`DIR/index.txt`. --compare reads two kept trees and passes when every case
+has the same exit code, the same PASS/FAIL lines and the same non-numeric
+text in every file, and every number differs by at most
+1e-9 * max(1, |v|) (v from OLD_DIR): ten times the default 1e-10 bisection
+tolerance. It prints each case's largest numeric difference.
+
 Cases: the four builtins; seeds 1-3 of every invocation the benchmark's
 workloads generate (perfbench/workloads.py); and four uncertainty scenarios
 the workloads do not reach (a divergent maxmin model, the smooth sqrt1pz2
 model with the hull envelope, and 3-state CES and linear-plus-bounded
-models). Each case runs in this process; the output goes to a temporary
-directory that is removed afterwards.
+models). Each case runs in this process; without --keep the output goes to
+a temporary directory that is removed afterwards.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import re
+import shutil
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
-
-from workloads import WORKLOADS  # noqa: E402
-
-from nearrep.cli import BUILTINS, main  # noqa: E402
+NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
+REL_TOL = 1e-9
 
 
 def _uncertainty(name: str, model: dict, sampler: dict) -> dict:
@@ -52,6 +63,11 @@ EXTRA_SCENARIOS = [
 
 def cases() -> list[tuple[str, list[str], dict | None]]:
     """(case name, nearrep argv with {in}/{out} placeholders, scenario or None)."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import WORKLOADS
+
+    from nearrep.cli import BUILTINS
+
     out = [(f"builtin/{b}", ["builtin", b, "--out", "{out}"], None) for b in sorted(BUILTINS)]
     for workload, (generate, _) in WORKLOADS.items():
         for seed in (1, 2, 3):
@@ -64,7 +80,10 @@ def cases() -> list[tuple[str, list[str], dict | None]]:
     return out
 
 
-def run_case(argv: list[str], scenario: dict | None, work: Path) -> tuple[int, str]:
+def run_case(argv: list[str], scenario: dict | None, work: Path) -> tuple[int, str, str]:
+    """Exit code, digest and masked printed output of one case run in `work`."""
+    from nearrep.cli import main
+
     in_dir, out_dir = work / "in", work / "out"
     in_dir.mkdir()
     if scenario is not None:
@@ -73,20 +92,117 @@ def run_case(argv: list[str], scenario: dict | None, work: Path) -> tuple[int, s
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = main(argv)
-    h = hashlib.sha256(stdout.getvalue().replace(str(out_dir), "<out>").encode())
+    printed = stdout.getvalue().replace(str(out_dir), "<out>")
+    h = hashlib.sha256(printed.encode())
     if out_dir.is_dir():
         for path in sorted(out_dir.iterdir()):
             h.update(b"\0" + path.name.encode() + b"\0" + path.read_bytes())
-    return code, h.hexdigest()
+    return code, h.hexdigest(), printed
 
 
-def main_digests() -> int:
+def main_digests(keep: Path | None) -> int:
+    lines = []
     for name, argv, scenario in cases():
         with tempfile.TemporaryDirectory() as tmp:
-            code, digest = run_case(argv, scenario, Path(tmp))
-        print(f"{name} {code} {digest}", flush=True)
+            code, digest, printed = run_case(argv, scenario, Path(tmp))
+            if keep is not None:
+                dest = keep / name
+                shutil.rmtree(dest, ignore_errors=True)
+                if (Path(tmp) / "out").is_dir():
+                    shutil.copytree(Path(tmp) / "out", dest)
+                dest.mkdir(parents=True, exist_ok=True)
+                (dest / "stdout.txt").write_text(printed)
+        lines.append(f"{name} {code} {digest}")
+        print(lines[-1], flush=True)
+    if keep is not None:
+        (keep / "index.txt").write_text("\n".join(lines) + "\n")
     return 0
 
 
+# ---------------------------------------------------------------------------
+# tolerance-aware comparison of two kept trees
+
+def _index(tree: Path) -> dict[str, int]:
+    out = {}
+    for line in (tree / "index.txt").read_text().splitlines():
+        name, code, _ = line.split()
+        out[name] = int(code)
+    return out
+
+
+def _compare_text(old: str, new: str) -> tuple[str | None, float]:
+    """(first problem or None, largest numeric difference) for one file."""
+    old_nums, new_nums = NUMBER.findall(old), NUMBER.findall(new)
+    if NUMBER.split(old) != NUMBER.split(new) or len(old_nums) != len(new_nums):
+        return "non-numeric text differs", 0.0
+    worst = 0.0
+    problem = None
+    for a, b in zip(old_nums, new_nums):
+        if a == b:
+            continue
+        va, vb = float(a), float(b)
+        diff = abs(va - vb)
+        worst = max(worst, diff)
+        if problem is None and not diff <= REL_TOL * max(1.0, abs(va)):
+            problem = f"{a} -> {b} exceeds {REL_TOL:g} * max(1, |v|)"
+    return problem, worst
+
+
+def _verdicts(stdout: str) -> list[str]:
+    return [line for line in stdout.splitlines() if line.startswith(("PASS ", "FAIL "))]
+
+
+def compare_case(old: Path, new: Path) -> tuple[list[str], float]:
+    """Problems found and the largest numeric difference over a case's files."""
+    problems = []
+    old_files = sorted(p.name for p in old.iterdir())
+    new_files = sorted(p.name for p in new.iterdir())
+    if old_files != new_files:
+        problems.append(f"files differ: {old_files} vs {new_files}")
+    old_out, new_out = (old / "stdout.txt").read_text(), (new / "stdout.txt").read_text()
+    if _verdicts(old_out) != _verdicts(new_out):
+        problems.append(f"verdicts differ: {_verdicts(old_out)} vs {_verdicts(new_out)}")
+    worst = 0.0
+    for name in sorted(set(old_files) & set(new_files)):
+        problem, diff = _compare_text((old / name).read_text(), (new / name).read_text())
+        worst = max(worst, diff)
+        if problem is not None:
+            problems.append(f"{name}: {problem}")
+    return problems, worst
+
+
+def main_compare(old_tree: Path, new_tree: Path) -> int:
+    old_index, new_index = _index(old_tree), _index(new_tree)
+    failed = 0
+    for name in sorted(set(old_index) | set(new_index)):
+        if name not in old_index or name not in new_index:
+            print(f"{name}: only in {'new' if name in new_index else 'old'} tree")
+            failed += 1
+            continue
+        problems, worst = compare_case(old_tree / name, new_tree / name)
+        if old_index[name] != new_index[name]:
+            problems.insert(0, f"exit code {old_index[name]} -> {new_index[name]}")
+        failed += bool(problems)
+        status = "ok" if not problems else "DIFFERS: " + "; ".join(problems)
+        print(f"{name} exit {new_index[name]} max_diff {worst:.3g} {status}")
+    print(f"{failed} of {len(set(old_index) | set(new_index))} cases differ")
+    return 1 if failed else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--keep", type=Path, metavar="DIR",
+                      help="also keep every case's printed output and files under DIR")
+    mode.add_argument("--compare", type=Path, nargs=2, metavar=("OLD_DIR", "NEW_DIR"),
+                      help="compare two trees written by --keep")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return main_compare(*args.compare)
+    if args.keep is not None:
+        args.keep.mkdir(parents=True, exist_ok=True)
+    return main_digests(args.keep)
+
+
 if __name__ == "__main__":
-    sys.exit(main_digests())
+    sys.exit(main())

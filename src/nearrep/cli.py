@@ -31,6 +31,7 @@ from . import risk as risk_mod
 from . import timepref as time_mod
 from . import uncertainty as unc_mod
 from .core import (
+    MAX_GRID_POINTS,
     BoundViolated,
     CESUtility,
     CumulativeProspect,
@@ -54,6 +55,7 @@ from .core import (
     SubjectiveExpected,
     TabulatedDiscount,
     discount,
+    grid_size,
 )
 from .tables import write_csv, write_report_json
 
@@ -120,6 +122,14 @@ def _int(obj, path: str, key: str, default=None, minimum: int | None = None):
     if minimum is not None and v < minimum:
         raise ScenarioError(f"{path}.{key}: must be at least {minimum}")
     return v
+
+
+def _check_grid(space: str, dim: int, resolution: int, key: str) -> None:
+    """Refuse a sampler grid above MAX_GRID_POINTS from its count, before it exists."""
+    n = grid_size(space, dim, resolution)
+    if n > MAX_GRID_POINTS:
+        raise ScenarioError(f"sampler.{key}: a resolution of {resolution} gives a {dim}-D "
+                            f"{space} grid of {n} points, above the cap of {MAX_GRID_POINTS}")
 
 
 def _bool(obj, path: str, key: str, default=None):
@@ -255,6 +265,7 @@ def _run_risk(name: str, model, sampler_cfg: dict, tols: dict) -> RunResult:
         n_pairs=_int(sampler_cfg, "sampler", "n_pairs", 20, minimum=1),
         n_alphas=_int(sampler_cfg, "sampler", "n_alphas", 5, minimum=1),
     )
+    _check_grid("simplex", model.n_outcomes, sampler.resolution, "resolution")
     tol = tols["bisect"]
     slack = tols["slack"]
     result = RunResult(name=name, domain="risk")
@@ -288,15 +299,12 @@ def _run_risk(name: str, model, sampler_cfg: dict, tols: dict) -> RunResult:
 
 
 def _homothetic_exactness(model, pts, tol: float = 1e-10, n_top: int = 10) -> float:
-    worst = 0.0
-    for x in pts:
-        if not np.any(x):
-            continue
-        u = unc_mod.ce_utility(model, x, tol=tol)
-        for n in (1, 4, n_top):
-            scale = 2.0 ** n
-            worst = max(worst, abs(unc_mod.ce_utility(model, scale * x, tol=tol) / scale - u))
-    return worst
+    """Largest |u(2^n x) / 2^n - u(x)| over the nonzero points, n in (1, 4, n_top)."""
+    X = np.array([x for x in pts if np.any(x)]).reshape(-1, model.n_states)
+    scales = np.array([2.0 ** n for n in (1, 4, n_top)])[:, None]
+    ce = unc_mod.ce_batch(model, np.concatenate([X, *(s * X for s in scales)]), tol)
+    u, scaled = ce[:len(X)], ce[len(X):].reshape(len(scales), len(X))
+    return float(np.max(np.abs(scaled / scales - u), initial=0.0))
 
 
 def _run_uncertainty(name: str, model, sampler_cfg: dict, tols: dict) -> RunResult:
@@ -313,6 +321,9 @@ def _run_uncertainty(name: str, model, sampler_cfg: dict, tols: dict) -> RunResu
     quasiconcave = _bool(sampler_cfg, "sampler", "quasiconcave", False)
     qc_res = _int(sampler_cfg, "sampler", "qc_resolution", 21, minimum=2)
     level_res = _int(sampler_cfg, "sampler", "level_resolution", 64, minimum=2)
+    _check_grid("box", model.n_states, sampler.resolution, "resolution")
+    if quasiconcave:
+        _check_grid("box", model.n_states, qc_res, "qc_resolution")
     tol = tols["bisect"]
     verify_tol = tols["verify"]
     result = RunResult(name=name, domain="uncertainty")
@@ -364,8 +375,8 @@ def _run_uncertainty(name: str, model, sampler_cfg: dict, tols: dict) -> RunResu
     if benchmark is not None:
         header += ["linear_value", "gap"]
     rows = []
-    for x in sampler.points():
-        u = unc_mod.ce_utility(model, x, tol=tol)
+    pts = sampler.points()
+    for x, u in zip(pts, unc_mod.ce_batch(model, pts, tol).tolist()):
         row = [*map(float, x), u]
         if benchmark is not None:
             l = benchmark.evaluate(x)

@@ -54,12 +54,19 @@ __all__ = [
     "LogDelay",
     "discount",
     "bisect_monotone",
+    "bisect_monotone_batch",
+    "grid_size",
     "grid_sample",
     "dyadic_tail_sum",
     "mix_probs",
 ]
 
 SUM_TOL = 1e-12  # probability vectors must sum to 1 within this before renormalizing
+# Largest grid grid_sample builds. Every grid the tests, builtins and example
+# scenarios use has at most a few thousand points; at 1e5 points the act and
+# lottery meters already run for many minutes, and a typo such as a resolution
+# of 10^6 would ask for terabytes.
+MAX_GRID_POINTS = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +385,9 @@ class TabulatedUtility:
 
 
 # ---------------------------------------------------------------------------
-# uncertainty models: value(x) over acts x in R^d_+, and ce(x, tol), the sure
-# payoff with the same value (ce_utility handles constant acts before calling it)
+# uncertainty models: value_batch(X) over rows of acts in R^d_+, value(x) as its
+# one-row case, and ce_batch(X, tol), the sure payoff with each row's value
+# (uncertainty.ce_batch handles constant rows before calling it)
 
 def _validate_prior(prior: Sequence[float], what: str = "prior") -> tuple[float, ...]:
     p = tuple(float(v) for v in prior)
@@ -395,8 +403,25 @@ def _validate_prior(prior: Sequence[float], what: str = "prior") -> tuple[float,
     return p
 
 
+def _rows(X) -> np.ndarray:
+    return np.ascontiguousarray(X, dtype=float).reshape(-1, np.shape(X)[-1])
+
+
+class _RowModel:
+    """value(x) as the one-row case of value_batch, so both agree bit for bit.
+
+    Row-wise products use np.vecdot (one dot per row, as np.dot(p, x)) and
+    np.matvec (one matrix-vector product per row, as P @ x): each row is
+    computed alone, so its bits do not depend on the rest of the batch, and
+    they match the per-act products the models have always used.
+    """
+
+    def value(self, x) -> float:
+        return float(self.value_batch(_rows(x))[0])
+
+
 @dataclass(frozen=True)
-class SubjectiveExpected:
+class SubjectiveExpected(_RowModel):
     """Linear model u(x) = prior . x."""
 
     prior: tuple[float, ...]
@@ -408,15 +433,19 @@ class SubjectiveExpected:
     def n_states(self) -> int:
         return len(self.prior)
 
-    def value(self, x: np.ndarray) -> float:
-        return float(np.dot(self.prior, x))
+    @cached_property
+    def _prior_vector(self) -> np.ndarray:
+        return np.asarray(self.prior, dtype=float)
 
-    def ce(self, x: np.ndarray, tol: float) -> float:
-        return self.value(x)
+    def value_batch(self, X) -> np.ndarray:
+        return np.vecdot(_rows(X), self._prior_vector)
+
+    def ce_batch(self, X: np.ndarray, tol: float) -> np.ndarray:
+        return self.value_batch(X)
 
 
 @dataclass(frozen=True)
-class MaxminExpected:
+class MaxminExpected(_RowModel):
     """Worst-case expected value over a finite prior set."""
 
     priors: tuple[tuple[float, ...], ...]
@@ -437,50 +466,61 @@ class MaxminExpected:
     def _prior_matrix(self) -> np.ndarray:
         return np.asarray(self.priors, dtype=float)
 
-    def value(self, x: np.ndarray) -> float:
-        return float(np.min(self._prior_matrix @ np.asarray(x, dtype=float)))
+    def value_batch(self, X) -> np.ndarray:
+        return np.min(np.matvec(self._prior_matrix, _rows(X)), axis=1)
 
-    def ce(self, x: np.ndarray, tol: float) -> float:
-        return self.value(x)
+    def ce_batch(self, X: np.ndarray, tol: float) -> np.ndarray:
+        return self.value_batch(X)
 
 
 def _f_sqrt1pz2(z: np.ndarray | float):
     return np.sqrt(1.0 + np.square(z))
 
 
-def _finv_sqrt1pz2(w: float) -> float:
-    return math.sqrt(max(w * w - 1.0, 0.0))
+def _ce_sqrt1pz2(Z: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    # With m = w - 1, f_inv(w) = sqrt(w^2 - 1) = sqrt(m (m + 2)). Each
+    # sqrt(1 + z^2) - 1 is formed as z^2 / (1 + sqrt(1 + z^2)), so m keeps
+    # full precision when w is near 1 (acts near zero), where w^2 - 1 cancels.
+    Z2 = np.square(Z)
+    m = np.vecdot(Z2 / (1.0 + np.sqrt(1.0 + Z2)), weights)
+    return np.sqrt(m * (m + 2.0))
 
 
 def _f_z_minus_exp(z: np.ndarray | float):
     return z - np.exp(-np.asarray(z, dtype=float))
 
 
-def _finv_z_minus_exp(w: float) -> float:
+def _ce_z_minus_exp(Z: np.ndarray, weights: np.ndarray) -> np.ndarray:
     # solve c - e^{-c} = w by Newton from c0 = max(w, 0); the map is strictly
-    # increasing with derivative in [1, 2], so the iteration is monotone safe
-    c = max(w, 0.0)
+    # increasing with derivative in [1, 2], so the iteration is monotone safe.
+    # Each row stops on its own step test and is not updated afterwards.
+    w = np.vecdot(_f_z_minus_exp(Z), weights)
+    c = np.maximum(w, 0.0)
+    active = np.arange(len(c))
     for _ in range(60):
-        e = math.exp(-c)
-        step = (c - e - w) / (1.0 + e)
-        c -= step
-        if abs(step) <= 1e-15 * max(1.0, abs(c)):
+        if not len(active):
             break
+        ca = c[active]
+        e = np.exp(-ca)
+        step = (ca - e - w[active]) / (1.0 + e)
+        ca = ca - step
+        c[active] = ca
+        active = active[np.abs(step) > 1e-15 * np.maximum(1.0, np.abs(ca))]
     return c
 
 
 _SMOOTH_FS: dict[str, tuple[Callable, Callable]] = {
-    "sqrt1pz2": (_f_sqrt1pz2, _finv_sqrt1pz2),
-    "z_minus_exp": (_f_z_minus_exp, _finv_z_minus_exp),
+    "sqrt1pz2": (_f_sqrt1pz2, _ce_sqrt1pz2),
+    "z_minus_exp": (_f_z_minus_exp, _ce_z_minus_exp),
 }
 
 
 @dataclass(frozen=True)
-class SmoothAmbiguity:
+class SmoothAmbiguity(_RowModel):
     """Second-order model: raw functional is a mixture of f(prior . x).
 
-    f_name selects the strictly increasing transform; raw_value is the
-    integral functional itself, and f_inv of it is the certainty equivalent.
+    f_name selects the strictly increasing transform; the value is the raw
+    integral functional itself, and f^{-1} of it is the certainty equivalent.
     """
 
     f_name: str
@@ -519,23 +559,21 @@ class SmoothAmbiguity:
     def f(self, z):
         return _SMOOTH_FS[self.f_name][0](z)
 
-    def f_inv(self, w: float) -> float:
-        return float(_SMOOTH_FS[self.f_name][1](w))
+    def value_batch(self, X) -> np.ndarray:
+        """The integral functional sum_k weights[k] * f(priors[k] . x), per row."""
+        return np.vecdot(self.f(np.matvec(self._prior_matrix, _rows(X))), self._weight_vector)
 
-    def raw_value(self, x: np.ndarray) -> float:
-        """The integral functional sum_k weights[k] * f(priors[k] . x)."""
-        z = self._prior_matrix @ np.asarray(x, dtype=float)
-        return float(self._weight_vector @ self.f(z))
+    def raw_value(self, x) -> float:
+        """The integral functional at one act (the model value)."""
+        return self.value(x)
 
-    def value(self, x: np.ndarray) -> float:
-        return self.raw_value(x)
-
-    def ce(self, x: np.ndarray, tol: float) -> float:
-        return self.f_inv(self.raw_value(x))
+    def ce_batch(self, X: np.ndarray, tol: float) -> np.ndarray:
+        return _SMOOTH_FS[self.f_name][1](np.matvec(self._prior_matrix, _rows(X)),
+                                          self._weight_vector)
 
 
 @dataclass(frozen=True)
-class CESUtility:
+class CESUtility(_RowModel):
     """Homogeneous-of-degree-one aggregator (sum_i w_i x_i^rho)^(1/rho)."""
 
     weights: tuple[float, ...]
@@ -562,16 +600,19 @@ class CESUtility:
         """Value of the all-ones act; divides out for certainty equivalents."""
         return float(np.sum(self._weight_vector)) ** (1.0 / self.rho)
 
-    def value(self, x: np.ndarray) -> float:
-        z = np.asarray(x, dtype=float) ** self.rho
-        return float(self._weight_vector @ z) ** (1.0 / self.rho)
+    def value_batch(self, X) -> np.ndarray:
+        inner = np.vecdot(_rows(X) ** self.rho, self._weight_vector).tolist()
+        # libm's pow, as the per-act form used: NumPy's vector pow rounds
+        # differently in about 5% of inputs, which reshuffles the noise-level
+        # maxima (and so the witnesses) of this exactly homogeneous model
+        return np.array([v ** (1.0 / self.rho) for v in inner])
 
-    def ce(self, x: np.ndarray, tol: float) -> float:
-        return self.value(x) / self.unit_level
+    def ce_batch(self, X: np.ndarray, tol: float) -> np.ndarray:
+        return self.value_batch(X) / self.unit_level
 
 
 @dataclass(frozen=True)
-class LinearPlusBounded:
+class LinearPlusBounded(_RowModel):
     """Linear value plus a bounded saturating bump: prior.x + bump(1 - e^{-sum x}).
 
     The bump is bounded by `bump`, so scaling deviations are capped and the
@@ -590,15 +631,35 @@ class LinearPlusBounded:
     def n_states(self) -> int:
         return len(self.prior)
 
-    def value(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(np.dot(self.prior, x)) + self.bump * (1.0 - math.exp(-float(np.sum(x))))
+    @cached_property
+    def _prior_vector(self) -> np.ndarray:
+        return np.asarray(self.prior, dtype=float)
 
-    def ce(self, x: np.ndarray, tol: float) -> float:
-        """No closed form: bisected between min(x) and max(x)."""
-        target = self.value(x)
-        return bisect_monotone(lambda c: self.value(np.full(x.shape[0], c)) - target,
-                               float(np.min(x)), float(np.max(x)), tol=tol)
+    @cached_property
+    def _ones(self) -> np.ndarray:
+        return np.ones(len(self.prior))
+
+    def value_batch(self, X) -> np.ndarray:
+        X = _rows(X)
+        total = np.vecdot(X, self._ones)
+        return np.vecdot(X, self._prior_vector) + self.bump * (1.0 - np.exp(-total))
+
+    def ce_batch(self, X: np.ndarray, tol: float) -> np.ndarray:
+        """No closed form: bisected between each row's min and max.
+
+        Repeated rows are solved once (doubling ladders share most of their
+        scaled acts), and each row's bisection runs the same steps whatever
+        else is in the batch.
+        """
+        U, inverse = _distinct_rows(_rows(X))
+        target = self.value_batch(U)
+        d = U.shape[1]
+
+        def gap(c: np.ndarray, idx: np.ndarray) -> np.ndarray:
+            return self.value_batch(c[:, None].repeat(d, axis=1)) - target[idx]
+
+        c = bisect_monotone_batch(gap, np.min(U, axis=1), np.max(U, axis=1), tol=tol)
+        return c[inverse]
 
 
 # ---------------------------------------------------------------------------
@@ -791,6 +852,79 @@ def bisect_monotone(f: Callable[[float], float], lo: float, hi: float,
     return 0.5 * (lo + hi)
 
 
+def bisect_monotone_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi,
+                          tol: float = 1e-10, max_iter: int = 200) -> np.ndarray:
+    """bisect_monotone for many brackets at once, all stepped in lockstep.
+
+    f(c, idx) returns, for each k, the idx[k]-th monotone function at c[k];
+    element k is bracketed by [lo[k], hi[k]]. Every element takes the steps
+    bisect_monotone takes on its own: an exact zero at lo, at hi or at a
+    midpoint returns that point, and it stops once hi - lo <= tol or the
+    midpoint no longer splits the interval. Raises NoBracket, naming the
+    first such element, when any f(lo) and f(hi) share a sign.
+    """
+    if not tol > 0.0:
+        raise InvalidModel(f"tol must be positive, got {tol!r}")
+    lo = np.array(lo, dtype=float).reshape(-1)
+    hi = np.array(hi, dtype=float).reshape(-1)
+    if lo.shape != hi.shape:
+        raise InvalidModel(f"{len(lo)} lower and {len(hi)} upper bracket ends")
+    empty = np.flatnonzero(~(lo < hi))
+    if len(empty):
+        k = int(empty[0])
+        raise InvalidModel(f"empty bracket [{lo[k]!r}, {hi[k]!r}] at element {k}")
+    out = np.empty_like(lo)
+    idx = np.arange(len(lo))
+    flo, fhi = f(lo, idx), f(hi, idx)
+    at_lo = flo == 0.0
+    at_hi = ~at_lo & (fhi == 0.0)
+    out[at_lo], out[at_hi] = lo[at_lo], hi[at_hi]
+    same = np.flatnonzero(~at_lo & ~at_hi & ((flo > 0.0) == (fhi > 0.0)))
+    if len(same):
+        k = int(same[0])
+        raise NoBracket(f"element {k}: f({lo[k]!r})={flo[k]!r} and f({hi[k]!r})={fhi[k]!r} "
+                        f"have the same sign")
+    act = np.flatnonzero(~at_lo & ~at_hi)
+    increasing = flo[act] < 0.0
+    lo, hi = lo[act], hi[act]
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        # stop at tol or at float resolution; either way the answer is the midpoint
+        keep = (hi - lo > tol) & (mid > lo) & (mid < hi)
+        if np.count_nonzero(keep) == len(keep):
+            fm = f(mid, act)
+            keep = fm != 0.0
+        else:
+            fm = f(mid[keep], act[keep])
+            keep[keep] = fm != 0.0
+        if np.count_nonzero(keep) < len(keep):  # finished elements leave the active set
+            out[act[~keep]] = mid[~keep]
+            fm = fm[fm != 0.0]
+            act, increasing, lo, hi, mid = (act[keep], increasing[keep], lo[keep], hi[keep],
+                                            mid[keep])
+            if not len(act):
+                break
+        up = (fm < 0.0) == increasing
+        lo = np.where(up, mid, lo)
+        hi = np.where(up, hi, mid)
+    out[act] = 0.5 * (lo + hi)
+    return out
+
+
+def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows U of X and each row's index into them: X == U[inverse]."""
+    if len(X) < 2:
+        return X, np.arange(len(X))
+    order = np.lexsort(X.T[::-1])
+    S = X[order]
+    first = np.empty(len(X), dtype=bool)
+    first[0] = True
+    np.any(S[1:] != S[:-1], axis=1, out=first[1:])
+    inverse = np.empty(len(X), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return S[first], inverse
+
+
 def _simplex_lattice(n_coords: int, subdivisions: int) -> np.ndarray:
     """All compositions of `subdivisions` into n_coords parts, divided out.
 
@@ -811,6 +945,30 @@ def _simplex_lattice(n_coords: int, subdivisions: int) -> np.ndarray:
     return np.asarray(pts, dtype=float)
 
 
+def grid_size(space: str, dim: int, resolution: int) -> int:
+    """Number of points grid_sample(space, dim, resolution) builds; allocates nothing.
+
+    C(resolution + dim - 1, dim - 1) for the simplex, resolution^dim for the
+    box, resolution for the interval. Invalid arguments raise as in
+    grid_sample.
+    """
+    if space == "simplex":
+        if resolution < 1:
+            raise InvalidModel(f"resolution {resolution!r} must be at least 1")
+        if dim < 2:
+            raise InvalidModel("simplex needs at least 2 coordinates")
+        return math.comb(resolution + dim - 1, dim - 1)
+    if space not in ("box", "interval"):
+        raise InvalidModel(f"unknown space {space!r}")
+    if resolution < 2:
+        raise InvalidModel(f"resolution {resolution!r} must be at least 2")
+    if space == "interval":
+        return resolution
+    if dim < 1:
+        raise InvalidModel("box needs at least 1 axis")
+    return resolution ** dim
+
+
 def grid_sample(space: str, dim: int, resolution: int, bound: float = 1.0,
                 seed: int = 0, max_points: int | None = None) -> np.ndarray:
     """Deterministic evaluation grid for one of the three domains.
@@ -821,30 +979,23 @@ def grid_sample(space: str, dim: int, resolution: int, bound: float = 1.0,
     of per-axis linspace(0, bound, resolution) over `dim` axes. space
     'interval': linspace(0, bound, resolution), shape (resolution, 1).
 
+    Grids above MAX_GRID_POINTS are refused before anything is allocated.
     When max_points caps the grid, a seeded choice keeps a reproducible
     subset in original grid order. The same arguments always return the same
     array.
     """
+    n = grid_size(space, dim, resolution)
+    if n > MAX_GRID_POINTS:
+        raise InvalidModel(f"{space} grid of {n} points exceeds the cap of "
+                           f"{MAX_GRID_POINTS} points")
     if space == "simplex":
-        if resolution < 1:
-            raise InvalidModel(f"resolution {resolution!r} must be at least 1")
-        if dim < 2:
-            raise InvalidModel("simplex needs at least 2 coordinates")
         pts = _simplex_lattice(dim, resolution)
     elif space == "box":
-        if resolution < 2:
-            raise InvalidModel(f"resolution {resolution!r} must be at least 2")
-        if dim < 1:
-            raise InvalidModel("box needs at least 1 axis")
         axis = np.linspace(0.0, bound, resolution)
         grids = np.meshgrid(*([axis] * dim), indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=-1)
-    elif space == "interval":
-        if resolution < 2:
-            raise InvalidModel(f"resolution {resolution!r} must be at least 2")
-        pts = np.linspace(0.0, bound, resolution).reshape(-1, 1)
     else:
-        raise InvalidModel(f"unknown space {space!r}")
+        pts = np.linspace(0.0, bound, resolution).reshape(-1, 1)
     if max_points is not None and len(pts) > max_points:
         rng = np.random.default_rng(seed)
         idx = np.sort(rng.choice(len(pts), size=max_points, replace=False))

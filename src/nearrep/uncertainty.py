@@ -13,6 +13,7 @@ the solve), which is what makes the doubling bookkeeping phi(x, 0) legitimate.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -37,6 +38,7 @@ __all__ = [
     "LinearBenchmark",
     "ScaledLimit",
     "QuasiConcaveBenchmark",
+    "ce_batch",
     "ce_utility",
     "measure_phi",
     "dyadic_phi_series",
@@ -55,6 +57,15 @@ __all__ = [
 
 STRICTNESS_MARGIN = 1e-12
 SCALE_GUARD = 1e12  # stop doubling before 2^n x leaves the well-conditioned range
+EPS = float(np.finfo(float).eps)
+# Rounding floor of the dyadic defect series, in units of eps * max(1, max x,
+# max y). Each term is three certainty equivalents at scale 2^i rescaled by
+# 2^-i, so a few ulps of rounding in each (the state sums, the transform and
+# its inverse) leave a flat tail near eps * max(x, y): 0.8 eps * max measured
+# on the smooth model. 16 sits well above that and about 13 orders of
+# magnitude below any real defect, such as the maxmin series' constant 0.2.
+NOISE_KAPPA = 16.0
+SERIES_CHUNK = 32  # act pairs per batched solve in the defect series; caps peak memory
 
 
 @dataclass(frozen=True)
@@ -74,46 +85,166 @@ class BoxSampler:
                            seed=self.seed, max_points=self.max_points)
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _index_pairs(seed: int, n: int, count: int) -> list[tuple[int, int]]:
+    """The first `count` draws of np.random.default_rng(seed).integers(0, n, size=2).
+
+    The act samplers only ever draw index pairs, and importing numpy.random
+    costs about 5 MB of resident memory, more than a whole batched run
+    allocates. This reproduces numpy's generator bit for bit instead:
+    SeedSequence(seed) mixing, PCG64 (128-bit LCG, XSL-RR output, 32-bit
+    halves buffered) and Lemire's bounded 32-bit draws. n must be below 2^32.
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    if not 0 < n <= _M32:
+        raise InvalidModel(f"cannot draw indices below {n!r}")
+    words = [(seed >> (32 * k)) & _M32 for k in range(max(1, -(-seed.bit_length() // 32)))]
+    # SeedSequence's hash constants: INIT_A, MULT_A, MIX_MULT_L/R, then INIT_B, MULT_B
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = (hash_const * 0x931E8875) & _M32
+        value = (value * hash_const) & _M32
+        return value ^ (value >> 16)
+
+    def mix(x: int, y: int) -> int:
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ (r >> 16)
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for w in words[4:]:
+        for i_dst in range(4):
+            pool[i_dst] = mix(pool[i_dst], hashmix(w))
+    hash_const = 0x8B51F9DD
+    state_words = []
+    for i in range(8):
+        v = pool[i % 4] ^ hash_const
+        hash_const = (hash_const * 0x58F38DED) & _M32
+        v = (v * hash_const) & _M32
+        state_words.append(v ^ (v >> 16))
+    val = [state_words[2 * k] | (state_words[2 * k + 1] << 32) for k in range(4)]
+    inc = (((val[2] << 64) | val[3]) << 1 | 1) & _M128
+    # seeding: state = 0, step, add the initial state, step
+    state = ((inc + ((val[0] << 64) | val[1])) * _PCG_MULT + inc) & _M128
+    half = None
+
+    def next32() -> int:
+        nonlocal state, half
+        if half is not None:
+            out, half = half, None
+            return out
+        state = (state * _PCG_MULT + inc) & _M128
+        x, r = ((state >> 64) ^ state) & _M64, state >> 122
+        x = ((x >> r) | (x << (-r & 63))) & _M64
+        half = x >> 32
+        return x & _M32
+
+    def below_n() -> int:
+        if n == 1:
+            return 0
+        m = next32() * n
+        if (m & _M32) < n:
+            threshold = (_M32 - n + 1) % n
+            while (m & _M32) < threshold:
+                m = next32() * n
+        return m >> 32
+
+    return [(below_n(), below_n()) for _ in range(count)]
+
+
+def _as_acts(model, X) -> np.ndarray:
+    """X as a contiguous float array with one checked act per row."""
+    X = np.ascontiguousarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != model.n_states:
+        raise InvalidModel(f"act array shape {X.shape} does not match {model.n_states} states")
+    if np.any(X < 0.0) or not np.all(np.isfinite(X)):
+        raise InvalidModel("acts must have finite nonnegative payoffs")
+    return X
+
+
 def _as_act(model, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.shape[0] != model.n_states:
         raise InvalidModel(f"act shape {x.shape} does not match {model.n_states} states")
-    if np.any(x < 0.0) or not np.all(np.isfinite(x)):
-        raise InvalidModel("acts must have finite nonnegative payoffs")
-    return x
+    return _as_acts(model, x[None, :])[0]
+
+
+def ce_batch(model, X, tol: float = 1e-10) -> np.ndarray:
+    """Certainty equivalents of the rows of X: each c with model(c * ones) = model(x).
+
+    X has one act per row. Constant rows return their level exactly, so
+    u(c * ones) = c holds with no rounding for every model. The other rows
+    go to the model's own ce_batch(X, tol) in one call: a closed form where
+    the model admits one, a bisection between each row's min and max
+    otherwise. Every row gets exactly what a one-row call would give.
+    """
+    X = _as_acts(model, X)
+    out = X[:, 0].copy()
+    varying = np.flatnonzero(np.any(X != X[:, :1], axis=1))
+    if len(varying):
+        out[varying] = model.ce_batch(X[varying], tol)
+    return out
 
 
 def ce_utility(model, x, tol: float = 1e-10) -> float:
-    """Certainty equivalent: the c with model(c * ones) = model(x).
+    """Certainty equivalent of one act: the one-row case of ce_batch."""
+    return float(ce_batch(model, _as_act(model, x)[None, :], tol)[0])
 
-    Constant acts return their level exactly, so u(c * ones) = c holds with
-    no rounding for every model. Every other act goes to the model's own
-    ce(x, tol): a closed form where the model admits one, a bisection
-    between min(x) and max(x) otherwise.
-    """
-    x = _as_act(model, x)
-    first = float(x[0])
-    if np.all(x == first):
-        return first
-    return model.ce(x, tol)
+
+def _phi_rows(model, X: np.ndarray, Y: np.ndarray, tol: float) -> np.ndarray:
+    """phi(X[k], Y[k]) for every row pair, from one ce_batch call."""
+    n = len(X)
+    c = ce_batch(model, np.concatenate([X, Y, 0.5 * (X + Y)]), tol)
+    return np.abs(c[2 * n:] - 0.5 * (c[:n] + c[n:2 * n]))
 
 
 def measure_phi(model, x, y, tol: float = 1e-10) -> float:
     """Midpoint additivity defect |u((x+y)/2) - (u(x) + u(y))/2|."""
-    x = _as_act(model, x)
-    y = _as_act(model, y)
-    mid = 0.5 * (x + y)
-    return abs(ce_utility(model, mid, tol=tol)
-               - 0.5 * (ce_utility(model, x, tol=tol) + ce_utility(model, y, tol=tol)))
+    return float(_phi_rows(model, _as_act(model, x)[None, :], _as_act(model, y)[None, :],
+                           tol)[0])
 
 
-def _scale_cap(x: np.ndarray, y: np.ndarray | None, n_max: int,
-               base: float = 2.0, guard: float = SCALE_GUARD) -> int:
-    top = max(float(np.max(np.abs(x))), 1.0)
-    if y is not None:
-        top = max(top, float(np.max(np.abs(y))))
+def _scale_cap(top: float, n_max: int, base: float = 2.0, guard: float = SCALE_GUARD) -> int:
+    """Steps n <= n_max with base^n * top inside the guard; top is max(1, max |x|)."""
     cap = int(math.floor(math.log(guard / top, base)))
     return max(min(n_max, cap), 0)
+
+
+def _phi_series(model, xs: np.ndarray, ys: np.ndarray, n_max: int, ratio_tol: float,
+                tol: float) -> list[tuple[list[float], bool]]:
+    """(partial sums, convergence verdict) of the dyadic series of each pair (xs[k], ys[k]).
+
+    The terms of all pairs in a chunk of SERIES_CHUNK pairs come from one
+    ce_batch call over every scaled act and midpoint.
+    """
+    xs, ys = _as_acts(model, xs), _as_acts(model, ys)
+    out = []
+    for start in range(0, len(xs), SERIES_CHUNK):
+        X, Y = xs[start:start + SERIES_CHUNK], ys[start:start + SERIES_CHUNK]
+        tops = np.maximum(np.maximum(np.max(X, axis=1), np.max(Y, axis=1)), 1.0).tolist()
+        caps = [_scale_cap(top, n_max) for top in tops]
+        pair = np.repeat(np.arange(len(X)), [cap + 1 for cap in caps])
+        steps = np.concatenate([np.arange(cap + 1) for cap in caps])
+        scale = np.ldexp(1.0, steps)[:, None]
+        terms = np.ldexp(1.0, -steps) * _phi_rows(model, scale * X[pair], scale * Y[pair], tol)
+        ends = np.cumsum([cap + 1 for cap in caps]).tolist()
+        for top, cap, end in zip(tops, caps, ends):
+            t = terms[end - cap - 1:end].tolist()
+            _, converged = dyadic_tail_sum(t.__getitem__, cap, ratio_tol=ratio_tol,
+                                           floor=NOISE_KAPPA * EPS * top)
+            out.append((list(itertools.accumulate(t)), converged))
+    return out
 
 
 def dyadic_phi_series(model, x, y, n_max: int = 40, ratio_tol: float = 0.75,
@@ -121,22 +252,11 @@ def dyadic_phi_series(model, x, y, n_max: int = 40, ratio_tol: float = 0.75,
     """Partial sums of sum_i 2^{-i} phi(2^i x, 2^i y) with a decay verdict.
 
     Doubling stops at n_max or once the scaled acts would exceed the 1e12
-    coordinate guard, whichever comes first.
+    coordinate guard, whichever comes first. Terms below a rounding floor of
+    16 eps * max(1, max x, max y) count as converged.
     """
-    x = _as_act(model, x)
-    y = _as_act(model, y)
-    cap = _scale_cap(x, y, n_max)
-    terms = []
-    for i in range(cap + 1):
-        s = 2.0 ** i
-        terms.append((2.0 ** -i) * measure_phi(model, s * x, s * y, tol=tol))
-    _, converged = dyadic_tail_sum(lambda i: terms[i], cap, ratio_tol=ratio_tol)
-    partials = []
-    acc = 0.0
-    for t in terms:
-        acc += t
-        partials.append(acc)
-    return partials, converged
+    return _phi_series(model, _as_act(model, x)[None, :], _as_act(model, y)[None, :],
+                       n_max, ratio_tol, tol)[0]
 
 
 def theta_estimate(model, sampler: BoxSampler | None = None, n_max: int = 40,
@@ -157,21 +277,18 @@ def theta_estimate(model, sampler: BoxSampler | None = None, n_max: int = 40,
         if np.any(x):
             pairs.append((x, zero))
             pairs.append((2.0 * x, zero))
-    rng = np.random.default_rng(sampler.seed)
-    for _ in range(sampler.n_random_pairs):
-        i, j = rng.integers(0, len(base), size=2)
+    for i, j in _index_pairs(sampler.seed, len(base), sampler.n_random_pairs):
         pairs.append((base[i], base[j]))
+    pairs = [(x, y) for x, y in pairs if np.any(x) or np.any(y)]
+    shape = (len(pairs), model.n_states)
+    series = _phi_series(model, np.array([x for x, _ in pairs]).reshape(shape),
+                         np.array([y for _, y in pairs]).reshape(shape),
+                         n_max, ratio_tol, tol)
     best = (-1.0, None, None)
     all_converged = True
-    count = 0
-    for x, y in pairs:
-        if not np.any(x) and not np.any(y):
-            continue
-        partials, converged = dyadic_phi_series(model, x, y, n_max=n_max,
-                                                ratio_tol=ratio_tol, tol=tol)
-        count += 1
+    for (x, y), (partials, converged) in zip(pairs, series):
         all_converged = all_converged and converged
-        if partials and partials[-1] > best[0]:
+        if partials[-1] > best[0]:
             best = (partials[-1], (x, y), partials)
     theta_hat = max(best[0], 0.0)
     witness = {}
@@ -181,7 +298,7 @@ def theta_estimate(model, sampler: BoxSampler | None = None, n_max: int = 40,
         axiom="midpoint-additivity-series",
         value=theta_hat,
         witness=witness,
-        samples_evaluated=count,
+        samples_evaluated=len(pairs),
         details={"converged": all_converged, "n_max": n_max,
                  "ratio_tol": ratio_tol, "partial_sums": best[2] or [],
                  "resolution": sampler.resolution, "seed": sampler.seed},
@@ -204,44 +321,73 @@ class ScaledLimit:
     iterates: tuple[float, ...]
 
 
+def _scaled_limits(model, X, base: float, tol: float, n_max: int, bisect_tol: float,
+                   what: str) -> list[ScaledLimit | NotConverged]:
+    """lim base^{-n} u(base^n x) for every row of X, all rows stepped together.
+
+    Step n takes one ce_batch call over the rows still running. Each row
+    stops on its own scaled Cauchy test: an increment below tol * base^{-n}
+    (or a 1e-15 relative floor). A row whose cap or coordinate guard arrives
+    first gets a NotConverged (returned, not raised) that names the `what`
+    iterates and carries them.
+    """
+    X = _as_acts(model, X)
+    v0 = ce_batch(model, X, bisect_tol).tolist()
+    iterates = [[v] for v in v0]
+    increments: list[list[float]] = [[] for _ in v0]
+    caps = [_scale_cap(max(float(np.max(x)), 1.0), n_max, base=base) for x in X]
+    results: list = [None] * len(X)
+    running = []
+    for k, x in enumerate(X):
+        if np.any(x):
+            running.append(k)
+        else:
+            results[k] = ScaledLimit(value=v0[k], theta=0.0, n_used=0, tail_bound=0.0,
+                                     iterates=(v0[k],))
+    n = 0
+    while running:
+        n += 1
+        for k in [k for k in running if caps[k] < n]:
+            inc = increments[k]
+            results[k] = NotConverged(
+                f"{what} iterates not Cauchy within n={caps[k]} (last increment "
+                f"{inc[-1] if inc else 0.0!r})", iterates[k])
+        running = [k for k in running if caps[k] >= n]
+        if not running:
+            break
+        scale = base ** n
+        values = (ce_batch(model, scale * X[running], bisect_tol) / scale).tolist()
+        still = []
+        for k, v in zip(running, values):
+            inc = abs(v - iterates[k][-1])
+            iterates[k].append(v)
+            increments[k].append(inc)
+            if inc <= tol * (base ** -n) or inc <= 1e-15 * max(1.0, abs(v)):
+                incs = increments[k]
+                tail = 0.0
+                if len(incs) >= 2 and incs[-2] > 0.0:
+                    r = incs[-1] / incs[-2]
+                    if r < 1.0:
+                        tail = incs[-1] * r / (1.0 - r)
+                results[k] = ScaledLimit(value=v, theta=math.fsum(incs) + tail, n_used=n,
+                                         tail_bound=tail, iterates=tuple(iterates[k]))
+            else:
+                still.append(k)
+        running = still
+    return results
+
+
+def _unwrap(res: ScaledLimit | NotConverged) -> ScaledLimit:
+    if isinstance(res, NotConverged):
+        raise res
+    return res
+
+
 def _scaled_limit(model, x, base: float, tol: float, n_max: int, bisect_tol: float,
                   what: str) -> ScaledLimit:
-    """lim base^{-n} u(base^n x), stopped by the scaled Cauchy test.
-
-    Stops once the increment falls below tol * base^{-n} (or a 1e-15
-    relative floor); raises NotConverged, naming the `what` iterates and
-    carrying them, when the cap or the coordinate guard arrives first.
-    """
-    x = _as_act(model, x)
-    v0 = ce_utility(model, x, tol=bisect_tol)
-    if not np.any(x):
-        return ScaledLimit(value=v0, theta=0.0, n_used=0, tail_bound=0.0, iterates=(v0,))
-    cap = _scale_cap(x, None, n_max, base=base)
-    iterates = [v0]
-    increments: list[float] = []
-    converged = False
-    n = 0
-    while n < cap:
-        n += 1
-        scale = base ** n
-        v = ce_utility(model, scale * x, tol=bisect_tol) / scale
-        inc = abs(v - iterates[-1])
-        iterates.append(v)
-        increments.append(inc)
-        if inc <= tol * (base ** -n) or inc <= 1e-15 * max(1.0, abs(v)):
-            converged = True
-            break
-    if not converged:
-        raise NotConverged(
-            f"{what} iterates not Cauchy within n={cap} (last increment "
-            f"{increments[-1] if increments else 0.0!r})", iterates)
-    tail = 0.0
-    if len(increments) >= 2 and increments[-2] > 0.0:
-        r = increments[-1] / increments[-2]
-        if r < 1.0:
-            tail = increments[-1] * r / (1.0 - r)
-    return ScaledLimit(value=iterates[-1], theta=math.fsum(increments) + tail,
-                       n_used=n, tail_bound=tail, iterates=tuple(iterates))
+    """The one-act case of _scaled_limits; raises its NotConverged."""
+    return _unwrap(_scaled_limits(model, _as_act(model, x)[None, :], base, tol, n_max,
+                                  bisect_tol, what)[0])
 
 
 def hyers_ulam_limit(model, x, tol: float = 1e-9, n_max: int = 40,
@@ -274,12 +420,11 @@ def extract_prior(model, tol: float = 1e-9, additivity_tol: float = 1e-6,
     the sure act (e.g. lower envelopes give sum min_k prior_k[i] < 1).
     """
     d = model.n_states
-    p = []
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = 1.0
-        p.append(hyers_ulam_limit(model, e, tol=tol, n_max=n_max).value)
-    v_ones = hyers_ulam_limit(model, np.ones(d), tol=tol, n_max=n_max).value
+    rows = np.vstack([np.eye(d), np.ones((1, d))])  # e_1 .. e_d, then the sure act
+    limits = [_unwrap(res) for res in _scaled_limits(model, rows, 2.0, tol, n_max, 1e-10,
+                                                     "doubling")]
+    p = [lim.value for lim in limits[:d]]
+    v_ones = limits[d].value
     total = math.fsum(p)
     if abs(total - v_ones) > additivity_tol:
         raise NotAdditive(
@@ -306,8 +451,8 @@ def verify_aa_bound(model, benchmark: LinearBenchmark, theta_hat: float,
     bound = 2.0 * eps_cap if eps_cap is not None else theta_hat
     worst = (0.0, None)
     pts = sampler.points()
-    for x in pts:
-        gap = abs(ce_utility(model, x, tol=bisect_tol) - benchmark.evaluate(x))
+    for x, u in zip(pts, ce_batch(model, pts, bisect_tol).tolist()):
+        gap = abs(u - benchmark.evaluate(x))
         if gap > worst[0]:
             worst = (gap, x)
         if gap > bound + tol:
@@ -387,7 +532,8 @@ def measure_homog_deviation(model, x, lam: float, tol: float = 1e-10) -> float:
     if not lam > 0.0:
         raise InvalidModel("scaling factor must be positive")
     x = _as_act(model, x)
-    return abs(ce_utility(model, lam * x, tol=tol) - lam * ce_utility(model, x, tol=tol))
+    scaled, base = ce_batch(model, np.stack([lam * x, x]), tol).tolist()
+    return abs(scaled - lam * base)
 
 
 def homog_limit(model, x, eta: float = 2.0, tol: float = 1e-9, n_max: int = 60,
@@ -413,16 +559,23 @@ def verify_homog_bound(model, sampler: BoxSampler | None = None, eta: float = 2.
     subset; the homogeneity of the limit is spot-checked at the supplied
     alphas (defect at most 1e-6). Raises BoundViolated on either failure.
     """
+    if not eta > 1.0:
+        raise InvalidModel("eta must exceed 1")
     sampler = sampler or BoxSampler(model.n_states)
     pts = [x for x in sampler.points() if np.any(x)]
     if len(pts) > max_points:
         stride = max(len(pts) // max_points, 1)
         pts = pts[::stride][:max_points]
+    # every point and every alpha multiple in one lockstep run, then the
+    # checks in per-point order, so the first violation raised is unchanged
+    rows = pts + [a * x for x in pts for a in alphas]
+    limits = _scaled_limits(model, np.array(rows).reshape(len(rows), model.n_states), eta,
+                            1e-9, n_max, bisect_tol, "scaling")
     theta_max = 0.0
     sup = (0.0, None)
     homog_defect = 0.0
-    for x in pts:
-        res = homog_limit(model, x, eta=eta, tol=1e-9, n_max=n_max, bisect_tol=bisect_tol)
+    for k, x in enumerate(pts):
+        res = _unwrap(limits[k])
         gap = abs(res.iterates[0] - res.value)  # iterates[0] is u(x)
         theta_max = max(theta_max, res.theta)
         if gap > 2.0 * res.theta + tol:
@@ -431,9 +584,8 @@ def verify_homog_bound(model, sampler: BoxSampler | None = None, eta: float = 2.
                 witness={"x": tuple(x), "gap": gap, "theta": res.theta})
         if gap > sup[0]:
             sup = (gap, x)
-        for a in alphas:
-            res_a = homog_limit(model, a * x, eta=eta, tol=1e-9, n_max=n_max,
-                                bisect_tol=bisect_tol)
+        for j, a in enumerate(alphas):
+            res_a = _unwrap(limits[len(pts) + k * len(alphas) + j])
             defect = abs(res_a.value - a * res.value)
             homog_defect = max(homog_defect, defect)
             if defect > 1e-6:
@@ -469,22 +621,15 @@ def measure_eps_ua(model, sampler: BoxSampler | None = None,
     sampler = sampler or BoxSampler(model.n_states)
     extra_probes = list(extra_probes)
     pts = sampler.points()
-    rng = np.random.default_rng(sampler.seed)
-    ce = lambda z: ce_utility(model, z, tol=tol)
-    best = (-1.0, None)
-    count = 0
+    # every probe is known before any certainty equivalent: one batched solve
+    probes: list[tuple[np.ndarray, np.ndarray, float, np.ndarray]] = []
 
     def probe(x, y, lam):
-        nonlocal best, count
         m = lam * x + (1.0 - lam) * y
-        viol = max(0.0, min(ce(x), ce(y)) - ce(m))
-        count += 1
-        if viol > best[0]:
-            best = (viol, {"x": tuple(x), "y": tuple(y), "lam": float(lam),
-                           "mixture": tuple(m)})
+        probes.append((x, y, lam, m))
+        return m
 
-    for _ in range(sampler.n_random_pairs):
-        i, j = rng.integers(0, len(pts), size=2)
+    for i, j in _index_pairs(sampler.seed, len(pts), sampler.n_random_pairs):
         for lam in sampler.lambdas:
             probe(pts[i], pts[j], lam)
     for support, weights in extra_probes:
@@ -499,15 +644,23 @@ def measure_eps_ua(model, sampler: BoxSampler | None = None,
             if total <= 0.0:
                 break
             lam = acc / total
-            probe(running, support[k], lam)
-            running = lam * running + (1.0 - lam) * support[k]
+            running = probe(running, support[k], lam)
             acc = total
+    n = len(probes)
+    acts = [p[0] for p in probes] + [p[1] for p in probes] + [p[3] for p in probes]
+    ce = ce_batch(model, np.array(acts).reshape(3 * n, model.n_states), tol).tolist()
+    best = (-1.0, None)
+    for k, (x, y, lam, m) in enumerate(probes):
+        viol = max(0.0, min(ce[k], ce[n + k]) - ce[2 * n + k])
+        if viol > best[0]:
+            best = (viol, {"x": tuple(x), "y": tuple(y), "lam": float(lam),
+                           "mixture": tuple(m)})
     value = max(best[0], 0.0) + STRICTNESS_MARGIN
     return ViolationReport(
         axiom="uncertainty-aversion",
         value=value,
         witness=best[1] or {},
-        samples_evaluated=count,
+        samples_evaluated=n,
         details={"margin": STRICTNESS_MARGIN, "n_extra_probes": len(extra_probes),
                  "lambdas": sampler.lambdas, "seed": sampler.seed},
     )
@@ -699,7 +852,7 @@ def quasiconcavify(model, box_bound: float = 10.0, resolution: int = 21,
     if d > 3:
         raise InvalidModel("quasi-concave envelope supported for at most 3 states")
     pts = grid_sample("box", d, resolution, bound=box_bound)
-    u = np.array([ce_utility(model, x, tol=bisect_tol) for x in pts])
+    u = ce_batch(model, pts, bisect_tol)
     lo, hi = float(np.min(u)), float(np.max(u))
     if hi <= lo:
         raise InvalidModel("utility is constant on the box; envelope is trivial")
@@ -762,10 +915,8 @@ def verify_quasiconcave_bound(model, benchmark: QuasiConcaveBenchmark,
         raise BoundViolated(
             f"sup |v - u| = {sup!r} exceeds d eps + slack = {bound + slack!r}",
             witness={"x": tuple(benchmark.points[i_max]), "gap": sup})
-    rng = np.random.default_rng(seed)
     pts = benchmark.points
-    pairs = np.array([rng.integers(0, len(pts), size=2) for _ in range(n_qc_checks)],
-                     dtype=int).reshape(-1, 2)
+    pairs = np.array(_index_pairs(seed, len(pts), n_qc_checks), dtype=int).reshape(-1, 2)
     lam_col = np.asarray(lambdas, dtype=float)[None, :, None]
     mixtures = lam_col * pts[pairs[:, 0]][:, None, :] \
         + (1.0 - lam_col) * pts[pairs[:, 1]][:, None, :]

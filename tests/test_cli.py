@@ -90,6 +90,47 @@ def test_run_rejects_bad_count(tmp_path, capsys, key, value, minimum):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("domain_scenario,key,value", [
+    ("risk", "resolution", 10 ** 6),
+    ("uncertainty", "resolution", 10 ** 6),
+    ("uncertainty", "qc_resolution", 500),
+])
+def test_run_rejects_grid_over_the_cap(tmp_path, capsys, monkeypatch, domain_scenario, key,
+                                       value):
+    # the cap is checked from the computed count: no grid may be built first
+    import nearrep.risk
+    import nearrep.uncertainty
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid was built before the size check")
+
+    monkeypatch.setattr(nearrep.risk, "grid_sample", refuse)
+    monkeypatch.setattr(nearrep.uncertainty, "grid_sample", refuse)
+    scenario = json.loads(json.dumps(RISK_SCENARIO if domain_scenario == "risk"
+                                     else UNC_SCENARIO))
+    scenario["sampler"][key] = value
+    assert main(["run", _write(tmp_path, "s.json", scenario), "--out",
+                 str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"sampler.{key}:" in err and "above the cap" in err
+
+
+def test_run_default_smooth_scenario_passes_the_linear_bound(tmp_path, capsys):
+    # rounding noise in the dyadic series once read as divergence here (exit 2)
+    scenario = {
+        "version": 1,
+        "name": "smooth-default",
+        "domain": "uncertainty",
+        "model": {"type": "smooth", "f": "sqrt1pz2", "priors": [[0.3, 0.7], [0.8, 0.2]],
+                  "weights": [0.5, 0.5]},
+    }
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, "s.json", scenario), "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert "PASS linear-theta-bound" in stdout
+    assert "divergent" not in stdout
+
+
 def test_run_quasiconcave_scenario(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", _write(tmp_path, "s.json", UNC_SCENARIO), "--out", str(out)]) == 0

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nearrep.core import (
+    MAX_GRID_POINTS,
     CumulativeProspect,
     ExpectedUtility,
     Exponential,
@@ -19,9 +20,11 @@ from nearrep.core import (
     TabulatedDiscount,
     TabulatedUtility,
     bisect_monotone,
+    bisect_monotone_batch,
     discount,
     dyadic_tail_sum,
     grid_sample,
+    grid_size,
     mix_probs,
 )
 
@@ -164,6 +167,66 @@ def test_bisect_no_bracket():
         bisect_monotone(lambda x: x + 1.0, 0.0, 1.0)
 
 
+def test_bisect_batch_snaps_exact_zeros():
+    # roots at lo, at hi, at the first midpoint, and one that needs bisecting
+    lo = np.array([0.5, 0.0, 0.0, 0.0])
+    hi = np.array([1.0, 0.5, 1.0, 1.0])
+    roots = np.array([0.5, 0.5, 0.5, 0.3])
+    got = bisect_monotone_batch(lambda c, idx: c - roots[idx], lo, hi)
+    assert got[:3].tolist() == [0.5, 0.5, 0.5]
+    assert abs(got[3] - 0.3) <= 1e-10
+
+
+def test_bisect_batch_no_bracket_names_the_element():
+    with pytest.raises(NoBracket, match="^element 1:"):
+        bisect_monotone_batch(lambda c, idx: c + np.array([-0.5, 1.0, -0.5])[idx],
+                              np.zeros(3), np.ones(3))
+    with pytest.raises(InvalidModel):
+        bisect_monotone_batch(lambda c, idx: c, np.zeros(2), np.array([1.0, 0.0]))
+
+
+def test_bisect_batch_stops_at_float_resolution():
+    # a step function never returns an exact zero and tol is far below one
+    # ulp: each element stops once its midpoint no longer splits the interval
+    lo, hi = np.array([1.0, -3.0]), np.array([2.0, 5.0])
+    steps = np.array([1.3, 0.1])
+    calls = []
+
+    def f(c, idx):
+        calls.append(len(c))
+        return np.where(c < steps[idx], -1.0, 1.0)
+
+    got = bisect_monotone_batch(f, lo, hi, tol=1e-300)
+    assert len(calls) < 70  # about 53 halvings, far below max_iter = 200
+    for k in range(2):
+        assert abs(got[k] - steps[k]) <= 2.0 * np.spacing(steps[k])
+        assert got[k] == bisect_monotone(lambda c: -1.0 if c < steps[k] else 1.0,
+                                         lo[k], hi[k], tol=1e-300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(-50.0, 50.0), st.floats(1e-6, 100.0),
+                          st.floats(0.0, 1.0), st.sampled_from([1, -1, 3]),
+                          st.sampled_from([1e-10, 1e-6, 1e-300])),
+                min_size=1, max_size=12))
+def test_bisect_batch_matches_scalar_elementwise(brackets):
+    # f_k(c) = sign_k (c - r_k)^3 or sign_k (c - r_k); every element must take
+    # exactly the steps the scalar bisection takes on its own function
+    lo = np.array([b[0] for b in brackets])
+    hi = lo + np.array([b[1] for b in brackets])
+    roots = lo + np.array([b[2] for b in brackets]) * (hi - lo)
+    kind = np.array([b[3] for b in brackets], dtype=float)
+    for tol in {b[4] for b in brackets}:
+        def f(c, idx):
+            d = c - roots[idx]
+            return np.where(kind[idx] == 3, d ** 3, kind[idx] * d)
+        got = bisect_monotone_batch(f, lo, hi, tol=tol)
+        for k in range(len(lo)):
+            want = bisect_monotone(lambda c: float(f(np.array([c]), np.array([k]))[0]),
+                                   float(lo[k]), float(hi[k]), tol=tol)
+            assert got[k] == want
+
+
 # --- grids -----------------------------------------------------------------
 
 def test_simplex_grid_is_lattice_with_denominator_resolution():
@@ -207,6 +270,20 @@ def test_grid_rejects_bad_arguments():
         grid_sample("box", 2, 1)
     with pytest.raises(InvalidModel):
         grid_sample("noplace", 2, 3)
+
+
+def test_grid_cap_is_checked_from_the_count():
+    # counts come from arithmetic alone; nothing near these sizes is allocated
+    assert grid_size("box", 3, 10 ** 6) == 10 ** 18
+    assert grid_size("simplex", 4, 101) == math.comb(104, 3)
+    assert grid_size("interval", 1, 1001) == 1001
+    with pytest.raises(InvalidModel, match="exceeds the cap"):
+        grid_sample("box", 3, 10 ** 6)
+    with pytest.raises(InvalidModel, match="exceeds the cap"):
+        grid_sample("simplex", 6, 10 ** 4)
+    assert len(grid_sample("interval", 1, MAX_GRID_POINTS)) == MAX_GRID_POINTS
+    with pytest.raises(InvalidModel, match="exceeds the cap"):
+        grid_sample("interval", 1, MAX_GRID_POINTS + 1)
 
 
 # --- dyadic tail sums ------------------------------------------------------

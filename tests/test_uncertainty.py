@@ -25,7 +25,9 @@ from nearrep.core import (
 )
 from nearrep.uncertainty import (
     BoxSampler,
+    _index_pairs,
     _level_hull,
+    ce_batch,
     ce_utility,
     dyadic_phi_series,
     extract_prior,
@@ -403,6 +405,27 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.strip() == "[]"
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(0, 20), st.integers(0, 2 ** 32), st.integers(0, 2 ** 200)),
+       st.sampled_from([1, 2, 3, 16, 121, 1331, 100_000, 2 ** 31 + 5, 2 ** 32 - 1]),
+       st.integers(0, 25))
+def test_index_pairs_match_numpy_default_rng(seed, n, count):
+    rng = np.random.default_rng(seed)
+    want = [tuple(rng.integers(0, n, size=2).tolist()) for _ in range(count)]
+    assert _index_pairs(seed, n, count) == want
+
+
+def test_uncertainty_run_leaves_numpy_random_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(nearrep.__file__).resolve().parents[1]))
+    code = ("import sys, nearrep.cli as c; c.run_scenario({'version': 1, 'name': 'x', "
+            "'domain': 'uncertainty', 'model': {'type': 'linear_plus_bounded', "
+            "'prior': [0.3, 0.7], 'bump': 0.5}, 'sampler': {'resolution': 3, "
+            "'n_random_pairs': 5}}); print('numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
 def test_ce_monotone_in_payoffs():
     for model in ALL_MODELS:
         lo = ce_utility(model, np.array([1.0, 2.0]))
@@ -460,10 +483,6 @@ def _model_and_act(draw):
 
 def _ce_range_slack(model, x) -> float:
     """Rounding allowance on min(x) <= ce <= max(x)."""
-    if getattr(model, "f_name", None) == "sqrt1pz2":
-        # f_inv(w) = sqrt(w^2 - 1) cancels at w ~ 1 (acts near zero): a few
-        # ulps in w move c by up to sqrt(4 eps) w. See the pinned case below.
-        return math.sqrt(4.0 * EPS) * model.raw_value(x)
     return 4.0 * EPS * max(1.0, float(np.max(x)))
 
 
@@ -478,12 +497,160 @@ def test_model_ce_meets_its_defining_equation(case):
     assert abs(model.value(np.full(len(x), c)) - target) <= CE_VALUE_TOL * max(1.0, abs(target))
 
 
-@pytest.mark.xfail(strict=True, reason="sqrt1pz2 certainty equivalent loses about half "
-                   "its digits for acts near zero (sqrt(w^2 - 1) at w ~ 1)")
 def test_sqrt1pz2_ce_stays_in_range_near_zero():
     x = np.array([6.69438024e-08, 7.43820026e-08])
     c = ce_utility(SMOOTH_SQRT, x)
     assert x.min() <= c <= x.max()
+
+
+# --- batched certainty equivalents -------------------------------------------
+
+def _scalar_bisect(f, lo, hi, tol, max_iter=200):
+    """Reference: the scalar monotone bisection the per-act solves used."""
+    flo = f(lo)
+    if flo == 0.0:
+        return lo
+    fhi = f(hi)
+    if fhi == 0.0:
+        return hi
+    increasing = flo < 0.0
+    for _ in range(max_iter):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fm < 0.0) == increasing:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _per_act_ce(model, x, tol=CE_TOL) -> float:
+    """Reference: the certainty equivalent of one act, as computed act by act
+    before batching (scalar closed forms, math.exp, scalar bisection)."""
+    x = np.asarray(x, dtype=float)
+    if np.all(x == x[0]):
+        return float(x[0])
+    if isinstance(model, SubjectiveExpected):
+        return float(np.dot(model.prior, x))
+    if isinstance(model, MaxminExpected):
+        return float(np.min(np.asarray(model.priors) @ x))
+    if isinstance(model, SmoothAmbiguity):
+        w = float(np.asarray(model.weights) @ model.f(np.asarray(model.priors) @ x))
+        if model.f_name == "sqrt1pz2":
+            return math.sqrt(max(w * w - 1.0, 0.0))
+        c = max(w, 0.0)
+        for _ in range(60):
+            e = math.exp(-c)
+            step = (c - e - w) / (1.0 + e)
+            c -= step
+            if abs(step) <= 1e-15 * max(1.0, abs(c)):
+                break
+        return c
+    if isinstance(model, CESUtility):
+        weights = np.asarray(model.weights)
+        unit = float(np.sum(weights)) ** (1.0 / model.rho)
+        return float(weights @ x ** model.rho) ** (1.0 / model.rho) / unit
+
+    def value(v):
+        return float(np.dot(model.prior, v)) + model.bump * (1.0 - math.exp(-float(np.sum(v))))
+    target = value(x)
+    return _scalar_bisect(lambda c: value(np.full(len(x), c)) - target,
+                          float(np.min(x)), float(np.max(x)), tol)
+
+
+@st.composite
+def _model_and_batch(draw):
+    """A model, and a shuffled batch of its acts: varying, constant and repeated rows."""
+    model, x = draw(_model_and_act())
+    d = len(x)
+    rows = [x] + [np.array(draw(st.lists(st.floats(0.0, 10.0), min_size=d, max_size=d)))
+                  for _ in range(draw(st.integers(0, 5)))]
+    rows += [np.full(d, draw(st.floats(0.0, 10.0))) for _ in range(draw(st.integers(0, 2)))]
+    rows += [rows[draw(st.integers(0, len(rows) - 1))] for _ in range(draw(st.integers(0, 3)))]
+    order = draw(st.permutations(range(len(rows))))
+    return model, np.array([rows[i] for i in order])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_model_and_batch())
+def test_ce_batch_rows_match_one_row_calls_and_the_per_act_reference(case):
+    model, X = case
+    got = ce_batch(model, X, tol=CE_TOL)
+    for x, c in zip(X, got):
+        # batch-size invariance: exactly what a one-row call gives
+        assert ce_batch(model, x[None, :], tol=CE_TOL)[0] == c
+        assert ce_utility(model, x, tol=CE_TOL) == c
+        want = _per_act_ce(model, x)
+        allowed = CE_TOL * max(1.0, abs(want))
+        if getattr(model, "f_name", None) == "sqrt1pz2":
+            # the reference's sqrt(w^2 - 1) loses digits at w ~ 1: an error of
+            # delta = 4 eps w^2 in w^2 - 1 moves it by min(delta / 2c, sqrt(delta))
+            delta = 4.0 * EPS * model.value(x) ** 2
+            allowed += delta / (2.0 * max(float(c), want, 0.5 * math.sqrt(delta)))
+        assert abs(c - want) <= allowed, (x, c, want)
+
+
+class _Patchy:
+    """Acts with x0 > x1 follow a log-periodic curve, s (1 + 0.1 sin(2 pi log2 s))
+    with s = mean(x): its doubling limit is the curve itself, which is not
+    homogeneous under alpha = 3. Acts marked divergent are worth s + 1, whose
+    limits never pass the Cauchy test. Every other act is worth s."""
+
+    n_states = 2
+
+    def __init__(self, swap: bool):
+        self.swap = swap
+
+    def ce_batch(self, X, tol):
+        s = X.mean(axis=1)
+        out = s.copy()
+        first, second = X[:, 0] > X[:, 1], (X[:, 1] > X[:, 0]) & (X[:, 0] > 0.0)
+        periodic, divergent = (second, first) if self.swap else (first, second)
+        out[periodic] = s[periodic] * (1.0 + 0.1 * np.sin(2.0 * np.pi * np.log2(s[periodic])))
+        out[divergent] = s[divergent] + 1.0
+        return out
+
+
+def _homog_bound_point_by_point(model, sampler, alphas=(0.5, 3.0), tol=1e-6):
+    """Reference: the per-point loop of verify_homog_bound, one limit at a time."""
+    pts = [x for x in sampler.points() if np.any(x)]
+    for x in pts:
+        res = homog_limit(model, x, tol=1e-9)
+        gap = abs(res.iterates[0] - res.value)
+        if gap > 2.0 * res.theta + tol:
+            raise BoundViolated(
+                f"|u - v| = {gap!r} exceeds 2 Theta + tol = {2.0 * res.theta + tol!r}",
+                witness={"x": tuple(x), "gap": gap, "theta": res.theta})
+        for a in alphas:
+            defect = abs(homog_limit(model, a * x, tol=1e-9).value - a * res.value)
+            if defect > 1e-6:
+                raise BoundViolated(
+                    f"limit is not homogeneous: |v(a x) - a v(x)| = {defect!r} at a={a!r}",
+                    witness={"x": tuple(x), "alpha": a, "defect": defect})
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_lockstep_homog_bound_raises_the_first_failure_in_point_order(swap):
+    # grid order: (0, 5), (0, 10), (5, 0), (5, 5), (5, 10), ... ; the first
+    # failing point is (5, 0): a homogeneity violation, or with swap a
+    # scaling limit that never converges, ahead of the other kind at (5, 10)
+    model, sampler = _Patchy(swap), BoxSampler(2, resolution=3, n_random_pairs=0)
+    with pytest.raises((BoundViolated, NotConverged)) as want:
+        _homog_bound_point_by_point(model, sampler)
+    with pytest.raises((BoundViolated, NotConverged)) as got:
+        verify_homog_bound(model, sampler)
+    assert type(got.value) is type(want.value) is (NotConverged if swap else BoundViolated)
+    assert str(got.value) == str(want.value)
+    assert getattr(got.value, "witness", None) == getattr(want.value, "witness", None)
+    assert getattr(got.value, "iterates", None) == getattr(want.value, "iterates", None)
+    if not swap:
+        assert got.value.witness["x"] == (5.0, 0.0)
 
 
 # --- scaled limits -----------------------------------------------------------
@@ -497,8 +664,8 @@ class _UnitOffset:
     def value(self, x):
         return float(self.prior @ x) + 1.0 if np.any(x) else 0.0
 
-    def ce(self, x, tol):
-        return self.value(x)
+    def ce_batch(self, X, tol):
+        return np.array([self.value(x) for x in X])
 
 
 @pytest.mark.parametrize("limit, label", [(hyers_ulam_limit, "doubling"),
