@@ -66,6 +66,9 @@ EPS = float(np.finfo(float).eps)
 # magnitude below any real defect, such as the maxmin series' constant 0.2.
 NOISE_KAPPA = 16.0
 SERIES_CHUNK = 32  # act pairs per batched solve in the defect series; caps peak memory
+# Scaled-limit steps per batched solve. Most limits stop within a few steps
+# (exact models at the first), so a short block saves calls and wastes little.
+SCALE_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -101,7 +104,7 @@ def _index_pairs(seed: int, n: int, count: int) -> list[tuple[int, int]]:
     seed = int(seed)
     if seed < 0:
         raise ValueError("expected non-negative integer")
-    if not 0 < n <= _M32:
+    if count and not 0 < n <= _M32:
         raise InvalidModel(f"cannot draw indices below {n!r}")
     words = [(seed >> (32 * k)) & _M32 for k in range(max(1, -(-seed.bit_length() // 32)))]
     # SeedSequence's hash constants: INIT_A, MULT_A, MIX_MULT_L/R, then INIT_B, MULT_B
@@ -325,11 +328,12 @@ def _scaled_limits(model, X, base: float, tol: float, n_max: int, bisect_tol: fl
                    what: str) -> list[ScaledLimit | NotConverged]:
     """lim base^{-n} u(base^n x) for every row of X, all rows stepped together.
 
-    Step n takes one ce_batch call over the rows still running. Each row
-    stops on its own scaled Cauchy test: an increment below tol * base^{-n}
-    (or a 1e-15 relative floor). A row whose cap or coordinate guard arrives
-    first gets a NotConverged (returned, not raised) that names the `what`
-    iterates and carries them.
+    One ce_batch call solves the next SCALE_BLOCK steps of every row still
+    running. Each row then stops on its own scaled Cauchy test, in step
+    order: an increment below tol * base^{-n} (or a 1e-15 relative floor);
+    iterates solved past that step are dropped. A row whose cap or
+    coordinate guard arrives first gets a NotConverged (returned, not
+    raised) that names the `what` iterates and carries them.
     """
     X = _as_acts(model, X)
     v0 = ce_batch(model, X, bisect_tol).tolist()
@@ -344,36 +348,43 @@ def _scaled_limits(model, X, base: float, tol: float, n_max: int, bisect_tol: fl
         else:
             results[k] = ScaledLimit(value=v0[k], theta=0.0, n_used=0, tail_bound=0.0,
                                      iterates=(v0[k],))
-    n = 0
+    n0 = 0  # steps n0 + 1 .. n0 + SCALE_BLOCK of every running row in one call
     while running:
-        n += 1
-        for k in [k for k in running if caps[k] < n]:
-            inc = increments[k]
-            results[k] = NotConverged(
-                f"{what} iterates not Cauchy within n={caps[k]} (last increment "
-                f"{inc[-1] if inc else 0.0!r})", iterates[k])
-        running = [k for k in running if caps[k] >= n]
-        if not running:
-            break
-        scale = base ** n
-        values = (ce_batch(model, scale * X[running], bisect_tol) / scale).tolist()
+        todo = [(k, n) for k in running
+                for n in range(n0 + 1, min(n0 + SCALE_BLOCK, caps[k]) + 1)]
+        scales = np.array([base ** n for _, n in todo])
+        acts = scales[:, None] * X[[k for k, _ in todo]].reshape(len(todo), X.shape[1])
+        values = (ce_batch(model, acts, bisect_tol) / scales).tolist()
+        pos = 0
         still = []
-        for k, v in zip(running, values):
-            inc = abs(v - iterates[k][-1])
-            iterates[k].append(v)
-            increments[k].append(inc)
-            if inc <= tol * (base ** -n) or inc <= 1e-15 * max(1.0, abs(v)):
-                incs = increments[k]
-                tail = 0.0
-                if len(incs) >= 2 and incs[-2] > 0.0:
-                    r = incs[-1] / incs[-2]
-                    if r < 1.0:
-                        tail = incs[-1] * r / (1.0 - r)
-                results[k] = ScaledLimit(value=v, theta=math.fsum(incs) + tail, n_used=n,
-                                         tail_bound=tail, iterates=tuple(iterates[k]))
+        for k in running:
+            last = min(n0 + SCALE_BLOCK, caps[k])
+            for n in range(n0 + 1, last + 1):
+                v = values[pos + n - n0 - 1]
+                inc = abs(v - iterates[k][-1])
+                iterates[k].append(v)
+                increments[k].append(inc)
+                if inc <= tol * (base ** -n) or inc <= 1e-15 * max(1.0, abs(v)):
+                    incs = increments[k]
+                    tail = 0.0
+                    if len(incs) >= 2 and incs[-2] > 0.0:
+                        r = incs[-1] / incs[-2]
+                        if r < 1.0:
+                            tail = incs[-1] * r / (1.0 - r)
+                    results[k] = ScaledLimit(value=v, theta=math.fsum(incs) + tail, n_used=n,
+                                             tail_bound=tail, iterates=tuple(iterates[k]))
+                    break
             else:
-                still.append(k)
+                if last < caps[k]:
+                    still.append(k)
+                else:
+                    inc = increments[k]
+                    results[k] = NotConverged(
+                        f"{what} iterates not Cauchy within n={caps[k]} (last increment "
+                        f"{inc[-1] if inc else 0.0!r})", iterates[k])
+            pos += max(last - n0, 0)
         running = still
+        n0 += SCALE_BLOCK
     return results
 
 

@@ -27,6 +27,7 @@ from nearrep.uncertainty import (
     BoxSampler,
     _index_pairs,
     _level_hull,
+    _scaled_limits,
     ce_batch,
     ce_utility,
     dyadic_phi_series,
@@ -651,6 +652,37 @@ def test_lockstep_homog_bound_raises_the_first_failure_in_point_order(swap):
     assert getattr(got.value, "iterates", None) == getattr(want.value, "iterates", None)
     if not swap:
         assert got.value.witness["x"] == (5.0, 0.0)
+
+
+def _scaled_limit_step_by_step(model, x, base, n_max, tol=1e-9):
+    """Reference: one act's scaled limit, one certainty equivalent per step."""
+    iterates, increments = [ce_utility(model, x)], []
+    if not np.any(x):
+        return iterates[0], 0.0, 0, tuple(iterates)
+    cap = max(min(n_max, int(math.floor(math.log(1e12 / max(float(np.max(x)), 1.0), base)))), 0)
+    for n in range(1, cap + 1):
+        v = ce_utility(model, (base ** n) * x) / base ** n
+        increments.append(abs(v - iterates[-1]))
+        iterates.append(v)
+        if increments[-1] <= tol * base ** -n or increments[-1] <= 1e-15 * max(1.0, abs(v)):
+            tail = 0.0
+            if len(increments) >= 2 and increments[-2] > 0.0:
+                r = increments[-1] / increments[-2]
+                if r < 1.0:
+                    tail = increments[-1] * r / (1.0 - r)
+            return v, math.fsum(increments) + tail, n, tuple(iterates)
+    raise NotConverged("reference did not converge", iterates)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: type(m).__name__)
+@pytest.mark.parametrize("base", [2.0, 1.5])
+def test_blocked_scaled_limits_match_the_step_by_step_loop(model, base):
+    # all points solved together, several steps per call: every limit must
+    # equal the one-point, one-step-at-a-time construction, iterates included
+    pts = BoxSampler(2, resolution=4).points()
+    for x, got in zip(pts, _scaled_limits(model, pts, base, 1e-9, 60, 1e-10, "scaling")):
+        want = _scaled_limit_step_by_step(model, x, base, 60)
+        assert (got.value, got.theta, got.n_used, got.iterates) == want
 
 
 # --- scaled limits -----------------------------------------------------------
