@@ -5,25 +5,30 @@ Usage:
   PYTHONPATH=src python scripts/golden_digests.py --keep DIR > digests.txt
   python scripts/golden_digests.py --compare OLD_DIR NEW_DIR
 
-The digest is a sha256 of everything a case prints (with its output
-directory masked) and of every file it writes, in name order. Running this
-on two versions of the package and diffing the outputs shows whether a
-change kept every exit code, report and CSV byte-identical.
+The digest is a sha256 of everything a case prints (with its input and
+output directories masked), of its error output when there is any, and of
+every file it writes, in name order. Running this on two versions of the
+package and diffing the outputs shows whether a change kept every exit
+code, error message, report and CSV byte-identical.
 
---keep DIR also stores each case's printed output (`DIR/<case>/stdout.txt`)
-and written files under `DIR/<case>/`, and the digest lines in
-`DIR/index.txt`. --compare reads two kept trees and passes when every case
+--keep DIR also stores each case's printed output (`DIR/<case>/stdout.txt`),
+its error output when there is any (`stderr.txt`) and its written files
+under `DIR/<case>/`, and the digest lines in `DIR/index.txt`. --compare reads two kept trees and passes when every case
 has the same exit code, the same PASS/FAIL lines and the same non-numeric
 text in every file, and every number differs by at most
 1e-9 * max(1, |v|) (v from OLD_DIR): ten times the default 1e-10 bisection
 tolerance. It prints each case's largest numeric difference.
 
 Cases: the four builtins; seeds 1-3 of every invocation the benchmark's
-workloads generate (perfbench/workloads.py); and four uncertainty scenarios
+workloads generate (perfbench/workloads.py); four uncertainty scenarios
 the workloads do not reach (a divergent maxmin model, the smooth sqrt1pz2
 model with the hull envelope, and 3-state CES and linear-plus-bounded
-models). Each case runs in this process; without --keep the output goes to
-a temporary directory that is removed afterwards.
+models); and one rejected scenario per schema rule (unknown key, missing
+key, wrong kind, below a floor, over a cap), whose error output is part of
+the digest. Each case runs in this process; without --keep the output goes
+to a temporary directory that is removed afterwards. An exception that
+escapes the command line entry point is recorded as exit code 1 (what the
+interpreter would exit with) and its type and message as the error output.
 """
 
 import argparse
@@ -42,9 +47,12 @@ NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
 REL_TOL = 1e-9
 
 
+def _scenario(name: str, domain: str, model: dict, sampler: dict) -> dict:
+    return {"version": 1, "name": name, "domain": domain, "model": model, "sampler": sampler}
+
+
 def _uncertainty(name: str, model: dict, sampler: dict) -> dict:
-    return {"version": 1, "name": name, "domain": "uncertainty", "model": model,
-            "sampler": sampler}
+    return _scenario(name, "uncertainty", model, sampler)
 
 
 EXTRA_SCENARIOS = [
@@ -61,6 +69,25 @@ EXTRA_SCENARIOS = [
 ]
 
 
+_CPT = {"type": "cpt", "value_exponent": 0.54, "weight_exponent": 0.74, "prizes": [2, 1, 0]}
+_MEU = {"type": "meu", "priors": [[0.3, 0.7], [0.7, 0.3]]}
+_HYPERBOLIC = {"type": "hyperbolic", "k": 0.3}
+
+REJECTED_SCENARIOS = [
+    _scenario("unknown-key", "risk", _CPT, {"resolutoin": 5}),
+    _scenario("missing-key", "risk", {k: v for k, v in _CPT.items() if k != "prizes"}, {}),
+    _scenario("missing-keys", "uncertainty", {"type": "smooth"}, {}),
+    _scenario("wrong-kind", "uncertainty", _MEU, {"homog": "yes"}),
+    _scenario("wrong-kind-entry", "uncertainty",
+              {"type": "meu", "priors": [["a", 0.5], [0.5, 0.5]]}, {}),
+    _scenario("below-floor", "uncertainty", _MEU, {"level_resolution": 0}),
+    _scenario("below-floor-entry", "time-discrete", _HYPERBOLIC, {"t_sample": [-1]}),
+    _scenario("over-grid-cap", "uncertainty", _MEU, {"resolution": 10 ** 6}),
+    _scenario("over-delay-cap", "time-discrete", _HYPERBOLIC, {"n_max": 1030}),
+    _scenario("over-pair-cap", "time-discrete", _HYPERBOLIC, {"w_t_max": 633}),
+]
+
+
 def cases() -> list[tuple[str, list[str], dict | None]]:
     """(case name, nearrep argv with {in}/{out} placeholders, scenario or None)."""
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -74,14 +101,21 @@ def cases() -> list[tuple[str, list[str], dict | None]]:
             for inv in generate(seed):
                 out.append((f"{workload}/{seed}/{inv.name}", inv.argv("{in}", "{out}"),
                             inv.scenario))
-    for scenario in EXTRA_SCENARIOS:
-        out.append((f"extra/{scenario['name']}",
-                    ["run", f"{{in}}/{scenario['name']}.json", "--out", "{out}"], scenario))
+    for group, scenarios in (("extra", EXTRA_SCENARIOS), ("rejected", REJECTED_SCENARIOS)):
+        for scenario in scenarios:
+            out.append((f"{group}/{scenario['name']}",
+                        ["run", f"{{in}}/{scenario['name']}.json", "--out", "{out}"],
+                        scenario))
     return out
 
 
-def run_case(argv: list[str], scenario: dict | None, work: Path) -> tuple[int, str, str]:
-    """Exit code, digest and masked printed output of one case run in `work`."""
+def run_case(argv: list[str], scenario: dict | None,
+             work: Path) -> tuple[int, str, str, str]:
+    """Exit code, digest, masked printed output and masked error output of one case.
+
+    The error output enters the digest only when there is any, so cases that
+    print no error keep the digests they had before it was recorded.
+    """
     from nearrep.cli import main
 
     in_dir, out_dir = work / "in", work / "out"
@@ -89,22 +123,32 @@ def run_case(argv: list[str], scenario: dict | None, work: Path) -> tuple[int, s
     if scenario is not None:
         (in_dir / f"{scenario['name']}.json").write_text(json.dumps(scenario))
     argv = [a.replace("{in}", str(in_dir)).replace("{out}", str(out_dir)) for a in argv]
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        code = main(argv)
-    printed = stdout.getvalue().replace(str(out_dir), "<out>")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except Exception as exc:  # recorded as a process would report it
+            code = 1
+            print(f"uncaught {type(exc).__name__}: {exc}", file=sys.stderr)
+
+    def masked(text: str) -> str:
+        return text.replace(str(out_dir), "<out>").replace(str(in_dir), "<in>")
+
+    printed, errors = masked(stdout.getvalue()), masked(stderr.getvalue())
     h = hashlib.sha256(printed.encode())
+    if errors:
+        h.update(b"\0stderr\0" + errors.encode())
     if out_dir.is_dir():
         for path in sorted(out_dir.iterdir()):
             h.update(b"\0" + path.name.encode() + b"\0" + path.read_bytes())
-    return code, h.hexdigest(), printed
+    return code, h.hexdigest(), printed, errors
 
 
 def main_digests(keep: Path | None) -> int:
     lines = []
     for name, argv, scenario in cases():
         with tempfile.TemporaryDirectory() as tmp:
-            code, digest, printed = run_case(argv, scenario, Path(tmp))
+            code, digest, printed, errors = run_case(argv, scenario, Path(tmp))
             if keep is not None:
                 dest = keep / name
                 shutil.rmtree(dest, ignore_errors=True)
@@ -112,6 +156,8 @@ def main_digests(keep: Path | None) -> int:
                     shutil.copytree(Path(tmp) / "out", dest)
                 dest.mkdir(parents=True, exist_ok=True)
                 (dest / "stdout.txt").write_text(printed)
+                if errors:
+                    (dest / "stderr.txt").write_text(errors)
         lines.append(f"{name} {code} {digest}")
         print(lines[-1], flush=True)
     if keep is not None:

@@ -24,6 +24,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,37 +92,153 @@ class RunResult:
 
 
 # ---------------------------------------------------------------------------
-# strict schema helpers
+# scenario schema: every key is declared once below and parsed by _parse
 
-def _check_keys(obj, path: str, required: set[str], optional: set[str]) -> None:
+class _Key(NamedTuple):
+    kind: str                 # a _KINDS name
+    default: object = ...     # ... marks a key the scenario must give
+    floor: int | None = None  # least value; for a list, of every entry
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _list_of(accepts):
+    return lambda v: isinstance(v, list) and len(v) > 0 and all(map(accepts, v))
+
+
+def _frozen(v, scalar):  # lists become tuples, entries scalar(entry)
+    return tuple(_frozen(e, scalar) for e in v) if isinstance(v, list) else scalar(v)
+
+
+# kind -> (accepts the JSON value, type of its entries or None to keep it as
+# given, what an error says was expected)
+_KINDS = {
+    "any": (lambda v: True, None, None),
+    "number": (_is_number, float, "a number"),
+    "integer": (_is_integer, int, "an integer"),
+    "bool": (lambda v: isinstance(v, bool), None, "true or false"),
+    "string": (lambda v: isinstance(v, str), None, "a string"),
+    "numbers": (_list_of(_is_number), float, "a non-empty list of numbers"),
+    "integers": (_list_of(_is_integer), int, "a non-empty list of integers"),
+    "vectors": (_list_of(_list_of(_is_number)), float, "a list of number lists"),
+}
+
+
+def _parse(obj, path: str, spec: dict[str, _Key]) -> dict:
+    """Typed values of every key in spec, defaults filled in.
+
+    Checks in this order: obj is an object; no unknown key (in the file's
+    order); no missing required key (in declared order); then each given
+    key's kind and floor (in declared order).
+    """
     if not isinstance(obj, dict):
         raise ScenarioError(f"{path}: expected an object")
     for key in obj:
-        if key not in required and key not in optional:
+        if key not in spec:
             raise ScenarioError(f"{path}: unknown key '{key}'")
-    for key in required:
-        if key not in obj:
+    for key, want in spec.items():
+        if want.default is ... and key not in obj:
             raise ScenarioError(f"{path}: missing required key '{key}'")
+    out = {}
+    for key, want in spec.items():
+        if key not in obj:
+            out[key] = want.default
+            continue
+        v = obj[key]
+        accepts, scalar, expected = _KINDS[want.kind]
+        if not accepts(v):
+            raise ScenarioError(f"{path}.{key}: expected {expected}")
+        if want.floor is not None and (min(v) if isinstance(v, list) else v) < want.floor:
+            entries = "entries " if isinstance(v, list) else ""
+            raise ScenarioError(f"{path}.{key}: {entries}must be at least {want.floor}")
+        out[key] = v if scalar is None else _frozen(v, scalar)
+    return out
 
 
-def _num(obj, path: str, key: str, default=None):
-    if key not in obj:
-        return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ScenarioError(f"{path}.{key}: expected a number")
-    return float(v)
+_SCENARIO = {"version": _Key("any"), "name": _Key("any"), "domain": _Key("any"),
+             "model": _Key("any"), "sampler": _Key("any", {}), "tolerances": _Key("any", {})}
+
+_TOLERANCES = {"bisect": _Key("number", 1e-10), "slack": _Key("number", 1e-7),
+               "verify": _Key("number", 1e-6), "time": _Key("number", 1e-6)}
+
+# domain -> (what its models are called, {type: (class, keys in constructor order)})
+_MODELS = {
+    "risk": ("risk model", {
+        "expected_utility": (ExpectedUtility, {"utilities": _Key("numbers")}),
+        "cpt": (CumulativeProspect, {"value_exponent": _Key("number"),
+                                     "weight_exponent": _Key("number"),
+                                     "prizes": _Key("numbers")}),
+    }),
+    "uncertainty": ("uncertainty model", {
+        "seu": (SubjectiveExpected, {"prior": _Key("numbers")}),
+        "meu": (MaxminExpected, {"priors": _Key("vectors")}),
+        "smooth": (SmoothAmbiguity, {"f": _Key("string"), "priors": _Key("vectors"),
+                                     "weights": _Key("numbers")}),
+        "ces": (CESUtility, {"weights": _Key("numbers"), "rho": _Key("number")}),
+        "linear_plus_bounded": (LinearPlusBounded, {"prior": _Key("numbers"),
+                                                    "bump": _Key("number")}),
+    }),
+    "time-discrete": ("discount model", {
+        "exponential": (Exponential, {"gamma": _Key("number")}),
+        "quasi_hyperbolic": (QuasiHyperbolic, {"beta": _Key("number"),
+                                               "delta": _Key("number")}),
+        "hyperbolic": (Hyperbolic, {"k": _Key("number")}),
+        "tabulated": (TabulatedDiscount, {"values": _Key("numbers")}),
+    }),
+    "time-continuous": ("reward-timing model", {
+        "linear_delay": (LinearDelay, {"x_bar": _Key("number"), "rate": _Key("number", 1.0)}),
+        "log_delay": (LogDelay, {"x_bar": _Key("number"), "k": _Key("number")}),
+    }),
+}
+
+_SAMPLERS = {
+    "risk": {"resolution": _Key("integer", 11, 1), "seed": _Key("integer", 0),
+             "n_random_triples": _Key("integer", 100, 0), "n_pairs": _Key("integer", 20, 1),
+             "n_alphas": _Key("integer", 5, 1)},
+    "uncertainty": {"bound": _Key("number", 10.0), "resolution": _Key("integer", 11, 2),
+                    "seed": _Key("integer", 0), "n_random_pairs": _Key("integer", 100, 0),
+                    "quasiconcave": _Key("bool", False),
+                    "qc_resolution": _Key("integer", 21, 2),
+                    "level_resolution": _Key("integer", 64, 2), "homog": _Key("bool", True)},
+    "time-discrete": {"t_sample": _Key("integers", (1, 2, 3, 5, 8), 0),
+                      "n_max": _Key("integer", 40, 1), "w_t_max": _Key("integer", 16, 1)},
+    # x_min None: two below the model's ceiling x_bar
+    "time-continuous": {"x_min": _Key("number", None), "x_count": _Key("integer", 9, 1),
+                        "t_max": _Key("number", 10.0), "t_count": _Key("integer", 11, 1),
+                        "delta_max": _Key("number", 2.0),
+                        "delta_count": _Key("integer", 4, 1)},
+}
 
 
-def _int(obj, path: str, key: str, default=None, minimum: int | None = None):
-    if key not in obj:
-        return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ScenarioError(f"{path}.{key}: expected an integer")
-    if minimum is not None and v < minimum:
-        raise ScenarioError(f"{path}.{key}: must be at least {minimum}")
-    return v
+def _parse_model(cfg, domain: str):
+    noun, types = _MODELS[domain]
+    if not isinstance(cfg, dict) or "type" not in cfg:
+        raise ScenarioError("model: expected an object with a 'type' key")
+    kind = cfg["type"]
+    if not isinstance(kind, str) or kind not in types:
+        raise ScenarioError(f"model.type: unknown {noun} {kind!r}")
+    cls, keys = types[kind]
+    values = _parse(cfg, "model", {"type": _Key("any"), **keys})
+    try:
+        return cls(*(values[key] for key in keys))
+    except InvalidModel as exc:
+        raise ScenarioError(f"model: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# work caps, computed from the parsed counts: each pipeline checks its own first
+
+# Doubles hold every integer up to 2^53 and no further. The time-discrete
+# meters evaluate discount curves at integer delays up to 2^(n_max + 1) t (the
+# dyadic series at anchor t; the rate fit stops at 2^n_max); beyond 2^53 those
+# delays are no longer exact, and a curve like 1 / (1 + k t) overflows.
+MAX_EXACT_DELAY = 2 ** 53
 
 
 def _check_grid(space: str, dim: int, resolution: int, key: str) -> None:
@@ -130,102 +247,6 @@ def _check_grid(space: str, dim: int, resolution: int, key: str) -> None:
     if n > MAX_GRID_POINTS:
         raise ScenarioError(f"sampler.{key}: a resolution of {resolution} gives a {dim}-D "
                             f"{space} grid of {n} points, above the cap of {MAX_GRID_POINTS}")
-
-
-def _bool(obj, path: str, key: str, default=None):
-    if key not in obj:
-        return default
-    v = obj[key]
-    if not isinstance(v, bool):
-        raise ScenarioError(f"{path}.{key}: expected true or false")
-    return v
-
-
-def _numlist(obj, path: str, key: str, default=None):
-    if key not in obj:
-        if default is None:
-            raise ScenarioError(f"{path}: missing required key '{key}'")
-        return default
-    v = obj[key]
-    if not isinstance(v, list) or not v or any(
-            isinstance(e, bool) or not isinstance(e, (int, float)) for e in v):
-        raise ScenarioError(f"{path}.{key}: expected a non-empty list of numbers")
-    return [float(e) for e in v]
-
-
-def _vectorlist(obj, path: str, key: str):
-    v = obj.get(key)
-    if not isinstance(v, list) or not v or any(not isinstance(row, list) for row in v):
-        raise ScenarioError(f"{path}.{key}: expected a list of number lists")
-    return [tuple(float(e) for e in row) for row in v]
-
-
-# ---------------------------------------------------------------------------
-# model construction
-
-def _build_risk_model(cfg: dict):
-    kind = cfg.get("type")
-    if kind == "expected_utility":
-        _check_keys(cfg, "model", {"type", "utilities"}, set())
-        return ExpectedUtility(tuple(_numlist(cfg, "model", "utilities")))
-    if kind == "cpt":
-        _check_keys(cfg, "model", {"type", "value_exponent", "weight_exponent", "prizes"}, set())
-        return CumulativeProspect(_num(cfg, "model", "value_exponent"),
-                                  _num(cfg, "model", "weight_exponent"),
-                                  tuple(_numlist(cfg, "model", "prizes")))
-    raise ScenarioError(f"model.type: unknown risk model {kind!r}")
-
-
-def _build_uncertainty_model(cfg: dict):
-    kind = cfg.get("type")
-    if kind == "seu":
-        _check_keys(cfg, "model", {"type", "prior"}, set())
-        return SubjectiveExpected(tuple(_numlist(cfg, "model", "prior")))
-    if kind == "meu":
-        _check_keys(cfg, "model", {"type", "priors"}, set())
-        return MaxminExpected(tuple(_vectorlist(cfg, "model", "priors")))
-    if kind == "smooth":
-        _check_keys(cfg, "model", {"type", "f", "priors", "weights"}, set())
-        f_name = cfg.get("f")
-        if not isinstance(f_name, str):
-            raise ScenarioError("model.f: expected a string")
-        return SmoothAmbiguity(f_name, tuple(_vectorlist(cfg, "model", "priors")),
-                               tuple(_numlist(cfg, "model", "weights")))
-    if kind == "ces":
-        _check_keys(cfg, "model", {"type", "weights", "rho"}, set())
-        return CESUtility(tuple(_numlist(cfg, "model", "weights")), _num(cfg, "model", "rho"))
-    if kind == "linear_plus_bounded":
-        _check_keys(cfg, "model", {"type", "prior", "bump"}, set())
-        return LinearPlusBounded(tuple(_numlist(cfg, "model", "prior")), _num(cfg, "model", "bump"))
-    raise ScenarioError(f"model.type: unknown uncertainty model {kind!r}")
-
-
-def _build_time_model(cfg: dict):
-    kind = cfg.get("type")
-    if kind == "exponential":
-        _check_keys(cfg, "model", {"type", "gamma"}, set())
-        return Exponential(_num(cfg, "model", "gamma"))
-    if kind == "quasi_hyperbolic":
-        _check_keys(cfg, "model", {"type", "beta", "delta"}, set())
-        return QuasiHyperbolic(_num(cfg, "model", "beta"), _num(cfg, "model", "delta"))
-    if kind == "hyperbolic":
-        _check_keys(cfg, "model", {"type", "k"}, set())
-        return Hyperbolic(_num(cfg, "model", "k"))
-    if kind == "tabulated":
-        _check_keys(cfg, "model", {"type", "values"}, set())
-        return TabulatedDiscount(tuple(_numlist(cfg, "model", "values")))
-    raise ScenarioError(f"model.type: unknown discount model {kind!r}")
-
-
-def _build_continuous_model(cfg: dict):
-    kind = cfg.get("type")
-    if kind == "linear_delay":
-        _check_keys(cfg, "model", {"type", "x_bar"}, {"rate"})
-        return LinearDelay(_num(cfg, "model", "x_bar"), _num(cfg, "model", "rate", 1.0))
-    if kind == "log_delay":
-        _check_keys(cfg, "model", {"type", "x_bar", "k"}, set())
-        return LogDelay(_num(cfg, "model", "x_bar"), _num(cfg, "model", "k"))
-    raise ScenarioError(f"model.type: unknown reward-timing model {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -255,17 +276,9 @@ def _smooth_cap(result: RunResult, table_name: str, model, sampler):
     return rep
 
 
-def _run_risk(name: str, model, sampler_cfg: dict, tols: dict) -> RunResult:
-    _check_keys(sampler_cfg, "sampler", set(),
-                {"resolution", "seed", "n_random_triples", "n_pairs", "n_alphas"})
-    sampler = risk_mod.SimplexSampler(
-        resolution=_int(sampler_cfg, "sampler", "resolution", 11, minimum=1),
-        seed=_int(sampler_cfg, "sampler", "seed", 0),
-        n_random_triples=_int(sampler_cfg, "sampler", "n_random_triples", 100, minimum=0),
-        n_pairs=_int(sampler_cfg, "sampler", "n_pairs", 20, minimum=1),
-        n_alphas=_int(sampler_cfg, "sampler", "n_alphas", 5, minimum=1),
-    )
-    _check_grid("simplex", model.n_outcomes, sampler.resolution, "resolution")
+def _run_risk(name: str, model, s: dict, tols: dict) -> RunResult:
+    _check_grid("simplex", model.n_outcomes, s["resolution"], "resolution")
+    sampler = risk_mod.SimplexSampler(**s)
     tol = tols["bisect"]
     slack = tols["slack"]
     result = RunResult(name=name, domain="risk")
@@ -307,23 +320,12 @@ def _homothetic_exactness(model, pts, tol: float = 1e-10, n_top: int = 10) -> fl
     return float(np.max(np.abs(scaled / scales - u), initial=0.0))
 
 
-def _run_uncertainty(name: str, model, sampler_cfg: dict, tols: dict) -> RunResult:
-    _check_keys(sampler_cfg, "sampler", set(),
-                {"resolution", "seed", "bound", "n_random_pairs", "quasiconcave",
-                 "qc_resolution", "level_resolution", "homog"})
-    sampler = unc_mod.BoxSampler(
-        n_states=model.n_states,
-        bound=_num(sampler_cfg, "sampler", "bound", 10.0),
-        resolution=_int(sampler_cfg, "sampler", "resolution", 11, minimum=2),
-        seed=_int(sampler_cfg, "sampler", "seed", 0),
-        n_random_pairs=_int(sampler_cfg, "sampler", "n_random_pairs", 100, minimum=0),
-    )
-    quasiconcave = _bool(sampler_cfg, "sampler", "quasiconcave", False)
-    qc_res = _int(sampler_cfg, "sampler", "qc_resolution", 21, minimum=2)
-    level_res = _int(sampler_cfg, "sampler", "level_resolution", 64, minimum=2)
-    _check_grid("box", model.n_states, sampler.resolution, "resolution")
-    if quasiconcave:
-        _check_grid("box", model.n_states, qc_res, "qc_resolution")
+def _run_uncertainty(name: str, model, s: dict, tols: dict) -> RunResult:
+    _check_grid("box", model.n_states, s["resolution"], "resolution")
+    if s["quasiconcave"]:
+        _check_grid("box", model.n_states, s["qc_resolution"], "qc_resolution")
+    sampler = unc_mod.BoxSampler(model.n_states, s["bound"], s["resolution"], s["seed"],
+                                 s["n_random_pairs"])
     tol = tols["bisect"]
     verify_tol = tols["verify"]
     result = RunResult(name=name, domain="uncertainty")
@@ -353,17 +355,17 @@ def _run_uncertainty(name: str, model, sampler_cfg: dict, tols: dict) -> RunResu
     if isinstance(model, SmoothAmbiguity):
         _check(result, "raw-defect-cap",
                lambda: _smooth_cap(result, "smooth-defects", model, sampler))
-    if _bool(sampler_cfg, "sampler", "homog", True):
+    if s["homog"]:
         try:
             _check(result, "homogeneous-bound",
                    lambda: unc_mod.verify_homog_bound(model, sampler, bisect_tol=tol,
                                                       tol=verify_tol))
         except NotConverged as exc:
             result.notes.append(f"scaling limit did not converge: {exc}")
-    if quasiconcave:
+    if s["quasiconcave"]:
         envelope = unc_mod.quasiconcavify(model, box_bound=sampler.bound,
-                                          resolution=qc_res,
-                                          level_resolution=level_res,
+                                          resolution=s["qc_resolution"],
+                                          level_resolution=s["level_resolution"],
                                           bisect_tol=tol)
         ua = unc_mod.measure_eps_ua(model, sampler, extra_probes=envelope.probes,
                                     tol=tol)
@@ -391,12 +393,16 @@ def _run_uncertainty(name: str, model, sampler_cfg: dict, tols: dict) -> RunResu
     return result
 
 
-def _run_time_discrete(name: str, model, sampler_cfg: dict, tols: dict) -> RunResult:
-    _check_keys(sampler_cfg, "sampler", set(), {"t_sample", "n_max", "w_t_max"})
-    t_sample = [int(t) for t in _numlist(sampler_cfg, "sampler", "t_sample",
-                                         [1, 2, 3, 5, 8])]
-    n_max = _int(sampler_cfg, "sampler", "n_max", 40, minimum=1)
-    w_t_max = _int(sampler_cfg, "sampler", "w_t_max", 16, minimum=1)
+def _run_time_discrete(name: str, model, s: dict, tols: dict) -> RunResult:
+    t_sample, n_max, w_t_max = s["t_sample"], s["n_max"], s["w_t_max"]
+    t_top = max(1, *t_sample)
+    if n_max > 53 or (t_top << (n_max + 1)) > MAX_EXACT_DELAY:  # no huge shift is built
+        raise ScenarioError(f"sampler.n_max: {n_max} takes anchor {t_top} to a delay of "
+                            f"2^{n_max + 1} * {t_top}, above the exact-integer cap of 2^53")
+    w_pairs = (w_t_max // 2) * (w_t_max - w_t_max // 2)  # pairs s <= t with s + t <= w_t_max
+    if w_pairs > MAX_GRID_POINTS:
+        raise ScenarioError(f"sampler.w_t_max: {w_t_max} gives {w_pairs} delay pairs, above "
+                            f"the cap of {MAX_GRID_POINTS}")
     result = RunResult(name=name, domain="time-discrete")
     theta_rep, converged = time_mod.theta_over_sample(model, t_sample, n_max=n_max)
     result.reports.append(theta_rep.as_dict())
@@ -453,19 +459,13 @@ def _run_time_discrete(name: str, model, sampler_cfg: dict, tols: dict) -> RunRe
     return result
 
 
-def _run_time_continuous(name: str, model, sampler_cfg: dict, tols: dict) -> RunResult:
-    _check_keys(sampler_cfg, "sampler", set(),
-                {"x_min", "x_count", "t_max", "t_count", "delta_max", "delta_count"})
-    x_min = _num(sampler_cfg, "sampler", "x_min", model.x_bar - 2.0)
-    x_count = _int(sampler_cfg, "sampler", "x_count", 9, minimum=1)
-    t_top = _num(sampler_cfg, "sampler", "t_max", 10.0)
-    t_count = _int(sampler_cfg, "sampler", "t_count", 11, minimum=1)
-    d_top = _num(sampler_cfg, "sampler", "delta_max", 2.0)
-    d_count = _int(sampler_cfg, "sampler", "delta_count", 4, minimum=1)
+def _run_time_continuous(name: str, model, s: dict, tols: dict) -> RunResult:
+    x_min = model.x_bar - 2.0 if s["x_min"] is None else s["x_min"]
     if x_min > model.x_bar:
         raise ScenarioError("sampler.x_min: must not exceed the model ceiling")
-    xs = np.linspace(x_min, model.x_bar, x_count)
-    ts = np.linspace(0.0, t_top, t_count)
+    xs = np.linspace(x_min, model.x_bar, s["x_count"])
+    ts = np.linspace(0.0, s["t_max"], s["t_count"])
+    d_top, d_count = s["delta_max"], s["delta_count"]
     deltas = np.linspace(d_top / d_count, d_top, d_count)
     tol = tols["time"]
     result = RunResult(name=name, domain="time-continuous")
@@ -489,49 +489,38 @@ def _run_time_continuous(name: str, model, sampler_cfg: dict, tols: dict) -> Run
 
 
 _DOMAINS = {
-    "risk": (_build_risk_model, _run_risk),
-    "uncertainty": (_build_uncertainty_model, _run_uncertainty),
-    "time-discrete": (_build_time_model, _run_time_discrete),
-    "time-continuous": (_build_continuous_model, _run_time_continuous),
+    "risk": _run_risk,
+    "uncertainty": _run_uncertainty,
+    "time-discrete": _run_time_discrete,
+    "time-continuous": _run_time_continuous,
 }
 
 
 def run_scenario(scenario: dict) -> RunResult:
-    """Validate a scenario object and run its domain pipeline."""
-    _check_keys(scenario, "scenario", {"version", "name", "domain", "model"},
-                {"sampler", "tolerances"})
-    version = scenario["version"]
-    if version != 1:
-        raise ScenarioError(f"version: unsupported value {version!r} (expected 1)")
-    name = scenario["name"]
+    """Parse every key of a scenario object, then run its domain pipeline.
+
+    Tolerances, the model and the sampler are parsed in that order, before
+    any work; the pipeline checks its work caps before it starts.
+    """
+    top = _parse(scenario, "scenario", _SCENARIO)
+    if top["version"] != 1:
+        raise ScenarioError(f"version: unsupported value {top['version']!r} (expected 1)")
+    name = top["name"]
     if not isinstance(name, str) or not _NAME_RE.match(name):
         raise ScenarioError(
             "name: expected letters, digits, '-' or '_' (max 64, starting "
             "with a letter or digit)")
-    domain = scenario["domain"]
-    if domain not in _DOMAINS:
+    domain = top["domain"]
+    if not isinstance(domain, str) or domain not in _DOMAINS:
         raise ScenarioError(
             f"domain: unknown value {domain!r} (expected one of {sorted(_DOMAINS)})")
-    tol_cfg = scenario.get("tolerances", {})
-    _check_keys(tol_cfg, "tolerances", set(), {"bisect", "slack", "verify", "time"})
-    tols = {
-        "bisect": _num(tol_cfg, "tolerances", "bisect", 1e-10),
-        "slack": _num(tol_cfg, "tolerances", "slack", 1e-7),
-        "verify": _num(tol_cfg, "tolerances", "verify", 1e-6),
-        "time": _num(tol_cfg, "tolerances", "time", 1e-6),
-    }
+    tols = _parse(top["tolerances"], "tolerances", _TOLERANCES)
     for key, value in tols.items():
         if not value > 0.0:
             raise ScenarioError(f"tolerances.{key}: must be positive")
-    build, run = _DOMAINS[domain]
-    model_cfg = scenario["model"]
-    if not isinstance(model_cfg, dict) or "type" not in model_cfg:
-        raise ScenarioError("model: expected an object with a 'type' key")
-    try:
-        model = build(model_cfg)
-    except InvalidModel as exc:
-        raise ScenarioError(f"model: {exc}") from exc
-    return run(name, model, scenario.get("sampler", {}), tols)
+    model = _parse_model(top["model"], domain)
+    sampler = _parse(top["sampler"], "sampler", _SAMPLERS[domain])
+    return _DOMAINS[domain](name, model, sampler, tols)
 
 
 # ---------------------------------------------------------------------------
@@ -685,14 +674,12 @@ def _cmd_run(args) -> int:
     if not isinstance(data, dict):
         print("error: scenario: expected a JSON object", file=sys.stderr)
         return 1
-    if args.tol is not None:
-        data.setdefault("tolerances", {})["bisect"] = args.tol
-    if args.seed is not None or args.grid is not None:
-        data.setdefault("sampler", {})
-        if args.seed is not None:
-            data["sampler"]["seed"] = args.seed
-        if args.grid is not None:
-            data["sampler"]["resolution"] = args.grid
+    overrides = (("tolerances", "bisect", args.tol), ("sampler", "seed", args.seed),
+                 ("sampler", "resolution", args.grid))
+    for section, key, value in overrides:
+        # a section that is not an object is left for run_scenario to reject
+        if value is not None and isinstance(data.setdefault(section, {}), dict):
+            data[section][key] = value
     result = run_scenario(data)
     _emit(result, Path(args.out))
     return result.exit_code

@@ -969,8 +969,7 @@ def grid_size(space: str, dim: int, resolution: int) -> int:
     return resolution ** dim
 
 
-def grid_sample(space: str, dim: int, resolution: int, bound: float = 1.0,
-                seed: int = 0, max_points: int | None = None) -> np.ndarray:
+def grid_sample(space: str, dim: int, resolution: int, bound: float = 1.0) -> np.ndarray:
     """Deterministic evaluation grid for one of the three domains.
 
     space 'simplex': the composition lattice of probabilities that are
@@ -980,27 +979,19 @@ def grid_sample(space: str, dim: int, resolution: int, bound: float = 1.0,
     'interval': linspace(0, bound, resolution), shape (resolution, 1).
 
     Grids above MAX_GRID_POINTS are refused before anything is allocated.
-    When max_points caps the grid, a seeded choice keeps a reproducible
-    subset in original grid order. The same arguments always return the same
-    array.
+    The same arguments always return the same array.
     """
     n = grid_size(space, dim, resolution)
     if n > MAX_GRID_POINTS:
         raise InvalidModel(f"{space} grid of {n} points exceeds the cap of "
                            f"{MAX_GRID_POINTS} points")
     if space == "simplex":
-        pts = _simplex_lattice(dim, resolution)
-    elif space == "box":
+        return _simplex_lattice(dim, resolution)
+    if space == "box":
         axis = np.linspace(0.0, bound, resolution)
         grids = np.meshgrid(*([axis] * dim), indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-    else:
-        pts = np.linspace(0.0, bound, resolution).reshape(-1, 1)
-    if max_points is not None and len(pts) > max_points:
-        rng = np.random.default_rng(seed)
-        idx = np.sort(rng.choice(len(pts), size=max_points, replace=False))
-        pts = pts[idx]
-    return pts
+        return np.stack([g.ravel() for g in grids], axis=-1)
+    return np.linspace(0.0, bound, resolution).reshape(-1, 1)
 
 
 def dyadic_tail_sum(term: Callable[[int], float], n_max: int,

@@ -66,11 +66,9 @@ class SimplexSampler:
     n_random_triples: int = 200
     n_pairs: int = 40
     n_alphas: int = 5
-    max_points: int | None = None
 
     def points(self, n_outcomes: int) -> list[Lottery]:
-        pts = grid_sample("simplex", n_outcomes, self.resolution,
-                          seed=self.seed, max_points=self.max_points)
+        pts = grid_sample("simplex", n_outcomes, self.resolution)
         return [Lottery(tuple(row)) for row in pts]
 
 

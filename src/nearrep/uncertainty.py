@@ -81,11 +81,9 @@ class BoxSampler:
     seed: int = 0
     n_random_pairs: int = 150
     lambdas: tuple[float, ...] = (0.25, 0.5, 0.75)
-    max_points: int | None = None
 
     def points(self) -> np.ndarray:
-        return grid_sample("box", self.n_states, self.resolution, bound=self.bound,
-                           seed=self.seed, max_points=self.max_points)
+        return grid_sample("box", self.n_states, self.resolution, bound=self.bound)
 
 
 _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1

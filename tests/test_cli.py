@@ -56,6 +56,15 @@ def test_run_rejects_nested_unknown_key(tmp_path, capsys):
     assert "model" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section,flag", [("sampler", ["--seed", "3"]),
+                                          ("sampler", ["--grid", "4"]),
+                                          ("tolerances", ["--tol", "1e-9"])])
+def test_override_of_a_section_that_is_not_an_object(tmp_path, capsys, section, flag):
+    scenario = dict(RISK_SCENARIO, **{section: [1]})
+    assert main(["run", _write(tmp_path, "s.json", scenario), *flag]) == 1
+    assert capsys.readouterr().err == f"error: {section}: expected an object\n"
+
+
 def test_run_rejects_bad_version(tmp_path, capsys):
     scenario = dict(RISK_SCENARIO)
     scenario["version"] = 3
@@ -113,6 +122,213 @@ def test_run_rejects_grid_over_the_cap(tmp_path, capsys, monkeypatch, domain_sce
                  str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert f"sampler.{key}:" in err and "above the cap" in err
+
+
+TIME_SCENARIO = {
+    "version": 1,
+    "name": "hyp-audit",
+    "domain": "time-discrete",
+    "model": {"type": "hyperbolic", "k": 0.3},
+    "sampler": {},
+}
+
+
+class _Reached(Exception):
+    """Raised by a patched meter: the scenario got past every check."""
+
+
+def _patch_time_meters(monkeypatch):
+    import nearrep.timepref
+
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    for meter in ("theta_over_sample", "theta_series", "fit_gamma", "measure_W_axiom"):
+        monkeypatch.setattr(nearrep.timepref, meter, reached)
+
+
+@pytest.mark.parametrize("key,value", [("n_max", 1030), ("n_max", 50),
+                                       ("w_t_max", 10 ** 8), ("w_t_max", 633)])
+def test_run_rejects_time_counts_over_the_cap(tmp_path, capsys, monkeypatch, key, value):
+    # the caps are worked out from the counts: no meter may run first
+    import time
+
+    _patch_time_meters(monkeypatch)
+    scenario = json.loads(json.dumps(TIME_SCENARIO))
+    scenario["sampler"][key] = value
+    start = time.perf_counter()
+    assert main(["run", _write(tmp_path, "s.json", scenario), "--out",
+                 str(tmp_path / "out")]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert f"sampler.{key}: {value} " in err and "above the" in err
+
+
+@pytest.mark.parametrize("sampler", [{"n_max": 49}, {"n_max": 46, "t_sample": [0, 64]},
+                                     {"w_t_max": 632}])
+def test_time_counts_at_the_cap_are_accepted(monkeypatch, sampler):
+    # 2^50 * 8 and 2^47 * 64 are 2^53 exactly; 632 gives 316 * 316 = 99,856 pairs
+    from nearrep.cli import run_scenario
+
+    _patch_time_meters(monkeypatch)
+    with pytest.raises(_Reached):
+        run_scenario(dict(TIME_SCENARIO, sampler=sampler))
+
+
+@pytest.mark.parametrize("base,section,key,value,message", [
+    (UNC_SCENARIO, "model", "priors", [["a", 0.5], [0.5, 0.5]], "expected a list of number lists"),
+    (UNC_SCENARIO, "model", "priors", [[True, False], [0.5, 0.5]],
+     "expected a list of number lists"),
+    (UNC_SCENARIO, "model", "priors", [[]], "expected a list of number lists"),
+    (TIME_SCENARIO, "sampler", "t_sample", [2.7, 1.2], "expected a non-empty list of integers"),
+    (TIME_SCENARIO, "sampler", "t_sample", [3, -1], "entries must be at least 0"),
+], ids=["priors-string", "priors-bool", "priors-empty-row", "t_sample-float",
+        "t_sample-negative"])
+def test_run_rejects_bad_list_entry(tmp_path, capsys, base, section, key, value, message):
+    scenario = json.loads(json.dumps(base))
+    scenario[section][key] = value
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, "s.json", scenario), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {section}.{key}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario,missing", [
+    (dict(UNC_SCENARIO, model={"type": "smooth"}), "model: missing required key 'f'"),
+    ({"name": "x", "domain": "risk"}, "scenario: missing required key 'version'"),
+], ids=["model", "scenario"])
+def test_missing_key_error_does_not_depend_on_the_hash_seed(tmp_path, scenario, missing):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import nearrep
+
+    path = _write(tmp_path, "s.json", scenario)
+    errors = set()
+    for hash_seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=str(Path(nearrep.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c",
+                               "import sys; from nearrep.cli import main; "
+                               "sys.exit(main(sys.argv[1:]))", "run", path, "--out",
+                               str(tmp_path / "out")], env=env, capture_output=True,
+                              text=True)
+        assert proc.returncode == 1
+        errors.add(proc.stderr)
+    assert errors == {f"error: {missing}\n"}
+
+
+MODEL_CASES = [
+    ("risk", {"type": "expected_utility", "utilities": [0, 0.5, 1]},
+     "ExpectedUtility", ((0.0, 0.5, 1.0),)),
+    ("risk", {"type": "cpt", "value_exponent": 0.5, "weight_exponent": 0.7, "prizes": [2, 1, 0]},
+     "CumulativeProspect", (0.5, 0.7, (2.0, 1.0, 0.0))),
+    ("uncertainty", {"type": "seu", "prior": [0.3, 0.7]}, "SubjectiveExpected", ((0.3, 0.7),)),
+    ("uncertainty", {"type": "meu", "priors": [[0.3, 0.7], [0.6, 0.4]]}, "MaxminExpected",
+     (((0.3, 0.7), (0.6, 0.4)),)),
+    ("uncertainty", {"type": "smooth", "f": "z_minus_exp", "priors": [[0.3, 0.7]],
+                     "weights": [1]}, "SmoothAmbiguity", ("z_minus_exp", ((0.3, 0.7),), (1.0,))),
+    ("uncertainty", {"type": "ces", "weights": [1, 2], "rho": 0.5}, "CESUtility",
+     ((1.0, 2.0), 0.5)),
+    ("uncertainty", {"type": "linear_plus_bounded", "prior": [0.5, 0.5], "bump": 0.25},
+     "LinearPlusBounded", ((0.5, 0.5), 0.25)),
+    ("time-discrete", {"type": "exponential", "gamma": 0.9}, "Exponential", (0.9,)),
+    ("time-discrete", {"type": "quasi_hyperbolic", "beta": 0.8, "delta": 0.95},
+     "QuasiHyperbolic", (0.8, 0.95)),
+    ("time-discrete", {"type": "hyperbolic", "k": 1}, "Hyperbolic", (1.0,)),
+    ("time-discrete", {"type": "tabulated", "values": [1, 0.9, 0.8]}, "TabulatedDiscount",
+     ((1.0, 0.9, 0.8),)),
+    ("time-continuous", {"type": "linear_delay", "x_bar": 3}, "LinearDelay", (3.0, 1.0)),
+    ("time-continuous", {"type": "log_delay", "x_bar": 2, "k": 0.1}, "LogDelay", (2.0, 0.1)),
+]
+
+SAMPLER_DEFAULTS = {
+    "risk": {"resolution": 11, "seed": 0, "n_random_triples": 100, "n_pairs": 20,
+             "n_alphas": 5},
+    "uncertainty": {"bound": 10.0, "resolution": 11, "seed": 0, "n_random_pairs": 100,
+                    "quasiconcave": False, "qc_resolution": 21, "level_resolution": 64,
+                    "homog": True},
+    "time-discrete": {"t_sample": (1, 2, 3, 5, 8), "n_max": 40, "w_t_max": 16},
+    "time-continuous": {"x_min": None, "x_count": 9, "t_max": 10.0, "t_count": 11,
+                        "delta_max": 2.0, "delta_count": 4},
+}
+
+
+@pytest.mark.parametrize("domain,model,cls_name,args", MODEL_CASES,
+                         ids=[case[1]["type"] for case in MODEL_CASES])
+def test_every_model_type_builds_through_run_scenario(monkeypatch, domain, model, cls_name,
+                                                      args):
+    import nearrep
+    import nearrep.cli as cli
+
+    seen = {}
+
+    def pipeline(name, built, sampler, tols):
+        seen.update(model=built, sampler=sampler, tols=tols)
+        return "ran"
+
+    monkeypatch.setitem(cli._DOMAINS, domain, pipeline)
+    scenario = {"version": 1, "name": "m", "domain": domain, "model": model}
+    assert cli.run_scenario(scenario) == "ran"
+    assert seen["model"] == getattr(nearrep, cls_name)(*args)
+    assert seen["sampler"] == SAMPLER_DEFAULTS[domain]
+    assert seen["tols"] == {"bisect": 1e-10, "slack": 1e-7, "verify": 1e-6, "time": 1e-6}
+
+
+SCENARIOS = {"risk": RISK_SCENARIO, "uncertainty": UNC_SCENARIO,
+             "time-discrete": TIME_SCENARIO,
+             "time-continuous": {"version": 1, "name": "c", "domain": "time-continuous",
+                                 "model": {"type": "log_delay", "x_bar": 2.0, "k": 0.1},
+                                 "sampler": {}}}
+
+
+def _kind_of(default) -> str:
+    if isinstance(default, bool):
+        return "true or false"
+    if isinstance(default, int):
+        return "an integer"
+    if isinstance(default, tuple):
+        return "a non-empty list of integers"
+    return "a number"  # floats, and x_min, whose default comes from the model
+
+
+SAMPLER_KEYS = [(domain, key, _kind_of(default))
+                for domain, defaults in SAMPLER_DEFAULTS.items()
+                for key, default in defaults.items()]
+
+
+def test_every_sampler_key_is_covered():
+    import nearrep.cli as cli
+
+    assert {d: list(keys) for d, keys in cli._SAMPLERS.items()} == \
+        {d: list(keys) for d, keys in SAMPLER_DEFAULTS.items()}
+
+
+@pytest.mark.parametrize("domain,key,expected", SAMPLER_KEYS,
+                         ids=[f"{d}-{k}" for d, k, _ in SAMPLER_KEYS])
+def test_sampler_key_of_the_wrong_kind_exits_1(tmp_path, capsys, domain, key, expected):
+    scenario = json.loads(json.dumps(SCENARIOS[domain]))
+    scenario["sampler"][key] = "x"
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, "s.json", scenario), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: sampler.{key}: expected {expected}\n"
+    assert not out.exists()
+
+
+def test_bad_homog_exits_before_theta_estimate(tmp_path, capsys, monkeypatch):
+    import nearrep.uncertainty
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the defect series ran before the sampler was parsed")
+
+    monkeypatch.setattr(nearrep.uncertainty, "theta_estimate", refuse)
+    scenario = json.loads(json.dumps(UNC_SCENARIO))
+    scenario["sampler"]["homog"] = "yes"
+    assert main(["run", _write(tmp_path, "s.json", scenario), "--out",
+                 str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: sampler.homog: expected true or false\n"
 
 
 def test_run_default_smooth_scenario_passes_the_linear_bound(tmp_path, capsys):

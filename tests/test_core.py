@@ -254,15 +254,6 @@ def test_box_and_interval_grids():
     assert line[2, 0] == pytest.approx(0.5)
 
 
-def test_grid_subsample_is_deterministic():
-    a = grid_sample("box", 2, 11, bound=1.0, seed=7, max_points=30)
-    b = grid_sample("box", 2, 11, bound=1.0, seed=7, max_points=30)
-    assert len(a) == 30
-    assert np.array_equal(a, b)
-    c = grid_sample("box", 2, 11, bound=1.0, seed=8, max_points=30)
-    assert not np.array_equal(a, c)
-
-
 def test_grid_rejects_bad_arguments():
     with pytest.raises(InvalidModel):
         grid_sample("simplex", 3, 0)
