@@ -24,8 +24,8 @@ workloads generate (perfbench/workloads.py); four uncertainty scenarios
 the workloads do not reach (a divergent maxmin model, the smooth sqrt1pz2
 model with the hull envelope, and 3-state CES and linear-plus-bounded
 models); and one rejected scenario per schema rule (unknown key, missing
-key, wrong kind, below a floor, over a cap), whose error output is part of
-the digest. Each case runs in this process; without --keep the output goes
+key, wrong kind, below a floor, over a cap, a non-finite number, a version
+that is not the integer 1), whose error output is part of the digest. Each case runs in this process; without --keep the output goes
 to a temporary directory that is removed afterwards. An exception that
 escapes the command line entry point is recorded as exit code 1 (what the
 interpreter would exit with) and its type and message as the error output.
@@ -70,6 +70,7 @@ EXTRA_SCENARIOS = [
 
 
 _CPT = {"type": "cpt", "value_exponent": 0.54, "weight_exponent": 0.74, "prizes": [2, 1, 0]}
+_EU = {"type": "expected_utility", "utilities": [1, 0.4, 0]}
 _MEU = {"type": "meu", "priors": [[0.3, 0.7], [0.7, 0.3]]}
 _HYPERBOLIC = {"type": "hyperbolic", "k": 0.3}
 
@@ -85,6 +86,12 @@ REJECTED_SCENARIOS = [
     _scenario("over-grid-cap", "uncertainty", _MEU, {"resolution": 10 ** 6}),
     _scenario("over-delay-cap", "time-discrete", _HYPERBOLIC, {"n_max": 1030}),
     _scenario("over-pair-cap", "time-discrete", _HYPERBOLIC, {"w_t_max": 633}),
+    _scenario("over-triple-cap", "risk", _EU, {"resolution": 2, "n_random_triples": 100_001}),
+    _scenario("over-probe-cap", "risk", _CPT, {"resolution": 2, "n_pairs": 1000, "n_alphas": 101}),
+    _scenario("below-risk-floor", "risk", _CPT, {"resolution": 1}),
+    _scenario("non-finite-number", "time-discrete", {"type": "hyperbolic", "k": 10 ** 400}, {}),
+    _scenario("non-finite-entry", "risk", dict(_EU, utilities=[1, float("nan"), 0]), {}),
+    dict(_scenario("bool-version", "risk", _CPT, {}), version=True),
 ]
 
 

@@ -16,7 +16,6 @@ from nearrep.risk import (
     SimplexSampler,
     build_affine_benchmark,
     measure_eps_rcl,
-    mixture_utility,
     verify_thm1,
 )
 
@@ -28,10 +27,9 @@ def sweep(resolution: int = 7) -> None:
     for a in (0.4, 0.54, 0.7, 0.88, 1.0):
         for b in (0.5, 0.61, 0.74, 0.9, 1.0):
             model = CumulativeProspect(a, b, prizes)
-            cache = {}
-            rcl = measure_eps_rcl(model, sampler, cache=cache)
+            rcl = measure_eps_rcl(model, sampler)
             benchmark = build_affine_benchmark(model)
-            rep = verify_thm1(model, benchmark, rcl.value, sampler, cache=cache)
+            rep = verify_thm1(model, benchmark, rcl.value, sampler)
             print(f"{a},{b},{rcl.value:.6g},{rep.achieved_distance:.6g},"
                   f"{rep.bound:.6g}")
 

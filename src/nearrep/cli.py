@@ -104,12 +104,23 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_finite(v) -> bool:
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _is_integer(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _list_of(accepts):
     return lambda v: isinstance(v, list) and len(v) > 0 and all(map(accepts, v))
+
+
+def _leaves(v):  # the scalar entries of a value, however deeply listed
+    return [x for e in v for x in _leaves(e)] if isinstance(v, list) else [v]
 
 
 def _frozen(v, scalar):  # lists become tuples, entries scalar(entry)
@@ -135,7 +146,8 @@ def _parse(obj, path: str, spec: dict[str, _Key]) -> dict:
 
     Checks in this order: obj is an object; no unknown key (in the file's
     order); no missing required key (in declared order); then each given
-    key's kind and floor (in declared order).
+    key's kind, finiteness (number kinds: NaN, infinities and integers beyond
+    the float range are refused) and floor (in declared order).
     """
     if not isinstance(obj, dict):
         raise ScenarioError(f"{path}: expected an object")
@@ -154,6 +166,10 @@ def _parse(obj, path: str, spec: dict[str, _Key]) -> dict:
         accepts, scalar, expected = _KINDS[want.kind]
         if not accepts(v):
             raise ScenarioError(f"{path}.{key}: expected {expected}")
+        if scalar is float and not all(map(_is_finite, _leaves(v))):
+            what = "entries must be finite numbers" if isinstance(v, list) else \
+                "must be a finite number"
+            raise ScenarioError(f"{path}.{key}: {what}")
         if want.floor is not None and (min(v) if isinstance(v, list) else v) < want.floor:
             entries = "entries " if isinstance(v, list) else ""
             raise ScenarioError(f"{path}.{key}: {entries}must be at least {want.floor}")
@@ -198,7 +214,7 @@ _MODELS = {
 }
 
 _SAMPLERS = {
-    "risk": {"resolution": _Key("integer", 11, 1), "seed": _Key("integer", 0),
+    "risk": {"resolution": _Key("integer", 11, 2), "seed": _Key("integer", 0),
              "n_random_triples": _Key("integer", 100, 0), "n_pairs": _Key("integer", 20, 1),
              "n_alphas": _Key("integer", 5, 1)},
     "uncertainty": {"bound": _Key("number", 10.0), "resolution": _Key("integer", 11, 2),
@@ -278,30 +294,37 @@ def _smooth_cap(result: RunResult, table_name: str, model, sampler):
 
 def _run_risk(name: str, model, s: dict, tols: dict) -> RunResult:
     _check_grid("simplex", model.n_outcomes, s["resolution"], "resolution")
+    if s["n_random_triples"] > MAX_GRID_POINTS:
+        raise ScenarioError(f"sampler.n_random_triples: {s['n_random_triples']} mixture probes, "
+                            f"above the cap of {MAX_GRID_POINTS}")
+    probes = s["n_pairs"] * s["n_alphas"]
+    if probes > MAX_GRID_POINTS:
+        raise ScenarioError(f"sampler.n_pairs: {s['n_pairs']} pairs times sampler.n_alphas "
+                            f"{s['n_alphas']} give {probes} independence probes, above the "
+                            f"cap of {MAX_GRID_POINTS}")
     sampler = risk_mod.SimplexSampler(**s)
     tol = tols["bisect"]
     slack = tols["slack"]
     result = RunResult(name=name, domain="risk")
-    cache: dict = {}
-    rcl = risk_mod.measure_eps_rcl(model, sampler, tol=tol, cache=cache)
+    rcl = risk_mod.measure_eps_rcl(model, sampler, tol=tol)
     result.reports.append(rcl.as_dict())
     benchmark = risk_mod.build_affine_benchmark(model, tol=tol)
     _check(result, "mixture-support-bound",
            lambda: risk_mod.verify_thm1(model, benchmark, rcl.value, sampler,
-                                        slack=slack, tol=tol, cache=cache))
+                                        slack=slack, tol=tol))
     ind = risk_mod.measure_eps_independence(model, sampler, tol=tol)
     result.reports.append(ind.as_dict())
     _check(result, "independence-square-bound",
            lambda: risk_mod.verify_thm2(model, ind.value, sampler, benchmark=benchmark,
-                                        slack=slack, tol=tol, cache=cache))
+                                        slack=slack, tol=tol))
+    G = sampler.grid(model.n_outcomes)
+    u = risk_mod.mixture_utility_batch(model, G, tol)
+    l = benchmark.evaluate_batch(G)
+    allowed = (np.count_nonzero(G > 0.0, axis=1) - 1) * rcl.value + slack
     header = [f"p{i}" for i in range(model.n_outcomes)] + \
         ["calibrated_utility", "affine_value", "gap", "allowed"]
-    rows = []
-    for p in sampler.points(model.n_outcomes):
-        u = risk_mod.mixture_utility(model, p, tol=tol, cache=cache)
-        l = benchmark.evaluate(p)
-        allowed = max(p.support_size - 1, 0) * rcl.value + slack
-        rows.append([*p.probs, u, l, abs(u - l), allowed])
+    rows = [[*p, ui, li, abs(ui - li), ai]
+            for p, ui, li, ai in zip(G.tolist(), u.tolist(), l.tolist(), allowed.tolist())]
     result.tables["grid"] = (header, rows)
     result.tables["defects"] = (
         ["axiom", "eps_hat", "samples"],
@@ -503,7 +526,7 @@ def run_scenario(scenario: dict) -> RunResult:
     any work; the pipeline checks its work caps before it starts.
     """
     top = _parse(scenario, "scenario", _SCENARIO)
-    if top["version"] != 1:
+    if not _is_integer(top["version"]) or top["version"] != 1:
         raise ScenarioError(f"version: unsupported value {top['version']!r} (expected 1)")
     name = top["name"]
     if not isinstance(name, str) or not _NAME_RE.match(name):

@@ -245,10 +245,32 @@ def _jsonable(obj: Any) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# risk models: value(probs) over a fixed prize set
+# every model evaluates rows: value_batch(X) over rows of lotteries or acts,
+# value(x) as its one-row case
+
+def _rows(X) -> np.ndarray:
+    return np.ascontiguousarray(X, dtype=float).reshape(-1, np.shape(X)[-1])
+
+
+class _RowModel:
+    """value(x) as the one-row case of value_batch, so both agree bit for bit.
+
+    Row-wise products use np.vecdot (one dot per row, as np.dot(p, x)) and
+    np.matvec (one matrix-vector product per row, as P @ x), and the
+    rank-dependent model works column by column: each row is computed alone,
+    so its bits do not depend on the rest of the batch.
+    """
+
+    def value(self, x) -> float:
+        return float(self.value_batch(_rows(x))[0])
+
+
+# ---------------------------------------------------------------------------
+# risk models: value_batch(P) over rows of probability vectors on a fixed
+# prize set
 
 @dataclass(frozen=True)
-class ExpectedUtility:
+class ExpectedUtility(_RowModel):
     """Linear model u(p) = sum_i p_i * prize_utilities[i]."""
 
     prize_utilities: tuple[float, ...]
@@ -273,12 +295,16 @@ class ExpectedUtility:
     def worst_index(self) -> int:
         return min(range(self.n_outcomes), key=lambda i: (self.prize_utilities[i], i))
 
-    def value(self, probs: Sequence[float]) -> float:
-        return math.fsum(p * u for p, u in zip(probs, self.prize_utilities))
+    @cached_property
+    def _utility_vector(self) -> np.ndarray:
+        return np.asarray(self.prize_utilities, dtype=float)
+
+    def value_batch(self, P) -> np.ndarray:
+        return np.vecdot(_rows(P), self._utility_vector)
 
 
 @dataclass(frozen=True)
-class CumulativeProspect:
+class CumulativeProspect(_RowModel):
     """Rank-dependent model with power value and inverse-S weighting.
 
     Prize value w(x) = x^value_exponent; probability weighting
@@ -321,42 +347,59 @@ class CumulativeProspect:
     def worst_index(self) -> int:
         return self._rank_order[-1]
 
-    def weight(self, p: float) -> float:
-        """Probability weighting g, pinned to g(0) = 0 and g(1) = 1."""
-        if p <= 0.0:
-            return 0.0
-        if p >= 1.0:
-            return 1.0
+    def weight(self, p):
+        """Probability weighting g, elementwise, pinned to g(0) = 0 and g(1) = 1.
+
+        Probabilities outside [0, 1] (a cumulative sum rounding past 1) are
+        clipped onto it first. The formula is evaluated strictly inside
+        (0, 1) only: at 0 and 1 it gives the pinned values anyway, and
+        powers of zero take a slow path in NumPy's vector pow.
+        """
+        g = np.array(p, dtype=float)
+        np.clip(g, 0.0, 1.0, out=g)
+        inner = (g > 0.0) & (g < 1.0)
+        x = g[inner]
         b = self.weight_exponent
-        pb = p ** b
-        qb = (1.0 - p) ** b
-        return pb / (pb + qb) ** (1.0 / b)
+        xb = x ** b
+        g[inner] = xb / (xb + (1.0 - x) ** b) ** (1.0 / b)
+        return g[()]  # a scalar for a scalar p
 
     def prize_value(self, x: float) -> float:
         return x ** self.value_exponent
 
-    def value(self, probs: Sequence[float]) -> float:
-        total = 0.0
-        cum = 0.0
+    def value_batch(self, P) -> np.ndarray:
+        """Sum over the descending prize order of (g(cum) - g(previous cum)) * w(prize).
+
+        The cumulative sums run column by column, one row per prize. A
+        prize that leaves every row's cum unchanged (as all but the two end
+        prizes of a calibration segment do) leaves g unchanged too and adds
+        exactly nothing, so it is skipped.
+        """
+        P = _rows(P)
+        n = P.shape[1]
+        cum = np.empty((n, len(P)))
+        moved = []
+        for k, i in enumerate(self._rank_order):
+            np.add(cum[k - 1] if k else 0.0, P[:, i], out=cum[k])
+            if (cum[k] != (cum[k - 1] if k else 0.0)).any():
+                moved.append(k)
+        G = self.weight(cum[moved])
+        total = np.zeros(len(P))
         g_prev = 0.0
-        for i in self._rank_order:
-            pi = probs[i]
-            if pi == 0.0:
-                continue
-            cum += pi
-            g_cur = self.weight(cum)
-            total += (g_cur - g_prev) * self._prize_values[i]
-            g_prev = g_cur
+        for g, k in zip(G, moved):
+            total += (g - g_prev) * self._prize_values[self._rank_order[k]]
+            g_prev = g
         return total
 
 
 @dataclass(frozen=True, eq=False)
-class TabulatedUtility:
+class TabulatedUtility(_RowModel):
     """Utility supplied directly as a function of the probability vector.
 
     Used where the utility is given rather than derived from a parametric
     family, e.g. perturbed benchmarks in converse checks. The callable must
-    accept a length-n_outcomes sequence and return a float.
+    accept a length-n_outcomes sequence and return a float; value_batch
+    calls it once per row.
     """
 
     fn: Callable[[Sequence[float]], float]
@@ -380,8 +423,8 @@ class TabulatedUtility:
         v = self._degenerate_values
         return min(range(self.n_outcomes), key=lambda i: (v[i], i))
 
-    def value(self, probs: Sequence[float]) -> float:
-        return float(self.fn(probs))
+    def value_batch(self, P) -> np.ndarray:
+        return np.array([float(self.fn(tuple(row))) for row in _rows(P).tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -401,23 +444,6 @@ def _validate_prior(prior: Sequence[float], what: str = "prior") -> tuple[float,
     if total != 1.0:
         p = tuple(v / total for v in p)
     return p
-
-
-def _rows(X) -> np.ndarray:
-    return np.ascontiguousarray(X, dtype=float).reshape(-1, np.shape(X)[-1])
-
-
-class _RowModel:
-    """value(x) as the one-row case of value_batch, so both agree bit for bit.
-
-    Row-wise products use np.vecdot (one dot per row, as np.dot(p, x)) and
-    np.matvec (one matrix-vector product per row, as P @ x): each row is
-    computed alone, so its bits do not depend on the rest of the batch, and
-    they match the per-act products the models have always used.
-    """
-
-    def value(self, x) -> float:
-        return float(self.value_batch(_rows(x))[0])
 
 
 @dataclass(frozen=True)

@@ -26,15 +26,18 @@ from .core import (
     Lottery,
     NearRepresentation,
     ViolationReport,
+    _distinct_rows,
+    _rows,
     bisect_monotone,
+    bisect_monotone_batch,
     grid_sample,
-    mix_probs,
 )
 
 __all__ = [
     "SimplexSampler",
     "AffineBenchmark",
     "mixture_utility",
+    "mixture_utility_batch",
     "build_affine_benchmark",
     "measure_eps_rcl",
     "verify_thm1",
@@ -49,6 +52,52 @@ __all__ = [
 
 STRICTNESS_MARGIN = 1e-12  # bounds are strict inequalities; meters report sup + this
 DEGENERATE_TOL = 1e-12     # calibrated u must hit the benchmark exactly on vertices
+# float64 entries per block of the independence meter's scans and probe
+# rows (128 KB), so the few temporaries of one block stay near 1 MB
+_BLOCK_ENTRIES = 1 << 14
+# steps per direction that each round of the independence meter's outward
+# scan evaluates; most restoring roots lie within the first round
+_SCAN_WINDOW = 64
+
+
+def _on_simplex(P: np.ndarray) -> np.ndarray:
+    """Rows of P divided, in place, by their sums where those are not exactly 1.
+
+    As Lottery does with math.fsum, each row's sum is its exact sum
+    rounded once: a compensated sum (Ogita, Rump and Oishi's Sum2, exact
+    error terms carried in a second float) that agrees with fsum on these
+    few-term rows. A sum off by one unit in the last place matters: near 1
+    the weighting g moves by about that unit to the power of its exponent.
+    """
+    total = P[:, 0].copy()
+    error = np.zeros(len(P))
+    for x in P.T[1:]:
+        s = total + x
+        z = s - total
+        error += (total - (s - z)) + (x - z)
+        total = s
+    total += error
+    off = total != 1.0
+    if np.any(off):
+        P[off] /= total[off, None]
+    return P
+
+
+def _segments(alpha: np.ndarray, top, bottom, n: int) -> np.ndarray:
+    """Rows with alpha on prize top and 1 - alpha on prize bottom (indices or index arrays)."""
+    S = np.zeros((len(alpha), n))
+    rows = np.arange(len(alpha))
+    S[rows, top] = alpha
+    S[rows, bottom] = 1.0 - alpha
+    return S
+
+
+def _support_sizes(P: np.ndarray) -> np.ndarray:
+    return np.count_nonzero(P > 0.0, axis=1)
+
+
+def _probs(row: np.ndarray) -> tuple[float, ...]:
+    return tuple(row.tolist())
 
 
 @dataclass(frozen=True)
@@ -66,45 +115,46 @@ class SimplexSampler:
     n_random_triples: int = 200
     n_pairs: int = 40
     n_alphas: int = 5
+    _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def grid(self, n_outcomes: int) -> np.ndarray:
+        """The lattice lotteries as read-only rows, built once per sampler and prize count."""
+        G = self._grids.get(n_outcomes)
+        if G is None:
+            G = _on_simplex(grid_sample("simplex", n_outcomes, self.resolution))
+            G.flags.writeable = False
+            self._grids[n_outcomes] = G
+        return G
 
     def points(self, n_outcomes: int) -> list[Lottery]:
-        pts = grid_sample("simplex", n_outcomes, self.resolution)
-        return [Lottery(tuple(row)) for row in pts]
+        return [Lottery(tuple(row)) for row in self.grid(n_outcomes).tolist()]
 
 
-def _segment_probs(model, alpha: float) -> tuple[float, ...]:
-    """Two-prize mixture alpha best + (1 - alpha) worst on the full space."""
-    probs = [0.0] * model.n_outcomes
-    probs[model.best_index] = alpha
-    probs[model.worst_index] = 1.0 - alpha
-    return tuple(probs)
+def mixture_utility_batch(model, P, tol: float = 1e-10) -> np.ndarray:
+    """Calibrated utility of each row p of P: the alpha solving model(seg(alpha)) = model(p).
 
-
-def mixture_utility(model, p, tol: float = 1e-10, cache: dict | None = None) -> float:
-    """Calibrated utility: the alpha solving model(seg(alpha)) = model(p).
-
-    Requires model values along the calibration segment to bracket the value
-    of p (raises NoBracket otherwise, e.g. a lottery strictly better than
-    the best prize). Exact hits on the endpoints return 0.0 or 1.0 exactly.
+    seg(alpha) puts alpha on the best prize and 1 - alpha on the worst.
+    Repeated rows are solved once, and the distinct rows are bisected in one
+    lockstep call that takes, row by row, the steps a one-row call takes.
+    Exact hits on the endpoints return 0.0 or 1.0 exactly; a row the
+    segment does not bracket (e.g. a lottery strictly better than the best
+    prize) raises NoBracket.
     """
-    probs = p.probs if isinstance(p, Lottery) else tuple(float(v) for v in p)
-    if cache is not None:
-        hit = cache.get(probs)
-        if hit is not None:
-            return hit
-    target = model.value(probs)
-    v_best = model.value(_segment_probs(model, 1.0))
-    v_worst = model.value(_segment_probs(model, 0.0))
-    if target == v_best:
-        alpha = 1.0
-    elif target == v_worst:
-        alpha = 0.0
-    else:
-        alpha = bisect_monotone(lambda a: model.value(_segment_probs(model, a)) - target,
-                                0.0, 1.0, tol=tol)
-    if cache is not None:
-        cache[probs] = alpha
-    return alpha
+    U, inverse = _distinct_rows(_rows(P))
+    target = model.value_batch(U)
+    n, best, worst = U.shape[1], model.best_index, model.worst_index
+
+    def gap(alpha: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        return model.value_batch(_segments(alpha, best, worst, n)) - target[idx]
+
+    alpha = bisect_monotone_batch(gap, np.zeros(len(U)), np.ones(len(U)), tol=tol)
+    return alpha[inverse]
+
+
+def mixture_utility(model, p, tol: float = 1e-10) -> float:
+    """Calibrated utility of one lottery: the one-row case of mixture_utility_batch."""
+    probs = p.probs if isinstance(p, Lottery) else p
+    return float(mixture_utility_batch(model, [probs], tol)[0])
 
 
 @dataclass(frozen=True)
@@ -113,86 +163,107 @@ class AffineBenchmark:
 
     coefficients: tuple[float, ...]
 
+    def evaluate_batch(self, P) -> np.ndarray:
+        return np.vecdot(_rows(P), np.asarray(self.coefficients, dtype=float))
+
     def evaluate(self, p) -> float:
-        probs = p.probs if isinstance(p, Lottery) else p
-        return math.fsum(c * q for c, q in zip(self.coefficients, probs))
+        return float(self.evaluate_batch(p.probs if isinstance(p, Lottery) else p)[0])
 
 
 def build_affine_benchmark(model, tol: float = 1e-10) -> AffineBenchmark:
     """Affine benchmark l(p) = sum_i p_i u(delta_i) in calibration units."""
-    n = model.n_outcomes
-    coeffs = tuple(mixture_utility(model, Lottery.degenerate(i, n), tol=tol)
-                   for i in range(n))
-    return AffineBenchmark(coefficients=coeffs)
+    coeffs = mixture_utility_batch(model, np.eye(model.n_outcomes), tol)
+    return AffineBenchmark(coefficients=tuple(coeffs.tolist()))
 
 
-def _peel_chain(p: Lottery) -> list[tuple[Lottery, Lottery, float, Lottery]]:
-    """Vertex-peeling mixture triples whose defects cover the affine gap at p.
+def _peel_chains(G: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Vertex-peeling steps of every row of G, row by row, each row's steps in order.
 
-    Each entry (vertex, tail, lam, whole) satisfies
-    whole = lam * vertex + (1 - lam) * tail exactly, and the chain telescopes
-    p down to a degenerate lottery, so the affine gap at p is at most the sum
-    of the |support(p)| - 1 mixture defects along it.
+    Returns (point, vertex, lam, tail): step k peels prize vertex[k] off
+    lottery point[k] and has whole = lam * delta_vertex + (1 - lam) * tail
+    exactly, where whole is the point itself (renormalized) at its first
+    step and the previous step's tail after that. A row's chain peels its
+    support in index order down to a degenerate lottery, so the affine gap
+    at the row is at most the sum of its |support| - 1 mixture defects;
+    degenerate rows have no chain.
     """
-    n = len(p.probs)
-    support = list(p.support)
-    chain = []
-    cur = list(p.probs)
-    mass = 1.0
-    for i in support[:-1]:
-        lam = cur[i] / mass
-        if lam >= 1.0:
-            break  # rounding swallowed the rest of the support
-        whole = Lottery(tuple(v / mass for v in cur))
-        nxt = list(cur)
-        nxt[i] = 0.0
-        tail_mass = mass - cur[i]
-        tail = Lottery(tuple(v / tail_mass for v in nxt))
-        chain.append((Lottery.degenerate(i, n), tail, lam, whole))
-        cur = nxt
-        mass = tail_mass
-    return chain
+    m, n = G.shape
+    positive = G > 0.0
+    rank = np.cumsum(positive, axis=1)  # 1-based rank of each support entry
+    cur = np.array(G)
+    mass = np.ones(m)
+    live = np.arange(m)
+    steps = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0),
+              np.zeros((0, n)))]  # no step at all still concatenates
+    for j in range(n - 1):
+        live = live[rank[live, -1] > j + 1]  # rows whose support has an entry after the j-th
+        if not len(live):
+            break
+        i = np.argmax(positive[live] & (rank[live] == j + 1), axis=1)
+        lam = cur[live, i] / mass[live]
+        kept = lam < 1.0  # else rounding swallowed the rest of the support
+        live, i, lam = live[kept], i[kept], lam[kept]
+        tail_mass = mass[live] - cur[live, i]
+        cur[live, i] = 0.0
+        steps.append((live, i, lam, _on_simplex(cur[live] / tail_mass[:, None])))
+        mass[live] = tail_mass
+    point, vertex, lam, tail = (np.concatenate(parts) for parts in zip(*steps))
+    order = np.argsort(point, kind="stable")
+    return point[order], vertex[order], lam[order], tail[order]
 
 
-def _mixture_probes(points: list[Lottery], sampler: SimplexSampler):
-    """Yield (left, right, lam, mixture) with mixture = lam * left + (1 - lam) * right.
+def _mixture_probes(G: np.ndarray, sampler: SimplexSampler):
+    """Probe lotteries as rows, and each probe's (left, right, lam, mixture) row indices.
 
-    Every vertex-peeling step of every grid lottery comes first (these are
-    the triples whose defects bound the affine gap pointwise), then a seeded
-    batch of random grid-pair mixtures at uniform weights. The probes are
-    streamed, never held as a list: fine grids give thousands of them.
+    mixture = lam * left + (1 - lam) * right. Every vertex-peeling step of
+    every grid lottery comes first (these are the triples whose defects bound
+    the affine gap pointwise), then a seeded batch of random grid-pair
+    mixtures at uniform weights. A lottery shared by several probes (a grid
+    point, a vertex, a tail that is the next step's whole) is one row.
     """
-    for p in points:
-        if not p.is_degenerate:
-            yield from _peel_chain(p)
+    m, n = G.shape
+    point, vertex, lam, tail = _peel_chains(G)
     rng = np.random.default_rng(sampler.seed)
-    for _ in range(sampler.n_random_triples):
-        i, j = rng.integers(0, len(points), size=2)
-        lam = float(rng.uniform())
-        yield points[i], points[j], lam, points[i].mix(points[j], lam)
+    k = sampler.n_random_triples
+    pick = np.empty((k, 2), dtype=np.intp)
+    weight = np.empty(k)
+    for t in range(k):  # one draw at a time: the stream order fixes the probes
+        pick[t] = rng.integers(0, m, size=2)
+        weight[t] = rng.uniform()
+    mixed = _on_simplex(weight[:, None] * G[pick[:, 0]] + (1.0 - weight)[:, None] * G[pick[:, 1]])
+    # rows: the grid, the grid renormalized (first wholes), tails, vertices, mixtures
+    rows = np.concatenate([G, _on_simplex(np.array(G)), tail, np.eye(n), mixed])
+    at_tail, at_vertex, at_mixed = 2 * m, 2 * m + len(tail), 2 * m + len(tail) + n
+    steps = np.arange(len(point))
+    first = np.concatenate([[True], point[1:] != point[:-1]])
+    whole = np.where(first, m + point, at_tail + steps - 1)
+    return (rows,
+            np.concatenate([at_vertex + vertex, pick[:, 0]]),
+            np.concatenate([at_tail + steps, pick[:, 1]]),
+            np.concatenate([lam, weight]),
+            np.concatenate([whole, at_mixed + np.arange(k)]))
 
 
-def _worst_mixture_defect(model, points: list[Lottery], sampler: SimplexSampler,
-                          tol: float, cache: dict) -> tuple[float, dict, int]:
+def _worst_mixture_defect(model, G: np.ndarray, sampler: SimplexSampler,
+                          tol: float) -> tuple[float, dict, int]:
     """Largest |u(mixture) - (lam u(left) + (1 - lam) u(right))| over the probes.
 
-    Returns the defect (0.0 when nothing was probed), its witness and the
-    number of probes, on the model's calibrated utility.
+    Returns the defect (0.0 when nothing was probed), its witness (the first
+    probe attaining it) and the number of probes, on the model's calibrated
+    utility; every probe lottery is calibrated in one call.
     """
-    u = lambda q: mixture_utility(model, q, tol=tol, cache=cache)
-    best = (-1.0, None)
-    count = 0
-    for left, right, lam, whole in _mixture_probes(points, sampler):
-        defect = abs(u(whole) - (lam * u(left) + (1.0 - lam) * u(right)))
-        count += 1
-        if defect > best[0]:
-            best = (defect, {"left": left.probs, "right": right.probs,
-                             "lam": lam, "mixture": whole.probs})
-    return max(best[0], 0.0), best[1] or {}, count
+    rows, left, right, lam, whole = _mixture_probes(G, sampler)
+    if not len(lam):
+        return 0.0, {}, 0
+    u = mixture_utility_batch(model, rows, tol)
+    defect = np.abs(u[whole] - (lam * u[left] + (1.0 - lam) * u[right]))
+    b = int(np.argmax(defect))
+    return float(defect[b]), {"left": _probs(rows[left[b]]), "right": _probs(rows[right[b]]),
+                              "lam": float(lam[b]), "mixture": _probs(rows[whole[b]])}, len(lam)
 
 
 def measure_eps_rcl(model, sampler: SimplexSampler | None = None,
-                    tol: float = 1e-10, cache: dict | None = None) -> ViolationReport:
+                    tol: float = 1e-10) -> ViolationReport:
     """Worst sampled reduction-of-compound-lotteries defect, plus 1e-12.
 
     Probes every vertex-peeling decomposition of every grid lottery (these
@@ -200,9 +271,8 @@ def measure_eps_rcl(model, sampler: SimplexSampler | None = None,
     seeded batch of random grid-pair mixtures at uniform weights.
     """
     sampler = sampler or SimplexSampler()
-    cache = {} if cache is None else cache
-    points = sampler.points(model.n_outcomes)
-    max_defect, witness, count = _worst_mixture_defect(model, points, sampler, tol, cache)
+    G = sampler.grid(model.n_outcomes)
+    max_defect, witness, count = _worst_mixture_defect(model, G, sampler, tol)
     return ViolationReport(
         axiom="reduction-of-compound-lotteries",
         value=max_defect + STRICTNESS_MARGIN,
@@ -214,38 +284,42 @@ def measure_eps_rcl(model, sampler: SimplexSampler | None = None,
     )
 
 
+def _first_max(gap: np.ndarray) -> tuple[float, int | None]:
+    """Largest positive entry and the first index attaining it; (0.0, None) if none is positive."""
+    if not len(gap):
+        return 0.0, None
+    k = int(np.argmax(gap))
+    return (float(gap[k]), k) if gap[k] > 0.0 else (0.0, None)
+
+
 def verify_thm1(model, benchmark: AffineBenchmark, eps_hat: float,
                 sampler: SimplexSampler | None = None, slack: float = 1e-7,
-                tol: float = 1e-10, cache: dict | None = None) -> NearRepresentation:
+                tol: float = 1e-10) -> NearRepresentation:
     """Check |u(p) - l(p)| <= (support(p) - 1) * eps_hat + slack on the grid.
 
     Degenerate lotteries must agree exactly (within 1e-12). Raises
-    BoundViolated with the witness lottery otherwise. The returned
-    representation records the sup-norm gap against the global bound
-    d * eps_hat with d = n_outcomes - 1.
+    BoundViolated with the first violating lottery in grid order otherwise.
+    The returned representation records the sup-norm gap against the
+    global bound d * eps_hat with d = n_outcomes - 1.
     """
     sampler = sampler or SimplexSampler()
-    cache = {} if cache is None else cache
-    points = sampler.points(model.n_outcomes)
-    worst_gap = 0.0
-    worst_p = None
-    for p in points:
-        u = mixture_utility(model, p, tol=tol, cache=cache)
-        gap = abs(u - benchmark.evaluate(p))
-        if p.is_degenerate:
-            if gap > DEGENERATE_TOL:
-                raise BoundViolated(
-                    f"degenerate lottery has |u - l| = {gap!r}, expected exact agreement",
-                    witness={"p": p.probs, "gap": gap})
-            continue
-        allowed = (p.support_size - 1) * eps_hat + slack
-        if gap > allowed:
+    G = sampler.grid(model.n_outcomes)
+    gap = np.abs(mixture_utility_batch(model, G, tol) - benchmark.evaluate_batch(G))
+    support = _support_sizes(G)
+    degenerate = support == 1
+    allowed = (support - 1) * eps_hat + slack
+    bad = np.flatnonzero(np.where(degenerate, gap > DEGENERATE_TOL, gap > allowed))
+    if len(bad):
+        k = int(bad[0])
+        if degenerate[k]:
             raise BoundViolated(
-                f"|u - l| = {gap!r} exceeds (supp-1)*eps + slack = {allowed!r}",
-                witness={"p": p.probs, "gap": gap, "allowed": allowed,
-                         "support_size": p.support_size})
-        if gap > worst_gap:
-            worst_gap, worst_p = gap, p
+                f"degenerate lottery has |u - l| = {float(gap[k])!r}, expected exact agreement",
+                witness={"p": _probs(G[k]), "gap": float(gap[k])})
+        raise BoundViolated(
+            f"|u - l| = {float(gap[k])!r} exceeds (supp-1)*eps + slack = {float(allowed[k])!r}",
+            witness={"p": _probs(G[k]), "gap": float(gap[k]), "allowed": float(allowed[k]),
+                     "support_size": int(support[k])})
+    worst_gap, worst = _first_max(np.where(degenerate, 0.0, gap))
     d = model.n_outcomes - 1
     return NearRepresentation(
         kind="affine",
@@ -253,8 +327,8 @@ def verify_thm1(model, benchmark: AffineBenchmark, eps_hat: float,
         achieved_distance=worst_gap,
         bound=d * eps_hat,
         details={"slack": slack, "per_point_rule": "support-minus-one",
-                 "n_points": len(points), "resolution": sampler.resolution,
-                 "argmax": None if worst_p is None else worst_p.probs,
+                 "n_points": len(G), "resolution": sampler.resolution,
+                 "argmax": None if worst is None else _probs(G[worst]),
                  "eps_hat": eps_hat},
     )
 
@@ -271,26 +345,23 @@ def converse_check_4eps(model, benchmark: AffineBenchmark, eps: float,
     defects are measured on the model's calibrated utility.
     """
     sampler = sampler or SimplexSampler()
-    points = sampler.points(model.n_outcomes)
     n = model.n_outcomes
-    for i in range(n):
-        delta = Lottery.degenerate(i, n)
-        gap = abs(model.value(delta.probs) - benchmark.evaluate(delta))
-        if gap > 1e-9:
-            raise HypothesisFailed(
-                f"model differs from benchmark on degenerate {i} by {gap!r}",
-                witness={"p": delta.probs, "gap": gap})
-    sup_gap = 0.0
-    sup_p = None
-    for p in points:
-        gap = abs(model.value(p.probs) - benchmark.evaluate(p))
-        if gap > sup_gap:
-            sup_gap, sup_p = gap, p
+    vertices = np.eye(n)
+    vertex_gap = np.abs(model.value_batch(vertices) - benchmark.evaluate_batch(vertices))
+    off = np.flatnonzero(vertex_gap > 1e-9)
+    if len(off):
+        i = int(off[0])
+        raise HypothesisFailed(
+            f"model differs from benchmark on degenerate {i} by {float(vertex_gap[i])!r}",
+            witness={"p": _probs(vertices[i]), "gap": float(vertex_gap[i])})
+    G = sampler.grid(n)
+    sup_gap, sup = _first_max(np.abs(model.value_batch(G) - benchmark.evaluate_batch(G)))
     if sup_gap >= eps:
         raise HypothesisFailed(
             f"sup |u - l| = {sup_gap!r} is not below eps = {eps!r}",
-            witness={"p": sup_p.probs if sup_p else None, "gap": sup_gap, "eps": eps})
-    max_defect, witness, count = _worst_mixture_defect(model, points, sampler, tol, {})
+            witness={"p": None if sup is None else _probs(G[sup]), "gap": sup_gap,
+                     "eps": eps})
+    max_defect, witness, count = _worst_mixture_defect(model, G, sampler, tol)
     if max_defect >= 4.0 * eps:
         raise BoundViolated(
             f"mixture defect {max_defect!r} reached 4 eps = {4.0 * eps!r}",
@@ -306,6 +377,96 @@ def converse_check_4eps(model, benchmark: AffineBenchmark, eps: float,
     )
 
 
+def _first_true(mask: np.ndarray) -> np.ndarray:
+    """Column of the first True in each row of mask, or its width where there is none."""
+    return np.where(mask.any(axis=1), mask.argmax(axis=1), mask.shape[1])
+
+
+def _scan_window(f, center, idx, a_prev, f_prev, sign: float, ks, step, lo, hi, zero_tol):
+    """Scan steps ks of one direction for every row: the points, their values and verdicts.
+
+    The points are center + sign * k * step clipped to [lo, hi], as a scan
+    step by step takes them: a row stops before a point that repeats the one
+    before it (a_prev before the first) and after a point at lo or hi. The
+    first point whose value is within zero_tol of zero, or whose sign differs
+    from the value before it (f_prev before the first), is the row's hit.
+    Returns (points, values, hit column or window width, row scanned to its end).
+    """
+    A = np.clip(center[:, None] + sign * (ks * step), lo, hi)
+    width = len(ks)
+    edge = _first_true((A == lo) | (A == hi))
+    repeat = _first_true(A == np.concatenate([a_prev[:, None], A[:, :-1]], axis=1))
+    valid = np.arange(width) < np.minimum(edge + 1, repeat)[:, None]
+    F = f(A.ravel(), np.repeat(idx, width)).reshape(A.shape)
+    changed = (F > 0.0) != (np.concatenate([f_prev[:, None], F[:, :-1]], axis=1) > 0.0)
+    hit = _first_true(valid & ((np.abs(F) <= zero_tol) | changed))
+    return A, F, hit, (edge < width) | (repeat < width)
+
+
+def _nearest_roots(f, centers, step: float, tol: float, lo: float = 0.0, hi: float = 1.0,
+                   zero_tol: float = 0.0) -> np.ndarray:
+    """_nearest_root for many functions at once: NaN where a function has no root.
+
+    f(a, idx) returns, for each k, the idx[k]-th function at a[k]. All
+    functions are scanned together, _SCAN_WINDOW steps each way per round
+    (functions in blocks of a few hundred, so a round's points stay near
+    _BLOCK_ENTRIES), and the first sign change in each direction gives a
+    bracket; every bracket is then bisected in one lockstep call. Once one
+    direction has its first hit at step h, the other stops after step
+    h + 1: a root it found further out would be the farther one.
+    """
+    centers = np.asarray(centers, dtype=float)
+    ks = np.arange(1, _SCAN_WINDOW + 1)
+    per_block = max(1, _BLOCK_ENTRIES // (2 * _SCAN_WINDOW + 1))
+    roots = np.full(len(centers), np.nan)
+    for start in range(0, len(centers), per_block):
+        idx = np.arange(start, min(start + per_block, len(centers)))
+        c = centers[idx]
+        f_c = np.asarray(f(c, idx), dtype=float)
+        at_center = np.abs(f_c) <= zero_tol
+        roots[idx[at_center]] = c[at_center]
+        # per direction (up, down): first-hit step (0: none yet) and what it found
+        hit_step = np.zeros((2, len(c)), dtype=np.intp)
+        exact = np.full((2, len(c)), np.nan)
+        bracket = np.full((2, 2, len(c)), np.nan)
+        a_prev, f_prev = np.array([c, c]), np.array([f_c, f_c])
+        scanning = np.array([~at_center, ~at_center])
+        k0 = 0
+        while scanning.any():
+            for d, sign in enumerate((1.0, -1.0)):
+                other = hit_step[1 - d]
+                scanning[d] &= (other == 0) | (k0 < other + 1)  # else beyond the other's root
+                rows = np.flatnonzero(scanning[d])
+                if not len(rows):
+                    continue
+                A, F, hit, ended = _scan_window(f, c[rows], idx[rows], a_prev[d, rows],
+                                                f_prev[d, rows], sign, k0 + ks, step, lo,
+                                                hi, zero_tol)
+                found = np.flatnonzero(hit < len(ks))
+                r, h = rows[found], hit[found]
+                hit_step[d, r] = k0 + 1 + h
+                a_hit, f_hit = A[found, h], F[found, h]
+                before = np.where(h > 0, A[found, h - 1], a_prev[d, r])
+                zero = np.abs(f_hit) <= zero_tol
+                exact[d, r[zero]] = a_hit[zero]
+                bracket[0, d, r[~zero]] = np.minimum(before, a_hit)[~zero]
+                bracket[1, d, r[~zero]] = np.maximum(before, a_hit)[~zero]
+                scanning[d, rows[(hit < len(ks)) | ended]] = False
+                a_prev[d, rows], f_prev[d, rows] = A[:, -1], F[:, -1]
+            k0 += len(ks)
+        to_bisect = np.flatnonzero(~np.isnan(bracket[0].ravel()))
+        if len(to_bisect):
+            owner = idx[to_bisect % len(c)]
+            exact.ravel()[to_bisect] = bisect_monotone_batch(
+                lambda x, k: f(x, owner[k]), bracket[0].ravel()[to_bisect],
+                bracket[1].ravel()[to_bisect], tol=tol)
+        up, down = exact
+        # the nearer candidate; the upward one on a tie, as it is found first
+        nearer = np.where(np.isnan(up) | (np.abs(down - c) < np.abs(up - c)), down, up)
+        roots[idx[~at_center]] = nearer[~at_center]
+    return roots
+
+
 def _nearest_root(f, center: float, step: float, tol: float,
                   lo: float = 0.0, hi: float = 1.0,
                   zero_tol: float = 0.0) -> float | None:
@@ -316,35 +477,14 @@ def _nearest_root(f, center: float, step: float, tol: float,
     bracketed root, or None when neither direction brackets one. Values
     within zero_tol of zero count as roots: the probe construction carries
     bisection noise, and chasing an exact root of a nearly flat function
-    would turn that noise into an arbitrary displacement.
+    would turn that noise into an arbitrary displacement. f is called on
+    arrays of points; a scalar result is broadcast over them.
     """
-    f_center = f(center)
-    if abs(f_center) <= zero_tol:
-        return center
-    candidates = []
-    for direction in (1.0, -1.0):
-        prev_a, prev_f = center, f_center
-        k = 1
-        while True:
-            a = center + direction * k * step
-            a = min(max(a, lo), hi)
-            if a == prev_a:
-                break
-            fa = f(a)
-            if abs(fa) <= zero_tol:
-                candidates.append(a)
-                break
-            if (fa > 0.0) != (prev_f > 0.0):
-                b0, b1 = min(prev_a, a), max(prev_a, a)
-                candidates.append(bisect_monotone(f, b0, b1, tol=tol))
-                break
-            prev_a, prev_f = a, fa
-            if a in (lo, hi):
-                break
-            k += 1
-    if not candidates:
-        return None
-    return min(candidates, key=lambda r: abs(r - center))
+    def batch(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(np.asarray(f(a), dtype=float), np.shape(a))
+
+    root = float(_nearest_roots(batch, [center], step, tol, lo, hi, zero_tol)[0])
+    return None if math.isnan(root) else root
 
 
 def measure_eps_independence(model, sampler: SimplexSampler | None = None,
@@ -358,64 +498,74 @@ def measure_eps_independence(model, sampler: SimplexSampler | None = None,
     [0, 1] records the maximal defect 1.0.
     """
     sampler = sampler or SimplexSampler()
-    points = sampler.points(model.n_outcomes)
     n = model.n_outcomes
-    vertex_values = [model.value(Lottery.degenerate(i, n).probs) for i in range(n)]
+    G = sampler.grid(n)
+    vertex_values = model.value_batch(np.eye(n)).tolist()
     # indifference is only resolved to the q-segment bisection; value gaps
     # below this floor count as restored rather than driving a root hunt
     value_floor = 10.0 * tol * max(1.0, max(vertex_values) - min(vertex_values))
     rng = np.random.default_rng(sampler.seed)
-    interior = [p for p in points if not p.is_degenerate]
-    if not interior:
+    interior = G[_support_sizes(G) > 1]
+    if not len(interior):
         raise InvalidModel("sampler produced no non-degenerate lotteries")
-    order = rng.permutation(len(interior))
-    best = (-1.0, None)
-    count = 0
-    no_root_seen = False
-    pairs_done = 0
-    for idx in order:
-        if pairs_done >= sampler.n_pairs:
+    interior_values = model.value_batch(interior)
+    # the draws, one at a time in stream order: pairs, their vertices, alphas, r
+    pair_rows, lows_drawn, highs_drawn, alpha, r_rows = [], [], [], [], []
+    for idx in rng.permutation(len(interior)).tolist():
+        if len(pair_rows) >= sampler.n_pairs:
             break
-        p = interior[idx]
-        vp = model.value(p.probs)
+        vp = float(interior_values[idx])
         lows = [i for i, v in enumerate(vertex_values) if v < vp - 1e-12]
         highs = [i for i, v in enumerate(vertex_values) if v > vp + 1e-12]
         if not lows or not highs:
             continue
-        i_lo = lows[int(rng.integers(0, len(lows)))]
-        i_hi = highs[int(rng.integers(0, len(highs)))]
-        d_lo = Lottery.degenerate(i_lo, n)
-        d_hi = Lottery.degenerate(i_hi, n)
-        s = bisect_monotone(
-            lambda a: model.value(mix_probs(d_hi.probs, d_lo.probs, a)) - vp,
-            0.0, 1.0, tol=tol)
-        q = d_hi.mix(d_lo, s)
-        pairs_done += 1
+        lows_drawn.append(lows[int(rng.integers(0, len(lows)))])
+        highs_drawn.append(highs[int(rng.integers(0, len(highs)))])
+        pair_rows.append(idx)
         for _ in range(sampler.n_alphas):
-            alpha = float(rng.uniform())
-            r = points[int(rng.integers(0, len(points)))]
-            target = model.value(p.mix(r, alpha).probs)
-            F = lambda a: model.value(mix_probs(q.probs, r.probs, a)) - target
-            root = _nearest_root(F, alpha, scan_step, tol, zero_tol=value_floor)
-            count += 1
-            if root is None:
-                no_root_seen = True
-                defect = 1.0
-                witness = {"p": p.probs, "q": q.probs, "r": r.probs,
-                           "alpha": alpha, "alpha_prime": None, "no_root": True}
-            else:
-                defect = abs(alpha - root)
-                witness = {"p": p.probs, "q": q.probs, "r": r.probs,
-                           "alpha": alpha, "alpha_prime": root, "no_root": False}
-            if defect > best[0]:
-                best = (defect, witness)
-    value = max(best[0], 0.0)
+            alpha.append(float(rng.uniform()))
+            r_rows.append(int(rng.integers(0, len(G))))
+    pairs, count = len(pair_rows), len(alpha)
+    best, witness, no_root_seen = 0.0, {}, False
+    if count:
+        P, vp = interior[pair_rows], interior_values[pair_rows]
+        lo_v, hi_v = np.array(lows_drawn), np.array(highs_drawn)
+
+        def segment_gap(s: np.ndarray, idx: np.ndarray) -> np.ndarray:
+            return model.value_batch(_segments(s, hi_v[idx], lo_v[idx], n)) - vp[idx]
+
+        s = bisect_monotone_batch(segment_gap, np.zeros(pairs), np.ones(pairs), tol=tol)
+        Q = _on_simplex(_segments(s, hi_v, lo_v, n))
+        pair_of = np.repeat(np.arange(pairs), sampler.n_alphas)
+        alpha, R = np.array(alpha), G[r_rows]
+        target = model.value_batch(_on_simplex(alpha[:, None] * P[pair_of]
+                                               + (1.0 - alpha)[:, None] * R))
+        block = max(1, _BLOCK_ENTRIES // n)
+
+        def probe_gap(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+            # model(a q + (1 - a) r) - model(alpha p + (1 - alpha) r), per probe idx
+            out = np.empty(len(a))
+            for start in range(0, len(a), block):
+                k, w = idx[start:start + block], a[start:start + block, None]
+                out[start:start + block] = model.value_batch(
+                    w * Q[pair_of[k]] + (1.0 - w) * R[k]) - target[k]
+            return out
+
+        roots = _nearest_roots(probe_gap, alpha, scan_step, tol, zero_tol=value_floor)
+        no_root = np.isnan(roots)
+        no_root_seen = bool(np.any(no_root))
+        best, b = _first_max(np.where(no_root, 1.0, np.abs(alpha - roots)))
+        b = 0 if b is None else b
+        witness = {"p": _probs(P[pair_of[b]]), "q": _probs(Q[pair_of[b]]),
+                   "r": _probs(R[b]), "alpha": float(alpha[b]),
+                   "alpha_prime": None if no_root[b] else float(roots[b]),
+                   "no_root": bool(no_root[b])}
     return ViolationReport(
         axiom="independence",
-        value=value,
-        witness=best[1] or {},
+        value=best,
+        witness=witness,
         samples_evaluated=count,
-        details={"pairs": pairs_done, "alphas_per_pair": sampler.n_alphas,
+        details={"pairs": pairs, "alphas_per_pair": sampler.n_alphas,
                  "scan_step": scan_step, "no_root_seen": no_root_seen,
                  "resolution": sampler.resolution, "seed": sampler.seed,
                  "bisect_tol": tol},
@@ -424,33 +574,32 @@ def measure_eps_independence(model, sampler: SimplexSampler | None = None,
 
 def verify_thm2(model, eps_hat: float, sampler: SimplexSampler | None = None,
                 benchmark: AffineBenchmark | None = None, slack: float = 1e-7,
-                tol: float = 1e-10, cache: dict | None = None) -> NearRepresentation:
-    """Check sup |u - l| <= (d + 1)^2 * eps_hat + slack on the grid."""
+                tol: float = 1e-10) -> NearRepresentation:
+    """Check sup |u - l| <= (d + 1)^2 * eps_hat + slack on the grid.
+
+    Raises BoundViolated with the first violating lottery in grid order.
+    """
     sampler = sampler or SimplexSampler()
-    cache = {} if cache is None else cache
     if benchmark is None:
         benchmark = build_affine_benchmark(model, tol=tol)
-    points = sampler.points(model.n_outcomes)
+    G = sampler.grid(model.n_outcomes)
     d = model.n_outcomes - 1
     bound = (d + 1) ** 2 * eps_hat
-    worst_gap = 0.0
-    worst_p = None
-    for p in points:
-        u = mixture_utility(model, p, tol=tol, cache=cache)
-        gap = abs(u - benchmark.evaluate(p))
-        if gap > worst_gap:
-            worst_gap, worst_p = gap, p
-        if gap > bound + slack:
-            raise BoundViolated(
-                f"|u - l| = {gap!r} exceeds (d+1)^2 eps + slack = {bound + slack!r}",
-                witness={"p": p.probs, "gap": gap})
+    gap = np.abs(mixture_utility_batch(model, G, tol) - benchmark.evaluate_batch(G))
+    bad = np.flatnonzero(gap > bound + slack)
+    if len(bad):
+        k = int(bad[0])
+        raise BoundViolated(
+            f"|u - l| = {float(gap[k])!r} exceeds (d+1)^2 eps + slack = {bound + slack!r}",
+            witness={"p": _probs(G[k]), "gap": float(gap[k])})
+    worst_gap, worst = _first_max(gap)
     return NearRepresentation(
         kind="affine",
         parameters={"coefficients": benchmark.coefficients},
         achieved_distance=worst_gap,
         bound=bound,
-        details={"slack": slack, "n_points": len(points),
-                 "argmax": None if worst_p is None else worst_p.probs,
+        details={"slack": slack, "n_points": len(G),
+                 "argmax": None if worst is None else _probs(G[worst]),
                  "eps_hat": eps_hat, "factor": (d + 1) ** 2},
     )
 
@@ -510,9 +659,9 @@ def allais_report(value_exponent: float = 0.54, weight_exponent: float = 0.74,
         return Lottery(tuple(probs))
 
     values = {name: model.value(lottery_for(z, p).probs) for name, (z, p) in gambles.items()}
-    cache: dict = {}
-    alphas = {name: mixture_utility(model, lottery_for(z, p), tol=tol, cache=cache)
-              for name, (z, p) in gambles.items()}
+    calibrated = mixture_utility_batch(
+        model, [lottery_for(z, p).probs for z, p in gambles.values()], tol).tolist()
+    alphas = dict(zip(gambles, calibrated))
     target = values["C"]
     w3000 = model.prize_value(3000.0)
     lam_star = bisect_monotone(lambda lam: model.weight(lam) * w3000 - target,

@@ -100,11 +100,9 @@ def test_criterion_03_cpt_support_bound_fine_grid():
     with criterion(3, 30.0):
         model = CumulativeProspect(0.54, 0.74, (4000.0, 3000.0, 0.0))
         sampler = SimplexSampler(resolution=101, n_random_triples=200)
-        cache = {}
-        rep = measure_eps_rcl(model, sampler, cache=cache)
+        rep = measure_eps_rcl(model, sampler)
         bench = build_affine_benchmark(model)
-        near = verify_thm1(model, bench, rep.value, sampler, slack=1e-7,
-                           cache=cache)
+        near = verify_thm1(model, bench, rep.value, sampler, slack=1e-7)
         assert near.achieved_distance <= near.bound + 1e-7
         assert near.details["n_points"] == math.comb(103, 2)
 

@@ -72,6 +72,17 @@ def test_run_rejects_bad_version(tmp_path, capsys):
     assert "version" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "1"], ids=["bool", "float", "string"])
+def test_run_rejects_a_version_that_is_not_the_integer_1(tmp_path, capsys, version):
+    # True == 1 and 1.0 == 1 in Python, so an equality check alone lets them through
+    scenario = dict(RISK_SCENARIO, version=version)
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, "s.json", scenario), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: version: unsupported value {version!r} (expected 1)\n"
+    assert not out.exists()
+
+
 def test_run_rejects_bad_name(tmp_path):
     scenario = dict(RISK_SCENARIO)
     scenario["name"] = "../escape"
@@ -173,6 +184,86 @@ def test_time_counts_at_the_cap_are_accepted(monkeypatch, sampler):
     _patch_time_meters(monkeypatch)
     with pytest.raises(_Reached):
         run_scenario(dict(TIME_SCENARIO, sampler=sampler))
+
+
+def _patch_risk_meters(monkeypatch):
+    import nearrep.risk
+
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    for meter in ("measure_eps_rcl", "build_affine_benchmark", "verify_thm1",
+                  "measure_eps_independence", "verify_thm2", "mixture_utility_batch"):
+        monkeypatch.setattr(nearrep.risk, meter, reached)
+
+
+@pytest.mark.parametrize("sampler,key,message", [
+    ({"n_random_triples": 100_001}, "n_random_triples", "100001 mixture probes"),
+    ({"n_random_triples": 10 ** 9}, "n_random_triples", "1000000000 mixture probes"),
+    ({"n_pairs": 1000, "n_alphas": 101}, "n_pairs",
+     "1000 pairs times sampler.n_alphas 101 give 101000 independence probes"),
+    ({"n_pairs": 10 ** 9, "n_alphas": 10 ** 9}, "n_pairs", "independence probes"),
+    ({"resolution": 1}, "resolution", "must be at least 2"),
+], ids=["triples", "triples-1e9", "probes", "probes-1e18", "resolution-1"])
+def test_run_rejects_risk_counts_over_the_cap(tmp_path, capsys, monkeypatch, sampler, key,
+                                              message):
+    # the caps are worked out from the counts: no meter may run first
+    import time
+
+    _patch_risk_meters(monkeypatch)
+    scenario = json.loads(json.dumps(RISK_SCENARIO))
+    scenario["sampler"].update(sampler)
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main(["run", _write(tmp_path, "s.json", scenario), "--out", str(out)]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: sampler.{key}: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sampler", [{"n_random_triples": 100_000},
+                                     {"n_pairs": 1000, "n_alphas": 100}, {"resolution": 2}])
+def test_risk_counts_at_the_cap_are_accepted(monkeypatch, sampler):
+    from nearrep.cli import run_scenario
+
+    _patch_risk_meters(monkeypatch)
+    with pytest.raises(_Reached):
+        run_scenario(dict(RISK_SCENARIO, sampler=sampler))
+
+
+_HUGE = 10 ** 400  # a JSON integer no float can hold
+
+
+@pytest.mark.parametrize("base,section,key,value,message", [
+    (TIME_SCENARIO, "model", "k", float("nan"), "must be a finite number"),
+    (TIME_SCENARIO, "model", "k", _HUGE, "must be a finite number"),
+    (UNC_SCENARIO, "sampler", "bound", float("inf"), "must be a finite number"),
+    (RISK_SCENARIO, "tolerances", "bisect", float("inf"), "must be a finite number"),
+    (RISK_SCENARIO, "model", "prizes", [4000, float("nan"), 0], "entries must be finite numbers"),
+    (RISK_SCENARIO, "model", "prizes", [_HUGE, 3000, 0], "entries must be finite numbers"),
+    (UNC_SCENARIO, "model", "priors", [[0.5, float("-inf")], [0.5, 0.5]],
+     "entries must be finite numbers"),
+    (UNC_SCENARIO, "model", "priors", [[0.5, 0.5], [_HUGE, 0]], "entries must be finite numbers"),
+], ids=["number-nan", "number-huge-int", "sampler-number-inf", "tolerance-inf", "numbers-nan",
+        "numbers-huge-int", "vectors-inf", "vectors-huge-int"])
+def test_run_rejects_non_finite_numbers(tmp_path, capsys, base, section, key, value, message):
+    scenario = json.loads(json.dumps(base))
+    scenario.setdefault(section, {})[key] = value
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, "s.json", scenario), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {section}.{key}: {message}\n"
+    assert not out.exists()
+
+
+def test_run_rejects_nan_utilities_before_any_meter(tmp_path, capsys, monkeypatch):
+    _patch_risk_meters(monkeypatch)
+    scenario = dict(RISK_SCENARIO, model={"type": "expected_utility",
+                                          "utilities": [1, float("nan"), 0]})
+    assert main(["run", _write(tmp_path, "s.json", scenario), "--out",
+                 str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == \
+        "error: model.utilities: entries must be finite numbers\n"
 
 
 @pytest.mark.parametrize("base,section,key,value,message", [

@@ -113,10 +113,9 @@ def test_eps_rcl_cpt_three_prize_positive():
 
 def test_verify_thm1_passes_for_measured_eps():
     sampler = SimplexSampler(resolution=7, n_random_triples=40)
-    cache = {}
-    rep = measure_eps_rcl(CPT3, sampler, cache=cache)
+    rep = measure_eps_rcl(CPT3, sampler)
     bench = build_affine_benchmark(CPT3)
-    near = verify_thm1(CPT3, bench, rep.value, sampler, cache=cache)
+    near = verify_thm1(CPT3, bench, rep.value, sampler)
     assert near.kind == "affine"
     assert near.achieved_distance <= near.bound + 1e-7
     d = CPT3.n_outcomes - 1
@@ -127,11 +126,10 @@ def test_verify_thm1_support_rule_is_per_point():
     # every sampled lottery respects (support - 1) * eps + slack, which is
     # strictly tighter than the global d * eps bound on the edges
     sampler = SimplexSampler(resolution=7, n_random_triples=0)
-    cache = {}
-    rep = measure_eps_rcl(CPT3, sampler, cache=cache)
+    rep = measure_eps_rcl(CPT3, sampler)
     bench = build_affine_benchmark(CPT3)
     for p in sampler.points(3):
-        u = mixture_utility(CPT3, p, cache=cache)
+        u = mixture_utility(CPT3, p)
         gap = abs(u - bench.evaluate(p))
         if p.is_degenerate:
             assert gap <= 1e-12

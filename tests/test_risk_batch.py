@@ -1,0 +1,390 @@
+"""The batched risk pipeline against the one-lottery-at-a-time algorithms it replaced.
+
+The reference functions below are copies of the scalar routines the batch
+path took over: per-lottery calibration by scalar bisection, the peeling
+chains and random triples of the reduction meter, and the step-by-step
+outward scan of the independence meter. They use the same model values, so
+any difference comes from the batching itself.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nearrep.core import (
+    CumulativeProspect,
+    ExpectedUtility,
+    InvalidModel,
+    Lottery,
+    NoBracket,
+    TabulatedUtility,
+    mix_probs,
+)
+from nearrep.risk import (
+    SimplexSampler,
+    _nearest_root,
+    _nearest_roots,
+    measure_eps_independence,
+    measure_eps_rcl,
+    mixture_utility,
+    mixture_utility_batch,
+)
+
+
+# --- scalar reference ---------------------------------------------------------
+
+def _ref_bisect(f, lo, hi, tol=1e-10, max_iter=200):
+    flo = f(lo)
+    if flo == 0.0:
+        return lo
+    fhi = f(hi)
+    if fhi == 0.0:
+        return hi
+    if (flo > 0.0) == (fhi > 0.0):
+        raise NoBracket(f"f({lo!r})={flo!r} and f({hi!r})={fhi!r} have the same sign")
+    increasing = flo < 0.0
+    for _ in range(max_iter):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fm < 0.0) == increasing:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _ref_cpt_value(model, probs):
+    total, cum, g_prev = 0.0, 0.0, 0.0
+    for i in model._rank_order:
+        if probs[i] == 0.0:
+            continue
+        cum += probs[i]
+        p = cum
+        if p <= 0.0:
+            g_cur = 0.0
+        elif p >= 1.0:
+            g_cur = 1.0
+        else:
+            b = model.weight_exponent
+            g_cur = p ** b / (p ** b + (1.0 - p) ** b) ** (1.0 / b)
+        total += (g_cur - g_prev) * model._prize_values[i]
+        g_prev = g_cur
+    return total
+
+
+def _ref_value(model, probs):
+    if isinstance(model, CumulativeProspect):
+        return _ref_cpt_value(model, probs)
+    if isinstance(model, ExpectedUtility):
+        return math.fsum(p * u for p, u in zip(probs, model.prize_utilities))
+    return float(model.fn(tuple(probs)))
+
+
+def _ref_segment(model, alpha):
+    probs = [0.0] * model.n_outcomes
+    probs[model.best_index] = alpha
+    probs[model.worst_index] = 1.0 - alpha
+    return tuple(probs)
+
+
+def _ref_mixture_utility(model, probs, tol=1e-10):
+    target = model.value(probs)
+    if target == model.value(_ref_segment(model, 1.0)):
+        return 1.0
+    if target == model.value(_ref_segment(model, 0.0)):
+        return 0.0
+    return _ref_bisect(lambda a: model.value(_ref_segment(model, a)) - target, 0.0, 1.0, tol)
+
+
+def _ref_peel_chain(p):
+    chain, cur, mass = [], list(p.probs), 1.0
+    for i in p.support[:-1]:
+        lam = cur[i] / mass
+        if lam >= 1.0:
+            break
+        whole = Lottery(tuple(v / mass for v in cur))
+        nxt = list(cur)
+        nxt[i] = 0.0
+        tail_mass = mass - cur[i]
+        chain.append((Lottery.degenerate(i, len(cur)),
+                      Lottery(tuple(v / tail_mass for v in nxt)), lam, whole))
+        cur, mass = nxt, tail_mass
+    return chain
+
+
+def _ref_eps_rcl(model, sampler, tol=1e-10):
+    points = sampler.points(model.n_outcomes)
+    probes = [t for p in points if not p.is_degenerate for t in _ref_peel_chain(p)]
+    rng = np.random.default_rng(sampler.seed)
+    for _ in range(sampler.n_random_triples):
+        i, j = rng.integers(0, len(points), size=2)
+        lam = float(rng.uniform())
+        probes.append((points[i], points[j], lam, points[i].mix(points[j], lam)))
+    u = {}
+
+    def cal(q):
+        if q.probs not in u:
+            u[q.probs] = _ref_mixture_utility(model, q.probs, tol)
+        return u[q.probs]
+
+    best = (-1.0, None)
+    for left, right, lam, whole in probes:
+        defect = abs(cal(whole) - (lam * cal(left) + (1.0 - lam) * cal(right)))
+        if defect > best[0]:
+            best = (defect, {"left": left.probs, "right": right.probs, "lam": lam,
+                             "mixture": whole.probs})
+    return max(best[0], 0.0), best[1] or {}, len(probes)
+
+
+def _ref_nearest_root(f, center, step, tol, lo=0.0, hi=1.0, zero_tol=0.0):
+    f_center = f(center)
+    if abs(f_center) <= zero_tol:
+        return center
+    candidates = []
+    for direction in (1.0, -1.0):
+        prev_a, prev_f = center, f_center
+        k = 1
+        while True:
+            a = min(max(center + direction * k * step, lo), hi)
+            if a == prev_a:
+                break
+            fa = f(a)
+            if abs(fa) <= zero_tol:
+                candidates.append(a)
+                break
+            if (fa > 0.0) != (prev_f > 0.0):
+                candidates.append(_ref_bisect(f, min(prev_a, a), max(prev_a, a), tol))
+                break
+            prev_a, prev_f = a, fa
+            if a in (lo, hi):
+                break
+            k += 1
+    return min(candidates, key=lambda r: abs(r - center)) if candidates else None
+
+
+def _ref_eps_independence(model, sampler, tol=1e-10, scan_step=1e-3):
+    points = sampler.points(model.n_outcomes)
+    n = model.n_outcomes
+    vertex_values = [model.value(Lottery.degenerate(i, n).probs) for i in range(n)]
+    value_floor = 10.0 * tol * max(1.0, max(vertex_values) - min(vertex_values))
+    rng = np.random.default_rng(sampler.seed)
+    interior = [p for p in points if not p.is_degenerate]
+    best, count, no_root_seen, pairs = -1.0, 0, False, 0
+    for idx in rng.permutation(len(interior)):
+        if pairs >= sampler.n_pairs:
+            break
+        p = interior[idx]
+        vp = model.value(p.probs)
+        lows = [i for i, v in enumerate(vertex_values) if v < vp - 1e-12]
+        highs = [i for i, v in enumerate(vertex_values) if v > vp + 1e-12]
+        if not lows or not highs:
+            continue
+        d_lo = Lottery.degenerate(lows[int(rng.integers(0, len(lows)))], n)
+        d_hi = Lottery.degenerate(highs[int(rng.integers(0, len(highs)))], n)
+        s = _ref_bisect(lambda a: model.value(mix_probs(d_hi.probs, d_lo.probs, a)) - vp,
+                        0.0, 1.0, tol)
+        q = d_hi.mix(d_lo, s)
+        pairs += 1
+        for _ in range(sampler.n_alphas):
+            alpha = float(rng.uniform())
+            r = points[int(rng.integers(0, len(points)))]
+            target = model.value(p.mix(r, alpha).probs)
+            root = _ref_nearest_root(
+                lambda a: model.value(mix_probs(q.probs, r.probs, a)) - target,
+                alpha, scan_step, tol, zero_tol=value_floor)
+            count += 1
+            no_root_seen |= root is None
+            best = max(best, 1.0 if root is None else abs(alpha - root))
+    return max(best, 0.0), count, pairs, no_root_seen
+
+
+# --- models -------------------------------------------------------------------
+
+def _bump_fn(amplitude, base):
+    def fn(probs):
+        out = 1.0
+        for v in probs:
+            out *= math.sin(math.pi * v)
+        return sum(c * v for c, v in zip(base, probs)) + amplitude * out
+    return fn
+
+
+@st.composite
+def risk_models(draw):
+    n = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(["cpt", "eu", "tabulated"]))
+    if kind == "cpt":
+        prizes = draw(st.lists(st.integers(0, 5000), min_size=n, max_size=n, unique=True))
+        return CumulativeProspect(draw(st.floats(0.2, 1.0)), draw(st.floats(0.28, 1.0)),
+                                  tuple(map(float, prizes)))
+    utilities = draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n).filter(
+        lambda u: len(set(u)) > 1))
+    if kind == "eu":
+        return ExpectedUtility(tuple(utilities))
+    spread = max(utilities) - min(utilities)
+    return TabulatedUtility(_bump_fn(0.05 * spread, utilities), n)
+
+
+@st.composite
+def models_and_lotteries(draw):
+    model = draw(risk_models())
+    n = model.n_outcomes
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        choice = draw(st.sampled_from(["random", "vertex", "repeat", "sparse"]))
+        if choice == "vertex" or (choice == "repeat" and not rows):
+            rows.append(Lottery.degenerate(draw(st.integers(0, n - 1)), n).probs)
+        elif choice == "repeat":
+            rows.append(rows[draw(st.integers(0, len(rows) - 1))])
+        else:
+            w = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+            if choice == "sparse":
+                w = [v if k % 2 else 0.0 for k, v in enumerate(w)]
+            if sum(w) <= 0.0:
+                w = [1.0] + [0.0] * (n - 1)
+            total = sum(w)
+            rows.append(Lottery(tuple(v / total for v in w)).probs)
+    return model, rows
+
+
+# --- value_batch --------------------------------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(models_and_lotteries())
+def test_value_batch_rows_equal_scalar_value(case):
+    model, rows = case
+    batch = model.value_batch(np.array(rows))
+    for k, probs in enumerate(rows):
+        # each row alone, bit for bit, whatever else is in the batch
+        assert batch[k] == model.value(probs)
+        ref = _ref_value(model, probs)
+        assert batch[k] == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+
+def test_cpt_value_batch_skips_only_prizes_no_row_uses():
+    model = CumulativeProspect(0.6, 0.5, (10.0, 7.0, 3.0, 0.0))
+    rows = np.array([[0.5, 0.0, 0.0, 0.5], [0.25, 0.25, 0.25, 0.25], [0.0, 0.0, 1.0, 0.0]])
+    for k in range(3):
+        assert model.value_batch(rows)[k] == model.value_batch(rows[k:k + 1])[0]
+        assert model.value_batch(rows)[k] == pytest.approx(
+            _ref_cpt_value(model, rows[k].tolist()), rel=1e-13)
+
+
+def test_cpt_weight_is_pinned_and_elementwise():
+    model = CumulativeProspect(0.6, 0.5, (1.0, 0.0))
+    p = np.array([-0.1, 0.0, 0.3, 1.0, 1.0 + 2e-16])
+    g = model.weight(p)
+    assert g[0] == 0.0 and g[1] == 0.0 and g[3] == 1.0 and g[4] == 1.0
+    assert g[2] == model.weight(0.3)
+
+
+# --- calibration ------------------------------------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(models_and_lotteries())
+def test_mixture_utility_batch_matches_scalar_calibration(case):
+    model, rows = case
+    try:
+        refs = [_ref_mixture_utility(model, probs) for probs in rows]
+    except NoBracket:  # a lottery worth more than the best prize, or less than the worst
+        with pytest.raises(NoBracket):
+            mixture_utility_batch(model, np.array(rows))
+        return
+    batch = mixture_utility_batch(model, np.array(rows))
+    for k, (probs, ref) in enumerate(zip(rows, refs)):
+        if ref in (0.0, 1.0):
+            assert batch[k] == ref  # endpoint snaps are exact
+        assert batch[k] == pytest.approx(ref, abs=1e-10)
+        assert batch[k] == mixture_utility(model, probs)
+
+
+def test_mixture_utility_batch_endpoints_and_no_bracket():
+    u = mixture_utility_batch(ExpectedUtility((1.0, 0.4, 0.0)), np.eye(3))
+    assert u[0] == 1.0 and u[2] == 0.0
+    assert u[1] == pytest.approx(0.4, abs=1e-10)
+    over = TabulatedUtility(lambda p: p[0] + 5.0 * p[1] * p[2], 3)
+    with pytest.raises(NoBracket):  # (0, 0.5, 0.5) is worth 1.25, more than the best prize
+        mixture_utility_batch(over, np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]]))
+
+
+# --- meters -------------------------------------------------------------------------
+
+CPT3 = CumulativeProspect(0.54, 0.74, (4000.0, 3000.0, 0.0))
+CPT4 = CumulativeProspect(0.7, 0.6, (1480.0, 1250.0, 80.0, 0.0))
+EU4 = ExpectedUtility((1.0, 0.7, 0.2, 0.0))
+
+
+@pytest.mark.parametrize("model", [CPT3, CPT4, EU4], ids=["cpt3", "cpt4", "eu4"])
+@pytest.mark.parametrize("resolution,triples", [(4, 0), (7, 25)])
+def test_eps_rcl_matches_scalar_reference(model, resolution, triples):
+    sampler = SimplexSampler(resolution=resolution, seed=3, n_random_triples=triples)
+    rep = measure_eps_rcl(model, sampler)
+    defect, witness, count = _ref_eps_rcl(model, sampler)
+    assert rep.samples_evaluated == count
+    assert rep.details["max_defect"] == pytest.approx(defect, abs=1e-9)
+    if defect > 1e-6:  # a real maximum: the same witness, not a noise-level tie
+        assert rep.witness == witness
+
+
+@pytest.mark.parametrize("model", [CPT3, CPT4, EU4], ids=["cpt3", "cpt4", "eu4"])
+@pytest.mark.parametrize("resolution,pairs,alphas,seed", [(4, 6, 3, 0), (6, 10, 4, 5)])
+def test_eps_independence_matches_scalar_scan(model, resolution, pairs, alphas, seed):
+    sampler = SimplexSampler(resolution=resolution, seed=seed, n_pairs=pairs, n_alphas=alphas)
+    rep = measure_eps_independence(model, sampler)
+    value, count, pairs_done, no_root_seen = _ref_eps_independence(model, sampler)
+    assert rep.samples_evaluated == count
+    assert rep.details["pairs"] == pairs_done
+    assert rep.details["no_root_seen"] == no_root_seen
+    assert rep.value == pytest.approx(value, abs=1e-9)
+
+
+def test_eps_independence_without_interior_points():
+    with pytest.raises(InvalidModel):
+        measure_eps_independence(CPT3, SimplexSampler(resolution=1))
+
+
+# --- outward scan ----------------------------------------------------------------------
+
+def _wave(freq, phase, offset):
+    return lambda a: np.sin(freq * (np.asarray(a) - phase)) + offset
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.floats(0.0, 1.0), st.sampled_from([1e-3, 0.01, 0.037, 0.25]),
+       st.floats(1.0, 4000.0), st.floats(0.0, 1.0), st.floats(-1.2, 1.2),
+       st.sampled_from([0.0, 1e-9, 0.05]))
+def test_nearest_root_matches_scalar_scan(center, step, freq, phase, offset, zero_tol):
+    # waves of every frequency: roots closer together than a step, beyond the
+    # first scan round, at the boundary, or nowhere
+    f = _wave(freq, phase, offset)
+    got = _nearest_root(f, center, step, 1e-10, zero_tol=zero_tol)
+    ref = _ref_nearest_root(lambda a: float(f(a)), center, step, 1e-10, zero_tol=zero_tol)
+    assert (got is None) == (ref is None)
+    if ref is not None:
+        assert got == pytest.approx(ref, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(1.0, 3000.0), st.floats(0.0, 1.0),
+                          st.floats(-1.2, 1.2)), min_size=1, max_size=30))
+def test_nearest_roots_of_many_functions_match_one_at_a_time(cases):
+    waves = [_wave(freq, phase, offset) for _, freq, phase, offset in cases]
+
+    def f(a, idx):
+        return np.array([float(waves[k](x)) for x, k in zip(a.tolist(), idx.tolist())])
+
+    roots = _nearest_roots(f, [c for c, *_ in cases], 1e-3, 1e-10)
+    for (center, *_), wave, root in zip(cases, waves, roots):
+        ref = _ref_nearest_root(lambda a: float(wave(a)), center, 1e-3, 1e-10)
+        assert (ref is None) == math.isnan(root)
+        if ref is not None:
+            assert root == pytest.approx(ref, abs=1e-12)
