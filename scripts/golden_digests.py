@@ -86,6 +86,9 @@ REJECTED_SCENARIOS = [
     _scenario("over-grid-cap", "uncertainty", _MEU, {"resolution": 10 ** 6}),
     _scenario("over-delay-cap", "time-discrete", _HYPERBOLIC, {"n_max": 1030}),
     _scenario("over-pair-cap", "time-discrete", _HYPERBOLIC, {"w_t_max": 633}),
+    _scenario("over-continuous-cap", "time-continuous",
+              {"type": "log_delay", "x_bar": 2.0, "k": 0.1},
+              {"x_count": 1000, "t_count": 101, "delta_count": 1}),
     _scenario("over-triple-cap", "risk", _EU, {"resolution": 2, "n_random_triples": 100_001}),
     _scenario("over-probe-cap", "risk", _CPT, {"resolution": 2, "n_pairs": 1000, "n_alphas": 101}),
     _scenario("below-risk-floor", "risk", _CPT, {"resolution": 1}),

@@ -11,8 +11,8 @@ Usage: python scripts/sweep_cpt_grid.py [RESOLUTION]
 
 import sys
 
-from nearrep.core import CumulativeProspect
 from nearrep.risk import (
+    CumulativeProspect,
     SimplexSampler,
     build_affine_benchmark,
     measure_eps_rcl,

@@ -18,6 +18,7 @@ table; identical scenario and seed produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import re
@@ -26,38 +27,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
-from . import risk as risk_mod
-from . import timepref as time_mod
-from . import uncertainty as unc_mod
-from .core import (
-    MAX_GRID_POINTS,
-    BoundViolated,
-    CESUtility,
-    CumulativeProspect,
-    ExpectedUtility,
-    Exponential,
-    Hyperbolic,
-    HypothesisFailed,
-    InvalidModel,
-    LinearDelay,
-    LinearPlusBounded,
-    LogDelay,
-    MaxminExpected,
-    NearRepError,
-    NoBracket,
-    NoSuchTau,
-    NotAdditive,
-    NotConverged,
-    QuasiHyperbolic,
-    ScenarioError,
-    SmoothAmbiguity,
-    SubjectiveExpected,
-    TabulatedDiscount,
-    discount,
-    grid_size,
-)
+from .core import (MAX_GRID_POINTS, BoundViolated, HypothesisFailed, InvalidModel, NearRepError,
+                   NoBracket, NoSuchTau, NotAdditive, NotConverged, ScenarioError, discount,
+                   grid_size)
 from .tables import write_csv, write_report_json
 
 __all__ = ["main", "run_scenario", "BUILTINS"]
@@ -183,33 +155,34 @@ _SCENARIO = {"version": _Key("any"), "name": _Key("any"), "domain": _Key("any"),
 _TOLERANCES = {"bisect": _Key("number", 1e-10), "slack": _Key("number", 1e-7),
                "verify": _Key("number", 1e-6), "time": _Key("number", 1e-6)}
 
-# domain -> (what its models are called, {type: (class, keys in constructor order)})
+# domain -> (what its models are called, their module, {type: (class name, keys in
+# constructor order)}); the module loads only when a scenario names the domain
 _MODELS = {
-    "risk": ("risk model", {
-        "expected_utility": (ExpectedUtility, {"utilities": _Key("numbers")}),
-        "cpt": (CumulativeProspect, {"value_exponent": _Key("number"),
-                                     "weight_exponent": _Key("number"),
-                                     "prizes": _Key("numbers")}),
+    "risk": ("risk model", "risk", {
+        "expected_utility": ("ExpectedUtility", {"utilities": _Key("numbers")}),
+        "cpt": ("CumulativeProspect", {"value_exponent": _Key("number"),
+                                       "weight_exponent": _Key("number"),
+                                       "prizes": _Key("numbers")}),
     }),
-    "uncertainty": ("uncertainty model", {
-        "seu": (SubjectiveExpected, {"prior": _Key("numbers")}),
-        "meu": (MaxminExpected, {"priors": _Key("vectors")}),
-        "smooth": (SmoothAmbiguity, {"f": _Key("string"), "priors": _Key("vectors"),
-                                     "weights": _Key("numbers")}),
-        "ces": (CESUtility, {"weights": _Key("numbers"), "rho": _Key("number")}),
-        "linear_plus_bounded": (LinearPlusBounded, {"prior": _Key("numbers"),
-                                                    "bump": _Key("number")}),
+    "uncertainty": ("uncertainty model", "uncertainty", {
+        "seu": ("SubjectiveExpected", {"prior": _Key("numbers")}),
+        "meu": ("MaxminExpected", {"priors": _Key("vectors")}),
+        "smooth": ("SmoothAmbiguity", {"f": _Key("string"), "priors": _Key("vectors"),
+                                       "weights": _Key("numbers")}),
+        "ces": ("CESUtility", {"weights": _Key("numbers"), "rho": _Key("number")}),
+        "linear_plus_bounded": ("LinearPlusBounded", {"prior": _Key("numbers"),
+                                                      "bump": _Key("number")}),
     }),
-    "time-discrete": ("discount model", {
-        "exponential": (Exponential, {"gamma": _Key("number")}),
-        "quasi_hyperbolic": (QuasiHyperbolic, {"beta": _Key("number"),
-                                               "delta": _Key("number")}),
-        "hyperbolic": (Hyperbolic, {"k": _Key("number")}),
-        "tabulated": (TabulatedDiscount, {"values": _Key("numbers")}),
+    "time-discrete": ("discount model", "timepref", {
+        "exponential": ("Exponential", {"gamma": _Key("number")}),
+        "quasi_hyperbolic": ("QuasiHyperbolic", {"beta": _Key("number"),
+                                                 "delta": _Key("number")}),
+        "hyperbolic": ("Hyperbolic", {"k": _Key("number")}),
+        "tabulated": ("TabulatedDiscount", {"values": _Key("numbers")}),
     }),
-    "time-continuous": ("reward-timing model", {
-        "linear_delay": (LinearDelay, {"x_bar": _Key("number"), "rate": _Key("number", 1.0)}),
-        "log_delay": (LogDelay, {"x_bar": _Key("number"), "k": _Key("number")}),
+    "time-continuous": ("reward-timing model", "timepref", {
+        "linear_delay": ("LinearDelay", {"x_bar": _Key("number"), "rate": _Key("number", 1.0)}),
+        "log_delay": ("LogDelay", {"x_bar": _Key("number"), "k": _Key("number")}),
     }),
 }
 
@@ -233,14 +206,15 @@ _SAMPLERS = {
 
 
 def _parse_model(cfg, domain: str):
-    noun, types = _MODELS[domain]
+    noun, module, types = _MODELS[domain]
     if not isinstance(cfg, dict) or "type" not in cfg:
         raise ScenarioError("model: expected an object with a 'type' key")
     kind = cfg["type"]
     if not isinstance(kind, str) or kind not in types:
         raise ScenarioError(f"model.type: unknown {noun} {kind!r}")
-    cls, keys = types[kind]
+    cls_name, keys = types[kind]
     values = _parse(cfg, "model", {"type": _Key("any"), **keys})
+    cls = getattr(importlib.import_module(f".{module}", __package__), cls_name)
     try:
         return cls(*(values[key] for key in keys))
     except InvalidModel as exc:
@@ -288,11 +262,13 @@ def _check(result: RunResult, verdict: str, thunk, label: str | None = None):
 
 def _smooth_cap(result: RunResult, table_name: str, model, sampler):
     """smooth_ambiguity_bound's representation; its defect table goes into result."""
+    from . import uncertainty as unc_mod
     rep, result.tables[table_name] = unc_mod.smooth_ambiguity_bound(model, sampler)
     return rep
 
 
 def _run_risk(name: str, model, s: dict, tols: dict) -> RunResult:
+    from . import risk as risk_mod
     _check_grid("simplex", model.n_outcomes, s["resolution"], "resolution")
     if s["n_random_triples"] > MAX_GRID_POINTS:
         raise ScenarioError(f"sampler.n_random_triples: {s['n_random_triples']} mixture probes, "
@@ -320,7 +296,7 @@ def _run_risk(name: str, model, s: dict, tols: dict) -> RunResult:
     G = sampler.grid(model.n_outcomes)
     u = risk_mod.mixture_utility_batch(model, G, tol)
     l = benchmark.evaluate_batch(G)
-    allowed = (np.count_nonzero(G > 0.0, axis=1) - 1) * rcl.value + slack
+    allowed = (risk_mod._support_sizes(G) - 1) * rcl.value + slack
     header = [f"p{i}" for i in range(model.n_outcomes)] + \
         ["calibrated_utility", "affine_value", "gap", "allowed"]
     rows = [[*p, ui, li, abs(ui - li), ai]
@@ -336,6 +312,8 @@ def _run_risk(name: str, model, s: dict, tols: dict) -> RunResult:
 
 def _homothetic_exactness(model, pts, tol: float = 1e-10, n_top: int = 10) -> float:
     """Largest |u(2^n x) / 2^n - u(x)| over the nonzero points, n in (1, 4, n_top)."""
+    import numpy as np
+    from . import uncertainty as unc_mod
     X = np.array([x for x in pts if np.any(x)]).reshape(-1, model.n_states)
     scales = np.array([2.0 ** n for n in (1, 4, n_top)])[:, None]
     ce = unc_mod.ce_batch(model, np.concatenate([X, *(s * X for s in scales)]), tol)
@@ -344,6 +322,7 @@ def _homothetic_exactness(model, pts, tol: float = 1e-10, n_top: int = 10) -> fl
 
 
 def _run_uncertainty(name: str, model, s: dict, tols: dict) -> RunResult:
+    from . import uncertainty as unc_mod
     _check_grid("box", model.n_states, s["resolution"], "resolution")
     if s["quasiconcave"]:
         _check_grid("box", model.n_states, s["qc_resolution"], "qc_resolution")
@@ -375,7 +354,7 @@ def _run_uncertainty(name: str, model, s: dict, tols: dict) -> RunResult:
         passed = exact <= 1e-9
         result.verdicts["homothetic-exactness"] = passed
         result.notes.append(f"homothetic exactness defect {exact:.3g}")
-    if isinstance(model, SmoothAmbiguity):
+    if isinstance(model, unc_mod.SmoothAmbiguity):
         _check(result, "raw-defect-cap",
                lambda: _smooth_cap(result, "smooth-defects", model, sampler))
     if s["homog"]:
@@ -417,6 +396,7 @@ def _run_uncertainty(name: str, model, s: dict, tols: dict) -> RunResult:
 
 
 def _run_time_discrete(name: str, model, s: dict, tols: dict) -> RunResult:
+    from . import timepref as time_mod
     t_sample, n_max, w_t_max = s["t_sample"], s["n_max"], s["w_t_max"]
     t_top = max(1, *t_sample)
     if n_max > 53 or (t_top << (n_max + 1)) > MAX_EXACT_DELAY:  # no huge shift is built
@@ -482,14 +462,35 @@ def _run_time_discrete(name: str, model, s: dict, tols: dict) -> RunResult:
     return result
 
 
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """np.linspace(start, stop, num) bit for bit: start + i * step, the last point stop.
+
+    As there, a step that underflows to zero gives i / (num - 1) * (stop - start).
+    """
+    delta = stop - start
+    if num == 1:
+        return [0.0 * delta + start]
+    step = delta / (num - 1)
+    pts = [(i * step if step else i / (num - 1) * delta) + start for i in range(num)]
+    pts[-1] = stop
+    return pts
+
+
 def _run_time_continuous(name: str, model, s: dict, tols: dict) -> RunResult:
+    from . import timepref as time_mod
+    x_count, t_count, d_count = s["x_count"], s["t_count"], s["delta_count"]
+    probes = x_count * t_count * d_count  # the delay-Lipschitz meter evaluates each twice
+    if probes > MAX_GRID_POINTS:
+        raise ScenarioError(f"sampler.x_count: {x_count} payments times sampler.t_count "
+                            f"{t_count} times sampler.delta_count {d_count} give {probes} "
+                            f"delay probes, above the cap of {MAX_GRID_POINTS}")
     x_min = model.x_bar - 2.0 if s["x_min"] is None else s["x_min"]
     if x_min > model.x_bar:
         raise ScenarioError("sampler.x_min: must not exceed the model ceiling")
-    xs = np.linspace(x_min, model.x_bar, s["x_count"])
-    ts = np.linspace(0.0, s["t_max"], s["t_count"])
-    d_top, d_count = s["delta_max"], s["delta_count"]
-    deltas = np.linspace(d_top / d_count, d_top, d_count)
+    xs = _linspace(x_min, model.x_bar, x_count)
+    ts = _linspace(0.0, s["t_max"], t_count)
+    d_top = s["delta_max"]
+    deltas = _linspace(d_top / d_count, d_top, d_count)
     tol = tols["time"]
     result = RunResult(name=name, domain="time-continuous")
     curve = time_mod.continuous_gamma_curve(model, xs, tol=1e-9)
@@ -550,6 +551,7 @@ def run_scenario(scenario: dict) -> RunResult:
 # builtins
 
 def _builtin_allais() -> RunResult:
+    from . import risk as risk_mod
     rep = risk_mod.allais_report()
     result = RunResult(name="allais", domain="risk")
     result.verdicts["common-ratio-pattern"] = rep.exhibits_common_ratio_effect
@@ -570,6 +572,7 @@ def _builtin_allais() -> RunResult:
 
 
 def _builtin_figure1() -> RunResult:
+    from . import risk as risk_mod
     fig = risk_mod.figure1_data(resolution=1001)
     result = RunResult(name="figure1", domain="risk")
     result.verdicts["weighting-gap-within-claim"] = fig.within_claim
@@ -591,11 +594,12 @@ def _builtin_figure1() -> RunResult:
 
 
 def _builtin_smooth_bound() -> RunResult:
+    from . import uncertainty as unc_mod
     result = RunResult(name="smooth-bound", domain="uncertainty")
     priors = ((0.3, 0.7), (0.8, 0.2))
     weights = (0.5, 0.5)
     for f_name in ("sqrt1pz2", "z_minus_exp"):
-        model = SmoothAmbiguity(f_name, priors, weights)
+        model = unc_mod.SmoothAmbiguity(f_name, priors, weights)
         sampler = unc_mod.BoxSampler(n_states=2, bound=10.0, resolution=50)
         rep = _check(result, f"{f_name}-defect-cap",
                      lambda: _smooth_cap(result, f"{f_name}-defects", model, sampler),
@@ -613,8 +617,7 @@ def _builtin_smooth_bound() -> RunResult:
         except NotAdditive as exc:
             result.verdicts[f"{f_name}-prior-additive"] = False
             result.notes.append(f"{f_name} prior extraction failed: {exc}")
-        e1 = np.array([1.0, 0.0])
-        partials, converged = unc_mod.dyadic_phi_series(model, e1, np.zeros(2))
+        partials, converged = unc_mod.dyadic_phi_series(model, (1.0, 0.0), (0.0, 0.0))
         result.tables[f"{f_name}-series"] = (
             ["n", "partial_sum"],
             [[i, s] for i, s in enumerate(partials)],
@@ -624,7 +627,8 @@ def _builtin_smooth_bound() -> RunResult:
 
 
 def _builtin_quasi_hyperbolic() -> RunResult:
-    model = QuasiHyperbolic(0.9, 0.95)
+    from . import timepref as time_mod
+    model = time_mod.QuasiHyperbolic(0.9, 0.95)
     result = RunResult(name="quasi-hyperbolic", domain="time-discrete")
     theta_rep, converged = time_mod.theta_over_sample(model, (1, 2, 3, 4), n_max=40)
     result.reports.append(theta_rep.as_dict())

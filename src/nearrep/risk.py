@@ -8,32 +8,27 @@ axiom), the builders construct the affine benchmark through the degenerate
 lotteries, and the verifiers check the quantitative closeness bounds the
 defects imply.
 
-All utilities are in calibration units: u(best) = 1, u(worst) = 0.
+All utilities are in calibration units: u(best) = 1, u(worst) = 0. The lottery
+models are defined here too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (
-    BoundViolated,
-    CumulativeProspect,
-    HypothesisFailed,
-    InvalidModel,
-    Lottery,
-    NearRepresentation,
-    ViolationReport,
-    _distinct_rows,
-    _rows,
-    bisect_monotone,
-    bisect_monotone_batch,
-    grid_sample,
-)
+from .core import (BoundViolated, HypothesisFailed, InvalidModel, Lottery, NearRepresentation,
+                   ViolationReport, bisect_monotone)
+from .uncertainty import _distinct_rows, _RowModel, _rows, bisect_monotone_batch, grid_sample
 
 __all__ = [
+    "ExpectedUtility",
+    "CumulativeProspect",
+    "TabulatedUtility",
     "SimplexSampler",
     "AffineBenchmark",
     "mixture_utility",
@@ -58,6 +53,168 @@ _BLOCK_ENTRIES = 1 << 14
 # steps per direction that each round of the independence meter's outward
 # scan evaluates; most restoring roots lie within the first round
 _SCAN_WINDOW = 64
+
+
+# ---------------------------------------------------------------------------
+# risk models: value_batch(P) over rows of probability vectors on a fixed
+# prize set
+
+@dataclass(frozen=True)
+class ExpectedUtility(_RowModel):
+    """Linear model u(p) = sum_i p_i * prize_utilities[i]."""
+
+    prize_utilities: tuple[float, ...]
+
+    def __post_init__(self):
+        u = tuple(float(v) for v in self.prize_utilities)
+        if len(u) < 2:
+            raise InvalidModel("need at least two prizes")
+        if len(set(u)) < 2:
+            raise InvalidModel("all prize utilities equal; no calibration segment")
+        object.__setattr__(self, "prize_utilities", u)
+
+    @property
+    def n_outcomes(self) -> int:
+        return len(self.prize_utilities)
+
+    @property
+    def best_index(self) -> int:
+        return max(range(self.n_outcomes), key=lambda i: (self.prize_utilities[i], -i))
+
+    @property
+    def worst_index(self) -> int:
+        return min(range(self.n_outcomes), key=lambda i: (self.prize_utilities[i], i))
+
+    @cached_property
+    def _utility_vector(self) -> np.ndarray:
+        return np.asarray(self.prize_utilities, dtype=float)
+
+    def value_batch(self, P) -> np.ndarray:
+        return np.vecdot(_rows(P), self._utility_vector)
+
+
+@dataclass(frozen=True)
+class CumulativeProspect(_RowModel):
+    """Rank-dependent model with power value and inverse-S weighting.
+
+    Prize value w(x) = x^value_exponent; probability weighting
+    g(p) = p^b / (p^b + (1-p)^b)^(1/b) with b = weight_exponent. Decision
+    weights are differences of g along the descending prize order.
+    """
+
+    value_exponent: float
+    weight_exponent: float
+    prizes: tuple[float, ...]
+
+    def __post_init__(self):
+        if not 0.0 < self.value_exponent <= 1.0:
+            raise InvalidModel(f"value exponent {self.value_exponent!r} outside (0, 1]")
+        # weighting is non-monotone for very small exponents; 0.28 is the
+        # classical monotonicity threshold for this functional form
+        if not 0.28 <= self.weight_exponent <= 1.0:
+            raise InvalidModel(f"weight exponent {self.weight_exponent!r} outside [0.28, 1]")
+        z = tuple(float(v) for v in self.prizes)
+        if len(z) < 2:
+            raise InvalidModel("need at least two prizes")
+        if any(v < 0.0 for v in z):
+            raise InvalidModel("prizes must be nonnegative")
+        if len(set(z)) != len(z):
+            raise InvalidModel("prizes must be distinct")
+        object.__setattr__(self, "prizes", z)
+        order = tuple(sorted(range(len(z)), key=lambda i: -z[i]))
+        object.__setattr__(self, "_rank_order", order)
+        object.__setattr__(self, "_prize_values", tuple(v ** self.value_exponent for v in z))
+
+    @property
+    def n_outcomes(self) -> int:
+        return len(self.prizes)
+
+    @property
+    def best_index(self) -> int:
+        return self._rank_order[0]
+
+    @property
+    def worst_index(self) -> int:
+        return self._rank_order[-1]
+
+    def weight(self, p):
+        """Probability weighting g, elementwise, pinned to g(0) = 0 and g(1) = 1.
+
+        Probabilities outside [0, 1] (a cumulative sum rounding past 1) are
+        clipped onto it first. The formula is evaluated strictly inside
+        (0, 1) only: at 0 and 1 it gives the pinned values anyway, and
+        powers of zero take a slow path in NumPy's vector pow.
+        """
+        g = np.array(p, dtype=float)
+        np.clip(g, 0.0, 1.0, out=g)
+        inner = (g > 0.0) & (g < 1.0)
+        x = g[inner]
+        b = self.weight_exponent
+        xb = x ** b
+        g[inner] = xb / (xb + (1.0 - x) ** b) ** (1.0 / b)
+        return g[()]  # a scalar for a scalar p
+
+    def prize_value(self, x: float) -> float:
+        return x ** self.value_exponent
+
+    def value_batch(self, P) -> np.ndarray:
+        """Sum over the descending prize order of (g(cum) - g(previous cum)) * w(prize).
+
+        The cumulative sums run column by column, one row per prize. A
+        prize that leaves every row's cum unchanged (as all but the two end
+        prizes of a calibration segment do) leaves g unchanged too and adds
+        exactly nothing, so it is skipped.
+        """
+        P = _rows(P)
+        n = P.shape[1]
+        cum = np.empty((n, len(P)))
+        moved = []
+        for k, i in enumerate(self._rank_order):
+            np.add(cum[k - 1] if k else 0.0, P[:, i], out=cum[k])
+            if (cum[k] != (cum[k - 1] if k else 0.0)).any():
+                moved.append(k)
+        G = self.weight(cum[moved])
+        total = np.zeros(len(P))
+        g_prev = 0.0
+        for g, k in zip(G, moved):
+            total += (g - g_prev) * self._prize_values[self._rank_order[k]]
+            g_prev = g
+        return total
+
+
+@dataclass(frozen=True, eq=False)
+class TabulatedUtility(_RowModel):
+    """Utility supplied directly as a function of the probability vector.
+
+    Used where the utility is given rather than derived from a parametric
+    family, e.g. perturbed benchmarks in converse checks. The callable must
+    accept a length-n_outcomes sequence and return a float; value_batch
+    calls it once per row.
+    """
+
+    fn: Callable[[Sequence[float]], float]
+    n_outcomes: int
+
+    def __post_init__(self):
+        if self.n_outcomes < 2:
+            raise InvalidModel("need at least two prizes")
+        vals = [self.fn(Lottery.degenerate(i, self.n_outcomes).probs) for i in range(self.n_outcomes)]
+        if len(set(vals)) < 2:
+            raise InvalidModel("constant on degenerates; no calibration segment")
+        object.__setattr__(self, "_degenerate_values", tuple(vals))
+
+    @property
+    def best_index(self) -> int:
+        v = self._degenerate_values
+        return max(range(self.n_outcomes), key=lambda i: (v[i], -i))
+
+    @property
+    def worst_index(self) -> int:
+        v = self._degenerate_values
+        return min(range(self.n_outcomes), key=lambda i: (v[i], i))
+
+    def value_batch(self, P) -> np.ndarray:
+        return np.array([float(self.fn(tuple(row))) for row in _rows(P).tolist()])
 
 
 def _on_simplex(P: np.ndarray) -> np.ndarray:

@@ -7,7 +7,8 @@ separate recipe recovers gamma from the first horizon where d drops below a
 threshold set by the multiplicative-axiom defect. Continuous reward-timing
 models u(x, t) get an indifference-delay curve gamma(x) and a time-shift
 benchmark h(x, t) = g(t + gamma(x)) whose gap is controlled by the measured
-stationarity and delay-Lipschitz constants.
+stationarity and delay-Lipschitz constants. The curve and reward-timing
+models are defined here too; nothing in this module needs numpy.
 """
 
 from __future__ import annotations
@@ -16,23 +17,17 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from .core import (
-    BoundViolated,
-    HypothesisFailed,
-    InvalidModel,
-    NearRepresentation,
-    NoBracket,
-    NoSuchTau,
-    NotConverged,
-    ViolationReport,
-    bisect_monotone,
-    discount,
-    dyadic_tail_sum,
-)
+from .core import (SUM_TOL, BoundViolated, HypothesisFailed, InvalidModel, NearRepresentation,
+                   NoBracket, NoSuchTau, NotConverged, ViolationReport, bisect_monotone, discount,
+                   dyadic_tail_sum)
 
 __all__ = [
+    "Exponential",
+    "QuasiHyperbolic",
+    "Hyperbolic",
+    "TabulatedDiscount",
+    "LinearDelay",
+    "LogDelay",
     "psi",
     "theta_series",
     "theta_over_sample",
@@ -51,6 +46,102 @@ __all__ = [
 ]
 
 BRACKET_CAP = 2.0 ** 60  # doubling searches stop here and report NoBracket
+
+
+# ---------------------------------------------------------------------------
+# discrete-time discount models: log_d(t) over integer delays
+
+@dataclass(frozen=True)
+class Exponential:
+    """d(t) = gamma^t."""
+
+    gamma: float
+    T_max: int | None = None
+
+    def __post_init__(self):
+        if not 0.0 < self.gamma < 1.0:
+            raise InvalidModel(f"gamma {self.gamma!r} outside (0, 1)")
+
+    def log_d(self, t: int) -> float:
+        _check_delay(self, t)
+        return t * math.log(self.gamma)
+
+
+@dataclass(frozen=True)
+class QuasiHyperbolic:
+    """d(0) = 1, d(t) = beta * delta^t for t >= 1."""
+
+    beta: float
+    delta: float
+    T_max: int | None = None
+
+    def __post_init__(self):
+        if not 0.0 < self.beta <= 1.0:
+            raise InvalidModel(f"beta {self.beta!r} outside (0, 1]")
+        if not 0.0 < self.delta < 1.0:
+            raise InvalidModel(f"delta {self.delta!r} outside (0, 1)")
+
+    def log_d(self, t: int) -> float:
+        _check_delay(self, t)
+        if t == 0:
+            return 0.0
+        return math.log(self.beta) + t * math.log(self.delta)
+
+
+@dataclass(frozen=True)
+class Hyperbolic:
+    """d(t) = 1 / (1 + k t)."""
+
+    k: float
+    T_max: int | None = None
+
+    def __post_init__(self):
+        if not self.k > 0.0:
+            raise InvalidModel(f"k {self.k!r} must be positive")
+
+    def log_d(self, t: int) -> float:
+        _check_delay(self, t)
+        return -math.log1p(self.k * t)
+
+
+@dataclass(frozen=True)
+class TabulatedDiscount:
+    """Finite-horizon curve given by levels d(0), ..., d(T_max).
+
+    Levels must be strictly positive with d(0) = 1 within 1e-12; storage is
+    log space.
+    """
+
+    values: tuple[float, ...]
+
+    def __post_init__(self):
+        v = tuple(float(x) for x in self.values)
+        if len(v) < 2:
+            raise InvalidModel("need at least d(0) and d(1)")
+        if any(x <= 0.0 for x in v):
+            raise InvalidModel("discount levels must be strictly positive")
+        if abs(v[0] - 1.0) > SUM_TOL:
+            raise InvalidModel(f"d(0) = {v[0]!r}, must be 1")
+        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "_log_values", tuple(math.log(x) for x in v))
+
+    @property
+    def T_max(self) -> int:
+        return len(self.values) - 1
+
+    @property
+    def is_strictly_decreasing(self) -> bool:
+        return all(b < a for a, b in zip(self.values, self.values[1:]))
+
+    def log_d(self, t: int) -> float:
+        _check_delay(self, t)
+        return self._log_values[t]
+
+
+def _check_delay(model, t: int) -> None:
+    _check_t(t, "delay")
+    if model.T_max is not None and t > model.T_max:
+        raise InvalidModel(f"delay {t} beyond horizon T_max={model.T_max}")
 
 
 def _check_t(t: int, name: str = "t") -> int:
@@ -316,7 +407,52 @@ def exact_recovery(model, theta_W: float, t_probe: Sequence[int] | None = None,
 
 
 # ---------------------------------------------------------------------------
-# continuous reward timing
+# continuous-time reward-timing models: value(x, t) on (-inf, x_bar] x [0, inf)
+
+@dataclass(frozen=True)
+class LinearDelay:
+    """u(x, t) = x - rate * t; stationary benchmark with exact time shifts."""
+
+    x_bar: float
+    rate: float = 1.0
+
+    def __post_init__(self):
+        if not self.rate > 0.0:
+            raise InvalidModel("rate must be positive")
+
+    def value(self, x: float, t: float) -> float:
+        _check_xt(self, x, t)
+        return x - self.rate * t
+
+    def gamma_closed_form(self, x: float) -> float:
+        return (self.x_bar - x) / self.rate
+
+
+@dataclass(frozen=True)
+class LogDelay:
+    """u(x, t) = x - log(1 + k t); delay sensitivity decays, shifts are inexact."""
+
+    x_bar: float
+    k: float
+
+    def __post_init__(self):
+        if not self.k > 0.0:
+            raise InvalidModel("k must be positive")
+
+    def value(self, x: float, t: float) -> float:
+        _check_xt(self, x, t)
+        return x - math.log1p(self.k * t)
+
+    def gamma_closed_form(self, x: float) -> float:
+        return (math.exp(self.x_bar - x) - 1.0) / self.k
+
+
+def _check_xt(model, x: float, t: float) -> None:
+    if x > model.x_bar + 1e-12:
+        raise InvalidModel(f"payment {x!r} above the ceiling x_bar={model.x_bar!r}")
+    if t < 0.0:
+        raise InvalidModel(f"delay {t!r} must be nonnegative")
+
 
 def _present_value(model, t: float) -> float:
     return model.value(model.x_bar, t)
@@ -486,11 +622,17 @@ def verify_exp3_bound(model, eps_hat: float, lambda_hat: float,
 
 
 def same_ordering(values_a: Sequence[float], values_b: Sequence[float]) -> bool:
-    """True when two value lists rank all pairs identically (ties included)."""
-    a = np.asarray(values_a, dtype=float)
-    b = np.asarray(values_b, dtype=float)
-    if a.shape != b.shape:
+    """True when two value lists rank all pairs identically (ties included).
+
+    A pair ranks by the sign of its difference; a NaN difference (a NaN, or
+    an infinity less itself) matches nothing.
+    """
+    a = [float(v) for v in values_a]
+    b = [float(v) for v in values_b]
+    if len(a) != len(b):
         raise InvalidModel("value lists must have equal length")
-    sa = np.sign(a[:, None] - a[None, :])
-    sb = np.sign(b[:, None] - b[None, :])
-    return bool(np.all(sa == sb))
+    return all(_sign(x - y) == _sign(u - v) for x, u in zip(a, b) for y, v in zip(a, b))
+
+
+def _sign(d: float) -> float:
+    return (d > 0.0) - (d < 0.0) if d == d else math.nan

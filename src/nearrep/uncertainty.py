@@ -9,6 +9,8 @@ quasi-concave envelope comes from convex hulls of sampled upper level sets.
 
 Certainty equivalents keep u(c * ones) = c exactly (constant acts short-cut
 the solve), which is what makes the doubling bookkeeping phi(x, 0) legitimate.
+The act models are defined here too, with the array primitives the risk
+domain shares: row evaluation, lockstep bisection and evaluation grids.
 """
 
 from __future__ import annotations
@@ -16,24 +18,23 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import cached_property
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (
-    BoundViolated,
-    HypothesisFailed,
-    InvalidModel,
-    NearRepresentation,
-    NotAdditive,
-    NotConverged,
-    SmoothAmbiguity,
-    ViolationReport,
-    dyadic_tail_sum,
-    grid_sample,
-)
+from .core import (MAX_GRID_POINTS, SUM_TOL, BoundViolated, HypothesisFailed, InvalidModel,
+                   NearRepresentation, NoBracket, NotAdditive, NotConverged, ViolationReport,
+                   dyadic_tail_sum, grid_size)
 
 __all__ = [
+    "SubjectiveExpected",
+    "MaxminExpected",
+    "SmoothAmbiguity",
+    "CESUtility",
+    "LinearPlusBounded",
+    "bisect_monotone_batch",
+    "grid_sample",
     "BoxSampler",
     "LinearBenchmark",
     "ScaledLimit",
@@ -69,6 +70,409 @@ SERIES_CHUNK = 32  # act pairs per batched solve in the defect series; caps peak
 # Scaled-limit steps per batched solve. Most limits stop within a few steps
 # (exact models at the first), so a short block saves calls and wastes little.
 SCALE_BLOCK = 8
+
+
+# ---------------------------------------------------------------------------
+# every model evaluates rows: value_batch(X) over rows of lotteries or acts,
+# value(x) as its one-row case
+
+def _rows(X) -> np.ndarray:
+    return np.ascontiguousarray(X, dtype=float).reshape(-1, np.shape(X)[-1])
+
+
+class _RowModel:
+    """value(x) as the one-row case of value_batch, so both agree bit for bit.
+
+    Row-wise products use np.vecdot (one dot per row, as np.dot(p, x)) and
+    np.matvec (one matrix-vector product per row, as P @ x), and the
+    rank-dependent model works column by column: each row is computed alone,
+    so its bits do not depend on the rest of the batch.
+    """
+
+    def value(self, x) -> float:
+        return float(self.value_batch(_rows(x))[0])
+
+
+# ---------------------------------------------------------------------------
+# uncertainty models: value_batch(X) over rows of acts in R^d_+, value(x) as its
+# one-row case, and ce_batch(X, tol), the sure payoff with each row's value
+# (ce_batch below handles constant rows before calling it)
+
+def _validate_prior(prior: Sequence[float], what: str = "prior") -> tuple[float, ...]:
+    p = tuple(float(v) for v in prior)
+    if len(p) < 1:
+        raise InvalidModel(f"empty {what}")
+    if any(v < 0.0 for v in p):
+        raise InvalidModel(f"{what} has negative entries: {p}")
+    total = math.fsum(p)
+    if abs(total - 1.0) > SUM_TOL:
+        raise InvalidModel(f"{what} sums to {total!r}, not 1")
+    if total != 1.0:
+        p = tuple(v / total for v in p)
+    return p
+
+
+@dataclass(frozen=True)
+class SubjectiveExpected(_RowModel):
+    """Linear model u(x) = prior . x."""
+
+    prior: tuple[float, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "prior", _validate_prior(self.prior))
+
+    @property
+    def n_states(self) -> int:
+        return len(self.prior)
+
+    @cached_property
+    def _prior_vector(self) -> np.ndarray:
+        return np.asarray(self.prior, dtype=float)
+
+    def value_batch(self, X) -> np.ndarray:
+        return np.vecdot(_rows(X), self._prior_vector)
+
+    def ce_batch(self, X: np.ndarray, tol: float) -> np.ndarray:
+        return self.value_batch(X)
+
+
+@dataclass(frozen=True)
+class MaxminExpected(_RowModel):
+    """Worst-case expected value over a finite prior set."""
+
+    priors: tuple[tuple[float, ...], ...]
+
+    def __post_init__(self):
+        ps = tuple(_validate_prior(p) for p in self.priors)
+        if len(ps) < 1:
+            raise InvalidModel("need at least one prior")
+        if len({len(p) for p in ps}) != 1:
+            raise InvalidModel("priors live on different state spaces")
+        object.__setattr__(self, "priors", ps)
+
+    @property
+    def n_states(self) -> int:
+        return len(self.priors[0])
+
+    @cached_property
+    def _prior_matrix(self) -> np.ndarray:
+        return np.asarray(self.priors, dtype=float)
+
+    def value_batch(self, X) -> np.ndarray:
+        return np.min(np.matvec(self._prior_matrix, _rows(X)), axis=1)
+
+    def ce_batch(self, X: np.ndarray, tol: float) -> np.ndarray:
+        return self.value_batch(X)
+
+
+def _f_sqrt1pz2(z: np.ndarray | float):
+    return np.sqrt(1.0 + np.square(z))
+
+
+def _ce_sqrt1pz2(Z: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    # With m = w - 1, f_inv(w) = sqrt(w^2 - 1) = sqrt(m (m + 2)). Each
+    # sqrt(1 + z^2) - 1 is formed as z^2 / (1 + sqrt(1 + z^2)), so m keeps
+    # full precision when w is near 1 (acts near zero), where w^2 - 1 cancels.
+    Z2 = np.square(Z)
+    m = np.vecdot(Z2 / (1.0 + np.sqrt(1.0 + Z2)), weights)
+    return np.sqrt(m * (m + 2.0))
+
+
+def _f_z_minus_exp(z: np.ndarray | float):
+    return z - np.exp(-np.asarray(z, dtype=float))
+
+
+def _ce_z_minus_exp(Z: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    # solve c - e^{-c} = w by Newton from c0 = max(w, 0); the map is strictly
+    # increasing with derivative in [1, 2], so the iteration is monotone safe.
+    # Each row stops on its own step test and is not updated afterwards.
+    w = np.vecdot(_f_z_minus_exp(Z), weights)
+    c = np.maximum(w, 0.0)
+    active = np.arange(len(c))
+    for _ in range(60):
+        if not len(active):
+            break
+        ca = c[active]
+        e = np.exp(-ca)
+        step = (ca - e - w[active]) / (1.0 + e)
+        ca = ca - step
+        c[active] = ca
+        active = active[np.abs(step) > 1e-15 * np.maximum(1.0, np.abs(ca))]
+    return c
+
+
+_SMOOTH_FS: dict[str, tuple[Callable, Callable]] = {
+    "sqrt1pz2": (_f_sqrt1pz2, _ce_sqrt1pz2),
+    "z_minus_exp": (_f_z_minus_exp, _ce_z_minus_exp),
+}
+
+
+@dataclass(frozen=True)
+class SmoothAmbiguity(_RowModel):
+    """Second-order model: raw functional is a mixture of f(prior . x).
+
+    f_name selects the strictly increasing transform; the value is the raw
+    integral functional itself, and f^{-1} of it is the certainty equivalent.
+    """
+
+    f_name: str
+    priors: tuple[tuple[float, ...], ...]
+    weights: tuple[float, ...]
+
+    def __post_init__(self):
+        if self.f_name not in _SMOOTH_FS:
+            raise InvalidModel(f"unknown transform {self.f_name!r}; "
+                               f"choose from {sorted(_SMOOTH_FS)}")
+        ps = tuple(_validate_prior(p) for p in self.priors)
+        if len({len(p) for p in ps}) != 1:
+            raise InvalidModel("priors live on different state spaces")
+        w = _validate_prior(self.weights, what="weight vector")
+        if len(w) != len(ps):
+            raise InvalidModel("one weight per prior required")
+        object.__setattr__(self, "priors", ps)
+        object.__setattr__(self, "weights", w)
+
+    @property
+    def n_states(self) -> int:
+        return len(self.priors[0])
+
+    @cached_property
+    def _prior_matrix(self) -> np.ndarray:
+        return np.asarray(self.priors, dtype=float)
+
+    @cached_property
+    def _weight_vector(self) -> np.ndarray:
+        return np.asarray(self.weights, dtype=float)
+
+    @cached_property
+    def mean_prior(self) -> tuple[float, ...]:
+        return tuple(float(v) for v in self._weight_vector @ self._prior_matrix)
+
+    def f(self, z):
+        return _SMOOTH_FS[self.f_name][0](z)
+
+    def value_batch(self, X) -> np.ndarray:
+        """The integral functional sum_k weights[k] * f(priors[k] . x), per row."""
+        return np.vecdot(self.f(np.matvec(self._prior_matrix, _rows(X))), self._weight_vector)
+
+    def raw_value(self, x) -> float:
+        """The integral functional at one act (the model value)."""
+        return self.value(x)
+
+    def ce_batch(self, X: np.ndarray, tol: float) -> np.ndarray:
+        return _SMOOTH_FS[self.f_name][1](np.matvec(self._prior_matrix, _rows(X)),
+                                          self._weight_vector)
+
+
+@dataclass(frozen=True)
+class CESUtility(_RowModel):
+    """Homogeneous-of-degree-one aggregator (sum_i w_i x_i^rho)^(1/rho)."""
+
+    weights: tuple[float, ...]
+    rho: float
+
+    def __post_init__(self):
+        w = tuple(float(v) for v in self.weights)
+        if any(v <= 0.0 for v in w):
+            raise InvalidModel("weights must be strictly positive")
+        if not 0.0 < self.rho <= 1.0:
+            raise InvalidModel(f"rho {self.rho!r} outside (0, 1]")
+        object.__setattr__(self, "weights", w)
+
+    @property
+    def n_states(self) -> int:
+        return len(self.weights)
+
+    @cached_property
+    def _weight_vector(self) -> np.ndarray:
+        return np.asarray(self.weights, dtype=float)
+
+    @cached_property
+    def unit_level(self) -> float:
+        """Value of the all-ones act; divides out for certainty equivalents."""
+        return float(np.sum(self._weight_vector)) ** (1.0 / self.rho)
+
+    def value_batch(self, X) -> np.ndarray:
+        inner = np.vecdot(_rows(X) ** self.rho, self._weight_vector).tolist()
+        # libm's pow, as the per-act form used: NumPy's vector pow rounds
+        # differently in about 5% of inputs, which reshuffles the noise-level
+        # maxima (and so the witnesses) of this exactly homogeneous model
+        return np.array([v ** (1.0 / self.rho) for v in inner])
+
+    def ce_batch(self, X: np.ndarray, tol: float) -> np.ndarray:
+        return self.value_batch(X) / self.unit_level
+
+
+@dataclass(frozen=True)
+class LinearPlusBounded(_RowModel):
+    """Linear value plus a bounded saturating bump: prior.x + bump(1 - e^{-sum x}).
+
+    The bump is bounded by `bump`, so scaling deviations are capped and the
+    homogeneous-limit series sums geometrically.
+    """
+
+    prior: tuple[float, ...]
+    bump: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "prior", _validate_prior(self.prior))
+        if not self.bump >= 0.0:
+            raise InvalidModel("bump must be nonnegative")
+
+    @property
+    def n_states(self) -> int:
+        return len(self.prior)
+
+    @cached_property
+    def _prior_vector(self) -> np.ndarray:
+        return np.asarray(self.prior, dtype=float)
+
+    @cached_property
+    def _ones(self) -> np.ndarray:
+        return np.ones(len(self.prior))
+
+    def value_batch(self, X) -> np.ndarray:
+        X = _rows(X)
+        total = np.vecdot(X, self._ones)
+        return np.vecdot(X, self._prior_vector) + self.bump * (1.0 - np.exp(-total))
+
+    def ce_batch(self, X: np.ndarray, tol: float) -> np.ndarray:
+        """No closed form: bisected between each row's min and max.
+
+        Repeated rows are solved once (doubling ladders share most of their
+        scaled acts), and each row's bisection runs the same steps whatever
+        else is in the batch.
+        """
+        U, inverse = _distinct_rows(_rows(X))
+        target = self.value_batch(U)
+        d = U.shape[1]
+
+        def gap(c: np.ndarray, idx: np.ndarray) -> np.ndarray:
+            return self.value_batch(c[:, None].repeat(d, axis=1)) - target[idx]
+
+        c = bisect_monotone_batch(gap, np.min(U, axis=1), np.max(U, axis=1), tol=tol)
+        return c[inverse]
+
+
+# ---------------------------------------------------------------------------
+# array primitives, shared with the risk domain
+
+def bisect_monotone_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi,
+                          tol: float = 1e-10, max_iter: int = 200) -> np.ndarray:
+    """bisect_monotone for many brackets at once, all stepped in lockstep.
+
+    f(c, idx) returns, for each k, the idx[k]-th monotone function at c[k];
+    element k is bracketed by [lo[k], hi[k]]. Every element takes the steps
+    bisect_monotone takes on its own: an exact zero at lo, at hi or at a
+    midpoint returns that point, and it stops once hi - lo <= tol or the
+    midpoint no longer splits the interval. Raises NoBracket, naming the
+    first such element, when any f(lo) and f(hi) share a sign.
+    """
+    if not tol > 0.0:
+        raise InvalidModel(f"tol must be positive, got {tol!r}")
+    lo = np.array(lo, dtype=float).reshape(-1)
+    hi = np.array(hi, dtype=float).reshape(-1)
+    if lo.shape != hi.shape:
+        raise InvalidModel(f"{len(lo)} lower and {len(hi)} upper bracket ends")
+    empty = np.flatnonzero(~(lo < hi))
+    if len(empty):
+        k = int(empty[0])
+        raise InvalidModel(f"empty bracket [{lo[k]!r}, {hi[k]!r}] at element {k}")
+    out = np.empty_like(lo)
+    idx = np.arange(len(lo))
+    flo, fhi = f(lo, idx), f(hi, idx)
+    at_lo = flo == 0.0
+    at_hi = ~at_lo & (fhi == 0.0)
+    out[at_lo], out[at_hi] = lo[at_lo], hi[at_hi]
+    same = np.flatnonzero(~at_lo & ~at_hi & ((flo > 0.0) == (fhi > 0.0)))
+    if len(same):
+        k = int(same[0])
+        raise NoBracket(f"element {k}: f({lo[k]!r})={flo[k]!r} and f({hi[k]!r})={fhi[k]!r} "
+                        f"have the same sign")
+    act = np.flatnonzero(~at_lo & ~at_hi)
+    increasing = flo[act] < 0.0
+    lo, hi = lo[act], hi[act]
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        # stop at tol or at float resolution; either way the answer is the midpoint
+        keep = (hi - lo > tol) & (mid > lo) & (mid < hi)
+        if np.count_nonzero(keep) == len(keep):
+            fm = f(mid, act)
+            keep = fm != 0.0
+        else:
+            fm = f(mid[keep], act[keep])
+            keep[keep] = fm != 0.0
+        if np.count_nonzero(keep) < len(keep):  # finished elements leave the active set
+            out[act[~keep]] = mid[~keep]
+            fm = fm[fm != 0.0]
+            act, increasing, lo, hi, mid = (act[keep], increasing[keep], lo[keep], hi[keep],
+                                            mid[keep])
+            if not len(act):
+                break
+        up = (fm < 0.0) == increasing
+        lo = np.where(up, mid, lo)
+        hi = np.where(up, hi, mid)
+    out[act] = 0.5 * (lo + hi)
+    return out
+
+
+def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows U of X and each row's index into them: X == U[inverse]."""
+    if len(X) < 2:
+        return X, np.arange(len(X))
+    order = np.lexsort(X.T[::-1])
+    S = X[order]
+    first = np.empty(len(X), dtype=bool)
+    first[0] = True
+    np.any(S[1:] != S[:-1], axis=1, out=first[1:])
+    inverse = np.empty(len(X), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return S[first], inverse
+
+
+def _simplex_lattice(n_coords: int, subdivisions: int) -> np.ndarray:
+    """All compositions of `subdivisions` into n_coords parts, divided out.
+
+    Deterministic lexicographic order; contains every vertex, and the
+    barycenter whenever subdivisions is a multiple of n_coords.
+    """
+    if subdivisions == 0:
+        return np.full((1, n_coords), 1.0 / n_coords)
+    pts = []
+    for bars in itertools.combinations(range(subdivisions + n_coords - 1), n_coords - 1):
+        parts = []
+        prev = -1
+        for b in bars:
+            parts.append(b - prev - 1)
+            prev = b
+        parts.append(subdivisions + n_coords - 2 - prev)
+        pts.append([k / subdivisions for k in parts])
+    return np.asarray(pts, dtype=float)
+
+
+def grid_sample(space: str, dim: int, resolution: int, bound: float = 1.0) -> np.ndarray:
+    """Deterministic evaluation grid for one of the three domains.
+
+    space 'simplex': the composition lattice of probabilities that are
+    multiples of 1/resolution over `dim` coordinates (resolution 2 on three
+    prizes gives the 6 half-integer points). space 'box': the product grid
+    of per-axis linspace(0, bound, resolution) over `dim` axes. space
+    'interval': linspace(0, bound, resolution), shape (resolution, 1).
+
+    Grids above MAX_GRID_POINTS are refused before anything is allocated.
+    The same arguments always return the same array.
+    """
+    n = grid_size(space, dim, resolution)
+    if n > MAX_GRID_POINTS:
+        raise InvalidModel(f"{space} grid of {n} points exceeds the cap of "
+                           f"{MAX_GRID_POINTS} points")
+    if space == "simplex":
+        return _simplex_lattice(dim, resolution)
+    if space == "box":
+        axis = np.linspace(0.0, bound, resolution)
+        grids = np.meshgrid(*([axis] * dim), indexing="ij")
+        return np.stack([g.ravel() for g in grids], axis=-1)
+    return np.linspace(0.0, bound, resolution).reshape(-1, 1)
 
 
 @dataclass(frozen=True)

@@ -14,20 +14,11 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from nearrep.core import (
-    CumulativeProspect,
-    Exponential,
-    ExpectedUtility,
-    LinearDelay,
-    LogDelay,
-    MaxminExpected,
-    QuasiHyperbolic,
-    SmoothAmbiguity,
-    SubjectiveExpected,
-    TabulatedUtility,
-)
 from nearrep.risk import (
+    CumulativeProspect,
+    ExpectedUtility,
     SimplexSampler,
+    TabulatedUtility,
     allais_report,
     build_affine_benchmark,
     converse_check_4eps,
@@ -38,6 +29,10 @@ from nearrep.risk import (
     verify_thm1,
 )
 from nearrep.timepref import (
+    Exponential,
+    LinearDelay,
+    LogDelay,
+    QuasiHyperbolic,
     continuous_gamma_curve,
     exact_recovery,
     fit_gamma,
@@ -50,6 +45,9 @@ from nearrep.timepref import (
 )
 from nearrep.uncertainty import (
     BoxSampler,
+    MaxminExpected,
+    SmoothAmbiguity,
+    SubjectiveExpected,
     ce_utility,
     dyadic_phi_series,
     extract_prior,

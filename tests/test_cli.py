@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nearrep.cli import main
 
@@ -184,6 +186,89 @@ def test_time_counts_at_the_cap_are_accepted(monkeypatch, sampler):
     _patch_time_meters(monkeypatch)
     with pytest.raises(_Reached):
         run_scenario(dict(TIME_SCENARIO, sampler=sampler))
+
+
+CONTINUOUS_SCENARIO = {
+    "version": 1,
+    "name": "shift-audit",
+    "domain": "time-continuous",
+    "model": {"type": "log_delay", "x_bar": 2.0, "k": 0.1},
+    "sampler": {},
+}
+
+
+def _patch_continuous_meters(monkeypatch):
+    import nearrep.timepref
+
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    for meter in ("continuous_gamma_curve", "measure_eps_stationarity",
+                  "measure_lambda_lipschitz", "verify_exp3_bound"):
+        monkeypatch.setattr(nearrep.timepref, meter, reached)
+
+
+@pytest.mark.parametrize("sampler,message", [
+    ({"x_count": 1000, "t_count": 101, "delta_count": 1},
+     "1000 payments times sampler.t_count 101 times sampler.delta_count 1 give 101000 "
+     "delay probes, above the cap of 100000"),
+    ({"x_count": 10 ** 9, "t_count": 10 ** 9, "delta_count": 10 ** 9}, "delay probes"),
+], ids=["probes", "probes-1e27"])
+def test_run_rejects_continuous_counts_over_the_cap(tmp_path, capsys, monkeypatch, sampler,
+                                                    message):
+    # the cap is worked out from the counts: no grid is built and no meter runs first
+    import time
+
+    import nearrep.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid was built before the size check")
+
+    _patch_continuous_meters(monkeypatch)
+    monkeypatch.setattr(nearrep.cli, "_linspace", refuse)
+    scenario = json.loads(json.dumps(CONTINUOUS_SCENARIO))
+    scenario["sampler"].update(sampler)
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main(["run", _write(tmp_path, "s.json", scenario), "--out", str(out)]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: sampler.x_count: ") and message in err
+    assert not out.exists()
+
+
+def test_continuous_counts_at_the_cap_are_accepted(monkeypatch):
+    from nearrep.cli import run_scenario
+
+    _patch_continuous_meters(monkeypatch)
+    sampler = {"x_count": 1000, "t_count": 100, "delta_count": 1}
+    with pytest.raises(_Reached):
+        run_scenario(dict(CONTINUOUS_SCENARIO, sampler=sampler))
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_FINITE, _FINITE, st.integers(1, 40))
+@example(-3.0, -3.0, 1)        # one point, x_min == x_bar
+@example(2.5, 2.5, 9)          # x_min == x_bar: a zero step
+@example(-7.25, 1.0, 9)        # a negative start
+@example(-0.0, 0.0, 4)
+@example(0.0, 5e-324, 4)       # a step that underflows to zero
+@example(-1e308, 1e308, 5)     # stop - start overflows
+def test_time_grid_equals_numpy_linspace_bit_for_bit(start, stop, num):
+    import struct
+
+    import numpy as np
+
+    from nearrep.cli import _linspace
+
+    got = _linspace(start, stop, num)
+    assert len(got) == num
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = np.linspace(start, stop, num)
+    assert struct.pack(f"<{num}d", *got) == want.astype("<f8").tobytes()
 
 
 def _patch_risk_meters(monkeypatch):
@@ -569,3 +654,52 @@ def test_csv_floats_round_trip(tmp_path):
     row = dict(l.split(",", 1) for l in lines[1:])
     # 17 significant digits reproduce the double exactly
     assert float(row["max_abs_gap"]) == pytest.approx(0.10077602748463332, abs=1e-12)
+
+
+# --- imports: only the risk and uncertainty pipelines load numpy ---------------
+
+def _fresh_process(tmp_path, argv):
+    """Exit code and the loaded top-level numpy/scipy packages of one fresh process.
+
+    argv None only imports nearrep.cli; otherwise main(argv) runs, as the
+    console script does.
+    """
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import nearrep
+
+    env = dict(os.environ, PYTHONPATH=str(Path(nearrep.__file__).resolve().parents[1]))
+    run = "0" if argv is None else "main(sys.argv[1:])"
+    code = (f"import sys; from nearrep.cli import main; code = {run}; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'})); "
+            "sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", code, *(argv or [])], env=env, cwd=tmp_path,
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv,scenario", [
+    (None, None),
+    (["list"], None),
+    (["run"], TIME_SCENARIO),
+    (["run"], CONTINUOUS_SCENARIO),
+    (["builtin", "quasi-hyperbolic"], None),
+], ids=["import", "list", "time-discrete", "time-continuous", "builtin-quasi-hyperbolic"])
+def test_time_commands_and_list_leave_numpy_unloaded(tmp_path, argv, scenario):
+    if scenario is not None:
+        argv = [*argv, _write(tmp_path, "s.json", scenario)]
+    assert _fresh_process(tmp_path, argv) == (0, "[]")
+
+
+@pytest.mark.parametrize("scenario", [
+    RISK_SCENARIO,
+    {"version": 1, "name": "seu", "domain": "uncertainty",
+     "model": {"type": "seu", "prior": [0.3, 0.7]},
+     "sampler": {"resolution": 3, "n_random_pairs": 5}},
+], ids=["risk", "uncertainty"])
+def test_risk_and_uncertainty_runs_load_numpy_but_not_scipy(tmp_path, scenario):
+    argv = ["run", _write(tmp_path, "s.json", scenario)]
+    assert _fresh_process(tmp_path, argv) == (0, "['numpy']")

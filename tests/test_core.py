@@ -9,23 +9,29 @@ from hypothesis import strategies as st
 
 from nearrep.core import (
     MAX_GRID_POINTS,
-    CumulativeProspect,
-    ExpectedUtility,
-    Exponential,
-    Hyperbolic,
     InvalidModel,
     Lottery,
     NoBracket,
-    QuasiHyperbolic,
-    TabulatedDiscount,
-    TabulatedUtility,
     bisect_monotone,
-    bisect_monotone_batch,
     discount,
     dyadic_tail_sum,
-    grid_sample,
     grid_size,
     mix_probs,
+)
+from nearrep.risk import (
+    CumulativeProspect,
+    ExpectedUtility,
+    TabulatedUtility,
+)
+from nearrep.timepref import (
+    Exponential,
+    Hyperbolic,
+    QuasiHyperbolic,
+    TabulatedDiscount,
+)
+from nearrep.uncertainty import (
+    bisect_monotone_batch,
+    grid_sample,
 )
 
 
@@ -312,3 +318,33 @@ def test_every_module_export_resolves_on_the_package():
     assert set(nearrep.__all__) == {n for mod in modules for n in mod.__all__}
     assert "discount" in core.__all__ and "discount" in nearrep.__all__
     assert nearrep.discount is discount
+
+
+def test_package_resolves_exports_on_demand():
+    import nearrep
+    from nearrep import CumulativeProspect, risk
+
+    assert nearrep.risk is risk
+    assert CumulativeProspect is risk.CumulativeProspect
+    assert set(nearrep.__all__) <= set(dir(nearrep))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        nearrep.no_such_name  # noqa: B018
+
+
+def test_package_import_loads_no_domain_module():
+    # numpy loads only once a name from the risk or uncertainty module is used
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import nearrep
+
+    env = dict(os.environ, PYTHONPATH=str(Path(nearrep.__file__).resolve().parents[1]))
+    code = ("import sys, nearrep; loaded = lambda: sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('nearrep', 'numpy')); print(loaded()); "
+            "from nearrep import Exponential, discount; print(loaded()); "
+            "from nearrep import CumulativeProspect; print('numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    assert out == ["['nearrep']", "['nearrep', 'nearrep.core', 'nearrep.timepref']", "True"]

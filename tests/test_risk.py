@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 
 from nearrep.core import (
     BoundViolated,
-    CumulativeProspect,
-    ExpectedUtility,
     HypothesisFailed,
     Lottery,
-    TabulatedUtility,
 )
 from nearrep.risk import (
+    CumulativeProspect,
+    ExpectedUtility,
     SimplexSampler,
+    TabulatedUtility,
     allais_report,
     build_affine_benchmark,
     converse_check_4eps,

@@ -15,16 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nearrep.core import (
-    CumulativeProspect,
-    ExpectedUtility,
     InvalidModel,
     Lottery,
     NoBracket,
-    TabulatedUtility,
     mix_probs,
 )
 from nearrep.risk import (
+    CumulativeProspect,
+    ExpectedUtility,
     SimplexSampler,
+    TabulatedUtility,
     _nearest_root,
     _nearest_roots,
     measure_eps_independence,

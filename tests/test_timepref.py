@@ -4,20 +4,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nearrep.core import (
     BoundViolated,
-    Exponential,
-    Hyperbolic,
     HypothesisFailed,
-    LinearDelay,
-    LogDelay,
+    InvalidModel,
     NoSuchTau,
-    QuasiHyperbolic,
-    TabulatedDiscount,
     discount,
 )
 from nearrep.timepref import (
+    Exponential,
+    Hyperbolic,
+    LinearDelay,
+    LogDelay,
+    QuasiHyperbolic,
+    TabulatedDiscount,
     continuous_gamma_curve,
     exact_recovery,
     fit_gamma,
@@ -266,3 +269,40 @@ def test_same_ordering():
     u_exp = [math.exp(x - 0.5) for x in xs]
     assert same_ordering(u_lin, u_exp)
     assert not same_ordering([1.0, 2.0, 3.0], [1.0, 3.0, 2.0])
+
+
+def _numpy_same_ordering(values_a, values_b):
+    # the array version same_ordering replaced, kept as its reference
+    a = np.asarray(values_a, dtype=float)
+    b = np.asarray(values_b, dtype=float)
+    if a.shape != b.shape:
+        raise InvalidModel("value lists must have equal length")
+    with np.errstate(invalid="ignore"):  # inf - inf
+        sa = np.sign(a[:, None] - a[None, :])
+        sb = np.sign(b[:, None] - b[None, :])
+    return bool(np.all(sa == sb))
+
+
+# few distinct values, so ties and matching orders are common; plus any float
+_ORDER_VALUES = st.one_of(st.sampled_from([-1.0, 0.0, -0.0, 0.5, 2.0]), st.floats())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ORDER_VALUES, max_size=6), st.lists(_ORDER_VALUES, max_size=6),
+       st.booleans())
+@example([1.0, 1.0, 2.0], [3.0, 3.0, 4.0], False)  # ties on both sides
+@example([1.0, 1.0], [3.0, 4.0], False)             # a tie on one side only
+@example([float("inf"), 1.0], [2.0, 1.0], False)    # inf - inf is NaN
+@example([1.0, 2.0], [1.0], False)                  # lengths differ
+def test_same_ordering_matches_the_numpy_version(values_a, values_b, same_length):
+    if same_length:
+        values_b = values_b[:len(values_a)] + values_a[len(values_b):]
+    try:
+        want = _numpy_same_ordering(values_a, values_b)
+    except InvalidModel:
+        with pytest.raises(InvalidModel, match="equal length"):
+            same_ordering(values_a, values_b)
+        return
+    assert same_ordering(values_a, values_b) is want
+    assert same_ordering(values_a, sorted(values_a)) is \
+        _numpy_same_ordering(values_a, sorted(values_a))

@@ -14,17 +14,17 @@ from hypothesis import strategies as st
 
 from nearrep.core import (
     BoundViolated,
-    CESUtility,
     HypothesisFailed,
-    LinearPlusBounded,
-    MaxminExpected,
     NotAdditive,
     NotConverged,
-    SmoothAmbiguity,
-    SubjectiveExpected,
 )
 from nearrep.uncertainty import (
     BoxSampler,
+    CESUtility,
+    LinearPlusBounded,
+    MaxminExpected,
+    SmoothAmbiguity,
+    SubjectiveExpected,
     _index_pairs,
     _level_hull,
     _scaled_limits,
