@@ -22,10 +22,12 @@ tolerance. It prints each case's largest numeric difference.
 Cases: the four builtins; seeds 1-3 of every invocation the benchmark's
 workloads generate (perfbench/workloads.py); four uncertainty scenarios
 the workloads do not reach (a divergent maxmin model, the smooth sqrt1pz2
-model with the hull envelope, and 3-state CES and linear-plus-bounded
-models); and one rejected scenario per schema rule (unknown key, missing
-key, wrong kind, below a floor, over a cap, a non-finite number, a version
-that is not the integer 1), whose error output is part of the digest. Each case runs in this process; without --keep the output goes
+model with the hull envelope, 3-state CES and linear-plus-bounded models,
+and a 1-state CES envelope, whose level hulls are intervals); and one
+rejected scenario per schema rule (unknown key, missing key, wrong kind,
+below a floor, over a cap, a non-finite number, a payment range that
+overflows, a version that is not the integer 1), whose error output is part
+of the digest. Each case runs in this process; without --keep the output goes
 to a temporary directory that is removed afterwards. An exception that
 escapes the command line entry point is recorded as exit code 1 (what the
 interpreter would exit with) and its type and message as the error output.
@@ -66,6 +68,8 @@ EXTRA_SCENARIOS = [
     _uncertainty("lpb-3", {"type": "linear_plus_bounded", "prior": [0.2, 0.3, 0.5],
                            "bump": 0.5},
                  {"resolution": 3, "n_random_pairs": 10}),
+    _uncertainty("ces-1-hull", {"type": "ces", "weights": [1.0], "rho": 0.5},
+                 {"quasiconcave": True, "qc_resolution": 7, "level_resolution": 4}),
 ]
 
 
@@ -89,6 +93,8 @@ REJECTED_SCENARIOS = [
     _scenario("over-continuous-cap", "time-continuous",
               {"type": "log_delay", "x_bar": 2.0, "k": 0.1},
               {"x_count": 1000, "t_count": 101, "delta_count": 1}),
+    _scenario("overflowing-x-range", "time-continuous",
+              {"type": "log_delay", "x_bar": 1e308, "k": 0.1}, {"x_min": -1e308}),
     _scenario("over-triple-cap", "risk", _EU, {"resolution": 2, "n_random_triples": 100_001}),
     _scenario("over-probe-cap", "risk", _CPT, {"resolution": 2, "n_pairs": 1000, "n_alphas": 101}),
     _scenario("below-risk-floor", "risk", _CPT, {"resolution": 1}),

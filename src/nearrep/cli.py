@@ -487,6 +487,9 @@ def _run_time_continuous(name: str, model, s: dict, tols: dict) -> RunResult:
     x_min = model.x_bar - 2.0 if s["x_min"] is None else s["x_min"]
     if x_min > model.x_bar:
         raise ScenarioError("sampler.x_min: must not exceed the model ceiling")
+    if math.isinf(model.x_bar - x_min):
+        raise ScenarioError(f"sampler.x_min: the payment range {x_min!r} to {model.x_bar!r} "
+                            "overflows a float")
     xs = _linspace(x_min, model.x_bar, x_count)
     ts = _linspace(0.0, s["t_max"], t_count)
     d_top = s["delta_max"]

@@ -624,15 +624,15 @@ def verify_exp3_bound(model, eps_hat: float, lambda_hat: float,
 def same_ordering(values_a: Sequence[float], values_b: Sequence[float]) -> bool:
     """True when two value lists rank all pairs identically (ties included).
 
-    A pair ranks by the sign of its difference; a NaN difference (a NaN, or
-    an infinity less itself) matches nothing.
+    A pair ranks by comparison, (x > y) - (x < y), so equal infinities tie;
+    a pair that holds a NaN matches nothing.
     """
     a = [float(v) for v in values_a]
     b = [float(v) for v in values_b]
     if len(a) != len(b):
         raise InvalidModel("value lists must have equal length")
-    return all(_sign(x - y) == _sign(u - v) for x, u in zip(a, b) for y, v in zip(a, b))
+    return all(_rank(x, y) == _rank(u, v) for x, u in zip(a, b) for y, v in zip(a, b))
 
 
-def _sign(d: float) -> float:
-    return (d > 0.0) - (d < 0.0) if d == d else math.nan
+def _rank(x: float, y: float) -> float:
+    return (x > y) - (x < y) if x == x and y == y else math.nan

@@ -1083,8 +1083,10 @@ def measure_eps_ua(model, sampler: BoxSampler | None = None,
 class LevelHull:
     """Convex hull of one level cloud, stored as half-spaces in an affine frame.
 
-    verts is the vertex array the decomposition LP runs on. The frame
-    (origin, orthonormal basis rows) spans the cloud: the identity for a
+    verts holds the points convex decompositions are taken on: Qhull's hull
+    vertices for a full-dimensional cloud, the interval's two ends in one
+    dimension, the whole cloud when it is flat. The frame (origin,
+    orthonormal basis rows) spans the cloud: the identity for a
     full-dimensional cloud, a lower-dimensional one for a flat cloud (one
     point, a segment, a planar set in 3-D). Inside the frame the hull is
     A y + b <= 0 with unit normals, so each row is a signed distance: Qhull's
@@ -1105,6 +1107,56 @@ class LevelHull:
         off = rel - coords @ self.basis
         near = np.sqrt(np.einsum("ij,ij->i", off, off)) <= thr
         return near & (coords @ self.A.T + self.b <= thr[:, None]).all(axis=1)
+
+    def decompose(self, X: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Convex weights on verts rebuilding each row of X: (ok, support, weights).
+
+        support[i] indexes at most frame-dim + 1 rows of verts, in ascending
+        order, and weights[i] holds their barycentric weights. In a frame of
+        two or more dimensions the verts are triangulated (Qhull's Delaunay)
+        and each row takes the simplex find_simplex gives it; a segment
+        splits a row between its two ends; a single point takes all the
+        weight. A row found in no simplex (barycentric tolerance tol) is not
+        ok, and neither is one whose weights, substituted back, miss (x, 1)
+        by more than tol * (1 + |(x, 1)|). Weights at or below 1e-10 are then
+        set to zero and an ok row's weights renormalised to sum to one.
+        """
+        coords = (X - self.origin) @ self.basis.T
+        vcoords = (self.verts - self.origin) @ self.basis.T
+        k = len(self.basis)
+        if k == 0:
+            support = np.zeros((len(X), 1), dtype=int)
+            weights = np.ones((len(X), 1))
+            found = np.ones(len(X), dtype=bool)
+        elif k == 1:
+            ends = np.sort([np.argmin(vcoords[:, 0]), np.argmax(vcoords[:, 0])])
+            c0, c1 = vcoords[ends, 0]
+            t = (coords[:, 0] - c0) / (c1 - c0)
+            support = np.broadcast_to(ends, (len(X), 2))
+            weights = np.column_stack([1.0 - t, t])
+            found = (weights >= -tol).all(axis=1)
+        else:
+            from scipy.spatial import Delaunay
+
+            tri = Delaunay(vcoords)
+            simplex = tri.find_simplex(coords, tol=tol)
+            found = simplex >= 0
+            s = np.where(found, simplex, 0)
+            T = tri.transform[s]
+            bary = np.einsum("ijk,ik->ij", T[:, :k], coords - T[:, k])
+            # ascending vertex order, so the meter peels each decomposition in verts order
+            order = np.argsort(tri.simplices[s], axis=1)
+            support = np.take_along_axis(tri.simplices[s], order, axis=1)
+            weights = np.take_along_axis(np.column_stack([bary, 1.0 - bary.sum(axis=1)]),
+                                         order, axis=1)
+        rebuilt = np.einsum("ij,ijk->ik", weights, self.verts[support])
+        miss = rebuilt - X
+        residual = np.sqrt(np.einsum("ij,ij->i", miss, miss) + (weights.sum(axis=1) - 1.0) ** 2)
+        scale = 1.0 + np.sqrt(np.einsum("ij,ij->i", X, X) + 1.0)
+        ok = found & (residual <= tol * scale)
+        weights = np.where(weights > 1e-10, weights, 0.0)
+        weights[ok] /= weights[ok].sum(axis=1, keepdims=True)
+        return ok, support, weights
 
 
 def _membership(hulls: Sequence[LevelHull], X: np.ndarray, tol: float) -> np.ndarray:
@@ -1157,30 +1209,6 @@ def _level_hull(cloud: np.ndarray, tol: float) -> LevelHull:
         eq = ConvexHull(coords).equations
         A, b = eq[:, :-1], eq[:, -1]
     return LevelHull(verts=verts, origin=origin, basis=basis, A=A, b=b)
-
-
-def _hull_decomposition(x: np.ndarray, verts: np.ndarray,
-                        tol: float) -> tuple[bool, np.ndarray]:
-    """Convex weights on verts reproducing x, from one feasibility LP.
-
-    Solved as an equality-feasibility linear program on the vertex matrix
-    with an appended normalization row. The solver's verdict is not taken
-    on faith: the weights are substituted back and the rebuilt residual must
-    be tiny relative to the target. Simplex solutions are basic, so at most
-    d + 1 weights are nonzero, which is what the pairwise peeling bound needs.
-    """
-    from scipy.optimize import linprog
-
-    A = np.vstack([verts.T, np.ones((1, len(verts)))])
-    b = np.append(x, 1.0)
-    res = linprog(np.zeros(len(verts)), A_eq=A, b_eq=b, bounds=(0.0, None),
-                  method="highs")
-    if not res.success:
-        return False, np.zeros(len(verts))
-    w = np.asarray(res.x, dtype=float)
-    residual = float(np.linalg.norm(A @ w - b))
-    ok = residual <= tol * (1.0 + float(np.linalg.norm(b)))
-    return ok, w
 
 
 def _bisect_levels(member: np.ndarray, lo: np.ndarray) -> np.ndarray:
@@ -1257,9 +1285,10 @@ def quasiconcavify(model, box_bound: float = 10.0, resolution: int = 21,
     hull is one boolean matrix. The envelope value of a grid point is the
     highest level whose hull still contains it (feasibility is monotone
     because the hulls are nested), clamped below by u(x) so v >= u holds
-    exactly. One LP per grid point, at its final level only, gives the
-    convex decomposition returned as a probe for the uncertainty-aversion
-    meter.
+    exactly. Each grid point's convex decomposition at its final level, a
+    simplex of that level hull's Delaunay triangulation, is returned as a
+    probe for the uncertainty-aversion meter, in grid order; the points that
+    share a final level are decomposed in one batched call.
     """
     d = model.n_states
     if d > 3:
@@ -1281,14 +1310,17 @@ def quasiconcavify(model, box_bound: float = 10.0, resolution: int = 21,
         down = ~member[start, cols] & (start > 0)
     top = _bisect_levels(member, start)
     v = np.maximum(levels[top], u)
-    probes: list[tuple[np.ndarray, np.ndarray]] = []
-    for j in np.flatnonzero(member[top, cols]):
-        verts = hulls[top[j]].verts
-        ok, w = _hull_decomposition(pts[j], verts, membership_tol)
-        mask = w > 1e-10
-        if ok and int(np.count_nonzero(mask)) >= 2:
-            weights = w[mask]
-            probes.append((verts[mask], weights / weights.sum()))
+    inside = np.flatnonzero(member[top, cols])
+    found: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for level in np.unique(top[inside]):
+        group = inside[top[inside] == level]
+        hull = hulls[level]
+        ok, support, weights = hull.decompose(pts[group], membership_tol)
+        for j, good, idx, w in zip(group.tolist(), ok, support, weights):
+            mask = w > 0.0
+            if good and int(np.count_nonzero(mask)) >= 2:
+                found[j] = (hull.verts[idx[mask]], w[mask])
+    probes = [found[j] for j in sorted(found)]
     return QuasiConcaveBenchmark(
         points=pts, u_values=u, v_values=v, levels=levels, hulls=hulls,
         box_bound=box_bound, resolution=resolution, membership_tol=membership_tol,

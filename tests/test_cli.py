@@ -246,6 +246,23 @@ def test_continuous_counts_at_the_cap_are_accepted(monkeypatch):
         run_scenario(dict(CONTINUOUS_SCENARIO, sampler=sampler))
 
 
+def test_run_rejects_a_payment_range_that_overflows(tmp_path, capsys, monkeypatch):
+    import nearrep.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid was built before the range check")
+
+    _patch_continuous_meters(monkeypatch)
+    monkeypatch.setattr(nearrep.cli, "_linspace", refuse)
+    scenario = {**CONTINUOUS_SCENARIO, "model": {"type": "log_delay", "x_bar": 1e308, "k": 0.1},
+                "sampler": {"x_min": -1e308}}
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, "s.json", scenario), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sampler.x_min: ") and "overflows" in err
+    assert not out.exists()
+
+
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 

@@ -283,8 +283,47 @@ def _numpy_same_ordering(values_a, values_b):
     return bool(np.all(sa == sb))
 
 
-# few distinct values, so ties and matching orders are common; plus any float
-_ORDER_VALUES = st.one_of(st.sampled_from([-1.0, 0.0, -0.0, 0.5, 2.0]), st.floats())
+def _difference_sign_same_ordering(values_a, values_b):
+    # the version that ranked a pair by the sign of x - y, kept as its reference
+    a = [float(v) for v in values_a]
+    b = [float(v) for v in values_b]
+    if len(a) != len(b):
+        raise InvalidModel("value lists must have equal length")
+
+    def sign(d):
+        return (d > 0.0) - (d < 0.0) if d == d else math.nan
+
+    return all(sign(x - y) == sign(u - v) for x, u in zip(a, b) for y, v in zip(a, b))
+
+
+# few distinct values, so ties and matching orders are common; plus any finite
+# float (on infinities and NaN the ranking by comparison differs on purpose)
+_ORDER_VALUES = st.one_of(st.sampled_from([-1.0, 0.0, -0.0, 0.5, 2.0]),
+                          st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _dense_ranks(values):
+    # each value replaced by its place among the distinct values: the same order, all finite
+    places = {v: i for i, v in enumerate(sorted(set(values)))}
+    return [places[v] for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from([-math.inf, math.inf, 1.0]), st.floats()),
+                min_size=1, max_size=6),
+       st.lists(st.one_of(st.sampled_from([-math.inf, math.inf, 1.0]), st.floats()),
+                min_size=1, max_size=6))
+@example([math.inf, 1.0], [math.inf, 1.0])
+@example([math.inf, 1.0], [2.0, 1.0])
+@example([math.nan, 1.0], [math.nan, 1.0])
+def test_same_ordering_ranks_infinities_by_comparison_and_nan_matches_nothing(
+        values_a, values_b):
+    values_b = values_b[:len(values_a)] + values_a[len(values_b):]
+    if any(math.isnan(v) for v in values_a + values_b):
+        assert same_ordering(values_a, values_b) is False
+    else:
+        assert same_ordering(values_a, values_b) is \
+            _difference_sign_same_ordering(_dense_ranks(values_a), _dense_ranks(values_b))
 
 
 @settings(max_examples=300, deadline=None)
@@ -292,9 +331,9 @@ _ORDER_VALUES = st.one_of(st.sampled_from([-1.0, 0.0, -0.0, 0.5, 2.0]), st.float
        st.booleans())
 @example([1.0, 1.0, 2.0], [3.0, 3.0, 4.0], False)  # ties on both sides
 @example([1.0, 1.0], [3.0, 4.0], False)             # a tie on one side only
-@example([float("inf"), 1.0], [2.0, 1.0], False)    # inf - inf is NaN
 @example([1.0, 2.0], [1.0], False)                  # lengths differ
 def test_same_ordering_matches_the_numpy_version(values_a, values_b, same_length):
+    # on finite lists the numpy version and the difference-sign version agree
     if same_length:
         values_b = values_b[:len(values_a)] + values_a[len(values_b):]
     try:
@@ -303,6 +342,7 @@ def test_same_ordering_matches_the_numpy_version(values_a, values_b, same_length
         with pytest.raises(InvalidModel, match="equal length"):
             same_ordering(values_a, values_b)
         return
+    assert _difference_sign_same_ordering(values_a, values_b) is want
     assert same_ordering(values_a, values_b) is want
     assert same_ordering(values_a, sorted(values_a)) is \
         _numpy_same_ordering(values_a, sorted(values_a))

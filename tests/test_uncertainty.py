@@ -380,6 +380,23 @@ def test_halfspace_membership_matches_lp(case):
     assert got.tolist() == want.tolist()
 
 
+@settings(max_examples=80, deadline=None)
+@given(_cloud_and_queries())
+def test_barycentric_decomposition_matches_lp_membership(case):
+    cloud, queries = case
+    tol = 1e-9
+    hull = _level_hull(cloud, tol)
+    ok, support, weights = hull.decompose(queries, tol)
+    assert ok.tolist() == [_lp_member(x, cloud, tol) for x in queries]
+    assert support.shape[1] <= len(hull.basis) + 1
+    for x, idx, w in zip(queries[ok], support[ok], weights[ok]):
+        assert np.all(w >= 0.0)
+        assert abs(w.sum() - 1.0) <= 1e-12
+        assert len(np.unique(idx[w > 0.0])) == np.count_nonzero(w)
+        miss = np.append(w @ hull.verts[idx] - x, w.sum() - 1.0)
+        assert np.linalg.norm(miss) <= tol * (1.0 + math.sqrt(float(x @ x) + 1.0))
+
+
 @pytest.mark.parametrize("model,res", [(SMOOTH_SQRT, 9),
                                        (CESUtility((1.0, 2.0, 3.0), 0.5), 4)])
 def test_envelope_probes_are_short_convex_decompositions(model, res):
@@ -395,6 +412,28 @@ def test_envelope_probes_are_short_convex_decompositions(model, res):
         j = int(np.argmin(dist))
         scale = 1.0 + math.sqrt(float(env.points[j] @ env.points[j]) + 1.0)
         assert dist[j] <= env.membership_tol * scale
+
+
+def test_quasiconcave_run_loads_scipy_spatial_but_not_scipy_optimize(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(nearrep.__file__).resolve().parents[1]))
+    scenario = ("{'version': 1, 'name': 'x', 'domain': 'uncertainty', 'model': {'type': "
+                "'ces', 'weights': [1.0, 2.0], 'rho': 0.5}, 'sampler': {'resolution': 3, "
+                "'n_random_pairs': 5, 'quasiconcave': True, 'qc_resolution': 5, "
+                "'level_resolution': 4}}")
+    code = (f"import json, sys; from nearrep.cli import main; "
+            f"open('s.json', 'w').write(json.dumps({scenario})); "
+            "code = main(['run', 's.json', '--out', 'out']); "
+            "print('scipy.spatial' in sys.modules, 'scipy.optimize' in sys.modules); "
+            "sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "True False"
+
+
+def test_no_linear_program_in_the_package():
+    src = Path(nearrep.__file__).resolve().parent
+    assert [p.name for p in sorted(src.glob("*.py")) if "linprog" in p.read_text()] == []
 
 
 def test_cli_import_leaves_scipy_unloaded():
