@@ -88,6 +88,10 @@ REJECTED_SCENARIOS = [
     _scenario("below-floor", "uncertainty", _MEU, {"level_resolution": 0}),
     _scenario("below-floor-entry", "time-discrete", _HYPERBOLIC, {"t_sample": [-1]}),
     _scenario("over-grid-cap", "uncertainty", _MEU, {"resolution": 10 ** 6}),
+    _scenario("over-level-cap", "uncertainty", _MEU,
+              {"quasiconcave": True, "level_resolution": 100_000}),
+    _scenario("over-membership-cap", "uncertainty", _MEU,
+              {"quasiconcave": True, "level_resolution": 5000}),
     _scenario("over-delay-cap", "time-discrete", _HYPERBOLIC, {"n_max": 1030}),
     _scenario("over-pair-cap", "time-discrete", _HYPERBOLIC, {"w_t_max": 633}),
     _scenario("over-continuous-cap", "time-continuous",

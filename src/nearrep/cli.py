@@ -45,7 +45,8 @@ class RunResult:
     reports: list[dict] = field(default_factory=list)
     representations: list[dict] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
-    tables: dict[str, tuple[list, list]] = field(default_factory=dict)
+    # name -> (header, rows): rows are mixed-type lists or one 2-D float array
+    tables: dict[str, tuple[list, object]] = field(default_factory=dict)
 
     @property
     def exit_code(self) -> int:
@@ -230,6 +231,14 @@ def _parse_model(cfg, domain: str):
 # delays are no longer exact, and a curve like 1 / (1 + k t) overflows.
 MAX_EXACT_DELAY = 2 ** 53
 
+# The quasi-concave envelope builds one convex hull per level and tests every
+# qc grid point against every hull: level_resolution hulls and level_resolution
+# x qc grid points entries of one boolean matrix. The default 3-state envelope
+# (64 levels, 21^3 points) has 592,704 entries. A hull costs a fraction of a
+# millisecond even on a few points, so the level count has its own cap.
+MAX_HULL_MEMBERSHIPS = 1_000_000
+MAX_HULL_LEVELS = 10_000
+
 
 def _check_grid(space: str, dim: int, resolution: int, key: str) -> None:
     """Refuse a sampler grid above MAX_GRID_POINTS from its count, before it exists."""
@@ -268,6 +277,7 @@ def _smooth_cap(result: RunResult, table_name: str, model, sampler):
 
 
 def _run_risk(name: str, model, s: dict, tols: dict) -> RunResult:
+    import numpy as np
     from . import risk as risk_mod
     _check_grid("simplex", model.n_outcomes, s["resolution"], "resolution")
     if s["n_random_triples"] > MAX_GRID_POINTS:
@@ -299,9 +309,7 @@ def _run_risk(name: str, model, s: dict, tols: dict) -> RunResult:
     allowed = (risk_mod._support_sizes(G) - 1) * rcl.value + slack
     header = [f"p{i}" for i in range(model.n_outcomes)] + \
         ["calibrated_utility", "affine_value", "gap", "allowed"]
-    rows = [[*p, ui, li, abs(ui - li), ai]
-            for p, ui, li, ai in zip(G.tolist(), u.tolist(), l.tolist(), allowed.tolist())]
-    result.tables["grid"] = (header, rows)
+    result.tables["grid"] = (header, np.column_stack([G, u, l, np.abs(u - l), allowed]))
     result.tables["defects"] = (
         ["axiom", "eps_hat", "samples"],
         [[rcl.axiom, rcl.value, rcl.samples_evaluated],
@@ -326,6 +334,16 @@ def _run_uncertainty(name: str, model, s: dict, tols: dict) -> RunResult:
     _check_grid("box", model.n_states, s["resolution"], "resolution")
     if s["quasiconcave"]:
         _check_grid("box", model.n_states, s["qc_resolution"], "qc_resolution")
+        levels = s["level_resolution"]
+        points = grid_size("box", model.n_states, s["qc_resolution"])
+        if levels > MAX_HULL_LEVELS:
+            raise ScenarioError(f"sampler.level_resolution: {levels} level hulls, above the "
+                                f"cap of {MAX_HULL_LEVELS}")
+        if levels * points > MAX_HULL_MEMBERSHIPS:
+            raise ScenarioError(
+                f"sampler.level_resolution: {levels} levels times {points} qc grid points "
+                f"give {levels * points} hull memberships, above the cap of "
+                f"{MAX_HULL_MEMBERSHIPS}")
     sampler = unc_mod.BoxSampler(model.n_states, s["bound"], s["resolution"], s["seed"],
                                  s["n_random_pairs"])
     tol = tols["bisect"]

@@ -57,10 +57,23 @@ _SCAN_WINDOW = 64
 
 # ---------------------------------------------------------------------------
 # risk models: value_batch(P) over rows of probability vectors on a fixed
-# prize set
+# prize set, and segment_value on the two-prize rows the calibrations solve on
+
+class _LotteryModel(_RowModel):
+    """A risk model: value_batch over probability rows, and its value on segment rows."""
+
+    def segment_value(self, alpha, top, bottom) -> np.ndarray:
+        """value_batch of the rows with alpha on prize top and 1 - alpha on prize bottom.
+
+        top and bottom are distinct prize indices, or index arrays with one
+        pair per row; a model may override this with a closed form that
+        agrees with value_batch bit for bit.
+        """
+        return self.value_batch(_segments(alpha, top, bottom, self.n_outcomes))
+
 
 @dataclass(frozen=True)
-class ExpectedUtility(_RowModel):
+class ExpectedUtility(_LotteryModel):
     """Linear model u(p) = sum_i p_i * prize_utilities[i]."""
 
     prize_utilities: tuple[float, ...]
@@ -94,7 +107,7 @@ class ExpectedUtility(_RowModel):
 
 
 @dataclass(frozen=True)
-class CumulativeProspect(_RowModel):
+class CumulativeProspect(_LotteryModel):
     """Rank-dependent model with power value and inverse-S weighting.
 
     Prize value w(x) = x^value_exponent; probability weighting
@@ -124,6 +137,15 @@ class CumulativeProspect(_RowModel):
         order = tuple(sorted(range(len(z)), key=lambda i: -z[i]))
         object.__setattr__(self, "_rank_order", order)
         object.__setattr__(self, "_prize_values", tuple(v ** self.value_exponent for v in z))
+
+    @cached_property
+    def _ranks(self) -> np.ndarray:
+        """Position of each prize in the descending order (0: the best)."""
+        return np.argsort(np.asarray(self._rank_order))
+
+    @cached_property
+    def _value_vector(self) -> np.ndarray:
+        return np.asarray(self._prize_values, dtype=float)
 
     @property
     def n_outcomes(self) -> int:
@@ -181,9 +203,23 @@ class CumulativeProspect(_RowModel):
             g_prev = g
         return total
 
+    def segment_value(self, alpha, top, bottom) -> np.ndarray:
+        """g(a) * w(lead) + (1 - g(a)) * w(trail): value_batch on a segment, bit for bit.
+
+        lead is the higher-ranked prize of each pair and a its mass. On a
+        segment row the cumulative sum reaches a at lead and then exactly
+        1.0 at trail (a + fl(1 - a) rounds to 1 for every a in [0, 1]), and
+        every other prize leaves it unchanged, so adds exactly nothing.
+        """
+        alpha = np.asarray(alpha, dtype=float)
+        lead = self._ranks[top] < self._ranks[bottom]
+        g = self.weight(np.where(lead, alpha, 1.0 - alpha))
+        w = self._value_vector
+        return g * w[np.where(lead, top, bottom)] + (1.0 - g) * w[np.where(lead, bottom, top)]
+
 
 @dataclass(frozen=True, eq=False)
-class TabulatedUtility(_RowModel):
+class TabulatedUtility(_LotteryModel):
     """Utility supplied directly as a function of the probability vector.
 
     Used where the utility is given rather than derived from a parametric
@@ -299,10 +335,10 @@ def mixture_utility_batch(model, P, tol: float = 1e-10) -> np.ndarray:
     """
     U, inverse = _distinct_rows(_rows(P))
     target = model.value_batch(U)
-    n, best, worst = U.shape[1], model.best_index, model.worst_index
+    best, worst = model.best_index, model.worst_index
 
     def gap(alpha: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return model.value_batch(_segments(alpha, best, worst, n)) - target[idx]
+        return model.segment_value(alpha, best, worst) - target[idx]
 
     alpha = bisect_monotone_batch(gap, np.zeros(len(U)), np.ones(len(U)), tol=tol)
     return alpha[inverse]
@@ -689,7 +725,7 @@ def measure_eps_independence(model, sampler: SimplexSampler | None = None,
         lo_v, hi_v = np.array(lows_drawn), np.array(highs_drawn)
 
         def segment_gap(s: np.ndarray, idx: np.ndarray) -> np.ndarray:
-            return model.value_batch(_segments(s, hi_v[idx], lo_v[idx], n)) - vp[idx]
+            return model.segment_value(s, hi_v[idx], lo_v[idx]) - vp[idx]
 
         s = bisect_monotone_batch(segment_gap, np.zeros(pairs), np.ones(pairs), tol=tol)
         Q = _on_simplex(_segments(s, hi_v, lo_v, n))
@@ -869,11 +905,8 @@ class Figure1Data:
     claim: float
     within_claim: bool
 
-    def table(self) -> tuple[list[str], list[list]]:
-        header = ["p", "weight", "gap"]
-        rows = [[float(p), float(w), float(g)]
-                for p, w, g in zip(self.probs, self.weights, self.gaps)]
-        return header, rows
+    def table(self) -> tuple[list[str], np.ndarray]:
+        return ["p", "weight", "gap"], np.column_stack([self.probs, self.weights, self.gaps])
 
 
 def figure1_data(resolution: int = 1001, weight_exponent: float = 0.74,

@@ -438,16 +438,14 @@ def _simplex_lattice(n_coords: int, subdivisions: int) -> np.ndarray:
     """
     if subdivisions == 0:
         return np.full((1, n_coords), 1.0 / n_coords)
-    pts = []
-    for bars in itertools.combinations(range(subdivisions + n_coords - 1), n_coords - 1):
-        parts = []
-        prev = -1
-        for b in bars:
-            parts.append(b - prev - 1)
-            prev = b
-        parts.append(subdivisions + n_coords - 2 - prev)
-        pts.append([k / subdivisions for k in parts])
-    return np.asarray(pts, dtype=float)
+    # stars and bars: each combination of bar slots is one composition, and
+    # the parts are the gaps between consecutive bars (and the two ends)
+    slots = subdivisions + n_coords - 1
+    count = math.comb(slots, n_coords - 1)
+    bars = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations(range(slots), n_coords - 1)), dtype=np.intp,
+        count=count * (n_coords - 1)).reshape(count, n_coords - 1)
+    return (np.diff(bars, axis=1, prepend=-1, append=slots) - 1) / subdivisions
 
 
 def grid_sample(space: str, dim: int, resolution: int, bound: float = 1.0) -> np.ndarray:

@@ -137,6 +137,66 @@ def test_run_rejects_grid_over_the_cap(tmp_path, capsys, monkeypatch, domain_sce
     assert f"sampler.{key}:" in err and "above the cap" in err
 
 
+def _patch_uncertainty_meters(monkeypatch):
+    import nearrep.uncertainty
+
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    for meter in ("theta_estimate", "extract_prior", "verify_aa_bound", "verify_homog_bound",
+                  "quasiconcavify", "measure_eps_ua", "ce_batch", "grid_sample"):
+        monkeypatch.setattr(nearrep.uncertainty, meter, reached)
+
+
+@pytest.mark.parametrize("sampler,message", [
+    ({"level_resolution": 100_000}, "100000 level hulls, above the cap of 10000"),
+    ({"level_resolution": 10 ** 9, "qc_resolution": 2}, "level hulls, above the cap"),
+    ({"level_resolution": 109, "qc_resolution": 21, "n_states": 3},
+     "109 levels times 9261 qc grid points give 1009449 hull memberships, above the cap "
+     "of 1000000"),
+    ({"level_resolution": 2268, "qc_resolution": 21},
+     "2268 levels times 441 qc grid points give 1000188 hull memberships"),
+], ids=["levels-1e5", "levels-1e9", "memberships-3-state", "memberships-2-state"])
+def test_run_rejects_level_resolution_over_the_cap(tmp_path, capsys, monkeypatch, sampler,
+                                                   message):
+    # the caps are worked out from the counts: no meter or grid may run first
+    import time
+
+    _patch_uncertainty_meters(monkeypatch)
+    scenario = json.loads(json.dumps(UNC_SCENARIO))
+    if sampler.pop("n_states", 2) == 3:
+        scenario["model"] = {"type": "ces", "weights": [1, 2, 3], "rho": 0.5}
+    scenario["sampler"].update(sampler)
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main(["run", _write(tmp_path, "s.json", scenario), "--out", str(out)]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: sampler.level_resolution: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model,sampler", [
+    ({"type": "ces", "weights": [1, 2, 3], "rho": 0.5},
+     {"level_resolution": 64, "qc_resolution": 21}),   # the default 3-state envelope
+    ({"type": "ces", "weights": [1, 2, 3], "rho": 0.5},
+     {"level_resolution": 107, "qc_resolution": 21}),
+    ({"type": "meu", "priors": [[0.3, 0.7], [0.7, 0.3]]},
+     {"level_resolution": 2267, "qc_resolution": 21}),
+    ({"type": "ces", "weights": [1], "rho": 0.5},
+     {"level_resolution": 10_000, "qc_resolution": 2}),
+], ids=["default-3-state", "memberships-at-cap", "memberships-2-state", "levels-at-cap"])
+def test_level_resolution_at_the_cap_is_accepted(monkeypatch, model, sampler):
+    from nearrep.cli import run_scenario
+
+    _patch_uncertainty_meters(monkeypatch)
+    scenario = json.loads(json.dumps(UNC_SCENARIO))
+    scenario["model"] = model
+    scenario["sampler"].update(sampler)
+    with pytest.raises(_Reached):
+        run_scenario(scenario)
+
+
 TIME_SCENARIO = {
     "version": 1,
     "name": "hyp-audit",

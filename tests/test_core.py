@@ -1,5 +1,6 @@
 """Primitives: lotteries, models, bisection, grids, dyadic tail sums."""
 
+import itertools
 import math
 
 import numpy as np
@@ -30,6 +31,7 @@ from nearrep.timepref import (
     TabulatedDiscount,
 )
 from nearrep.uncertainty import (
+    _simplex_lattice,
     bisect_monotone_batch,
     grid_sample,
 )
@@ -248,6 +250,31 @@ def test_simplex_grid_is_lattice_with_denominator_resolution():
 def test_simplex_grid_count_matches_binomial():
     pts = grid_sample("simplex", 3, 101)
     assert len(pts) == math.comb(103, 2)
+
+
+def _loop_simplex_lattice(n_coords, subdivisions):
+    # the composition loop the vectorized lattice replaced
+    if subdivisions == 0:
+        return np.full((1, n_coords), 1.0 / n_coords)
+    pts = []
+    for bars in itertools.combinations(range(subdivisions + n_coords - 1), n_coords - 1):
+        parts = []
+        prev = -1
+        for b in bars:
+            parts.append(b - prev - 1)
+            prev = b
+        parts.append(subdivisions + n_coords - 2 - prev)
+        pts.append([k / subdivisions for k in parts])
+    return np.asarray(pts, dtype=float)
+
+
+@pytest.mark.parametrize("n_coords", [1, 2, 3, 4, 5])
+def test_simplex_lattice_matches_the_composition_loop(n_coords):
+    for subdivisions in range(26):
+        got = _simplex_lattice(n_coords, subdivisions)
+        want = _loop_simplex_lattice(n_coords, subdivisions)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # same order, same bits
 
 
 def test_box_and_interval_grids():

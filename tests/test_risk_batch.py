@@ -25,8 +25,10 @@ from nearrep.risk import (
     ExpectedUtility,
     SimplexSampler,
     TabulatedUtility,
+    _LotteryModel,
     _nearest_root,
     _nearest_roots,
+    _segments,
     measure_eps_independence,
     measure_eps_rcl,
     mixture_utility,
@@ -285,6 +287,56 @@ def test_cpt_weight_is_pinned_and_elementwise():
     g = model.weight(p)
     assert g[0] == 0.0 and g[1] == 0.0 and g[3] == 1.0 and g[4] == 1.0
     assert g[2] == model.weight(0.3)
+
+
+# --- segment_value ------------------------------------------------------------------
+
+_EDGE_ALPHAS = [0.0, 1.0, 5e-324, 1.0 - 2.0 ** -53]
+
+
+@st.composite
+def segment_cases(draw):
+    """A risk model, segment weights alpha and one (top, bottom) pair or one pair per row."""
+    n = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(["cpt", "eu", "tabulated"]))
+    if kind == "cpt":  # prizes in any order, so the best may sit at any index
+        prizes = draw(st.lists(st.floats(0.0, 1e4), min_size=n, max_size=n, unique=True))
+        model = CumulativeProspect(draw(st.floats(0.05, 1.0)), draw(st.floats(0.28, 1.0)),
+                                   tuple(prizes))
+    elif kind == "eu":
+        utilities = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n, unique=True))
+        model = ExpectedUtility(tuple(utilities))
+    else:
+        c = draw(st.lists(st.floats(0.1, 5.0), min_size=n, max_size=n, unique=True))
+        model = TabulatedUtility(lambda p: sum(x * y for x, y in zip(p, c)) + p[0] * p[-1], n)
+    k = draw(st.integers(1, 12))
+    alpha = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+                          | st.sampled_from(_EDGE_ALPHAS), min_size=k, max_size=k))
+    top = draw(st.integers(0, n - 1))
+    bottom = (top + draw(st.integers(1, n - 1))) % n
+    if draw(st.booleans()):  # one vertex pair per row, as the independence meter passes them
+        top = np.array(draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k)))
+        shift = np.array(draw(st.lists(st.integers(1, n - 1), min_size=k, max_size=k)))
+        bottom = (top + shift) % n
+    return model, np.array(alpha), top, bottom
+
+
+@settings(max_examples=300, deadline=None)
+@given(segment_cases())
+def test_segment_value_equals_value_batch_on_segment_rows_bit_for_bit(case):
+    model, alpha, top, bottom = case
+    got = model.segment_value(alpha, top, bottom)
+    want = model.value_batch(_segments(alpha, top, bottom, model.n_outcomes))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_only_the_rank_dependent_model_overrides_segment_value():
+    # a two-term sum differs from np.vecdot's rounding, so expected utility
+    # keeps the value_batch path
+    assert CumulativeProspect.segment_value is not _LotteryModel.segment_value
+    assert ExpectedUtility.segment_value is _LotteryModel.segment_value
+    assert TabulatedUtility.segment_value is _LotteryModel.segment_value
 
 
 # --- calibration ------------------------------------------------------------------
