@@ -16,6 +16,7 @@ from nearrep.risk import (
     SimplexSampler,
     build_affine_benchmark,
     measure_eps_rcl,
+    mixture_utility_batch,
     verify_thm1,
 )
 
@@ -27,9 +28,10 @@ def sweep(resolution: int = 7) -> None:
     for a in (0.4, 0.54, 0.7, 0.88, 1.0):
         for b in (0.5, 0.61, 0.74, 0.9, 1.0):
             model = CumulativeProspect(a, b, prizes)
-            rcl = measure_eps_rcl(model, sampler)
+            u = mixture_utility_batch(model, sampler.grid(len(prizes)))
+            rcl = measure_eps_rcl(model, u, sampler)
             benchmark = build_affine_benchmark(model)
-            rep = verify_thm1(model, benchmark, rcl.value, sampler)
+            rep = verify_thm1(u, benchmark, rcl.value, sampler)
             print(f"{a},{b},{rcl.value:.6g},{rep.achieved_distance:.6g},"
                   f"{rep.bound:.6g}")
 

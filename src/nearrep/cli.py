@@ -292,19 +292,20 @@ def _run_risk(name: str, model, s: dict, tols: dict) -> RunResult:
     tol = tols["bisect"]
     slack = tols["slack"]
     result = RunResult(name=name, domain="risk")
-    rcl = risk_mod.measure_eps_rcl(model, sampler, tol=tol)
+    # the grid is calibrated once; the meter, both verifiers and the table read u,
+    # and the benchmark takes its coefficients from u at the vertices
+    G = sampler.grid(model.n_outcomes)
+    u = risk_mod.mixture_utility_batch(model, G, tol)
+    vertex_rows, prize = np.nonzero(G == 1.0)
+    benchmark = risk_mod.AffineBenchmark(tuple(u[vertex_rows[np.argsort(prize)]].tolist()))
+    rcl = risk_mod.measure_eps_rcl(model, u, sampler, tol=tol)
     result.reports.append(rcl.as_dict())
-    benchmark = risk_mod.build_affine_benchmark(model, tol=tol)
     _check(result, "mixture-support-bound",
-           lambda: risk_mod.verify_thm1(model, benchmark, rcl.value, sampler,
-                                        slack=slack, tol=tol))
+           lambda: risk_mod.verify_thm1(u, benchmark, rcl.value, sampler, slack=slack))
     ind = risk_mod.measure_eps_independence(model, sampler, tol=tol)
     result.reports.append(ind.as_dict())
     _check(result, "independence-square-bound",
-           lambda: risk_mod.verify_thm2(model, ind.value, sampler, benchmark=benchmark,
-                                        slack=slack, tol=tol))
-    G = sampler.grid(model.n_outcomes)
-    u = risk_mod.mixture_utility_batch(model, G, tol)
+           lambda: risk_mod.verify_thm2(u, benchmark, ind.value, sampler, slack=slack))
     l = benchmark.evaluate_batch(G)
     allowed = (risk_mod._support_sizes(G) - 1) * rcl.value + slack
     header = [f"p{i}" for i in range(model.n_outcomes)] + \
@@ -359,16 +360,18 @@ def _run_uncertainty(name: str, model, s: dict, tols: dict) -> RunResult:
         result.notes.append(f"prior not additive: {exc}")
     except NotConverged as exc:
         result.notes.append(f"doubling limit did not converge: {exc}")
+    # the acts are solved once; the linear bound and the acts table read ce
+    pts = sampler.points()
+    ce = unc_mod.ce_batch(model, pts, tol)
     if benchmark is not None and converged:
         _check(result, "linear-theta-bound",
-               lambda: unc_mod.verify_aa_bound(model, benchmark, theta_rep.value, sampler,
-                                               converged=converged, tol=verify_tol,
-                                               bisect_tol=tol))
+               lambda: unc_mod.verify_aa_bound(ce, benchmark, theta_rep.value, pts,
+                                               converged=converged, tol=verify_tol))
     elif not converged:
         result.notes.append(
             "dyadic defect series classified divergent; linear closeness bound "
             "not applicable")
-        exact = _homothetic_exactness(model, sampler.points()[:25], tol=tol)
+        exact = _homothetic_exactness(model, pts[:25], tol=tol)
         passed = exact <= 1e-9
         result.verdicts["homothetic-exactness"] = passed
         result.notes.append(f"homothetic exactness defect {exact:.3g}")
@@ -397,8 +400,7 @@ def _run_uncertainty(name: str, model, s: dict, tols: dict) -> RunResult:
     if benchmark is not None:
         header += ["linear_value", "gap"]
     rows = []
-    pts = sampler.points()
-    for x, u in zip(pts, unc_mod.ce_batch(model, pts, tol).tolist()):
+    for x, u in zip(pts, ce.tolist()):
         row = [*map(float, x), u]
         if benchmark is not None:
             l = benchmark.evaluate(x)

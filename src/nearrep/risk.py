@@ -23,7 +23,8 @@ import numpy as np
 
 from .core import (BoundViolated, HypothesisFailed, InvalidModel, Lottery, NearRepresentation,
                    ViolationReport, bisect_monotone)
-from .uncertainty import _distinct_rows, _RowModel, _rows, bisect_monotone_batch, grid_sample
+from .uncertainty import (_distinct_rows, _grid_utility, _RowModel, _rows, bisect_monotone_batch,
+                          grid_sample)
 
 __all__ = [
     "ExpectedUtility",
@@ -31,7 +32,6 @@ __all__ = [
     "TabulatedUtility",
     "SimplexSampler",
     "AffineBenchmark",
-    "mixture_utility",
     "mixture_utility_batch",
     "build_affine_benchmark",
     "measure_eps_rcl",
@@ -319,9 +319,6 @@ class SimplexSampler:
             self._grids[n_outcomes] = G
         return G
 
-    def points(self, n_outcomes: int) -> list[Lottery]:
-        return [Lottery(tuple(row)) for row in self.grid(n_outcomes).tolist()]
-
 
 def mixture_utility_batch(model, P, tol: float = 1e-10) -> np.ndarray:
     """Calibrated utility of each row p of P: the alpha solving model(seg(alpha)) = model(p).
@@ -342,12 +339,6 @@ def mixture_utility_batch(model, P, tol: float = 1e-10) -> np.ndarray:
 
     alpha = bisect_monotone_batch(gap, np.zeros(len(U)), np.ones(len(U)), tol=tol)
     return alpha[inverse]
-
-
-def mixture_utility(model, p, tol: float = 1e-10) -> float:
-    """Calibrated utility of one lottery: the one-row case of mixture_utility_batch."""
-    probs = p.probs if isinstance(p, Lottery) else p
-    return float(mixture_utility_batch(model, [probs], tol)[0])
 
 
 @dataclass(frozen=True)
@@ -437,35 +428,47 @@ def _mixture_probes(G: np.ndarray, sampler: SimplexSampler):
             np.concatenate([whole, at_mixed + np.arange(k)]))
 
 
-def _worst_mixture_defect(model, G: np.ndarray, sampler: SimplexSampler,
+def _worst_mixture_defect(model, G: np.ndarray, u: np.ndarray, sampler: SimplexSampler,
                           tol: float) -> tuple[float, dict, int]:
     """Largest |u(mixture) - (lam u(left) + (1 - lam) u(right))| over the probes.
 
     Returns the defect (0.0 when nothing was probed), its witness (the first
     probe attaining it) and the number of probes, on the model's calibrated
-    utility; every probe lottery is calibrated in one call.
+    utility. u holds it on the grid G; a probe lottery equal to a grid row
+    takes that row's u, and the other probe lotteries are calibrated in one
+    call.
     """
     rows, left, right, lam, whole = _mixture_probes(G, sampler)
     if not len(lam):
         return 0.0, {}, 0
-    u = mixture_utility_batch(model, rows, tol)
+    U, inverse = _distinct_rows(rows)  # rows start with the distinct rows of G
+    on_grid = inverse[:len(G)]
+    fresh = np.ones(len(U), dtype=bool)
+    fresh[on_grid] = False
+    u_distinct = np.empty(len(U))
+    u_distinct[on_grid] = u
+    u_distinct[fresh] = mixture_utility_batch(model, U[fresh], tol)
+    u = u_distinct[inverse]
     defect = np.abs(u[whole] - (lam * u[left] + (1.0 - lam) * u[right]))
     b = int(np.argmax(defect))
     return float(defect[b]), {"left": _probs(rows[left[b]]), "right": _probs(rows[right[b]]),
                               "lam": float(lam[b]), "mixture": _probs(rows[whole[b]])}, len(lam)
 
 
-def measure_eps_rcl(model, sampler: SimplexSampler | None = None,
+def measure_eps_rcl(model, u, sampler: SimplexSampler | None = None,
                     tol: float = 1e-10) -> ViolationReport:
     """Worst sampled reduction-of-compound-lotteries defect, plus 1e-12.
 
-    Probes every vertex-peeling decomposition of every grid lottery (these
-    are the triples whose defects bound the affine gap pointwise) and a
-    seeded batch of random grid-pair mixtures at uniform weights.
+    u is the calibrated utility of the sampler's grid lotteries, as
+    mixture_utility_batch returns it. Probes every vertex-peeling
+    decomposition of every grid lottery (these are the triples whose
+    defects bound the affine gap pointwise) and a seeded batch of random
+    grid-pair mixtures at uniform weights.
     """
     sampler = sampler or SimplexSampler()
     G = sampler.grid(model.n_outcomes)
-    max_defect, witness, count = _worst_mixture_defect(model, G, sampler, tol)
+    max_defect, witness, count = _worst_mixture_defect(model, G, _grid_utility(u, G), sampler,
+                                                       tol)
     return ViolationReport(
         axiom="reduction-of-compound-lotteries",
         value=max_defect + STRICTNESS_MARGIN,
@@ -485,19 +488,21 @@ def _first_max(gap: np.ndarray) -> tuple[float, int | None]:
     return (float(gap[k]), k) if gap[k] > 0.0 else (0.0, None)
 
 
-def verify_thm1(model, benchmark: AffineBenchmark, eps_hat: float,
-                sampler: SimplexSampler | None = None, slack: float = 1e-7,
-                tol: float = 1e-10) -> NearRepresentation:
+def verify_thm1(u, benchmark: AffineBenchmark, eps_hat: float,
+                sampler: SimplexSampler | None = None,
+                slack: float = 1e-7) -> NearRepresentation:
     """Check |u(p) - l(p)| <= (support(p) - 1) * eps_hat + slack on the grid.
 
-    Degenerate lotteries must agree exactly (within 1e-12). Raises
-    BoundViolated with the first violating lottery in grid order otherwise.
-    The returned representation records the sup-norm gap against the
-    global bound d * eps_hat with d = n_outcomes - 1.
+    u is the calibrated utility of the sampler's grid lotteries, as
+    mixture_utility_batch returns it. Degenerate lotteries must agree
+    exactly (within 1e-12). Raises BoundViolated with the first violating
+    lottery in grid order otherwise. The returned representation records
+    the sup-norm gap against the global bound d * eps_hat with
+    d = n_outcomes - 1.
     """
     sampler = sampler or SimplexSampler()
-    G = sampler.grid(model.n_outcomes)
-    gap = np.abs(mixture_utility_batch(model, G, tol) - benchmark.evaluate_batch(G))
+    G = sampler.grid(len(benchmark.coefficients))
+    gap = np.abs(_grid_utility(u, G) - benchmark.evaluate_batch(G))
     support = _support_sizes(G)
     degenerate = support == 1
     allowed = (support - 1) * eps_hat + slack
@@ -513,7 +518,7 @@ def verify_thm1(model, benchmark: AffineBenchmark, eps_hat: float,
             witness={"p": _probs(G[k]), "gap": float(gap[k]), "allowed": float(allowed[k]),
                      "support_size": int(support[k])})
     worst_gap, worst = _first_max(np.where(degenerate, 0.0, gap))
-    d = model.n_outcomes - 1
+    d = len(benchmark.coefficients) - 1
     return NearRepresentation(
         kind="affine",
         parameters={"coefficients": benchmark.coefficients},
@@ -554,7 +559,8 @@ def converse_check_4eps(model, benchmark: AffineBenchmark, eps: float,
             f"sup |u - l| = {sup_gap!r} is not below eps = {eps!r}",
             witness={"p": None if sup is None else _probs(G[sup]), "gap": sup_gap,
                      "eps": eps})
-    max_defect, witness, count = _worst_mixture_defect(model, G, sampler, tol)
+    max_defect, witness, count = _worst_mixture_defect(
+        model, G, mixture_utility_batch(model, G, tol), sampler, tol)
     if max_defect >= 4.0 * eps:
         raise BoundViolated(
             f"mixture defect {max_defect!r} reached 4 eps = {4.0 * eps!r}",
@@ -598,7 +604,14 @@ def _scan_window(f, center, idx, a_prev, f_prev, sign: float, ks, step, lo, hi, 
 
 def _nearest_roots(f, centers, step: float, tol: float, lo: float = 0.0, hi: float = 1.0,
                    zero_tol: float = 0.0) -> np.ndarray:
-    """_nearest_root for many functions at once: NaN where a function has no root.
+    """Root of each function nearest to its center, scanning outward then bisecting.
+
+    Each direction steps by step (clipped to [lo, hi]) until it finds a
+    sign change or hits its boundary; the closer bracketed root wins, and a
+    function that neither direction brackets gets NaN. Values within
+    zero_tol of zero count as roots: the probe construction carries
+    bisection noise, and chasing an exact root of a nearly flat function
+    would turn that noise into an arbitrary displacement.
 
     f(a, idx) returns, for each k, the idx[k]-th function at a[k]. All
     functions are scanned together, _SCAN_WINDOW steps each way per round
@@ -658,26 +671,6 @@ def _nearest_roots(f, centers, step: float, tol: float, lo: float = 0.0, hi: flo
         nearer = np.where(np.isnan(up) | (np.abs(down - c) < np.abs(up - c)), down, up)
         roots[idx[~at_center]] = nearer[~at_center]
     return roots
-
-
-def _nearest_root(f, center: float, step: float, tol: float,
-                  lo: float = 0.0, hi: float = 1.0,
-                  zero_tol: float = 0.0) -> float | None:
-    """Root of f nearest to center, scanning outward then bisecting.
-
-    Scans both directions in increments of step (clipped to [lo, hi]) until
-    each finds a sign change or hits its boundary; returns the closer
-    bracketed root, or None when neither direction brackets one. Values
-    within zero_tol of zero count as roots: the probe construction carries
-    bisection noise, and chasing an exact root of a nearly flat function
-    would turn that noise into an arbitrary displacement. f is called on
-    arrays of points; a scalar result is broadcast over them.
-    """
-    def batch(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(np.asarray(f(a), dtype=float), np.shape(a))
-
-    root = float(_nearest_roots(batch, [center], step, tol, lo, hi, zero_tol)[0])
-    return None if math.isnan(root) else root
 
 
 def measure_eps_independence(model, sampler: SimplexSampler | None = None,
@@ -765,20 +758,20 @@ def measure_eps_independence(model, sampler: SimplexSampler | None = None,
     )
 
 
-def verify_thm2(model, eps_hat: float, sampler: SimplexSampler | None = None,
-                benchmark: AffineBenchmark | None = None, slack: float = 1e-7,
-                tol: float = 1e-10) -> NearRepresentation:
+def verify_thm2(u, benchmark: AffineBenchmark, eps_hat: float,
+                sampler: SimplexSampler | None = None,
+                slack: float = 1e-7) -> NearRepresentation:
     """Check sup |u - l| <= (d + 1)^2 * eps_hat + slack on the grid.
 
-    Raises BoundViolated with the first violating lottery in grid order.
+    u is the calibrated utility of the sampler's grid lotteries, as
+    mixture_utility_batch returns it. Raises BoundViolated with the first
+    violating lottery in grid order.
     """
     sampler = sampler or SimplexSampler()
-    if benchmark is None:
-        benchmark = build_affine_benchmark(model, tol=tol)
-    G = sampler.grid(model.n_outcomes)
-    d = model.n_outcomes - 1
+    d = len(benchmark.coefficients) - 1
+    G = sampler.grid(d + 1)
     bound = (d + 1) ** 2 * eps_hat
-    gap = np.abs(mixture_utility_batch(model, G, tol) - benchmark.evaluate_batch(G))
+    gap = np.abs(_grid_utility(u, G) - benchmark.evaluate_batch(G))
     bad = np.flatnonzero(gap > bound + slack)
     if len(bad):
         k = int(bad[0])

@@ -42,7 +42,6 @@ __all__ = [
     "measure_eps_stationarity",
     "measure_lambda_lipschitz",
     "verify_exp3_bound",
-    "same_ordering",
 ]
 
 BRACKET_CAP = 2.0 ** 60  # doubling searches stop here and report NoBracket
@@ -619,20 +618,3 @@ def verify_exp3_bound(model, eps_hat: float, lambda_hat: float,
         bound=bound,
         details={"tol": tol, "n_points": count, "argmax": worst[1]},
     )
-
-
-def same_ordering(values_a: Sequence[float], values_b: Sequence[float]) -> bool:
-    """True when two value lists rank all pairs identically (ties included).
-
-    A pair ranks by comparison, (x > y) - (x < y), so equal infinities tie;
-    a pair that holds a NaN matches nothing.
-    """
-    a = [float(v) for v in values_a]
-    b = [float(v) for v in values_b]
-    if len(a) != len(b):
-        raise InvalidModel("value lists must have equal length")
-    return all(_rank(x, y) == _rank(u, v) for x, u in zip(a, b) for y, v in zip(a, b))
-
-
-def _rank(x: float, y: float) -> float:
-    return (x > y) - (x < y) if x == x and y == y else math.nan

@@ -41,14 +41,12 @@ __all__ = [
     "QuasiConcaveBenchmark",
     "ce_batch",
     "ce_utility",
-    "measure_phi",
     "dyadic_phi_series",
     "theta_estimate",
     "hyers_ulam_limit",
     "extract_prior",
     "verify_aa_bound",
     "smooth_ambiguity_bound",
-    "measure_homog_deviation",
     "homog_limit",
     "verify_homog_bound",
     "measure_eps_ua",
@@ -430,6 +428,14 @@ def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return S[first], inverse
 
 
+def _grid_utility(u, grid: np.ndarray) -> np.ndarray:
+    """u as a float array of one utility per grid row; InvalidModel when the counts differ."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != (len(grid),):
+        raise InvalidModel(f"utility array of shape {u.shape} for a grid of {len(grid)} points")
+    return u
+
+
 def _simplex_lattice(n_coords: int, subdivisions: int) -> np.ndarray:
     """All compositions of `subdivisions` into n_coords parts, divided out.
 
@@ -610,12 +616,6 @@ def _phi_rows(model, X: np.ndarray, Y: np.ndarray, tol: float) -> np.ndarray:
     n = len(X)
     c = ce_batch(model, np.concatenate([X, Y, 0.5 * (X + Y)]), tol)
     return np.abs(c[2 * n:] - 0.5 * (c[:n] + c[n:2 * n]))
-
-
-def measure_phi(model, x, y, tol: float = 1e-10) -> float:
-    """Midpoint additivity defect |u((x+y)/2) - (u(x) + u(y))/2|."""
-    return float(_phi_rows(model, _as_act(model, x)[None, :], _as_act(model, y)[None, :],
-                           tol)[0])
 
 
 def _scale_cap(top: float, n_max: int, base: float = 2.0, guard: float = SCALE_GUARD) -> int:
@@ -844,39 +844,32 @@ def extract_prior(model, tol: float = 1e-9, additivity_tol: float = 1e-6,
     return LinearBenchmark(prior=tuple(p))
 
 
-def verify_aa_bound(model, benchmark: LinearBenchmark, theta_hat: float,
-                    sampler: BoxSampler | None = None, converged: bool = True,
-                    eps_cap: float | None = None, tol: float = 1e-6,
-                    bisect_tol: float = 1e-10) -> NearRepresentation:
-    """Check sup |u(x) - prior . x| <= bound + tol over the act grid.
+def verify_aa_bound(u, benchmark: LinearBenchmark, theta_hat: float, pts: np.ndarray,
+                    converged: bool = True, tol: float = 1e-6) -> NearRepresentation:
+    """Check sup |u(x) - prior . x| <= Theta-hat + tol over the acts pts.
 
-    bound is Theta-hat, or 2 * eps_cap when a uniform defect cap is supplied
-    (the corollary form). Raises HypothesisFailed when the series was
-    classified divergent: the closeness theorem does not apply and the gap
-    can be unbounded.
+    u is the certainty equivalent of each act, as ce_batch returns it.
+    Raises HypothesisFailed when the series was classified divergent: the
+    closeness theorem does not apply and the gap can be unbounded.
     """
     if not converged:
         raise HypothesisFailed(
             "dyadic defect series classified divergent; closeness bound not applicable")
-    sampler = sampler or BoxSampler(model.n_states)
-    bound = 2.0 * eps_cap if eps_cap is not None else theta_hat
     worst = (0.0, None)
-    pts = sampler.points()
-    for x, u in zip(pts, ce_batch(model, pts, bisect_tol).tolist()):
-        gap = abs(u - benchmark.evaluate(x))
+    for x, ce in zip(pts, _grid_utility(u, pts).tolist()):
+        gap = abs(ce - benchmark.evaluate(x))
         if gap > worst[0]:
             worst = (gap, x)
-        if gap > bound + tol:
+        if gap > theta_hat + tol:
             raise BoundViolated(
-                f"|u - prior.x| = {gap!r} exceeds bound + tol = {bound + tol!r}",
-                witness={"x": tuple(x), "gap": gap, "bound": bound})
+                f"|u - prior.x| = {gap!r} exceeds bound + tol = {theta_hat + tol!r}",
+                witness={"x": tuple(x), "gap": gap, "bound": theta_hat})
     return NearRepresentation(
         kind="linear",
         parameters={"prior": benchmark.prior},
         achieved_distance=worst[0],
-        bound=bound,
-        details={"form": "2eps" if eps_cap is not None else "theta",
-                 "tol": tol, "n_points": len(pts),
+        bound=theta_hat,
+        details={"form": "theta", "tol": tol, "n_points": len(pts),
                  "argmax": None if worst[1] is None else tuple(worst[1])},
     )
 
@@ -937,15 +930,6 @@ def smooth_ambiguity_bound(model: SmoothAmbiguity, sampler: BoxSampler | None = 
 
 # ---------------------------------------------------------------------------
 # homogeneous benchmark
-
-def measure_homog_deviation(model, x, lam: float, tol: float = 1e-10) -> float:
-    """Scaling defect |u(lam x) - lam u(x)| of the certainty equivalent."""
-    if not lam > 0.0:
-        raise InvalidModel("scaling factor must be positive")
-    x = _as_act(model, x)
-    scaled, base = ce_batch(model, np.stack([lam * x, x]), tol).tolist()
-    return abs(scaled - lam * base)
-
 
 def homog_limit(model, x, eta: float = 2.0, tol: float = 1e-9, n_max: int = 60,
                 bisect_tol: float = 1e-10) -> ScaledLimit:

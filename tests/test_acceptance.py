@@ -25,7 +25,7 @@ from nearrep.risk import (
     figure1_data,
     measure_eps_independence,
     measure_eps_rcl,
-    mixture_utility,
+    mixture_utility_batch,
     verify_thm1,
 )
 from nearrep.timepref import (
@@ -98,9 +98,10 @@ def test_criterion_03_cpt_support_bound_fine_grid():
     with criterion(3, 30.0):
         model = CumulativeProspect(0.54, 0.74, (4000.0, 3000.0, 0.0))
         sampler = SimplexSampler(resolution=101, n_random_triples=200)
-        rep = measure_eps_rcl(model, sampler)
+        u = mixture_utility_batch(model, sampler.grid(3))
+        rep = measure_eps_rcl(model, u, sampler)
         bench = build_affine_benchmark(model)
-        near = verify_thm1(model, bench, rep.value, sampler, slack=1e-7)
+        near = verify_thm1(u, bench, rep.value, sampler, slack=1e-7)
         assert near.achieved_distance <= near.bound + 1e-7
         assert near.details["n_points"] == math.comb(103, 2)
 
@@ -212,13 +213,15 @@ def test_criterion_11_exact_models_report_zero():
         # mixture meters on expected utility
         eu = ExpectedUtility((1.0, 0.4, 0.0))
         sampler = SimplexSampler(resolution=9, n_random_triples=60, n_pairs=10)
-        assert measure_eps_rcl(eu, sampler).value <= 1e-7
+        G = sampler.grid(3)
+        u = mixture_utility_batch(eu, G)
+        assert measure_eps_rcl(eu, u, sampler).value <= 1e-7
         assert measure_eps_independence(eu, sampler).value <= 1e-7
         bench = build_affine_benchmark(eu)
         assert max(abs(a - b) for a, b in zip(bench.coefficients,
                                               (1.0, 0.4, 0.0))) <= 1e-7
-        for p in sampler.points(3):
-            assert abs(mixture_utility(eu, p) - bench.evaluate(p)) <= 1e-7
+        for p, u_p in zip(G, u):
+            assert abs(u_p - bench.evaluate(p)) <= 1e-7
         # act meters on a subjective-expected model
         seu = SubjectiveExpected((0.3, 0.7))
         box = BoxSampler(2, resolution=5, n_random_pairs=20)

@@ -348,6 +348,29 @@ def test_time_grid_equals_numpy_linspace_bit_for_bit(start, stop, num):
     assert struct.pack(f"<{num}d", *got) == want.astype("<f8").tobytes()
 
 
+def test_a_risk_run_calibrates_each_grid_row_once(monkeypatch):
+    # the meter, both verifiers, the benchmark and the grid table share one calibration
+    import numpy as np
+
+    import nearrep.risk as risk
+    from nearrep.cli import run_scenario
+
+    solve, received = risk.mixture_utility_batch, []
+
+    def recorded(model, P, tol=1e-10):
+        received.append(np.array(P, dtype=float).reshape(-1, model.n_outcomes))
+        return solve(model, P, tol)
+
+    monkeypatch.setattr(risk, "mixture_utility_batch", recorded)
+    scenario = json.loads(json.dumps(RISK_SCENARIO))
+    scenario["model"]["prizes"] = [4000, 3000, 2000, 0]
+    result = run_scenario(scenario)
+    assert set(result.verdicts) == {"mixture-support-bound", "independence-square-bound"}
+    rows = np.concatenate(received)
+    grid = risk.SimplexSampler(resolution=5).grid(4)
+    assert [int(np.all(rows == g, axis=1).sum()) for g in grid] == [1] * len(grid)
+
+
 def _patch_risk_meters(monkeypatch):
     import nearrep.risk
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from nearrep.core import (
     BoundViolated,
     HypothesisFailed,
+    InvalidModel,
     Lottery,
 )
 from nearrep.risk import (
@@ -23,7 +24,7 @@ from nearrep.risk import (
     figure1_data,
     measure_eps_independence,
     measure_eps_rcl,
-    mixture_utility,
+    mixture_utility_batch,
     verify_thm1,
     verify_thm2,
 )
@@ -33,6 +34,14 @@ CPT2 = CumulativeProspect(0.54, 0.74, (1.0, 0.0))
 CPT3 = CumulativeProspect(0.54, 0.74, (4000.0, 3000.0, 0.0))
 
 
+def _calibrated(model, p: Lottery) -> float:
+    return float(mixture_utility_batch(model, [p.probs])[0])
+
+
+def _grid_utility(model, sampler):
+    return mixture_utility_batch(model, sampler.grid(model.n_outcomes))
+
+
 # --- calibrated utility ----------------------------------------------------
 
 def test_mixture_utility_matches_normalized_eu():
@@ -40,27 +49,27 @@ def test_mixture_utility_matches_normalized_eu():
     for probs in [(0.5, 0.25, 0.25), (0.1, 0.8, 0.1), (0.0, 1.0, 0.0)]:
         p = Lottery(probs)
         expected = EU3.value(p.probs)  # utilities already span [0, 1]
-        assert mixture_utility(EU3, p) == pytest.approx(expected, abs=1e-9)
+        assert _calibrated(EU3, p) == pytest.approx(expected, abs=1e-9)
 
 
 def test_mixture_utility_cpt_two_prize_is_probability():
     # with two prizes the calibration segment is the whole simplex, so the
     # calibrated utility of (p, 1-p) is p itself
     for p in (0.0, 0.1, 0.37, 0.5, 0.93, 1.0):
-        got = mixture_utility(CPT2, Lottery((p, 1.0 - p)))
+        got = _calibrated(CPT2, Lottery((p, 1.0 - p)))
         assert got == pytest.approx(p, abs=2e-9)
 
 
 def test_mixture_utility_cpt3_known_alpha():
     # frozen: the sure-3000 lottery sits at g^{-1}(w(3000)/w(4000)) on the
     # best-worst segment
-    got = mixture_utility(CPT3, Lottery((0.0, 1.0, 0.0)))
+    got = _calibrated(CPT3, Lottery((0.0, 1.0, 0.0)))
     assert got == pytest.approx(0.9367900900754369, abs=1e-8)
 
 
 def test_mixture_utility_endpoints_exact():
-    assert mixture_utility(CPT3, Lottery((1.0, 0.0, 0.0))) == 1.0
-    assert mixture_utility(CPT3, Lottery((0.0, 0.0, 1.0))) == 0.0
+    assert _calibrated(CPT3, Lottery((1.0, 0.0, 0.0))) == 1.0
+    assert _calibrated(CPT3, Lottery((0.0, 0.0, 1.0))) == 0.0
 
 
 # --- affine benchmark ------------------------------------------------------
@@ -92,7 +101,7 @@ def test_benchmark_is_affine_in_mixtures(a, b, lam):
 
 def test_eps_rcl_expected_utility_is_tiny():
     sampler = SimplexSampler(resolution=7, n_random_triples=40)
-    rep = measure_eps_rcl(EU3, sampler)
+    rep = measure_eps_rcl(EU3, _grid_utility(EU3, sampler), sampler)
     assert rep.value <= 1e-7
     assert rep.samples_evaluated > 0
 
@@ -100,22 +109,23 @@ def test_eps_rcl_expected_utility_is_tiny():
 def test_eps_rcl_cpt_two_prize_is_tiny():
     # two-prize calibrated utility is the identity, so defects vanish
     sampler = SimplexSampler(resolution=9, n_random_triples=40)
-    rep = measure_eps_rcl(CPT2, sampler)
+    rep = measure_eps_rcl(CPT2, _grid_utility(CPT2, sampler), sampler)
     assert rep.value <= 1e-7
 
 
 def test_eps_rcl_cpt_three_prize_positive():
     sampler = SimplexSampler(resolution=7, n_random_triples=40)
-    rep = measure_eps_rcl(CPT3, sampler)
+    rep = measure_eps_rcl(CPT3, _grid_utility(CPT3, sampler), sampler)
     assert 1e-4 < rep.value < 0.5
     assert set(rep.witness) >= {"left", "right", "lam", "mixture"}
 
 
 def test_verify_thm1_passes_for_measured_eps():
     sampler = SimplexSampler(resolution=7, n_random_triples=40)
-    rep = measure_eps_rcl(CPT3, sampler)
+    u = _grid_utility(CPT3, sampler)
+    rep = measure_eps_rcl(CPT3, u, sampler)
     bench = build_affine_benchmark(CPT3)
-    near = verify_thm1(CPT3, bench, rep.value, sampler)
+    near = verify_thm1(u, bench, rep.value, sampler)
     assert near.kind == "affine"
     assert near.achieved_distance <= near.bound + 1e-7
     d = CPT3.n_outcomes - 1
@@ -126,10 +136,11 @@ def test_verify_thm1_support_rule_is_per_point():
     # every sampled lottery respects (support - 1) * eps + slack, which is
     # strictly tighter than the global d * eps bound on the edges
     sampler = SimplexSampler(resolution=7, n_random_triples=0)
-    rep = measure_eps_rcl(CPT3, sampler)
+    grid_u = _grid_utility(CPT3, sampler)
+    rep = measure_eps_rcl(CPT3, grid_u, sampler)
     bench = build_affine_benchmark(CPT3)
-    for p in sampler.points(3):
-        u = mixture_utility(CPT3, p)
+    for row, u in zip(sampler.grid(3).tolist(), grid_u):
+        p = Lottery(tuple(row))
         gap = abs(u - bench.evaluate(p))
         if p.is_degenerate:
             assert gap <= 1e-12
@@ -141,7 +152,7 @@ def test_verify_thm1_rejects_eps_zero_for_nonlinear_model():
     sampler = SimplexSampler(resolution=7, n_random_triples=0)
     bench = build_affine_benchmark(CPT3)
     with pytest.raises(BoundViolated):
-        verify_thm1(CPT3, bench, 0.0, sampler, slack=1e-12)
+        verify_thm1(_grid_utility(CPT3, sampler), bench, 0.0, sampler, slack=1e-12)
 
 
 # --- converse: sup closeness forces small defects ---------------------------
@@ -209,19 +220,38 @@ def test_eps_independence_cpt3_positive():
 def test_verify_thm2_bound_holds():
     sampler = SimplexSampler(resolution=7, n_pairs=10, n_alphas=3)
     rep = measure_eps_independence(CPT3, sampler)
-    near = verify_thm2(CPT3, rep.value, sampler)
+    near = verify_thm2(_grid_utility(CPT3, sampler), build_affine_benchmark(CPT3), rep.value,
+                       sampler)
     assert near.details["factor"] == 9  # (d + 1)^2 with d = 2
     assert near.achieved_distance <= near.bound + 1e-7
 
 
-def test_nearest_root_paths():
-    from nearrep.risk import _nearest_root
+@pytest.mark.parametrize("verifier", ["measure_eps_rcl", "verify_thm1", "verify_thm2"])
+@pytest.mark.parametrize("extra", [False, True], ids=["one-short", "one-extra"])
+def test_a_utility_array_that_does_not_fit_the_grid_is_refused(verifier, extra):
+    sampler = SimplexSampler(resolution=5, n_random_triples=10)
+    u = _grid_utility(CPT3, sampler)
+    u = np.append(u, 0.5) if extra else u[:-1]
+    bench = build_affine_benchmark(CPT3)
+    call = {"measure_eps_rcl": lambda: measure_eps_rcl(CPT3, u, sampler),
+            "verify_thm1": lambda: verify_thm1(u, bench, 0.1, sampler),
+            "verify_thm2": lambda: verify_thm2(u, bench, 0.1, sampler)}[verifier]
+    with pytest.raises(InvalidModel, match="for a grid of 21 points"):
+        call()
 
-    assert _nearest_root(lambda a: a - 0.6, 0.5, 0.01, 1e-10) == pytest.approx(
+
+def test_nearest_root_paths():
+    from nearrep.risk import _nearest_roots
+
+    def nearest_root(f, center, *args, **kwargs):
+        return _nearest_roots(lambda a, idx: f(a), [center], *args, **kwargs)[0]
+
+    assert nearest_root(lambda a: a - 0.6, 0.5, 0.01, 1e-10) == pytest.approx(
         0.6, abs=1e-9)
-    assert _nearest_root(lambda a: 1.0, 0.5, 0.01, 1e-10) is None
+    assert math.isnan(nearest_root(np.ones_like, 0.5, 0.01, 1e-10))
     # noise floor counts as restored indifference
-    assert _nearest_root(lambda a: 1e-12, 0.5, 0.01, 1e-10, zero_tol=1e-9) == 0.5
+    assert nearest_root(lambda a: np.full_like(a, 1e-12), 0.5, 0.01, 1e-10,
+                        zero_tol=1e-9) == 0.5
 
 
 # --- worked examples ---------------------------------------------------------

@@ -26,12 +26,10 @@ from nearrep.risk import (
     SimplexSampler,
     TabulatedUtility,
     _LotteryModel,
-    _nearest_root,
     _nearest_roots,
     _segments,
     measure_eps_independence,
     measure_eps_rcl,
-    mixture_utility,
     mixture_utility_batch,
 )
 
@@ -123,8 +121,12 @@ def _ref_peel_chain(p):
     return chain
 
 
+def _grid_lotteries(sampler, n):
+    return [Lottery(tuple(row)) for row in sampler.grid(n).tolist()]
+
+
 def _ref_eps_rcl(model, sampler, tol=1e-10):
-    points = sampler.points(model.n_outcomes)
+    points = _grid_lotteries(sampler, model.n_outcomes)
     probes = [t for p in points if not p.is_degenerate for t in _ref_peel_chain(p)]
     rng = np.random.default_rng(sampler.seed)
     for _ in range(sampler.n_random_triples):
@@ -174,7 +176,7 @@ def _ref_nearest_root(f, center, step, tol, lo=0.0, hi=1.0, zero_tol=0.0):
 
 
 def _ref_eps_independence(model, sampler, tol=1e-10, scan_step=1e-3):
-    points = sampler.points(model.n_outcomes)
+    points = _grid_lotteries(sampler, model.n_outcomes)
     n = model.n_outcomes
     vertex_values = [model.value(Lottery.degenerate(i, n).probs) for i in range(n)]
     value_floor = 10.0 * tol * max(1.0, max(vertex_values) - min(vertex_values))
@@ -356,7 +358,7 @@ def test_mixture_utility_batch_matches_scalar_calibration(case):
         if ref in (0.0, 1.0):
             assert batch[k] == ref  # endpoint snaps are exact
         assert batch[k] == pytest.approx(ref, abs=1e-10)
-        assert batch[k] == mixture_utility(model, probs)
+        assert batch[k] == mixture_utility_batch(model, [probs])[0]
 
 
 def test_mixture_utility_batch_endpoints_and_no_bracket():
@@ -379,7 +381,8 @@ EU4 = ExpectedUtility((1.0, 0.7, 0.2, 0.0))
 @pytest.mark.parametrize("resolution,triples", [(4, 0), (7, 25)])
 def test_eps_rcl_matches_scalar_reference(model, resolution, triples):
     sampler = SimplexSampler(resolution=resolution, seed=3, n_random_triples=triples)
-    rep = measure_eps_rcl(model, sampler)
+    rep = measure_eps_rcl(model, mixture_utility_batch(model, sampler.grid(model.n_outcomes)),
+                          sampler)
     defect, witness, count = _ref_eps_rcl(model, sampler)
     assert rep.samples_evaluated == count
     assert rep.details["max_defect"] == pytest.approx(defect, abs=1e-9)
@@ -418,9 +421,9 @@ def test_nearest_root_matches_scalar_scan(center, step, freq, phase, offset, zer
     # waves of every frequency: roots closer together than a step, beyond the
     # first scan round, at the boundary, or nowhere
     f = _wave(freq, phase, offset)
-    got = _nearest_root(f, center, step, 1e-10, zero_tol=zero_tol)
+    got = _nearest_roots(lambda a, idx: f(a), [center], step, 1e-10, zero_tol=zero_tol)[0]
     ref = _ref_nearest_root(lambda a: float(f(a)), center, step, 1e-10, zero_tol=zero_tol)
-    assert (got is None) == (ref is None)
+    assert math.isnan(got) == (ref is None)
     if ref is not None:
         assert got == pytest.approx(ref, abs=1e-12)
 

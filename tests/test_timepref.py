@@ -4,13 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from nearrep.core import (
     BoundViolated,
     HypothesisFailed,
-    InvalidModel,
     NoSuchTau,
     discount,
 )
@@ -29,7 +26,6 @@ from nearrep.timepref import (
     measure_eps_stationarity,
     measure_lambda_lipschitz,
     psi,
-    same_ordering,
     theta_over_sample,
     theta_series,
     verify_exp3_bound,
@@ -261,88 +257,3 @@ def test_verify_exp3_log_delay():
     rep = verify_exp3_bound(LOGD, eps.value, lam.value, xs, ts, tol=1e-6)
     assert rep.achieved_distance <= lam.value * eps.value + 1e-6
     assert rep.bound == pytest.approx(lam.value * eps.value)
-
-
-def test_same_ordering():
-    xs = np.linspace(0.0, 1.9, 12)
-    u_lin = [LIN.value(x, 0.5) for x in xs]
-    u_exp = [math.exp(x - 0.5) for x in xs]
-    assert same_ordering(u_lin, u_exp)
-    assert not same_ordering([1.0, 2.0, 3.0], [1.0, 3.0, 2.0])
-
-
-def _numpy_same_ordering(values_a, values_b):
-    # the array version same_ordering replaced, kept as its reference
-    a = np.asarray(values_a, dtype=float)
-    b = np.asarray(values_b, dtype=float)
-    if a.shape != b.shape:
-        raise InvalidModel("value lists must have equal length")
-    with np.errstate(invalid="ignore"):  # inf - inf
-        sa = np.sign(a[:, None] - a[None, :])
-        sb = np.sign(b[:, None] - b[None, :])
-    return bool(np.all(sa == sb))
-
-
-def _difference_sign_same_ordering(values_a, values_b):
-    # the version that ranked a pair by the sign of x - y, kept as its reference
-    a = [float(v) for v in values_a]
-    b = [float(v) for v in values_b]
-    if len(a) != len(b):
-        raise InvalidModel("value lists must have equal length")
-
-    def sign(d):
-        return (d > 0.0) - (d < 0.0) if d == d else math.nan
-
-    return all(sign(x - y) == sign(u - v) for x, u in zip(a, b) for y, v in zip(a, b))
-
-
-# few distinct values, so ties and matching orders are common; plus any finite
-# float (on infinities and NaN the ranking by comparison differs on purpose)
-_ORDER_VALUES = st.one_of(st.sampled_from([-1.0, 0.0, -0.0, 0.5, 2.0]),
-                          st.floats(allow_nan=False, allow_infinity=False))
-
-
-def _dense_ranks(values):
-    # each value replaced by its place among the distinct values: the same order, all finite
-    places = {v: i for i, v in enumerate(sorted(set(values)))}
-    return [places[v] for v in values]
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.one_of(st.sampled_from([-math.inf, math.inf, 1.0]), st.floats()),
-                min_size=1, max_size=6),
-       st.lists(st.one_of(st.sampled_from([-math.inf, math.inf, 1.0]), st.floats()),
-                min_size=1, max_size=6))
-@example([math.inf, 1.0], [math.inf, 1.0])
-@example([math.inf, 1.0], [2.0, 1.0])
-@example([math.nan, 1.0], [math.nan, 1.0])
-def test_same_ordering_ranks_infinities_by_comparison_and_nan_matches_nothing(
-        values_a, values_b):
-    values_b = values_b[:len(values_a)] + values_a[len(values_b):]
-    if any(math.isnan(v) for v in values_a + values_b):
-        assert same_ordering(values_a, values_b) is False
-    else:
-        assert same_ordering(values_a, values_b) is \
-            _difference_sign_same_ordering(_dense_ranks(values_a), _dense_ranks(values_b))
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(_ORDER_VALUES, max_size=6), st.lists(_ORDER_VALUES, max_size=6),
-       st.booleans())
-@example([1.0, 1.0, 2.0], [3.0, 3.0, 4.0], False)  # ties on both sides
-@example([1.0, 1.0], [3.0, 4.0], False)             # a tie on one side only
-@example([1.0, 2.0], [1.0], False)                  # lengths differ
-def test_same_ordering_matches_the_numpy_version(values_a, values_b, same_length):
-    # on finite lists the numpy version and the difference-sign version agree
-    if same_length:
-        values_b = values_b[:len(values_a)] + values_a[len(values_b):]
-    try:
-        want = _numpy_same_ordering(values_a, values_b)
-    except InvalidModel:
-        with pytest.raises(InvalidModel, match="equal length"):
-            same_ordering(values_a, values_b)
-        return
-    assert _difference_sign_same_ordering(values_a, values_b) is want
-    assert same_ordering(values_a, values_b) is want
-    assert same_ordering(values_a, sorted(values_a)) is \
-        _numpy_same_ordering(values_a, sorted(values_a))

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from nearrep.core import (
     BoundViolated,
     HypothesisFailed,
+    InvalidModel,
     NotAdditive,
     NotConverged,
 )
@@ -27,6 +28,7 @@ from nearrep.uncertainty import (
     SubjectiveExpected,
     _index_pairs,
     _level_hull,
+    _phi_rows,
     _scaled_limits,
     ce_batch,
     ce_utility,
@@ -35,8 +37,6 @@ from nearrep.uncertainty import (
     homog_limit,
     hyers_ulam_limit,
     measure_eps_ua,
-    measure_homog_deviation,
-    measure_phi,
     quasiconcavify,
     smooth_ambiguity_bound,
     theta_estimate,
@@ -52,6 +52,17 @@ SMOOTH_EXP = SmoothAmbiguity("z_minus_exp", ((0.3, 0.7), (0.8, 0.2)), (0.5, 0.5)
 ALL_MODELS = [SEU, MEU, SMOOTH_SQRT, SMOOTH_EXP,
               CESUtility((0.4, 0.6), 0.5),
               LinearPlusBounded((0.3, 0.7), 0.5)]
+
+
+def _phi(model, x, y) -> float:
+    """Midpoint additivity defect |u((x+y)/2) - (u(x) + u(y))/2| of one act pair."""
+    return float(_phi_rows(model, x[None, :], y[None, :], 1e-10)[0])
+
+
+def _homog_deviation(model, x, lam: float) -> float:
+    """Scaling defect |u(lam x) - lam u(x)| of the certainty equivalent."""
+    scaled, base = ce_batch(model, np.stack([lam * x, x])).tolist()
+    return abs(scaled - lam * base)
 
 
 # --- certainty equivalents ---------------------------------------------------
@@ -90,13 +101,13 @@ def test_smooth_raw_closed_form_on_constants():
 
 def test_phi_seu_vanishes():
     x, y = np.array([1.0, 4.0]), np.array([3.0, 2.0])
-    assert measure_phi(SEU, x, y) <= 1e-12
+    assert _phi(SEU, x, y) <= 1e-12
 
 
 def test_phi_meu_unit_vectors():
     e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
     # midpoint is the constant 0.5 but each arm is worth 0.3
-    assert measure_phi(MEU, e1, e2) == pytest.approx(0.2, abs=1e-12)
+    assert _phi(MEU, e1, e2) == pytest.approx(0.2, abs=1e-12)
 
 
 def test_dyadic_series_meu_partial_sums_grow_linearly():
@@ -149,7 +160,7 @@ def test_hyers_induction_inequality():
     base = u(x)
     bound = 0.0
     for n in range(1, 21):
-        bound += 2.0 ** -(n - 1) * measure_phi(model, (2.0 ** n) * x, np.zeros(2))
+        bound += 2.0 ** -(n - 1) * _phi(model, (2.0 ** n) * x, np.zeros(2))
         iterate = u((2.0 ** n) * x) / 2.0 ** n
         assert abs(iterate - base) <= bound + 1e-9
 
@@ -179,7 +190,9 @@ def test_verify_aa_seu_zero_distance():
     sampler = BoxSampler(2, resolution=5, n_random_pairs=10)
     rep_theta, converged = theta_estimate(SEU, sampler)
     bench = extract_prior(SEU)
-    near = verify_aa_bound(SEU, bench, rep_theta.value, sampler, converged=converged)
+    pts = sampler.points()
+    near = verify_aa_bound(ce_batch(SEU, pts), bench, rep_theta.value, pts,
+                           converged=converged)
     assert near.achieved_distance <= 1e-9
 
 
@@ -188,16 +201,24 @@ def test_verify_aa_smooth_passes():
     rep_theta, converged = theta_estimate(SMOOTH_SQRT, sampler)
     assert converged
     bench = extract_prior(SMOOTH_SQRT)
-    near = verify_aa_bound(SMOOTH_SQRT, bench, rep_theta.value, sampler,
+    pts = sampler.points()
+    near = verify_aa_bound(ce_batch(SMOOTH_SQRT, pts), bench, rep_theta.value, pts,
                            converged=converged)
     assert near.achieved_distance <= near.bound + 1e-6
 
 
+def test_verify_aa_refuses_a_utility_array_that_does_not_fit_the_acts():
+    bench = extract_prior(SEU)
+    pts = BoxSampler(2, resolution=3).points()
+    with pytest.raises(InvalidModel, match="for a grid of 9 points"):
+        verify_aa_bound(ce_batch(SEU, pts[:-1]), bench, 1.0, pts)
+
+
 def test_verify_aa_divergent_rejected():
     bench = extract_prior(SEU)
+    pts = BoxSampler(2, resolution=3).points()
     with pytest.raises(HypothesisFailed):
-        verify_aa_bound(SEU, bench, 1.0, BoxSampler(2, resolution=3),
-                        converged=False)
+        verify_aa_bound(ce_batch(SEU, pts), bench, 1.0, pts, converged=False)
 
 
 # --- smooth ambiguity uniform cap ---------------------------------------------
@@ -225,7 +246,7 @@ def test_smooth_defect_zme_frozen_point():
 # --- homogeneity ---------------------------------------------------------------
 
 def test_homog_deviation_meu_zero():
-    assert measure_homog_deviation(MEU, np.array([2.0, 1.0]), 2.0) <= 1e-12
+    assert _homog_deviation(MEU, np.array([2.0, 1.0]), 2.0) <= 1e-12
 
 
 def test_homog_deviation_raw_zme_closed_form():
@@ -270,7 +291,7 @@ def test_homog_theta_respects_geometric_envelope():
     worst = 0.0
     probe = x.copy()
     for _ in range(20):
-        worst = max(worst, measure_homog_deviation(model, probe, 2.0))
+        worst = max(worst, _homog_deviation(model, probe, 2.0))
         probe = probe * 2.0
     assert res.theta <= worst / (2.0 - 1.0) + 1e-9
 
