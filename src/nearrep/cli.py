@@ -319,18 +319,22 @@ def _run_risk(name: str, model, s: dict, tols: dict) -> RunResult:
     return result
 
 
-def _homothetic_exactness(model, pts, tol: float = 1e-10, n_top: int = 10) -> float:
-    """Largest |u(2^n x) / 2^n - u(x)| over the nonzero points, n in (1, 4, n_top)."""
+def _homothetic_exactness(model, pts, u, tol: float) -> float:
+    """Largest |u(2^n x) / 2^n - u(x)| over the nonzero acts pts, n in (1, 4, 10).
+
+    u is the certainty equivalent of each act; only the scaled copies are solved.
+    """
     import numpy as np
     from . import uncertainty as unc_mod
-    X = np.array([x for x in pts if np.any(x)]).reshape(-1, model.n_states)
-    scales = np.array([2.0 ** n for n in (1, 4, n_top)])[:, None]
-    ce = unc_mod.ce_batch(model, np.concatenate([X, *(s * X for s in scales)]), tol)
-    u, scaled = ce[:len(X)], ce[len(X):].reshape(len(scales), len(X))
-    return float(np.max(np.abs(scaled / scales - u), initial=0.0))
+    nonzero = np.any(pts, axis=1)
+    X, u = pts[nonzero], unc_mod._grid_utility(u, pts)[nonzero]
+    scales = np.array([2.0, 16.0, 1024.0])[:, None]
+    scaled = unc_mod.ce_batch(model, np.concatenate([s * X for s in scales]), tol)
+    return float(np.max(np.abs(scaled.reshape(len(scales), len(X)) / scales - u), initial=0.0))
 
 
 def _run_uncertainty(name: str, model, s: dict, tols: dict) -> RunResult:
+    import numpy as np
     from . import uncertainty as unc_mod
     _check_grid("box", model.n_states, s["resolution"], "resolution")
     if s["quasiconcave"]:
@@ -360,7 +364,7 @@ def _run_uncertainty(name: str, model, s: dict, tols: dict) -> RunResult:
         result.notes.append(f"prior not additive: {exc}")
     except NotConverged as exc:
         result.notes.append(f"doubling limit did not converge: {exc}")
-    # the acts are solved once; the linear bound and the acts table read ce
+    # the acts are solved once; the verifiers, the meters and the acts table read ce
     pts = sampler.points()
     ce = unc_mod.ce_batch(model, pts, tol)
     if benchmark is not None and converged:
@@ -371,7 +375,7 @@ def _run_uncertainty(name: str, model, s: dict, tols: dict) -> RunResult:
         result.notes.append(
             "dyadic defect series classified divergent; linear closeness bound "
             "not applicable")
-        exact = _homothetic_exactness(model, pts[:25], tol=tol)
+        exact = _homothetic_exactness(model, pts[:25], ce[:25], tol)
         passed = exact <= 1e-9
         result.verdicts["homothetic-exactness"] = passed
         result.notes.append(f"homothetic exactness defect {exact:.3g}")
@@ -381,7 +385,7 @@ def _run_uncertainty(name: str, model, s: dict, tols: dict) -> RunResult:
     if s["homog"]:
         try:
             _check(result, "homogeneous-bound",
-                   lambda: unc_mod.verify_homog_bound(model, sampler, bisect_tol=tol,
+                   lambda: unc_mod.verify_homog_bound(model, ce, sampler, bisect_tol=tol,
                                                       tol=verify_tol))
         except NotConverged as exc:
             result.notes.append(f"scaling limit did not converge: {exc}")
@@ -390,23 +394,19 @@ def _run_uncertainty(name: str, model, s: dict, tols: dict) -> RunResult:
                                           resolution=s["qc_resolution"],
                                           level_resolution=s["level_resolution"],
                                           bisect_tol=tol)
-        ua = unc_mod.measure_eps_ua(model, sampler, extra_probes=envelope.probes,
+        ua = unc_mod.measure_eps_ua(model, ce, sampler, extra_probes=envelope.probes,
                                     tol=tol)
         result.reports.append(ua.as_dict())
         _check(result, "quasiconcave-bound",
-               lambda: unc_mod.verify_quasiconcave_bound(model, envelope, ua.value,
+               lambda: unc_mod.verify_quasiconcave_bound(envelope, ua.value,
                                                          seed=sampler.seed))
     header = [f"x{i}" for i in range(model.n_states)] + ["ce_utility"]
+    columns = [pts, ce]
     if benchmark is not None:
+        l = benchmark.evaluate_batch(pts)
         header += ["linear_value", "gap"]
-    rows = []
-    for x, u in zip(pts, ce.tolist()):
-        row = [*map(float, x), u]
-        if benchmark is not None:
-            l = benchmark.evaluate(x)
-            row += [l, abs(u - l)]
-        rows.append(row)
-    result.tables["acts"] = (header, rows)
+        columns += [l, np.abs(ce - l)]
+    result.tables["acts"] = (header, np.column_stack(columns))
     partials = theta_rep.details.get("partial_sums") or []
     result.tables["theta"] = (
         ["n", "partial_sum"],
@@ -516,20 +516,20 @@ def _run_time_continuous(name: str, model, s: dict, tols: dict) -> RunResult:
     deltas = _linspace(d_top / d_count, d_top, d_count)
     tol = tols["time"]
     result = RunResult(name=name, domain="time-continuous")
+    # gamma(x) is solved once; the stationarity meter, the verifier and the shift table read it
     curve = time_mod.continuous_gamma_curve(model, xs, tol=1e-9)
     result.tables["gamma"] = curve.table()
-    eps = time_mod.measure_eps_stationarity(model, xs, deltas, tol=1e-9)
+    eps = time_mod.measure_eps_stationarity(model, curve, deltas, tol=1e-9)
     result.reports.append(eps.as_dict())
     lam = time_mod.measure_lambda_lipschitz(model, xs, ts, deltas)
     result.reports.append(lam.as_dict())
     _check(result, "time-shift-bound",
-           lambda: time_mod.verify_exp3_bound(model, eps.value, lam.value, xs, ts, tol=tol))
-    gmap = dict(zip(curve.xs, curve.gammas))
+           lambda: time_mod.verify_exp3_bound(model, curve, eps.value, lam.value, ts, tol=tol))
     rows = []
-    for x in curve.xs:
+    for x, g in zip(curve.xs, curve.gammas):
         for t in ts:
             u = model.value(x, float(t))
-            h = model.value(model.x_bar, float(t) + gmap[x])
+            h = model.value(model.x_bar, float(t) + g)
             rows.append([x, float(t), u, h, abs(u - h)])
     result.tables["shift"] = (["x", "t", "u", "benchmark", "gap"], rows)
     return result

@@ -50,6 +50,7 @@ SUM_TOL = 1e-12  # probability vectors must sum to 1 within this before renormal
 # lottery meters already run for many minutes, and a typo such as a resolution
 # of 10^6 would ask for terabytes.
 MAX_GRID_POINTS = 100_000
+TAIL_WINDOW = 4  # dyadic_tail_sum judges decay on this many trailing term ratios
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +294,11 @@ def grid_size(space: str, dim: int, resolution: int) -> int:
 
 
 def dyadic_tail_sum(term: Callable[[int], float], n_max: int,
-                    ratio_tol: float = 0.75, window: int = 4,
-                    floor: float = 1e-15) -> tuple[float, bool]:
+                    ratio_tol: float = 0.75, floor: float = 1e-15) -> tuple[float, bool]:
     """Partial sum of nonnegative terms with a geometric-decay verdict.
 
     Sums term(0..n_max) with fsum and classifies the series convergent when
-    each of the last `window` consecutive ratios is at most ratio_tol (terms
+    each of the last TAIL_WINDOW consecutive ratios is at most ratio_tol (terms
     at or below `floor` count as converged; a term rising back above the
     floor after one below it does not).
     """
@@ -311,7 +311,7 @@ def dyadic_tail_sum(term: Callable[[int], float], n_max: int,
             raise InvalidModel(f"term({i}) = {v!r}; terms must be nonnegative and finite")
         terms.append(v)
     total = math.fsum(terms)
-    tail = terms[-(window + 1):]
+    tail = terms[-(TAIL_WINDOW + 1):]
     converged = True
     for a, b in zip(tail, tail[1:]):
         if b <= floor:

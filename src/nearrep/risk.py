@@ -60,7 +60,25 @@ _SCAN_WINDOW = 64
 # prize set, and segment_value on the two-prize rows the calibrations solve on
 
 class _LotteryModel(_RowModel):
-    """A risk model: value_batch over probability rows, and its value on segment rows."""
+    """A risk model: value_batch over probability rows, and its value on segment rows.
+
+    The best and worst prizes are read off the values of the degenerate
+    lotteries, computed once: the lowest index wins a tie on either end.
+    """
+
+    @cached_property
+    def _degenerate_values(self) -> tuple[float, ...]:
+        return tuple(self.value_batch(np.eye(self.n_outcomes)).tolist())
+
+    @property
+    def best_index(self) -> int:
+        v = self._degenerate_values
+        return max(range(len(v)), key=lambda i: (v[i], -i))
+
+    @property
+    def worst_index(self) -> int:
+        v = self._degenerate_values
+        return min(range(len(v)), key=lambda i: (v[i], i))
 
     def segment_value(self, alpha, top, bottom) -> np.ndarray:
         """value_batch of the rows with alpha on prize top and 1 - alpha on prize bottom.
@@ -89,14 +107,6 @@ class ExpectedUtility(_LotteryModel):
     @property
     def n_outcomes(self) -> int:
         return len(self.prize_utilities)
-
-    @property
-    def best_index(self) -> int:
-        return max(range(self.n_outcomes), key=lambda i: (self.prize_utilities[i], -i))
-
-    @property
-    def worst_index(self) -> int:
-        return min(range(self.n_outcomes), key=lambda i: (self.prize_utilities[i], i))
 
     @cached_property
     def _utility_vector(self) -> np.ndarray:
@@ -150,14 +160,6 @@ class CumulativeProspect(_LotteryModel):
     @property
     def n_outcomes(self) -> int:
         return len(self.prizes)
-
-    @property
-    def best_index(self) -> int:
-        return self._rank_order[0]
-
-    @property
-    def worst_index(self) -> int:
-        return self._rank_order[-1]
 
     def weight(self, p):
         """Probability weighting g, elementwise, pinned to g(0) = 0 and g(1) = 1.
@@ -234,20 +236,8 @@ class TabulatedUtility(_LotteryModel):
     def __post_init__(self):
         if self.n_outcomes < 2:
             raise InvalidModel("need at least two prizes")
-        vals = [self.fn(Lottery.degenerate(i, self.n_outcomes).probs) for i in range(self.n_outcomes)]
-        if len(set(vals)) < 2:
+        if len(set(self._degenerate_values)) < 2:
             raise InvalidModel("constant on degenerates; no calibration segment")
-        object.__setattr__(self, "_degenerate_values", tuple(vals))
-
-    @property
-    def best_index(self) -> int:
-        v = self._degenerate_values
-        return max(range(self.n_outcomes), key=lambda i: (v[i], -i))
-
-    @property
-    def worst_index(self) -> int:
-        v = self._degenerate_values
-        return min(range(self.n_outcomes), key=lambda i: (v[i], i))
 
     def value_batch(self, P) -> np.ndarray:
         return np.array([float(self.fn(tuple(row))) for row in _rows(P).tolist()])
@@ -686,7 +676,7 @@ def measure_eps_independence(model, sampler: SimplexSampler | None = None,
     sampler = sampler or SimplexSampler()
     n = model.n_outcomes
     G = sampler.grid(n)
-    vertex_values = model.value_batch(np.eye(n)).tolist()
+    vertex_values = model._degenerate_values
     # indifference is only resolved to the q-segment bisection; value gaps
     # below this floor count as restored rather than driving a root hunt
     value_floor = 10.0 * tol * max(1.0, max(vertex_values) - min(vertex_values))

@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 BRACKET_CAP = 2.0 ** 60  # doubling searches stop here and report NoBracket
+TAU_CAP = 10 ** 6  # exact_recovery scans horizons up to here
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +361,12 @@ def measure_W_axiom(model, t_max: int = 16,
 
 
 def exact_recovery(model, theta_W: float, t_probe: Sequence[int] | None = None,
-                   tau_cap: int = 10 ** 6, tol: float = 1e-12) -> NearRepresentation:
+                   tol: float = 1e-12) -> NearRepresentation:
     """Recover gamma from the first horizon tau with d(tau) <= the threshold.
 
     The threshold is min(1/4, 1/(4 Theta_W-hat)) (1/4 when the defect is 0);
     gamma = d(tau)^{1/tau}. Raises NoSuchTau when no horizon qualifies in
-    range. The achieved distance is max_t |d(t) - gamma^t| over t_probe
+    range (at most TAU_CAP). The achieved distance is max_t |d(t) - gamma^t| over t_probe
     (default 0..4 tau); it is 0 exactly for genuinely exponential curves and
     reported, not asserted, otherwise.
     """
@@ -373,7 +374,7 @@ def exact_recovery(model, theta_W: float, t_probe: Sequence[int] | None = None,
         raise InvalidModel("theta_W must be nonnegative")
     threshold = 0.25 if theta_W == 0.0 else min(0.25, 1.0 / (4.0 * theta_W))
     log_thr = math.log(threshold)
-    scan_cap = tau_cap if model.T_max is None else min(tau_cap, model.T_max)
+    scan_cap = TAU_CAP if model.T_max is None else min(TAU_CAP, model.T_max)
     tau = None
     for cand in range(1, scan_cap + 1):
         if model.log_d(cand) <= log_thr:
@@ -457,6 +458,18 @@ def _present_value(model, t: float) -> float:
     return model.value(model.x_bar, t)
 
 
+def _doubling_root(f, hi: float, tol: float, no_bracket) -> float:
+    """Root of the decreasing f on [0, hi], hi doubled until f(hi) <= 0.
+
+    NoBracket with the message no_bracket(hi) once hi passes BRACKET_CAP.
+    """
+    while f(hi) > 0.0:
+        hi *= 2.0
+        if hi > BRACKET_CAP:
+            raise NoBracket(no_bracket(hi))
+    return bisect_monotone(f, 0.0, hi, tol=tol)
+
+
 def gamma_of(model, x: float, tol: float = 1e-9) -> float:
     """Indifference delay: the t with u(x_bar, t) = x; gamma(x_bar) = 0 exactly.
 
@@ -468,13 +481,9 @@ def gamma_of(model, x: float, tol: float = 1e-9) -> float:
         raise InvalidModel(f"payment {x!r} above the ceiling {model.x_bar!r}")
     if x == model.x_bar:
         return 0.0
-    hi = 1.0
-    while _present_value(model, hi) > x:
-        hi *= 2.0
-        if hi > BRACKET_CAP:
-            raise NoBracket(
-                f"u(x_bar, t) stays above {x!r} out to t={hi!r}; no indifference delay")
-    return bisect_monotone(lambda t: _present_value(model, t) - x, 0.0, hi, tol=tol)
+    return _doubling_root(
+        lambda t: _present_value(model, t) - x, 1.0, tol,
+        lambda hi: f"u(x_bar, t) stays above {x!r} out to t={hi!r}; no indifference delay")
 
 
 @dataclass(frozen=True)
@@ -508,44 +517,35 @@ def continuous_gamma_curve(model, xs: Sequence[float], tol: float = 1e-9) -> Gam
     return GammaCurve(xs=xs, gammas=tuple(gammas), x_bar=model.x_bar)
 
 
-def measure_eps_stationarity(model, xs: Sequence[float], deltas: Sequence[float],
+def measure_eps_stationarity(model, curve: GammaCurve, deltas: Sequence[float],
                              tol: float = 1e-9) -> ViolationReport:
     """Worst time-shift defect |delta' - delta| in delay units.
 
     delta' restores indifference after moving the comparison to the ceiling:
-    u(x_bar, gamma(x) + delta') = u(x, delta). Under exact stationarity
-    delta' = delta.
+    u(x_bar, gamma(x) + delta') = u(x, delta), with gamma(x) read from the
+    curve. Under exact stationarity delta' = delta.
     """
-    xs = [float(x) for x in xs]
     deltas = [float(d) for d in deltas]
     best = (0.0, None)
     count = 0
-    for x in xs:
-        t0 = gamma_of(model, float(x), tol=tol)
+    for x, t0 in zip(curve.xs, curve.gammas):
         for delta in deltas:
-            delta = float(delta)
             if delta <= 0.0:
                 raise InvalidModel("deltas must be positive")
-            target = model.value(float(x), delta)
-            F = lambda D: _present_value(model, t0 + D) - target
-            hi = max(delta, 1.0)
-            while F(hi) > 0.0:
-                hi *= 2.0
-                if hi > BRACKET_CAP:
-                    raise NoBracket(
-                        f"delayed ceiling never reaches u({x!r}, {delta!r})")
-            delta_prime = bisect_monotone(F, 0.0, hi, tol=tol)
+            target = model.value(x, delta)
+            delta_prime = _doubling_root(
+                lambda D: _present_value(model, t0 + D) - target, max(delta, 1.0), tol,
+                lambda hi: f"delayed ceiling never reaches u({x!r}, {delta!r})")
             defect = abs(delta_prime - delta)
             count += 1
             if defect > best[0]:
-                best = (defect, {"x": float(x), "delta": delta,
-                                 "delta_prime": delta_prime})
+                best = (defect, {"x": x, "delta": delta, "delta_prime": delta_prime})
     return ViolationReport(
         axiom="stationarity",
         value=best[0],
         witness=best[1] or {},
         samples_evaluated=count,
-        details={"bisect_tol": tol, "n_x": len(xs), "n_deltas": len(deltas)},
+        details={"bisect_tol": tol, "n_x": len(curve.xs), "n_deltas": len(deltas)},
     )
 
 
@@ -576,19 +576,19 @@ def measure_lambda_lipschitz(model, xs: Sequence[float], ts: Sequence[float],
     )
 
 
-def verify_exp3_bound(model, eps_hat: float, lambda_hat: float,
-                      xs: Sequence[float], ts: Sequence[float],
-                      tol: float = 1e-6, bisect_tol: float = 1e-9) -> NearRepresentation:
+def verify_exp3_bound(model, curve: GammaCurve, eps_hat: float, lambda_hat: float,
+                      ts: Sequence[float], tol: float = 1e-6) -> NearRepresentation:
     """Check sup |u(x, t) - g(t + gamma(x))| <= lambda-hat eps-hat + tol.
 
     g is the model's own present-value curve g(t) = u(x_bar, t), so the
-    benchmark h(x, t) = g(t + gamma(x)) is stationary by construction.
-    Normalization gamma(x_bar) = 0 and u(x_bar, 0) = x_bar are asserted
-    first; divergence is witnessed by the bracket searches inside gamma_of.
+    benchmark h(x, t) = g(t + gamma(x)) is stationary by construction;
+    gamma(x) is read from the curve, over its payments x. Normalization
+    gamma(x_bar) = 0 and u(x_bar, 0) = x_bar are asserted first; divergence
+    is witnessed by the bracket searches that built the curve.
     """
     if eps_hat < 0.0 or lambda_hat < 0.0:
         raise InvalidModel("eps_hat and lambda_hat must be nonnegative")
-    if gamma_of(model, model.x_bar, tol=bisect_tol) != 0.0:
+    if gamma_of(model, model.x_bar) != 0.0:
         raise HypothesisFailed("gamma(x_bar) != 0")
     at_zero = model.value(model.x_bar, 0.0)
     if abs(at_zero - model.x_bar) > 1e-12:
@@ -597,9 +597,7 @@ def verify_exp3_bound(model, eps_hat: float, lambda_hat: float,
     bound = lambda_hat * eps_hat
     worst = (0.0, None)
     count = 0
-    for x in xs:
-        x = float(x)
-        g_x = gamma_of(model, x, tol=bisect_tol)
+    for x, g_x in zip(curve.xs, curve.gammas):
         for t in ts:
             t = float(t)
             gap = abs(model.value(x, t) - _present_value(model, t + g_x))

@@ -68,6 +68,10 @@ SERIES_CHUNK = 32  # act pairs per batched solve in the defect series; caps peak
 # Scaled-limit steps per batched solve. Most limits stop within a few steps
 # (exact models at the first), so a short block saves calls and wastes little.
 SCALE_BLOCK = 8
+LAMBDAS = (0.25, 0.5, 0.75)  # mixture weights of every seeded pair probe
+QC_CHECKS = 200  # seeded grid pairs that spot-check the envelope's quasi-concavity
+HOMOG_MAX_POINTS = 40  # nonzero grid acts the homogeneous verifier strides over
+ADDITIVITY_TOL = 1e-6  # coordinate limits must sum to the sure act's limit within this
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +492,7 @@ class BoxSampler:
     resolution: int = 11
     seed: int = 0
     n_random_pairs: int = 150
-    lambdas: tuple[float, ...] = (0.25, 0.5, 0.75)
+    lambdas: tuple[float, ...] = LAMBDAS
 
     def points(self) -> np.ndarray:
         return grid_sample("box", self.n_states, self.resolution, bound=self.bound)
@@ -572,6 +576,19 @@ def _index_pairs(seed: int, n: int, count: int) -> list[tuple[int, int]]:
     return [(below_n(), below_n()) for _ in range(count)]
 
 
+def _pair_mixtures(pts: np.ndarray, seed: int, count: int,
+                   lambdas: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Seeded row pairs of pts mixed at each weight: (ends, lams, mixtures), a row per mixture.
+
+    Row k is lams[k] pts[ends[k, 0]] + (1 - lams[k]) pts[ends[k, 1]]; the rows
+    run pair by pair in draw order, each pair's weights in order.
+    """
+    pairs = np.array(_index_pairs(seed, len(pts), count), dtype=int).reshape(-1, 2)
+    ends = np.repeat(pairs, len(lambdas), axis=0)
+    lams = np.tile(np.asarray(lambdas, dtype=float), len(pairs))
+    return ends, lams, lams[:, None] * pts[ends[:, 0]] + (1.0 - lams[:, None]) * pts[ends[:, 1]]
+
+
 def _as_acts(model, X) -> np.ndarray:
     """X as a contiguous float array with one checked act per row."""
     X = np.ascontiguousarray(X, dtype=float)
@@ -618,9 +635,9 @@ def _phi_rows(model, X: np.ndarray, Y: np.ndarray, tol: float) -> np.ndarray:
     return np.abs(c[2 * n:] - 0.5 * (c[:n] + c[n:2 * n]))
 
 
-def _scale_cap(top: float, n_max: int, base: float = 2.0, guard: float = SCALE_GUARD) -> int:
-    """Steps n <= n_max with base^n * top inside the guard; top is max(1, max |x|)."""
-    cap = int(math.floor(math.log(guard / top, base)))
+def _scale_cap(top: float, n_max: int, base: float = 2.0) -> int:
+    """Steps n <= n_max with base^n * top inside SCALE_GUARD; top is max(1, max |x|)."""
+    cap = int(math.floor(math.log(SCALE_GUARD / top, base)))
     return max(min(n_max, cap), 0)
 
 
@@ -674,36 +691,25 @@ def theta_estimate(model, sampler: BoxSampler | None = None, n_max: int = 40,
     """
     sampler = sampler or BoxSampler(model.n_states)
     base = sampler.points()
-    zero = np.zeros(model.n_states)
-    pairs: list[tuple[np.ndarray, np.ndarray]] = []
-    for x in base:
-        if np.any(x):
-            pairs.append((x, zero))
-            pairs.append((2.0 * x, zero))
-    for i, j in _index_pairs(sampler.seed, len(base), sampler.n_random_pairs):
-        pairs.append((base[i], base[j]))
-    pairs = [(x, y) for x, y in pairs if np.any(x) or np.any(y)]
-    shape = (len(pairs), model.n_states)
-    series = _phi_series(model, np.array([x for x, _ in pairs]).reshape(shape),
-                         np.array([y for _, y in pairs]).reshape(shape),
-                         n_max, ratio_tol, tol)
-    best = (-1.0, None, None)
-    all_converged = True
-    for (x, y), (partials, converged) in zip(pairs, series):
-        all_converged = all_converged and converged
-        if partials[-1] > best[0]:
-            best = (partials[-1], (x, y), partials)
-    theta_hat = max(best[0], 0.0)
-    witness = {}
-    if best[1] is not None:
-        witness = {"x": tuple(best[1][0]), "y": tuple(best[1][1])}
+    nonzero = base[np.any(base, axis=1)]
+    pairs = np.array(_index_pairs(sampler.seed, len(base), sampler.n_random_pairs),
+                     dtype=int).reshape(-1, 2)
+    # (x, 0) and (2x, 0) for each nonzero x in grid order, then the seeded pairs
+    xs = np.concatenate([np.stack([nonzero, 2.0 * nonzero], axis=1).reshape(-1, model.n_states),
+                         base[pairs[:, 0]]])
+    ys = np.concatenate([np.zeros((2 * len(nonzero), model.n_states)), base[pairs[:, 1]]])
+    keep = np.any(xs, axis=1) | np.any(ys, axis=1)
+    xs, ys = xs[keep], ys[keep]
+    series = _phi_series(model, xs, ys, n_max, ratio_tol, tol)
+    all_converged = all(converged for _, converged in series)
+    k = max(range(len(series)), key=lambda i: series[i][0][-1], default=None)
     report = ViolationReport(
         axiom="midpoint-additivity-series",
-        value=theta_hat,
-        witness=witness,
-        samples_evaluated=len(pairs),
+        value=0.0 if k is None else max(series[k][0][-1], 0.0),
+        witness={} if k is None else {"x": tuple(xs[k]), "y": tuple(ys[k])},
+        samples_evaluated=len(xs),
         details={"converged": all_converged, "n_max": n_max,
-                 "ratio_tol": ratio_tol, "partial_sums": best[2] or [],
+                 "ratio_tol": ratio_tol, "partial_sums": [] if k is None else series[k][0],
                  "resolution": sampler.resolution, "seed": sampler.seed},
     )
     return report, all_converged
@@ -724,10 +730,11 @@ class ScaledLimit:
     iterates: tuple[float, ...]
 
 
-def _scaled_limits(model, X, base: float, tol: float, n_max: int, bisect_tol: float,
+def _scaled_limits(model, X, v0, base: float, tol: float, n_max: int, bisect_tol: float,
                    what: str) -> list[ScaledLimit | NotConverged]:
     """lim base^{-n} u(base^n x) for every row of X, all rows stepped together.
 
+    v0 holds each row's u(x), the step-0 iterate, as the caller solved it.
     One ce_batch call solves the next SCALE_BLOCK steps of every row still
     running. Each row then stops on its own scaled Cauchy test, in step
     order: an increment below tol * base^{-n} (or a 1e-15 relative floor);
@@ -736,7 +743,7 @@ def _scaled_limits(model, X, base: float, tol: float, n_max: int, bisect_tol: fl
     raised) that names the `what` iterates and carries them.
     """
     X = _as_acts(model, X)
-    v0 = ce_batch(model, X, bisect_tol).tolist()
+    v0 = _grid_utility(v0, X).tolist()
     iterates = [[v] for v in v0]
     increments: list[list[float]] = [[] for _ in v0]
     caps = [_scale_cap(max(float(np.max(x)), 1.0), n_max, base=base) for x in X]
@@ -797,7 +804,8 @@ def _unwrap(res: ScaledLimit | NotConverged) -> ScaledLimit:
 def _scaled_limit(model, x, base: float, tol: float, n_max: int, bisect_tol: float,
                   what: str) -> ScaledLimit:
     """The one-act case of _scaled_limits; raises its NotConverged."""
-    return _unwrap(_scaled_limits(model, _as_act(model, x)[None, :], base, tol, n_max,
+    X = _as_act(model, x)[None, :]
+    return _unwrap(_scaled_limits(model, X, ce_batch(model, X, bisect_tol), base, tol, n_max,
                                   bisect_tol, what)[0])
 
 
@@ -818,26 +826,28 @@ class LinearBenchmark:
 
     prior: tuple[float, ...]
 
+    def evaluate_batch(self, X) -> np.ndarray:
+        return np.vecdot(_rows(X), np.asarray(self.prior, dtype=float))
+
     def evaluate(self, x) -> float:
-        return float(np.dot(self.prior, np.asarray(x, dtype=float)))
+        return float(self.evaluate_batch(x)[0])
 
 
-def extract_prior(model, tol: float = 1e-9, additivity_tol: float = 1e-6,
-                  n_max: int = 40) -> LinearBenchmark:
+def extract_prior(model, tol: float = 1e-9, n_max: int = 40) -> LinearBenchmark:
     """Coordinate limits p_i = v(e_i) assembled into a linear benchmark.
 
     Raises NotAdditive when sum_i p_i disagrees with v(ones) beyond
-    additivity_tol; for worst-case models the coordinate limits undershoot
+    ADDITIVITY_TOL; for worst-case models the coordinate limits undershoot
     the sure act (e.g. lower envelopes give sum min_k prior_k[i] < 1).
     """
     d = model.n_states
     rows = np.vstack([np.eye(d), np.ones((1, d))])  # e_1 .. e_d, then the sure act
-    limits = [_unwrap(res) for res in _scaled_limits(model, rows, 2.0, tol, n_max, 1e-10,
-                                                     "doubling")]
+    limits = [_unwrap(res) for res in _scaled_limits(model, rows, ce_batch(model, rows, 1e-10),
+                                                     2.0, tol, n_max, 1e-10, "doubling")]
     p = [lim.value for lim in limits[:d]]
     v_ones = limits[d].value
     total = math.fsum(p)
-    if abs(total - v_ones) > additivity_tol:
+    if abs(total - v_ones) > ADDITIVITY_TOL:
         raise NotAdditive(
             f"coordinate limits sum to {total!r} but the sure act has value {v_ones!r}",
             witness={"coordinate_sum": total, "sure_value": v_ones, "prior": tuple(p)})
@@ -850,27 +860,28 @@ def verify_aa_bound(u, benchmark: LinearBenchmark, theta_hat: float, pts: np.nda
 
     u is the certainty equivalent of each act, as ce_batch returns it.
     Raises HypothesisFailed when the series was classified divergent: the
-    closeness theorem does not apply and the gap can be unbounded.
+    closeness theorem does not apply and the gap can be unbounded. The gaps
+    of all acts are formed at once; the first violating act is reported.
     """
     if not converged:
         raise HypothesisFailed(
             "dyadic defect series classified divergent; closeness bound not applicable")
-    worst = (0.0, None)
-    for x, ce in zip(pts, _grid_utility(u, pts).tolist()):
-        gap = abs(ce - benchmark.evaluate(x))
-        if gap > worst[0]:
-            worst = (gap, x)
-        if gap > theta_hat + tol:
-            raise BoundViolated(
-                f"|u - prior.x| = {gap!r} exceeds bound + tol = {theta_hat + tol!r}",
-                witness={"x": tuple(x), "gap": gap, "bound": theta_hat})
+    gaps = np.abs(_grid_utility(u, pts) - benchmark.evaluate_batch(pts))
+    over = np.flatnonzero(gaps > theta_hat + tol)
+    if len(over):
+        k = int(over[0])
+        gap = float(gaps[k])
+        raise BoundViolated(
+            f"|u - prior.x| = {gap!r} exceeds bound + tol = {theta_hat + tol!r}",
+            witness={"x": tuple(pts[k]), "gap": gap, "bound": theta_hat})
+    worst = float(np.max(gaps, initial=0.0))
     return NearRepresentation(
         kind="linear",
         parameters={"prior": benchmark.prior},
-        achieved_distance=worst[0],
+        achieved_distance=worst,
         bound=theta_hat,
         details={"form": "theta", "tol": tol, "n_points": len(pts),
-                 "argmax": None if worst[1] is None else tuple(worst[1])},
+                 "argmax": tuple(pts[int(np.argmax(gaps))]) if worst > 0.0 else None},
     )
 
 
@@ -923,9 +934,7 @@ def smooth_ambiguity_bound(model: SmoothAmbiguity, sampler: BoxSampler | None = 
     )
     header = [f"x{i}" for i in range(model.n_states)] + \
         ["raw_value", "linear_value", "defect", "closed_form_defect"]
-    rows = [[*map(float, pts[i]), float(raw[i]), float(linear[i]),
-             float(defects[i]), float(formula[i])] for i in range(len(pts))]
-    return rep, (header, rows)
+    return rep, (header, np.column_stack([pts, raw, linear, defects, formula]))
 
 
 # ---------------------------------------------------------------------------
@@ -944,28 +953,32 @@ def homog_limit(model, x, eta: float = 2.0, tol: float = 1e-9, n_max: int = 60,
     return _scaled_limit(model, x, eta, tol, n_max, bisect_tol, "scaling")
 
 
-def verify_homog_bound(model, sampler: BoxSampler | None = None, eta: float = 2.0,
+def verify_homog_bound(model, u, sampler: BoxSampler, eta: float = 2.0,
                        alphas: tuple[float, ...] = (0.5, 3.0), tol: float = 1e-6,
-                       n_max: int = 60, max_points: int = 40,
-                       bisect_tol: float = 1e-10) -> NearRepresentation:
+                       n_max: int = 60, bisect_tol: float = 1e-10) -> NearRepresentation:
     """Check |u(x) - v(x)| <= 2 Theta-hat and degree-one homogeneity of v.
 
-    Theta-hat is the largest per-point scaling-defect series over the grid
-    subset; the homogeneity of the limit is spot-checked at the supplied
-    alphas (defect at most 1e-6). Raises BoundViolated on either failure.
+    u is the certainty equivalent of each act of sampler.points(), as
+    ce_batch returns it. Theta-hat is the largest per-point scaling-defect
+    series over a stride of at most HOMOG_MAX_POINTS nonzero acts; the
+    homogeneity of the limit is spot-checked at the supplied alphas (defect
+    at most 1e-6). Raises BoundViolated on either failure.
     """
     if not eta > 1.0:
         raise InvalidModel("eta must exceed 1")
-    sampler = sampler or BoxSampler(model.n_states)
-    pts = [x for x in sampler.points() if np.any(x)]
-    if len(pts) > max_points:
-        stride = max(len(pts) // max_points, 1)
-        pts = pts[::stride][:max_points]
+    grid = sampler.points()
+    u = _grid_utility(u, grid)
+    idx = np.flatnonzero(np.any(grid, axis=1))
+    if len(idx) > HOMOG_MAX_POINTS:
+        idx = idx[::max(len(idx) // HOMOG_MAX_POINTS, 1)][:HOMOG_MAX_POINTS]
+    pts = grid[idx]
     # every point and every alpha multiple in one lockstep run, then the
-    # checks in per-point order, so the first violation raised is unchanged
-    rows = pts + [a * x for x in pts for a in alphas]
-    limits = _scaled_limits(model, np.array(rows).reshape(len(rows), model.n_states), eta,
-                            1e-9, n_max, bisect_tol, "scaling")
+    # checks in per-point order, so the first violation raised is unchanged;
+    # the points' u(x) is read, only the multiples are solved
+    multiples = np.array([a * x for x in pts for a in alphas]).reshape(-1, model.n_states)
+    limits = _scaled_limits(model, np.concatenate([pts, multiples]),
+                            np.concatenate([u[idx], ce_batch(model, multiples, bisect_tol)]),
+                            eta, 1e-9, n_max, bisect_tol, "scaling")
     theta_max = 0.0
     sup = (0.0, None)
     homog_defect = 0.0
@@ -1001,32 +1014,26 @@ def verify_homog_bound(model, sampler: BoxSampler | None = None, eta: float = 2.
 # ---------------------------------------------------------------------------
 # quasi-concave envelope
 
-def measure_eps_ua(model, sampler: BoxSampler | None = None,
+def measure_eps_ua(model, u, sampler: BoxSampler,
                    extra_probes: Sequence[tuple[np.ndarray, np.ndarray]] = (),
                    tol: float = 1e-10) -> ViolationReport:
     """Worst sampled uncertainty-aversion defect, plus 1e-12.
 
     The defect of a pair (x, y) at weight lam is
     max(0, min(u(x), u(y)) - u(lam x + (1 - lam) y)): how far the mixture
-    falls below the worse endpoint. extra_probes supplies hull
-    decompositions (points, weights); each is expanded into the sequential
-    pairwise mixtures that rebuild it, so the envelope verifier's own
-    combinations are covered by the sample.
+    falls below the worse endpoint. Seeded pairs of sampler.points() come
+    first; u is the certainty equivalent of each of those acts, as ce_batch
+    returns it. extra_probes supplies hull decompositions (points, weights);
+    each is expanded into the sequential pairwise mixtures that rebuild it,
+    so the envelope verifier's own combinations are covered by the sample.
+    The mixtures and the decomposition chains' acts are solved in one call.
     """
-    sampler = sampler or BoxSampler(model.n_states)
     extra_probes = list(extra_probes)
     pts = sampler.points()
-    # every probe is known before any certainty equivalent: one batched solve
-    probes: list[tuple[np.ndarray, np.ndarray, float, np.ndarray]] = []
-
-    def probe(x, y, lam):
-        m = lam * x + (1.0 - lam) * y
-        probes.append((x, y, lam, m))
-        return m
-
-    for i, j in _index_pairs(sampler.seed, len(pts), sampler.n_random_pairs):
-        for lam in sampler.lambdas:
-            probe(pts[i], pts[j], lam)
+    u = _grid_utility(u, pts)
+    ends, lams, mixtures = _pair_mixtures(pts, sampler.seed, sampler.n_random_pairs,
+                                          sampler.lambdas)
+    steps = []  # (x, y, lam, mixture) of every decomposition step, in chain order
     for support, weights in extra_probes:
         support = np.asarray(support, dtype=float)
         weights = np.asarray(weights, dtype=float)
@@ -1039,23 +1046,28 @@ def measure_eps_ua(model, sampler: BoxSampler | None = None,
             if total <= 0.0:
                 break
             lam = acc / total
-            running = probe(running, support[k], lam)
+            steps.append((running, support[k], lam, lam * running + (1.0 - lam) * support[k]))
+            running = steps[-1][3]
             acc = total
-    n = len(probes)
-    acts = [p[0] for p in probes] + [p[1] for p in probes] + [p[3] for p in probes]
-    ce = ce_batch(model, np.array(acts).reshape(3 * n, model.n_states), tol).tolist()
-    best = (-1.0, None)
-    for k, (x, y, lam, m) in enumerate(probes):
-        viol = max(0.0, min(ce[k], ce[n + k]) - ce[2 * n + k])
-        if viol > best[0]:
-            best = (viol, {"x": tuple(x), "y": tuple(y), "lam": float(lam),
-                           "mixture": tuple(m)})
-    value = max(best[0], 0.0) + STRICTNESS_MARGIN
+    c = len(steps)
+    cx, cy, cm = (np.array([step[i] for step in steps]).reshape(c, model.n_states)
+                  for i in (0, 1, 3))
+    X, Y = np.concatenate([pts[ends[:, 0]], cx]), np.concatenate([pts[ends[:, 1]], cy])
+    M = np.concatenate([mixtures, cm])
+    lams = np.concatenate([lams, [step[2] for step in steps]])
+    ce = ce_batch(model, np.concatenate([cx, cy, M]), tol)
+    worse = np.minimum(np.concatenate([u[ends[:, 0]], ce[:c]]),
+                       np.concatenate([u[ends[:, 1]], ce[c:2 * c]]))
+    viol = np.maximum(0.0, worse - ce[2 * c:])
+    k = int(np.argmax(viol)) if len(viol) else None
+    witness = {} if k is None else {"x": tuple(X[k]), "y": tuple(Y[k]),
+                                    "lam": float(lams[k]), "mixture": tuple(M[k])}
+    value = float(np.max(viol, initial=0.0)) + STRICTNESS_MARGIN
     return ViolationReport(
         axiom="uncertainty-aversion",
         value=value,
-        witness=best[1] or {},
-        samples_evaluated=n,
+        witness=witness,
+        samples_evaluated=len(M),
         details={"margin": STRICTNESS_MARGIN, "n_extra_probes": len(extra_probes),
                  "lambdas": sampler.lambdas, "seed": sampler.seed},
     )
@@ -1310,18 +1322,17 @@ def quasiconcavify(model, box_bound: float = 10.0, resolution: int = 21,
     )
 
 
-def verify_quasiconcave_bound(model, benchmark: QuasiConcaveBenchmark,
-                              eps_ua: float, slack: float | None = None,
-                              tol: float = 1e-9, seed: int = 0,
-                              n_qc_checks: int = 200,
-                              lambdas: tuple[float, ...] = (0.25, 0.5, 0.75)) -> NearRepresentation:
+def verify_quasiconcave_bound(benchmark: QuasiConcaveBenchmark, eps_ua: float,
+                              slack: float | None = None, tol: float = 1e-9,
+                              seed: int = 0) -> NearRepresentation:
     """Check v >= u, sup |v - u| <= d eps_ua + slack, and spot quasi-concavity.
 
     slack defaults to one level spacing plus 1e-9 (the envelope is resolved
-    only to the level grid). Quasi-concavity is spot-checked on seeded grid
-    pairs: the envelope at a mixture may not fall more than one level
-    spacing below the worse endpoint. All mixtures are evaluated in one
-    batched half-space pass; the first violation in draw order is raised.
+    only to the level grid). Quasi-concavity is spot-checked on QC_CHECKS
+    seeded grid pairs at the LAMBDAS weights: the envelope at a mixture may
+    not fall more than one level spacing below the worse endpoint. All
+    mixtures are evaluated in one batched half-space pass and all shortfalls
+    formed at once; the first violation in draw order is raised.
     """
     spacing = benchmark.level_spacing
     if slack is None:
@@ -1336,33 +1347,27 @@ def verify_quasiconcave_bound(model, benchmark: QuasiConcaveBenchmark,
     gaps = v - u
     i_max = int(np.argmax(gaps))
     sup = float(gaps[i_max])
-    d = benchmark.n_states
-    bound = d * eps_ua
+    bound = benchmark.n_states * eps_ua
     if sup > bound + slack:
         raise BoundViolated(
             f"sup |v - u| = {sup!r} exceeds d eps + slack = {bound + slack!r}",
             witness={"x": tuple(benchmark.points[i_max]), "gap": sup})
     pts = benchmark.points
-    pairs = np.array(_index_pairs(seed, len(pts), n_qc_checks), dtype=int).reshape(-1, 2)
-    lam_col = np.asarray(lambdas, dtype=float)[None, :, None]
-    mixtures = lam_col * pts[pairs[:, 0]][:, None, :] \
-        + (1.0 - lam_col) * pts[pairs[:, 1]][:, None, :]
-    vms = benchmark.evaluate_batch(mixtures.reshape(-1, d)).reshape(len(pairs), len(lambdas))
-    qc_worst = 0.0
-    qc_witness = None
-    for (i, j), row in zip(pairs, vms):
-        for lam, vm in zip(lambdas, row):
-            shortfall = min(float(v[i]), float(v[j])) - spacing - float(vm)
-            if shortfall > qc_worst:
-                qc_worst = shortfall
-                qc_witness = {"x": tuple(benchmark.points[i]),
-                              "y": tuple(benchmark.points[j]), "lam": float(lam)}
-            if shortfall > tol:
-                raise BoundViolated(
-                    f"envelope not quasi-concave: mixture falls {shortfall!r} below "
-                    f"the worse endpoint minus one level spacing",
-                    witness={"x": tuple(benchmark.points[i]),
-                             "y": tuple(benchmark.points[j]), "lam": float(lam)})
+    ends, lams, mixtures = _pair_mixtures(pts, seed, QC_CHECKS, LAMBDAS)
+    shortfall = (np.minimum(v[ends[:, 0]], v[ends[:, 1]]) - spacing
+                 - benchmark.evaluate_batch(mixtures))
+
+    def witness(k: int) -> dict:
+        return {"x": tuple(pts[ends[k, 0]]), "y": tuple(pts[ends[k, 1]]), "lam": float(lams[k])}
+
+    over = np.flatnonzero(shortfall > tol)
+    if len(over):
+        k = int(over[0])
+        raise BoundViolated(
+            f"envelope not quasi-concave: mixture falls {float(shortfall[k])!r} below "
+            f"the worse endpoint minus one level spacing", witness=witness(k))
+    qc_worst = float(np.max(shortfall, initial=0.0))
+    qc_witness = witness(int(np.argmax(shortfall))) if qc_worst > 0.0 else None
     return NearRepresentation(
         kind="quasiconcave",
         parameters={"box_bound": benchmark.box_bound,
@@ -1371,7 +1376,7 @@ def verify_quasiconcave_bound(model, benchmark: QuasiConcaveBenchmark,
         achieved_distance=sup,
         bound=bound,
         details={"slack": slack, "level_spacing": spacing, "eps_ua": eps_ua,
-                 "qc_checks": n_qc_checks, "qc_worst_shortfall": qc_worst,
+                 "qc_checks": QC_CHECKS, "qc_worst_shortfall": qc_worst,
                  "qc_witness": qc_witness,
                  "argmax": tuple(benchmark.points[i_max])},
     )

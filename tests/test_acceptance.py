@@ -48,6 +48,7 @@ from nearrep.uncertainty import (
     MaxminExpected,
     SmoothAmbiguity,
     SubjectiveExpected,
+    ce_batch,
     ce_utility,
     dyadic_phi_series,
     extract_prior,
@@ -162,8 +163,9 @@ def test_criterion_07_quasiconcave_envelope_two_states():
         env = quasiconcavify(model, box_bound=10.0, resolution=41)
         assert np.all(env.v_values >= env.u_values)
         sampler = BoxSampler(2, bound=10.0, resolution=21, n_random_pairs=100)
-        ua = measure_eps_ua(model, sampler, extra_probes=env.probes)
-        rep = verify_quasiconcave_bound(model, env, ua.value)
+        ua = measure_eps_ua(model, ce_batch(model, sampler.points()), sampler,
+                            extra_probes=env.probes)
+        rep = verify_quasiconcave_bound(env, ua.value)
         assert rep.achieved_distance <= 2 * ua.value + rep.details["slack"]
 
 
@@ -197,14 +199,16 @@ def test_criterion_10_continuous_shift_bounds():
         ts = np.linspace(0.0, 10.0, 11)
         deltas = [0.5, 1.0, 2.0]
         logd = LogDelay(2.0, 0.1)
-        eps = measure_eps_stationarity(logd, xs, deltas)
+        curve = continuous_gamma_curve(logd, xs)
+        eps = measure_eps_stationarity(logd, curve, deltas)
         lam = measure_lambda_lipschitz(logd, xs, ts, deltas)
-        rep = verify_exp3_bound(logd, eps.value, lam.value, xs, ts, tol=1e-6)
+        rep = verify_exp3_bound(logd, curve, eps.value, lam.value, ts, tol=1e-6)
         assert rep.achieved_distance <= lam.value * eps.value + 1e-6
         lin = LinearDelay(2.0)
-        eps_l = measure_eps_stationarity(lin, xs, deltas)
+        curve_l = continuous_gamma_curve(lin, xs)
+        eps_l = measure_eps_stationarity(lin, curve_l, deltas)
         lam_l = measure_lambda_lipschitz(lin, xs, ts, deltas)
-        rep_l = verify_exp3_bound(lin, eps_l.value, lam_l.value, xs, ts, tol=1e-7)
+        rep_l = verify_exp3_bound(lin, curve_l, eps_l.value, lam_l.value, ts, tol=1e-7)
         assert rep_l.achieved_distance <= 1e-7
 
 
@@ -242,8 +246,8 @@ def test_criterion_11_exact_models_report_zero():
         # continuous-time meters on the exactly stationary model
         lin = LinearDelay(2.0)
         xs = np.linspace(0.0, 2.0, 9)
-        assert measure_eps_stationarity(lin, xs, [0.5, 1.0]).value <= 1e-7
         curve = continuous_gamma_curve(lin, xs)
+        assert measure_eps_stationarity(lin, curve, [0.5, 1.0]).value <= 1e-7
         for x, g in zip(curve.xs, curve.gammas):
             assert abs(g - lin.gamma_closed_form(x)) <= 1e-7
         assert gamma_of(lin, 2.0) == 0.0

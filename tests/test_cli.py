@@ -371,6 +371,105 @@ def test_a_risk_run_calibrates_each_grid_row_once(monkeypatch):
     assert [int(np.all(rows == g, axis=1).sum()) for g in grid] == [1] * len(grid)
 
 
+def test_an_uncertainty_run_solves_its_act_grid_once(monkeypatch):
+    # the pipeline solves the grid; the homogeneous verifier, the homothetic
+    # check and the aversion meter read that array and solve only acts it lacks
+    import numpy as np
+
+    import nearrep.cli as cli
+    import nearrep.uncertainty as unc
+    from nearrep.cli import run_scenario
+
+    solve, calls, consumer = unc.ce_batch, [], [None]
+
+    def recorded(model, X, tol=1e-10):
+        calls.append((consumer[0], np.array(X, dtype=float).reshape(-1, model.n_states)))
+        return solve(model, X, tol)
+
+    def within(name, fn):
+        def run(*args, **kwargs):
+            consumer[0] = name
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                consumer[0] = None
+        return run
+
+    monkeypatch.setattr(unc, "ce_batch", recorded)
+    for owner, name in ((unc, "verify_homog_bound"), (unc, "measure_eps_ua"),
+                        (cli, "_homothetic_exactness")):
+        monkeypatch.setattr(owner, name, within(name, getattr(owner, name)))
+    scenario = json.loads(json.dumps(UNC_SCENARIO))
+    scenario["sampler"] = {"resolution": 5, "n_random_pairs": 20, "homog": True,
+                           "quasiconcave": True, "qc_resolution": 11, "level_resolution": 16}
+    result = run_scenario(scenario)
+    assert result.verdicts == {"homothetic-exactness": True, "homogeneous-bound": True,
+                               "quasiconcave-bound": True}
+    grid = unc.BoxSampler(2, resolution=5).points()
+    rows = {name: [X for who, X in calls if who == name] for name in
+            (None, "verify_homog_bound", "measure_eps_ua", "_homothetic_exactness")}
+    assert sum(np.array_equal(X, grid) for X in rows[None]) == 1
+
+    # homothetic exactness: the scaled copies of the first 25 acts, and nothing else
+    head = grid[:25][np.any(grid[:25], axis=1)]
+    [scaled] = rows["_homothetic_exactness"]
+    assert np.array_equal(scaled, np.concatenate([2.0 * head, 16.0 * head, 1024.0 * head]))
+
+    # homogeneous bound: the alpha multiples first, then only scaled steps 2^n, n >= 1
+    pts = grid[np.any(grid, axis=1)]
+    multiples = np.array([a * x for x in pts for a in (0.5, 3.0)])
+    first, *steps = rows["verify_homog_bound"]
+    assert np.array_equal(first, multiples) and steps
+    inputs = np.concatenate([pts, multiples])
+    scaled_copies = {tuple(r) for n in range(1, 61) for r in (2.0 ** n * inputs).tolist()}
+    assert all(tuple(r) in scaled_copies for X in steps for r in X.tolist())
+
+    # aversion meter: one call with the chains' endpoints and every mixture; the
+    # seeded grid pairs' endpoints are read from the grid solve
+    [probed] = rows["measure_eps_ua"]
+    ua = next(r for r in result.reports if r["axiom"] == "uncertainty-aversion")
+    n, n_pairs = ua["samples_evaluated"], 20 * len(unc.LAMBDAS)
+    chain = n - n_pairs
+    assert chain > 0 and len(probed) == 2 * chain + n
+    *_, mixtures = unc._pair_mixtures(grid, 0, 20, unc.LAMBDAS)
+    assert np.array_equal(probed[2 * chain:2 * chain + n_pairs], mixtures)
+    chain_acts = {tuple(r) for r in probed[2 * chain + n_pairs:].tolist()}
+    chain_acts |= {tuple(r) for r in unc.grid_sample("box", 2, 11, bound=10.0).tolist()}
+    assert all(tuple(r) in chain_acts for r in probed[:2 * chain].tolist())
+
+
+def test_homothetic_exactness_refuses_a_utility_array_that_does_not_fit_the_acts():
+    import numpy as np
+
+    from nearrep.cli import _homothetic_exactness
+    from nearrep.core import InvalidModel
+    from nearrep.uncertainty import BoxSampler, MaxminExpected, ce_batch
+
+    model = MaxminExpected(((0.3, 0.7), (0.7, 0.3)))
+    pts = BoxSampler(2, resolution=3).points()
+    assert _homothetic_exactness(model, pts, ce_batch(model, pts), 1e-10) <= 1e-9
+    with pytest.raises(InvalidModel, match="for a grid of 9 points"):
+        _homothetic_exactness(model, pts, np.zeros(8), 1e-10)
+
+
+def test_a_continuous_run_solves_each_indifference_delay_once(monkeypatch):
+    # gamma(x) of the 9 payments once for the curve, plus the verifier's
+    # normalization check gamma(x_bar) = 0
+    import nearrep.timepref as timepref
+    from nearrep.cli import run_scenario
+
+    solve, payments = timepref.gamma_of, []
+
+    def counted(model, x, tol=1e-9):
+        payments.append(x)
+        return solve(model, x, tol)
+
+    monkeypatch.setattr(timepref, "gamma_of", counted)
+    result = run_scenario(CONTINUOUS_SCENARIO)
+    assert result.verdicts == {"time-shift-bound": True}
+    assert len(payments) == 10 and len(set(payments)) == 9
+
+
 def _patch_risk_meters(monkeypatch):
     import nearrep.risk
 

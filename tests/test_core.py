@@ -89,6 +89,16 @@ def test_expected_utility_dot_and_extremes():
     assert m.worst_index == 2
 
 
+def test_best_and_worst_prizes_break_ties_toward_the_lowest_index():
+    # read off the degenerate lotteries' values, the same keys for every model
+    eu = ExpectedUtility((0.0, 1.0, 1.0, 0.0))
+    assert (eu.best_index, eu.worst_index) == (1, 0)
+    tab = TabulatedUtility(lambda p: p[1] + p[2], 4)
+    assert (tab.best_index, tab.worst_index) == (1, 0)
+    cpt = CumulativeProspect(0.54, 0.74, (0.0, 3000.0, 4000.0))
+    assert (cpt.best_index, cpt.worst_index) == (2, 0)
+
+
 def test_cpt_weight_endpoints_pinned():
     m = CumulativeProspect(0.54, 0.74, (4000.0, 3000.0, 0.0))
     assert m.weight(0.0) == 0.0

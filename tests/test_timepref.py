@@ -207,7 +207,7 @@ def test_gamma_curve_validates_time_zero_payoff():
 
 
 def test_stationarity_linear_exact():
-    rep = measure_eps_stationarity(LIN, [0.5, 1.0, 1.5], [0.5, 1.0])
+    rep = measure_eps_stationarity(LIN, continuous_gamma_curve(LIN, [0.5, 1.0, 1.5]), [0.5, 1.0])
     assert rep.value <= 1e-7
 
 
@@ -216,7 +216,7 @@ def test_stationarity_log_delay_closed_form():
     # indifference delay by the elapsed-time factor
     xs = [0.5, 1.0]
     deltas = [0.5, 1.0, 2.0]
-    rep = measure_eps_stationarity(LOGD, xs, deltas)
+    rep = measure_eps_stationarity(LOGD, continuous_gamma_curve(LOGD, xs), deltas)
     expected = 0.0
     for x in xs:
         g = LOGD.gamma_closed_form(x)
@@ -243,17 +243,19 @@ def test_lambda_lipschitz_log_delay():
 def test_verify_exp3_linear_tight():
     xs = np.linspace(0.0, 2.0, 9)
     ts = np.linspace(0.0, 10.0, 11)
-    eps = measure_eps_stationarity(LIN, xs, [0.5, 1.0, 2.0])
+    curve = continuous_gamma_curve(LIN, xs)
+    eps = measure_eps_stationarity(LIN, curve, [0.5, 1.0, 2.0])
     lam = measure_lambda_lipschitz(LIN, xs, ts, [0.5, 1.0, 2.0])
-    rep = verify_exp3_bound(LIN, eps.value, lam.value, xs, ts, tol=1e-7)
+    rep = verify_exp3_bound(LIN, curve, eps.value, lam.value, ts, tol=1e-7)
     assert rep.achieved_distance <= 1e-7
 
 
 def test_verify_exp3_log_delay():
     xs = np.linspace(0.0, 2.0, 9)
     ts = np.linspace(0.0, 10.0, 11)
-    eps = measure_eps_stationarity(LOGD, xs, [0.5, 1.0, 2.0])
+    curve = continuous_gamma_curve(LOGD, xs)
+    eps = measure_eps_stationarity(LOGD, curve, [0.5, 1.0, 2.0])
     lam = measure_lambda_lipschitz(LOGD, xs, ts, [0.5, 1.0, 2.0])
-    rep = verify_exp3_bound(LOGD, eps.value, lam.value, xs, ts, tol=1e-6)
+    rep = verify_exp3_bound(LOGD, curve, eps.value, lam.value, ts, tol=1e-6)
     assert rep.achieved_distance <= lam.value * eps.value + 1e-6
     assert rep.bound == pytest.approx(lam.value * eps.value)

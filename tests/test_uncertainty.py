@@ -1,5 +1,6 @@
 """Doubling limits, defect series, and benchmark bounds for act models."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -22,6 +23,7 @@ from nearrep.core import (
 from nearrep.uncertainty import (
     BoxSampler,
     CESUtility,
+    LinearBenchmark,
     LinearPlusBounded,
     MaxminExpected,
     SmoothAmbiguity,
@@ -278,7 +280,7 @@ def test_homog_limit_smooth_matches_doubling_limit():
 @pytest.mark.parametrize("model", [MEU, SMOOTH_SQRT, LinearPlusBounded((0.3, 0.7), 0.5)])
 def test_verify_homog_bound(model):
     sampler = BoxSampler(2, resolution=5, n_random_pairs=0)
-    near = verify_homog_bound(model, sampler)
+    near = verify_homog_bound(model, ce_batch(model, sampler.points()), sampler)
     assert near.achieved_distance <= near.bound + 1e-6
     assert near.details["homogeneity_defect"] <= 1e-6
 
@@ -308,22 +310,22 @@ def test_homogeneity_of_limit_irrational_scale():
 
 def test_eps_ua_meu_zero():
     sampler = BoxSampler(2, resolution=5, n_random_pairs=30)
-    rep = measure_eps_ua(MEU, sampler)
+    rep = measure_eps_ua(MEU, ce_batch(MEU, sampler.points()), sampler)
     assert rep.value <= 1e-9
 
 
 def test_eps_ua_same_point_zero_defect():
     sampler = BoxSampler(2, resolution=3, n_random_pairs=0)
     x = np.array([2.0, 3.0])
-    rep = measure_eps_ua(MEU, sampler, extra_probes=[(np.array([x, x]),
-                                                      np.array([0.5, 0.5]))])
+    rep = measure_eps_ua(MEU, ce_batch(MEU, sampler.points()), sampler,
+                         extra_probes=[(np.array([x, x]), np.array([0.5, 0.5]))])
     assert rep.value <= 1e-9
 
 
 def test_quasiconcavify_meu_envelope_equals_model():
     env = quasiconcavify(MEU, box_bound=10.0, resolution=11)
     assert np.max(np.abs(env.v_values - env.u_values)) == 0.0
-    rep = verify_quasiconcave_bound(MEU, env, 1e-9)
+    rep = verify_quasiconcave_bound(env, 1e-9)
     assert rep.achieved_distance == 0.0
 
 
@@ -331,10 +333,73 @@ def test_quasiconcavify_smooth_bound_holds():
     env = quasiconcavify(SMOOTH_SQRT, box_bound=10.0, resolution=11)
     assert np.all(env.v_values >= env.u_values)
     sampler = BoxSampler(2, bound=10.0, resolution=11, n_random_pairs=50)
-    ua = measure_eps_ua(SMOOTH_SQRT, sampler, extra_probes=env.probes)
-    rep = verify_quasiconcave_bound(SMOOTH_SQRT, env, ua.value)
+    ua = measure_eps_ua(SMOOTH_SQRT, ce_batch(SMOOTH_SQRT, sampler.points()), sampler,
+                        extra_probes=env.probes)
+    rep = verify_quasiconcave_bound(env, ua.value)
     assert rep.achieved_distance <= rep.bound + rep.details["slack"]
     assert rep.details["qc_worst_shortfall"] <= 1e-9
+
+
+def _quasiconcave_spot_check_loop(benchmark, tol, seed, n_qc_checks=200,
+                                  lambdas=(0.25, 0.5, 0.75)):
+    """Reference: verify_quasiconcave_bound's spot check as a loop over the draws."""
+    spacing, v, d = benchmark.level_spacing, benchmark.v_values, benchmark.n_states
+    pts = benchmark.points
+    pairs = np.array(_index_pairs(seed, len(pts), n_qc_checks), dtype=int).reshape(-1, 2)
+    lam_col = np.asarray(lambdas, dtype=float)[None, :, None]
+    mixtures = lam_col * pts[pairs[:, 0]][:, None, :] \
+        + (1.0 - lam_col) * pts[pairs[:, 1]][:, None, :]
+    vms = benchmark.evaluate_batch(mixtures.reshape(-1, d)).reshape(len(pairs), len(lambdas))
+    qc_worst = 0.0
+    qc_witness = None
+    for (i, j), row in zip(pairs, vms):
+        for lam, vm in zip(lambdas, row):
+            shortfall = min(float(v[i]), float(v[j])) - spacing - float(vm)
+            if shortfall > qc_worst:
+                qc_worst = shortfall
+                qc_witness = {"x": tuple(benchmark.points[i]),
+                              "y": tuple(benchmark.points[j]), "lam": float(lam)}
+            if shortfall > tol:
+                raise BoundViolated(
+                    f"envelope not quasi-concave: mixture falls {shortfall!r} below "
+                    f"the worse endpoint minus one level spacing",
+                    witness={"x": tuple(benchmark.points[i]),
+                             "y": tuple(benchmark.points[j]), "lam": float(lam)})
+    return qc_worst, qc_witness
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_quasiconcave_array_pass_raises_the_first_violation_of_the_loop(seed):
+    # every third grid value raised by 5 keeps v >= u but breaks quasi-concavity
+    env = quasiconcavify(SMOOTH_SQRT, box_bound=10.0, resolution=11)
+    bumped = env.v_values + np.where(np.arange(len(env.v_values)) % 3 == 0, 5.0, 0.0)
+    bad = dataclasses.replace(env, v_values=bumped)
+    with pytest.raises(BoundViolated) as want:
+        _quasiconcave_spot_check_loop(bad, 1e-9, seed)
+    with pytest.raises(BoundViolated) as got:
+        verify_quasiconcave_bound(bad, 10.0, seed=seed)
+    assert str(got.value) == str(want.value)
+    assert got.value.witness == want.value.witness
+    # with a tolerance nothing exceeds, both report the same worst shortfall and witness
+    rep = verify_quasiconcave_bound(bad, 10.0, tol=1e9, seed=seed)
+    worst, witness = _quasiconcave_spot_check_loop(bad, 1e9, seed)
+    assert worst > 0.0
+    assert (rep.details["qc_worst_shortfall"], rep.details["qc_witness"]) == (worst, witness)
+
+
+def test_meters_refuse_a_utility_array_that_does_not_fit_the_grid():
+    sampler = BoxSampler(2, resolution=3, n_random_pairs=5)
+    short = ce_batch(MEU, sampler.points())[:-1]
+    with pytest.raises(InvalidModel, match="for a grid of 9 points"):
+        verify_homog_bound(MEU, short, sampler)
+    with pytest.raises(InvalidModel, match="for a grid of 9 points"):
+        measure_eps_ua(MEU, short, sampler)
+
+
+def test_linear_benchmark_evaluate_is_the_one_row_case():
+    bench = LinearBenchmark((0.3, 0.7))
+    pts = BoxSampler(2, resolution=7).points()
+    assert bench.evaluate_batch(pts).tolist() == [bench.evaluate(x) for x in pts]
 
 
 def test_envelope_midpoint_never_below_level():
@@ -705,7 +770,7 @@ def test_lockstep_homog_bound_raises_the_first_failure_in_point_order(swap):
     with pytest.raises((BoundViolated, NotConverged)) as want:
         _homog_bound_point_by_point(model, sampler)
     with pytest.raises((BoundViolated, NotConverged)) as got:
-        verify_homog_bound(model, sampler)
+        verify_homog_bound(model, ce_batch(model, sampler.points()), sampler)
     assert type(got.value) is type(want.value) is (NotConverged if swap else BoundViolated)
     assert str(got.value) == str(want.value)
     assert getattr(got.value, "witness", None) == getattr(want.value, "witness", None)
@@ -740,7 +805,8 @@ def test_blocked_scaled_limits_match_the_step_by_step_loop(model, base):
     # all points solved together, several steps per call: every limit must
     # equal the one-point, one-step-at-a-time construction, iterates included
     pts = BoxSampler(2, resolution=4).points()
-    for x, got in zip(pts, _scaled_limits(model, pts, base, 1e-9, 60, 1e-10, "scaling")):
+    for x, got in zip(pts, _scaled_limits(model, pts, ce_batch(model, pts), base, 1e-9, 60,
+                                          1e-10, "scaling")):
         want = _scaled_limit_step_by_step(model, x, base, 60)
         assert (got.value, got.theta, got.n_used, got.iterates) == want
 
