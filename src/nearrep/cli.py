@@ -358,7 +358,7 @@ def _run_uncertainty(name: str, model, s: dict, tols: dict) -> RunResult:
     result.reports.append(theta_rep.as_dict())
     benchmark = None
     try:
-        benchmark = unc_mod.extract_prior(model, tol=1e-9)
+        benchmark = unc_mod.extract_prior(model)
         result.notes.append(f"recovered prior {benchmark.prior}")
     except NotAdditive as exc:
         result.notes.append(f"prior not additive: {exc}")
@@ -427,7 +427,9 @@ def _run_time_discrete(name: str, model, s: dict, tols: dict) -> RunResult:
         raise ScenarioError(f"sampler.w_t_max: {w_t_max} gives {w_pairs} delay pairs, above "
                             f"the cap of {MAX_GRID_POINTS}")
     result = RunResult(name=name, domain="time-discrete")
-    theta_rep, converged = time_mod.theta_over_sample(model, t_sample, n_max=n_max)
+    # each anchor's series is summed once; the combined report and the theta table read it
+    series = [time_mod.theta_series(model, t, n_max=n_max) for t in t_sample]
+    theta_rep, converged = time_mod._worst_series(t_sample, series, n_max)
     result.reports.append(theta_rep.as_dict())
     fit = None
     try:
@@ -461,25 +463,29 @@ def _run_time_discrete(name: str, model, s: dict, tols: dict) -> RunResult:
         result.notes.append(f"multiplicative meter skipped: {exc}")
     except NoSuchTau as exc:
         result.notes.append(f"recovery skipped: {exc}")
-    top = 40 if model.T_max is None else min(40, model.T_max)
-    gamma_ref = fit.gamma if fit is not None else None
-    header = ["t", "d", "gamma_power", "log_defect"]
-    rows = []
-    for t in range(top + 1):
-        d = discount(model, t)
-        if gamma_ref is not None and gamma_ref < 1.0:
-            gp = math.exp(t * math.log(gamma_ref))
-            defect = abs(model.log_d(t) - t * math.log(gamma_ref))
-        else:
-            gp, defect = None, None
-        rows.append([t, d, gp, defect])
-    result.tables["curve"] = (header, rows)
-    series = [time_mod.theta_series(model, t, n_max=n_max) for t in t_sample]
+    result.tables["curve"] = _curve_table(
+        model, math.log(fit.gamma) if fit is not None and fit.gamma < 1.0 else None)
     result.tables["theta"] = (
         ["t", "theta", "converged"],
         [[t, rep.value, rep.details["converged"]] for t, rep in zip(t_sample, series)],
     )
     return result
+
+
+def _curve_table(model, log_gamma: float | None) -> tuple[list[str], list[list]]:
+    """d(t), gamma^t and |log d(t) - t log gamma| for t = 0..40 (within the horizon).
+
+    Without a rate (log_gamma None) the last two columns are empty.
+    """
+    top = 40 if model.T_max is None else min(40, model.T_max)
+    rows = []
+    for t in range(top + 1):
+        if log_gamma is None:
+            rows.append([t, discount(model, t), None, None])
+        else:
+            rows.append([t, discount(model, t), math.exp(t * log_gamma),
+                         abs(model.log_d(t) - t * log_gamma)])
+    return ["t", "d", "gamma_power", "log_defect"], rows
 
 
 def _linspace(start: float, stop: float, num: int) -> list[float]:
@@ -517,9 +523,9 @@ def _run_time_continuous(name: str, model, s: dict, tols: dict) -> RunResult:
     tol = tols["time"]
     result = RunResult(name=name, domain="time-continuous")
     # gamma(x) is solved once; the stationarity meter, the verifier and the shift table read it
-    curve = time_mod.continuous_gamma_curve(model, xs, tol=1e-9)
+    curve = time_mod.continuous_gamma_curve(model, xs)
     result.tables["gamma"] = curve.table()
-    eps = time_mod.measure_eps_stationarity(model, curve, deltas, tol=1e-9)
+    eps = time_mod.measure_eps_stationarity(model, curve, deltas)
     result.reports.append(eps.as_dict())
     lam = time_mod.measure_lambda_lipschitz(model, xs, ts, deltas)
     result.reports.append(lam.as_dict())
@@ -632,7 +638,7 @@ def _builtin_smooth_bound() -> RunResult:
                 f"{f_name}: sup defect {rep.achieved_distance!r}, closed-form "
                 f"identity gap {rep.details['identity_gap']:.3g}")
         try:
-            benchmark = unc_mod.extract_prior(model, tol=1e-9)
+            benchmark = unc_mod.extract_prior(model)
             mean = model.mean_prior
             gap = max(abs(a - b) for a, b in zip(benchmark.prior, mean))
             result.verdicts[f"{f_name}-prior-additive"] = gap <= 1e-6
@@ -672,12 +678,7 @@ def _builtin_quasi_hyperbolic() -> RunResult:
         f"theta {theta_rep.value!r} vs |log beta| {target!r}; fit gamma "
         f"{fit.gamma!r}; recovery tau={rec.parameters['tau']} gamma="
         f"{rec.parameters['gamma']!r}")
-    rows = []
-    for t in range(41):
-        d = discount(model, t)
-        gp = math.exp(t * fit.log_gamma)
-        rows.append([t, d, gp, abs(model.log_d(t) - t * fit.log_gamma)])
-    result.tables["curve"] = (["t", "d", "gamma_power", "log_defect"], rows)
+    result.tables["curve"] = _curve_table(model, fit.log_gamma)
     return result
 
 

@@ -51,6 +51,10 @@ SUM_TOL = 1e-12  # probability vectors must sum to 1 within this before renormal
 # of 10^6 would ask for terabytes.
 MAX_GRID_POINTS = 100_000
 TAIL_WINDOW = 4  # dyadic_tail_sum judges decay on this many trailing term ratios
+RATIO_TOL = 0.75  # largest trailing term ratio dyadic_tail_sum still calls decaying
+MAX_BISECT_STEPS = 200  # halvings of every bisection, scalar and batched
+BISECT_TOL = 1e-10  # argument tolerance of the bisections that take no tol
+STRICTNESS_MARGIN = 1e-12  # bounds are strict inequalities; meters report sup + this
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +237,12 @@ def discount(model, t: int) -> float:
 # numerical primitives
 
 def bisect_monotone(f: Callable[[float], float], lo: float, hi: float,
-                    tol: float = 1e-10, max_iter: int = 200) -> float:
+                    tol: float = 1e-10) -> float:
     """Root of a monotone f on [lo, hi] to absolute argument tolerance tol.
 
     Exact zeros at the endpoints or a midpoint return immediately, so
     calibration endpoints snap without rounding. Raises NoBracket when
-    f(lo) and f(hi) share a sign.
+    f(lo) and f(hi) share a sign. At most MAX_BISECT_STEPS halvings.
     """
     if not tol > 0.0:
         raise InvalidModel(f"tol must be positive, got {tol!r}")
@@ -253,7 +257,7 @@ def bisect_monotone(f: Callable[[float], float], lo: float, hi: float,
     if (flo > 0.0) == (fhi > 0.0):
         raise NoBracket(f"f({lo!r})={flo!r} and f({hi!r})={fhi!r} have the same sign")
     increasing = flo < 0.0
-    for _ in range(max_iter):
+    for _ in range(MAX_BISECT_STEPS):
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
@@ -293,23 +297,21 @@ def grid_size(space: str, dim: int, resolution: int) -> int:
     return resolution ** dim
 
 
-def dyadic_tail_sum(term: Callable[[int], float], n_max: int,
-                    ratio_tol: float = 0.75, floor: float = 1e-15) -> tuple[float, bool]:
-    """Partial sum of nonnegative terms with a geometric-decay verdict.
+def dyadic_tail_sum(terms: Sequence[float], ratio_tol: float = RATIO_TOL,
+                    floor: float = 1e-15) -> tuple[float, bool]:
+    """Sum of a nonempty list of nonnegative terms with a geometric-decay verdict.
 
-    Sums term(0..n_max) with fsum and classifies the series convergent when
-    each of the last TAIL_WINDOW consecutive ratios is at most ratio_tol (terms
-    at or below `floor` count as converged; a term rising back above the
-    floor after one below it does not).
+    Sums the terms with fsum and classifies the series convergent when each
+    of the last TAIL_WINDOW consecutive ratios is at most ratio_tol (terms at
+    or below `floor` count as converged; a term rising back above the floor
+    after one below it does not).
     """
-    if n_max < 0:
-        raise InvalidModel("n_max must be nonnegative")
-    terms = []
-    for i in range(n_max + 1):
-        v = float(term(i))
+    if not terms:
+        raise InvalidModel("no terms to sum")
+    terms = [float(v) for v in terms]
+    for i, v in enumerate(terms):
         if v < 0.0 or not math.isfinite(v):
             raise InvalidModel(f"term({i}) = {v!r}; terms must be nonnegative and finite")
-        terms.append(v)
     total = math.fsum(terms)
     tail = terms[-(TAIL_WINDOW + 1):]
     converged = True

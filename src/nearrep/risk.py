@@ -21,8 +21,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (BoundViolated, HypothesisFailed, InvalidModel, Lottery, NearRepresentation,
-                   ViolationReport, bisect_monotone)
+from .core import (BISECT_TOL, STRICTNESS_MARGIN, BoundViolated, HypothesisFailed, InvalidModel,
+                   Lottery, NearRepresentation, ViolationReport, bisect_monotone)
 from .uncertainty import (_distinct_rows, _grid_utility, _RowModel, _rows, bisect_monotone_batch,
                           grid_sample)
 
@@ -45,7 +45,6 @@ __all__ = [
     "figure1_data",
 ]
 
-STRICTNESS_MARGIN = 1e-12  # bounds are strict inequalities; meters report sup + this
 DEGENERATE_TOL = 1e-12     # calibrated u must hit the benchmark exactly on vertices
 # float64 entries per block of the independence meter's scans and probe
 # rows (128 KB), so the few temporaries of one block stay near 1 MB
@@ -53,6 +52,12 @@ _BLOCK_ENTRIES = 1 << 14
 # steps per direction that each round of the independence meter's outward
 # scan evaluates; most restoring roots lie within the first round
 _SCAN_WINDOW = 64
+SCAN_STEP = 1e-3  # mixture-weight step of the independence meter's outward scan
+# the power-value inverse-S weighting model fitted to the common-ratio
+# gambles, which both worked examples (allais, figure1) evaluate
+FITTED_VALUE_EXPONENT = 0.54
+FITTED_WEIGHT_EXPONENT = 0.74
+FIGURE1_CLAIM = 0.1  # the nominal reading of max |w(p) - p| for the fitted curve
 
 
 # ---------------------------------------------------------------------------
@@ -184,24 +189,17 @@ class CumulativeProspect(_LotteryModel):
     def value_batch(self, P) -> np.ndarray:
         """Sum over the descending prize order of (g(cum) - g(previous cum)) * w(prize).
 
-        The cumulative sums run column by column, one row per prize. A
-        prize that leaves every row's cum unchanged (as all but the two end
-        prizes of a calibration segment do) leaves g unchanged too and adds
-        exactly nothing, so it is skipped.
+        The cumulative sums run column by column, one row per prize, and g
+        takes all of them in one call.
         """
         P = _rows(P)
-        n = P.shape[1]
-        cum = np.empty((n, len(P)))
-        moved = []
+        cum = np.empty((P.shape[1], len(P)))
         for k, i in enumerate(self._rank_order):
             np.add(cum[k - 1] if k else 0.0, P[:, i], out=cum[k])
-            if (cum[k] != (cum[k - 1] if k else 0.0)).any():
-                moved.append(k)
-        G = self.weight(cum[moved])
         total = np.zeros(len(P))
         g_prev = 0.0
-        for g, k in zip(G, moved):
-            total += (g - g_prev) * self._prize_values[self._rank_order[k]]
+        for g, i in zip(self.weight(cum), self._rank_order):
+            total += (g - g_prev) * self._prize_values[i]
             g_prev = g
         return total
 
@@ -344,9 +342,9 @@ class AffineBenchmark:
         return float(self.evaluate_batch(p.probs if isinstance(p, Lottery) else p)[0])
 
 
-def build_affine_benchmark(model, tol: float = 1e-10) -> AffineBenchmark:
+def build_affine_benchmark(model) -> AffineBenchmark:
     """Affine benchmark l(p) = sum_i p_i u(delta_i) in calibration units."""
-    coeffs = mixture_utility_batch(model, np.eye(model.n_outcomes), tol)
+    coeffs = mixture_utility_batch(model, np.eye(model.n_outcomes), BISECT_TOL)
     return AffineBenchmark(coefficients=tuple(coeffs.tolist()))
 
 
@@ -445,8 +443,7 @@ def _worst_mixture_defect(model, G: np.ndarray, u: np.ndarray, sampler: SimplexS
                               "lam": float(lam[b]), "mixture": _probs(rows[whole[b]])}, len(lam)
 
 
-def measure_eps_rcl(model, u, sampler: SimplexSampler | None = None,
-                    tol: float = 1e-10) -> ViolationReport:
+def measure_eps_rcl(model, u, sampler: SimplexSampler, tol: float = 1e-10) -> ViolationReport:
     """Worst sampled reduction-of-compound-lotteries defect, plus 1e-12.
 
     u is the calibrated utility of the sampler's grid lotteries, as
@@ -455,7 +452,6 @@ def measure_eps_rcl(model, u, sampler: SimplexSampler | None = None,
     defects bound the affine gap pointwise) and a seeded batch of random
     grid-pair mixtures at uniform weights.
     """
-    sampler = sampler or SimplexSampler()
     G = sampler.grid(model.n_outcomes)
     max_defect, witness, count = _worst_mixture_defect(model, G, _grid_utility(u, G), sampler,
                                                        tol)
@@ -478,8 +474,7 @@ def _first_max(gap: np.ndarray) -> tuple[float, int | None]:
     return (float(gap[k]), k) if gap[k] > 0.0 else (0.0, None)
 
 
-def verify_thm1(u, benchmark: AffineBenchmark, eps_hat: float,
-                sampler: SimplexSampler | None = None,
+def verify_thm1(u, benchmark: AffineBenchmark, eps_hat: float, sampler: SimplexSampler,
                 slack: float = 1e-7) -> NearRepresentation:
     """Check |u(p) - l(p)| <= (support(p) - 1) * eps_hat + slack on the grid.
 
@@ -490,7 +485,6 @@ def verify_thm1(u, benchmark: AffineBenchmark, eps_hat: float,
     the sup-norm gap against the global bound d * eps_hat with
     d = n_outcomes - 1.
     """
-    sampler = sampler or SimplexSampler()
     G = sampler.grid(len(benchmark.coefficients))
     gap = np.abs(_grid_utility(u, G) - benchmark.evaluate_batch(G))
     support = _support_sizes(G)
@@ -522,8 +516,7 @@ def verify_thm1(u, benchmark: AffineBenchmark, eps_hat: float,
 
 
 def converse_check_4eps(model, benchmark: AffineBenchmark, eps: float,
-                        sampler: SimplexSampler | None = None,
-                        tol: float = 1e-10) -> ViolationReport:
+                        sampler: SimplexSampler) -> ViolationReport:
     """Given sup |u - l| < eps, confirm all sampled mixture defects stay < 4 eps.
 
     Hypotheses checked first: the model agrees with the benchmark on every
@@ -532,7 +525,6 @@ def converse_check_4eps(model, benchmark: AffineBenchmark, eps: float,
     set matches the reduction meter (peeling chains plus random triples), but
     defects are measured on the model's calibrated utility.
     """
-    sampler = sampler or SimplexSampler()
     n = model.n_outcomes
     vertices = np.eye(n)
     vertex_gap = np.abs(model.value_batch(vertices) - benchmark.evaluate_batch(vertices))
@@ -550,7 +542,7 @@ def converse_check_4eps(model, benchmark: AffineBenchmark, eps: float,
             witness={"p": None if sup is None else _probs(G[sup]), "gap": sup_gap,
                      "eps": eps})
     max_defect, witness, count = _worst_mixture_defect(
-        model, G, mixture_utility_batch(model, G, tol), sampler, tol)
+        model, G, mixture_utility_batch(model, G, BISECT_TOL), sampler, BISECT_TOL)
     if max_defect >= 4.0 * eps:
         raise BoundViolated(
             f"mixture defect {max_defect!r} reached 4 eps = {4.0 * eps!r}",
@@ -571,19 +563,19 @@ def _first_true(mask: np.ndarray) -> np.ndarray:
     return np.where(mask.any(axis=1), mask.argmax(axis=1), mask.shape[1])
 
 
-def _scan_window(f, center, idx, a_prev, f_prev, sign: float, ks, step, lo, hi, zero_tol):
+def _scan_window(f, center, idx, a_prev, f_prev, sign: float, ks, step, zero_tol):
     """Scan steps ks of one direction for every row: the points, their values and verdicts.
 
-    The points are center + sign * k * step clipped to [lo, hi], as a scan
+    The points are center + sign * k * step clipped to [0, 1], as a scan
     step by step takes them: a row stops before a point that repeats the one
-    before it (a_prev before the first) and after a point at lo or hi. The
+    before it (a_prev before the first) and after a point at 0 or 1. The
     first point whose value is within zero_tol of zero, or whose sign differs
     from the value before it (f_prev before the first), is the row's hit.
     Returns (points, values, hit column or window width, row scanned to its end).
     """
-    A = np.clip(center[:, None] + sign * (ks * step), lo, hi)
+    A = np.clip(center[:, None] + sign * (ks * step), 0.0, 1.0)
     width = len(ks)
-    edge = _first_true((A == lo) | (A == hi))
+    edge = _first_true((A == 0.0) | (A == 1.0))
     repeat = _first_true(A == np.concatenate([a_prev[:, None], A[:, :-1]], axis=1))
     valid = np.arange(width) < np.minimum(edge + 1, repeat)[:, None]
     F = f(A.ravel(), np.repeat(idx, width)).reshape(A.shape)
@@ -592,11 +584,10 @@ def _scan_window(f, center, idx, a_prev, f_prev, sign: float, ks, step, lo, hi, 
     return A, F, hit, (edge < width) | (repeat < width)
 
 
-def _nearest_roots(f, centers, step: float, tol: float, lo: float = 0.0, hi: float = 1.0,
-                   zero_tol: float = 0.0) -> np.ndarray:
-    """Root of each function nearest to its center, scanning outward then bisecting.
+def _nearest_roots(f, centers, step: float, tol: float, zero_tol: float = 0.0) -> np.ndarray:
+    """Root of each function nearest to its center in [0, 1], scanning outward then bisecting.
 
-    Each direction steps by step (clipped to [lo, hi]) until it finds a
+    Each direction steps by step (clipped to [0, 1]) until it finds a
     sign change or hits its boundary; the closer bracketed root wins, and a
     function that neither direction brackets gets NaN. Values within
     zero_tol of zero count as roots: the probe construction carries
@@ -636,8 +627,7 @@ def _nearest_roots(f, centers, step: float, tol: float, lo: float = 0.0, hi: flo
                 if not len(rows):
                     continue
                 A, F, hit, ended = _scan_window(f, c[rows], idx[rows], a_prev[d, rows],
-                                                f_prev[d, rows], sign, k0 + ks, step, lo,
-                                                hi, zero_tol)
+                                                f_prev[d, rows], sign, k0 + ks, step, zero_tol)
                 found = np.flatnonzero(hit < len(ks))
                 r, h = rows[found], hit[found]
                 hit_step[d, r] = k0 + 1 + h
@@ -663,8 +653,8 @@ def _nearest_roots(f, centers, step: float, tol: float, lo: float = 0.0, hi: flo
     return roots
 
 
-def measure_eps_independence(model, sampler: SimplexSampler | None = None,
-                             tol: float = 1e-10, scan_step: float = 1e-3) -> ViolationReport:
+def measure_eps_independence(model, sampler: SimplexSampler,
+                             tol: float = 1e-10) -> ViolationReport:
     """Worst sampled independence defect in mixture-weight units.
 
     For seeded indifferent pairs p ~ q (q found on a segment between
@@ -673,7 +663,6 @@ def measure_eps_independence(model, sampler: SimplexSampler | None = None,
     defect is |alpha - alpha'|. A probe with no restoring root anywhere in
     [0, 1] records the maximal defect 1.0.
     """
-    sampler = sampler or SimplexSampler()
     n = model.n_outcomes
     G = sampler.grid(n)
     vertex_values = model._degenerate_values
@@ -727,7 +716,7 @@ def measure_eps_independence(model, sampler: SimplexSampler | None = None,
                     w * Q[pair_of[k]] + (1.0 - w) * R[k]) - target[k]
             return out
 
-        roots = _nearest_roots(probe_gap, alpha, scan_step, tol, zero_tol=value_floor)
+        roots = _nearest_roots(probe_gap, alpha, SCAN_STEP, tol, zero_tol=value_floor)
         no_root = np.isnan(roots)
         no_root_seen = bool(np.any(no_root))
         best, b = _first_max(np.where(no_root, 1.0, np.abs(alpha - roots)))
@@ -742,14 +731,13 @@ def measure_eps_independence(model, sampler: SimplexSampler | None = None,
         witness=witness,
         samples_evaluated=count,
         details={"pairs": pairs, "alphas_per_pair": sampler.n_alphas,
-                 "scan_step": scan_step, "no_root_seen": no_root_seen,
+                 "scan_step": SCAN_STEP, "no_root_seen": no_root_seen,
                  "resolution": sampler.resolution, "seed": sampler.seed,
                  "bisect_tol": tol},
     )
 
 
-def verify_thm2(u, benchmark: AffineBenchmark, eps_hat: float,
-                sampler: SimplexSampler | None = None,
+def verify_thm2(u, benchmark: AffineBenchmark, eps_hat: float, sampler: SimplexSampler,
                 slack: float = 1e-7) -> NearRepresentation:
     """Check sup |u - l| <= (d + 1)^2 * eps_hat + slack on the grid.
 
@@ -757,7 +745,6 @@ def verify_thm2(u, benchmark: AffineBenchmark, eps_hat: float,
     mixture_utility_batch returns it. Raises BoundViolated with the first
     violating lottery in grid order.
     """
-    sampler = sampler or SimplexSampler()
     d = len(benchmark.coefficients) - 1
     G = sampler.grid(d + 1)
     bound = (d + 1) ** 2 * eps_hat
@@ -809,8 +796,7 @@ class AllaisReport:
         return header, rows
 
 
-def allais_report(value_exponent: float = 0.54, weight_exponent: float = 0.74,
-                  tol: float = 1e-10) -> AllaisReport:
+def allais_report() -> AllaisReport:
     """Evaluate the classic common-ratio gambles under the fitted model.
 
     Gambles: A = (4000, 0.8), B = (3000, 1), C = (4000, 0.2), D = (3000, 0.25)
@@ -818,7 +804,8 @@ def allais_report(value_exponent: float = 0.54, weight_exponent: float = 0.74,
     B > A with C > D (the common-ratio reversal), the restored preference
     D' > C, and the probability lambda* where the 3000-branch overtakes C.
     """
-    model = CumulativeProspect(value_exponent, weight_exponent, (4000.0, 3000.0, 0.0))
+    model = CumulativeProspect(FITTED_VALUE_EXPONENT, FITTED_WEIGHT_EXPONENT,
+                               (4000.0, 3000.0, 0.0))
     gambles = {
         "A": (4000.0, 0.8),
         "B": (3000.0, 1.0),
@@ -836,15 +823,15 @@ def allais_report(value_exponent: float = 0.54, weight_exponent: float = 0.74,
 
     values = {name: model.value(lottery_for(z, p).probs) for name, (z, p) in gambles.items()}
     calibrated = mixture_utility_batch(
-        model, [lottery_for(z, p).probs for z, p in gambles.values()], tol).tolist()
+        model, [lottery_for(z, p).probs for z, p in gambles.values()], BISECT_TOL).tolist()
     alphas = dict(zip(gambles, calibrated))
     target = values["C"]
     w3000 = model.prize_value(3000.0)
     lam_star = bisect_monotone(lambda lam: model.weight(lam) * w3000 - target,
-                               0.0, 1.0, tol=tol)
+                               0.0, 1.0, tol=BISECT_TOL)
     return AllaisReport(
-        value_exponent=value_exponent,
-        weight_exponent=weight_exponent,
+        value_exponent=FITTED_VALUE_EXPONENT,
+        weight_exponent=FITTED_WEIGHT_EXPONENT,
         gambles=gambles,
         values=values,
         alphas=alphas,
@@ -892,19 +879,18 @@ class Figure1Data:
         return ["p", "weight", "gap"], np.column_stack([self.probs, self.weights, self.gaps])
 
 
-def figure1_data(resolution: int = 1001, weight_exponent: float = 0.74,
-                 claim: float = 0.1) -> Figure1Data:
-    """Tabulate w(p) - p and locate max |w(p) - p| to 1e-12.
+def figure1_data(resolution: int = 1001) -> Figure1Data:
+    """Tabulate w(p) - p for the fitted weighting curve and locate max |w(p) - p| to 1e-12.
 
     The maximum is found on a fixed 1e-5 grid and refined by golden-section
     search, independent of the reporting resolution. within_claim records
-    whether the refined maximum stays at or below `claim`; the curve for the
-    fitted exponent 0.74 peaks at 0.100776..., slightly above the nominal
-    0.1 reading.
+    whether the refined maximum stays at or below FIGURE1_CLAIM; the curve
+    for the fitted exponent 0.74 peaks at 0.100776..., slightly above the
+    nominal 0.1 reading.
     """
     if resolution < 2:
         raise InvalidModel("resolution must be at least 2")
-    b = weight_exponent
+    b = FITTED_WEIGHT_EXPONENT
 
     def gap_curve(p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=float)
@@ -929,6 +915,6 @@ def figure1_data(resolution: int = 1001, weight_exponent: float = 0.74,
         gaps=gaps,
         max_abs_gap=float(max_gap),
         argmax_p=float(argmax_p),
-        claim=claim,
-        within_claim=bool(max_gap <= claim + STRICTNESS_MARGIN),
+        claim=FIGURE1_CLAIM,
+        within_claim=bool(max_gap <= FIGURE1_CLAIM + STRICTNESS_MARGIN),
     )

@@ -17,9 +17,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import (SUM_TOL, BoundViolated, HypothesisFailed, InvalidModel, NearRepresentation,
-                   NoBracket, NoSuchTau, NotConverged, ViolationReport, bisect_monotone, discount,
-                   dyadic_tail_sum)
+from .core import (RATIO_TOL, SUM_TOL, BoundViolated, HypothesisFailed, InvalidModel,
+                   NearRepresentation, NoBracket, NoSuchTau, NotConverged, ViolationReport,
+                   bisect_monotone, discount, dyadic_tail_sum)
 
 __all__ = [
     "Exponential",
@@ -46,6 +46,8 @@ __all__ = [
 
 BRACKET_CAP = 2.0 ** 60  # doubling searches stop here and report NoBracket
 TAU_CAP = 10 ** 6  # exact_recovery scans horizons up to here
+EXACT_TOL = 1e-12  # exact_recovery calls a curve exponential when its level gap is at most this
+DELAY_TOL = 1e-9  # argument tolerance of every indifference-delay bisection
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +170,7 @@ def _horizon_cap(model, t: int, n_max: int) -> int:
     return max(cap, -1)
 
 
-def theta_series(model, t: int, n_max: int = 40,
-                 ratio_tol: float = 0.75) -> ViolationReport:
+def theta_series(model, t: int, n_max: int = 40) -> ViolationReport:
     """Dyadic defect series sum_i 2^{-(i+1)} psi(2^i t, 2^i t) at anchor t.
 
     details carry the raw terms, partial sums, the convergence verdict, and
@@ -182,7 +183,7 @@ def theta_series(model, t: int, n_max: int = 40,
     for i in range(cap + 1):
         terms.append((2.0 ** -(i + 1)) * psi(model, (2 ** i) * t, (2 ** i) * t))
     if terms:
-        total, converged = dyadic_tail_sum(lambda i: terms[i], cap, ratio_tol=ratio_tol)
+        total, converged = dyadic_tail_sum(terms)
     else:
         total, converged = 0.0, True
     partials = []
@@ -196,19 +197,24 @@ def theta_series(model, t: int, n_max: int = 40,
         witness={"t": t},
         samples_evaluated=len(terms),
         details={"converged": converged, "terms": terms, "partial_sums": partials,
-                 "n_terms": len(terms), "ratio_tol": ratio_tol,
+                 "n_terms": len(terms), "ratio_tol": RATIO_TOL,
                  "last_scaled_psi": 2.0 * terms[-1] if terms else 0.0},
     )
 
 
 def theta_over_sample(model, t_sample: Sequence[int] = (1, 2, 3, 5, 8),
-                      n_max: int = 40, ratio_tol: float = 0.75) -> tuple[ViolationReport, bool]:
+                      n_max: int = 40) -> tuple[ViolationReport, bool]:
     """Max of theta_series over the anchors, with the combined decay verdict."""
+    return _worst_series(t_sample, [theta_series(model, t, n_max) for t in t_sample], n_max)
+
+
+def _worst_series(t_sample: Sequence[int], series: Sequence[ViolationReport],
+                  n_max: int) -> tuple[ViolationReport, bool]:
+    """theta_over_sample's report from the theta_series of each anchor of t_sample."""
     best = None
     all_converged = True
     count = 0
-    for t in t_sample:
-        rep = theta_series(model, t, n_max=n_max, ratio_tol=ratio_tol)
+    for rep in series:
         count += rep.samples_evaluated
         all_converged = all_converged and rep.details["converged"]
         if best is None or rep.value > best.value:
@@ -324,19 +330,16 @@ def verify_exp_bound(model, gamma: float, theta_hat: float,
     )
 
 
-def measure_W_axiom(model, t_max: int = 16,
-                    pairs: Sequence[tuple[int, int]] | None = None) -> ViolationReport:
+def measure_W_axiom(model, t_max: int = 16) -> ViolationReport:
     """Worst multiplicative defect |f(s+t) - f(s) f(t)| of f = 1/d.
 
-    Requires d strictly decreasing over the probed range (HypothesisFailed
-    otherwise). Defaults to all pairs s <= t with s + t <= t_max.
+    Probes all pairs 1 <= s <= t with s + t <= t_max (and within the
+    curve's horizon). Requires d strictly decreasing over the probed range
+    (HypothesisFailed otherwise).
     """
-    if pairs is None:
-        t_cap = t_max if model.T_max is None else min(t_max, model.T_max)
-        pairs = [(s, t) for s in range(1, t_cap) for t in range(s, t_cap + 1 - s)]
-    horizon = 0
-    for s, t in pairs:
-        horizon = max(horizon, _check_t(s, "s") + _check_t(t, "t"))
+    t_cap = t_max if model.T_max is None else min(t_max, model.T_max)
+    pairs = [(s, t) for s in range(1, t_cap) for t in range(s, t_cap + 1 - s)]
+    horizon = max((s + t for s, t in pairs), default=0)
     prev = model.log_d(0)
     for t in range(1, horizon + 1):
         cur = model.log_d(t)
@@ -360,15 +363,14 @@ def measure_W_axiom(model, t_max: int = 16,
     )
 
 
-def exact_recovery(model, theta_W: float, t_probe: Sequence[int] | None = None,
-                   tol: float = 1e-12) -> NearRepresentation:
+def exact_recovery(model, theta_W: float) -> NearRepresentation:
     """Recover gamma from the first horizon tau with d(tau) <= the threshold.
 
     The threshold is min(1/4, 1/(4 Theta_W-hat)) (1/4 when the defect is 0);
     gamma = d(tau)^{1/tau}. Raises NoSuchTau when no horizon qualifies in
-    range (at most TAU_CAP). The achieved distance is max_t |d(t) - gamma^t| over t_probe
-    (default 0..4 tau); it is 0 exactly for genuinely exponential curves and
-    reported, not asserted, otherwise.
+    range (at most TAU_CAP). The achieved distance is max_t |d(t) - gamma^t|
+    over t = 0..4 tau (within the horizon); it is 0 exactly for genuinely
+    exponential curves and reported, not asserted, otherwise.
     """
     if theta_W < 0.0:
         raise InvalidModel("theta_W must be nonnegative")
@@ -385,13 +387,10 @@ def exact_recovery(model, theta_W: float, t_probe: Sequence[int] | None = None,
             f"no horizon up to {scan_cap} has discount at or below {threshold!r}")
     log_gamma = model.log_d(tau) / tau
     gamma = math.exp(log_gamma)
-    if t_probe is None:
-        top = 4 * tau if model.T_max is None else min(4 * tau, model.T_max)
-        t_probe = range(top + 1)
+    top = 4 * tau if model.T_max is None else min(4 * tau, model.T_max)
     worst = (0.0, None)
     count = 0
-    for t in t_probe:
-        t = _check_t(t)
+    for t in range(top + 1):
         defect = abs(discount(model, t) - math.exp(t * log_gamma))
         count += 1
         if defect > worst[0]:
@@ -402,7 +401,7 @@ def exact_recovery(model, theta_W: float, t_probe: Sequence[int] | None = None,
         achieved_distance=worst[0],
         bound=0.0,
         details={"theta_W": theta_W, "n_probes": count, "argmax_t": worst[1],
-                 "exact": worst[0] <= tol, "tol": tol},
+                 "exact": worst[0] <= EXACT_TOL, "tol": EXACT_TOL},
     )
 
 
@@ -470,7 +469,7 @@ def _doubling_root(f, hi: float, tol: float, no_bracket) -> float:
     return bisect_monotone(f, 0.0, hi, tol=tol)
 
 
-def gamma_of(model, x: float, tol: float = 1e-9) -> float:
+def gamma_of(model, x: float) -> float:
     """Indifference delay: the t with u(x_bar, t) = x; gamma(x_bar) = 0 exactly.
 
     The bracket doubles until the delayed ceiling drops to x; NoBracket
@@ -482,7 +481,7 @@ def gamma_of(model, x: float, tol: float = 1e-9) -> float:
     if x == model.x_bar:
         return 0.0
     return _doubling_root(
-        lambda t: _present_value(model, t) - x, 1.0, tol,
+        lambda t: _present_value(model, t) - x, 1.0, DELAY_TOL,
         lambda hi: f"u(x_bar, t) stays above {x!r} out to t={hi!r}; no indifference delay")
 
 
@@ -498,7 +497,7 @@ class GammaCurve:
         return ["x", "gamma"], [[x, g] for x, g in zip(self.xs, self.gammas)]
 
 
-def continuous_gamma_curve(model, xs: Sequence[float], tol: float = 1e-9) -> GammaCurve:
+def continuous_gamma_curve(model, xs: Sequence[float]) -> GammaCurve:
     """Tabulate gamma(x) over xs, validating u(x, 0) = x on the way.
 
     HypothesisFailed when the model does not return the payment at zero
@@ -513,12 +512,12 @@ def continuous_gamma_curve(model, xs: Sequence[float], tol: float = 1e-9) -> Gam
             raise HypothesisFailed(
                 f"u(x, 0) = {now!r} differs from x = {x!r}",
                 witness={"x": x, "value_at_zero": now})
-        gammas.append(gamma_of(model, x, tol=tol))
+        gammas.append(gamma_of(model, x))
     return GammaCurve(xs=xs, gammas=tuple(gammas), x_bar=model.x_bar)
 
 
-def measure_eps_stationarity(model, curve: GammaCurve, deltas: Sequence[float],
-                             tol: float = 1e-9) -> ViolationReport:
+def measure_eps_stationarity(model, curve: GammaCurve,
+                             deltas: Sequence[float]) -> ViolationReport:
     """Worst time-shift defect |delta' - delta| in delay units.
 
     delta' restores indifference after moving the comparison to the ceiling:
@@ -534,7 +533,7 @@ def measure_eps_stationarity(model, curve: GammaCurve, deltas: Sequence[float],
                 raise InvalidModel("deltas must be positive")
             target = model.value(x, delta)
             delta_prime = _doubling_root(
-                lambda D: _present_value(model, t0 + D) - target, max(delta, 1.0), tol,
+                lambda D: _present_value(model, t0 + D) - target, max(delta, 1.0), DELAY_TOL,
                 lambda hi: f"delayed ceiling never reaches u({x!r}, {delta!r})")
             defect = abs(delta_prime - delta)
             count += 1
@@ -545,7 +544,7 @@ def measure_eps_stationarity(model, curve: GammaCurve, deltas: Sequence[float],
         value=best[0],
         witness=best[1] or {},
         samples_evaluated=count,
-        details={"bisect_tol": tol, "n_x": len(curve.xs), "n_deltas": len(deltas)},
+        details={"bisect_tol": DELAY_TOL, "n_x": len(curve.xs), "n_deltas": len(deltas)},
     )
 
 
@@ -582,14 +581,13 @@ def verify_exp3_bound(model, curve: GammaCurve, eps_hat: float, lambda_hat: floa
 
     g is the model's own present-value curve g(t) = u(x_bar, t), so the
     benchmark h(x, t) = g(t + gamma(x)) is stationary by construction;
-    gamma(x) is read from the curve, over its payments x. Normalization
-    gamma(x_bar) = 0 and u(x_bar, 0) = x_bar are asserted first; divergence
-    is witnessed by the bracket searches that built the curve.
+    gamma(x) is read from the curve, over its payments x. The normalization
+    u(x_bar, 0) = x_bar is asserted first (gamma_of returns gamma(x_bar) = 0
+    exactly); divergence is witnessed by the bracket searches that built the
+    curve.
     """
     if eps_hat < 0.0 or lambda_hat < 0.0:
         raise InvalidModel("eps_hat and lambda_hat must be nonnegative")
-    if gamma_of(model, model.x_bar) != 0.0:
-        raise HypothesisFailed("gamma(x_bar) != 0")
     at_zero = model.value(model.x_bar, 0.0)
     if abs(at_zero - model.x_bar) > 1e-12:
         raise HypothesisFailed(

@@ -23,9 +23,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (MAX_GRID_POINTS, SUM_TOL, BoundViolated, HypothesisFailed, InvalidModel,
-                   NearRepresentation, NoBracket, NotAdditive, NotConverged, ViolationReport,
-                   dyadic_tail_sum, grid_size)
+from .core import (BISECT_TOL, MAX_BISECT_STEPS, MAX_GRID_POINTS, RATIO_TOL, STRICTNESS_MARGIN,
+                   SUM_TOL, BoundViolated, HypothesisFailed, InvalidModel, NearRepresentation,
+                   NoBracket, NotAdditive, NotConverged, ViolationReport, dyadic_tail_sum,
+                   grid_size)
 
 __all__ = [
     "SubjectiveExpected",
@@ -54,7 +55,6 @@ __all__ = [
     "verify_quasiconcave_bound",
 ]
 
-STRICTNESS_MARGIN = 1e-12
 SCALE_GUARD = 1e12  # stop doubling before 2^n x leaves the well-conditioned range
 EPS = float(np.finfo(float).eps)
 # Rounding floor of the dyadic defect series, in units of eps * max(1, max x,
@@ -68,6 +68,13 @@ SERIES_CHUNK = 32  # act pairs per batched solve in the defect series; caps peak
 # Scaled-limit steps per batched solve. Most limits stop within a few steps
 # (exact models at the first), so a short block saves calls and wastes little.
 SCALE_BLOCK = 8
+MAX_DOUBLINGS = 40  # doublings of the defect series and of the doubling limits
+MAX_SCALINGS = 60  # eta-scalings of the homogeneous limits
+LIMIT_TOL = 1e-9  # Cauchy tolerance of the doubling limits behind the prior
+HOMOG_ETA = 2.0  # scaling ratio of the homogeneous verifier's limits
+HOMOG_ALPHAS = (0.5, 3.0)  # multiples at which that verifier spot-checks homogeneity
+ZERO_ACT_TOL = 1e-9  # the smooth defect at the zero act must be 1 within this
+MEMBERSHIP_TOL = 1e-9  # relative tolerance of the level hulls' membership and decompositions
 LAMBDAS = (0.25, 0.5, 0.75)  # mixture weights of every seeded pair probe
 QC_CHECKS = 200  # seeded grid pairs that spot-check the envelope's quasi-concavity
 HOMOG_MAX_POINTS = 40  # nonzero grid acts the homogeneous verifier strides over
@@ -360,7 +367,7 @@ class LinearPlusBounded(_RowModel):
 # array primitives, shared with the risk domain
 
 def bisect_monotone_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi,
-                          tol: float = 1e-10, max_iter: int = 200) -> np.ndarray:
+                          tol: float = 1e-10) -> np.ndarray:
     """bisect_monotone for many brackets at once, all stepped in lockstep.
 
     f(c, idx) returns, for each k, the idx[k]-th monotone function at c[k];
@@ -394,7 +401,7 @@ def bisect_monotone_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo,
     act = np.flatnonzero(~at_lo & ~at_hi)
     increasing = flo[act] < 0.0
     lo, hi = lo[act], hi[act]
-    for _ in range(max_iter):
+    for _ in range(MAX_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
         # stop at tol or at float resolution; either way the answer is the midpoint
         keep = (hi - lo > tol) & (mid > lo) & (mid < hi)
@@ -492,7 +499,6 @@ class BoxSampler:
     resolution: int = 11
     seed: int = 0
     n_random_pairs: int = 150
-    lambdas: tuple[float, ...] = LAMBDAS
 
     def points(self) -> np.ndarray:
         return grid_sample("box", self.n_states, self.resolution, bound=self.bound)
@@ -641,7 +647,7 @@ def _scale_cap(top: float, n_max: int, base: float = 2.0) -> int:
     return max(min(n_max, cap), 0)
 
 
-def _phi_series(model, xs: np.ndarray, ys: np.ndarray, n_max: int, ratio_tol: float,
+def _phi_series(model, xs: np.ndarray, ys: np.ndarray, n_max: int,
                 tol: float) -> list[tuple[list[float], bool]]:
     """(partial sums, convergence verdict) of the dyadic series of each pair (xs[k], ys[k]).
 
@@ -661,14 +667,12 @@ def _phi_series(model, xs: np.ndarray, ys: np.ndarray, n_max: int, ratio_tol: fl
         ends = np.cumsum([cap + 1 for cap in caps]).tolist()
         for top, cap, end in zip(tops, caps, ends):
             t = terms[end - cap - 1:end].tolist()
-            _, converged = dyadic_tail_sum(t.__getitem__, cap, ratio_tol=ratio_tol,
-                                           floor=NOISE_KAPPA * EPS * top)
+            _, converged = dyadic_tail_sum(t, floor=NOISE_KAPPA * EPS * top)
             out.append((list(itertools.accumulate(t)), converged))
     return out
 
 
-def dyadic_phi_series(model, x, y, n_max: int = 40, ratio_tol: float = 0.75,
-                      tol: float = 1e-10) -> tuple[list[float], bool]:
+def dyadic_phi_series(model, x, y, n_max: int = MAX_DOUBLINGS) -> tuple[list[float], bool]:
     """Partial sums of sum_i 2^{-i} phi(2^i x, 2^i y) with a decay verdict.
 
     Doubling stops at n_max or once the scaled acts would exceed the 1e12
@@ -676,11 +680,11 @@ def dyadic_phi_series(model, x, y, n_max: int = 40, ratio_tol: float = 0.75,
     16 eps * max(1, max x, max y) count as converged.
     """
     return _phi_series(model, _as_act(model, x)[None, :], _as_act(model, y)[None, :],
-                       n_max, ratio_tol, tol)[0]
+                       n_max, BISECT_TOL)[0]
 
 
-def theta_estimate(model, sampler: BoxSampler | None = None, n_max: int = 40,
-                   ratio_tol: float = 0.75, tol: float = 1e-10) -> tuple[ViolationReport, bool]:
+def theta_estimate(model, sampler: BoxSampler,
+                   tol: float = 1e-10) -> tuple[ViolationReport, bool]:
     """Worst dyadic defect series over anchored and random act pairs.
 
     The pair set always contains (x, 0) and (2x, 0) for every sampled x: the
@@ -689,7 +693,6 @@ def theta_estimate(model, sampler: BoxSampler | None = None, n_max: int = 40,
     series the closeness theorem actually consumes. Seeded random grid pairs
     widen the sample. Returns the report and the all-pairs convergence flag.
     """
-    sampler = sampler or BoxSampler(model.n_states)
     base = sampler.points()
     nonzero = base[np.any(base, axis=1)]
     pairs = np.array(_index_pairs(sampler.seed, len(base), sampler.n_random_pairs),
@@ -700,7 +703,7 @@ def theta_estimate(model, sampler: BoxSampler | None = None, n_max: int = 40,
     ys = np.concatenate([np.zeros((2 * len(nonzero), model.n_states)), base[pairs[:, 1]]])
     keep = np.any(xs, axis=1) | np.any(ys, axis=1)
     xs, ys = xs[keep], ys[keep]
-    series = _phi_series(model, xs, ys, n_max, ratio_tol, tol)
+    series = _phi_series(model, xs, ys, MAX_DOUBLINGS, tol)
     all_converged = all(converged for _, converged in series)
     k = max(range(len(series)), key=lambda i: series[i][0][-1], default=None)
     report = ViolationReport(
@@ -708,8 +711,8 @@ def theta_estimate(model, sampler: BoxSampler | None = None, n_max: int = 40,
         value=0.0 if k is None else max(series[k][0][-1], 0.0),
         witness={} if k is None else {"x": tuple(xs[k]), "y": tuple(ys[k])},
         samples_evaluated=len(xs),
-        details={"converged": all_converged, "n_max": n_max,
-                 "ratio_tol": ratio_tol, "partial_sums": [] if k is None else series[k][0],
+        details={"converged": all_converged, "n_max": MAX_DOUBLINGS,
+                 "ratio_tol": RATIO_TOL, "partial_sums": [] if k is None else series[k][0],
                  "resolution": sampler.resolution, "seed": sampler.seed},
     )
     return report, all_converged
@@ -801,23 +804,22 @@ def _unwrap(res: ScaledLimit | NotConverged) -> ScaledLimit:
     return res
 
 
-def _scaled_limit(model, x, base: float, tol: float, n_max: int, bisect_tol: float,
-                  what: str) -> ScaledLimit:
-    """The one-act case of _scaled_limits; raises its NotConverged."""
+def _scaled_limit(model, x, base: float, tol: float, n_max: int, what: str) -> ScaledLimit:
+    """The one-act case of _scaled_limits, solved to BISECT_TOL; raises its NotConverged."""
     X = _as_act(model, x)[None, :]
-    return _unwrap(_scaled_limits(model, X, ce_batch(model, X, bisect_tol), base, tol, n_max,
-                                  bisect_tol, what)[0])
+    return _unwrap(_scaled_limits(model, X, ce_batch(model, X, BISECT_TOL), base, tol, n_max,
+                                  BISECT_TOL, what)[0])
 
 
-def hyers_ulam_limit(model, x, tol: float = 1e-9, n_max: int = 40,
-                     bisect_tol: float = 1e-10) -> ScaledLimit:
+def hyers_ulam_limit(model, x) -> ScaledLimit:
     """Doubling limit v(x) = lim 2^{-n} u(2^n x) of the certainty equivalent.
 
     Raises NotConverged with the iterates when the scaled Cauchy test
-    tol * 2^{-n} is not met within n_max doublings. Curves whose increments
-    decay exactly like 2^{-n} never meet it; the iterates show the stall.
+    LIMIT_TOL * 2^{-n} is not met within MAX_DOUBLINGS doublings. Curves whose
+    increments decay exactly like 2^{-n} never meet it; the iterates show
+    the stall.
     """
-    return _scaled_limit(model, x, 2.0, tol, n_max, bisect_tol, "doubling")
+    return _scaled_limit(model, x, 2.0, LIMIT_TOL, MAX_DOUBLINGS, "doubling")
 
 
 @dataclass(frozen=True)
@@ -833,7 +835,7 @@ class LinearBenchmark:
         return float(self.evaluate_batch(x)[0])
 
 
-def extract_prior(model, tol: float = 1e-9, n_max: int = 40) -> LinearBenchmark:
+def extract_prior(model) -> LinearBenchmark:
     """Coordinate limits p_i = v(e_i) assembled into a linear benchmark.
 
     Raises NotAdditive when sum_i p_i disagrees with v(ones) beyond
@@ -842,8 +844,9 @@ def extract_prior(model, tol: float = 1e-9, n_max: int = 40) -> LinearBenchmark:
     """
     d = model.n_states
     rows = np.vstack([np.eye(d), np.ones((1, d))])  # e_1 .. e_d, then the sure act
-    limits = [_unwrap(res) for res in _scaled_limits(model, rows, ce_batch(model, rows, 1e-10),
-                                                     2.0, tol, n_max, 1e-10, "doubling")]
+    limits = [_unwrap(res) for res in _scaled_limits(
+        model, rows, ce_batch(model, rows, BISECT_TOL), 2.0, LIMIT_TOL, MAX_DOUBLINGS, BISECT_TOL,
+        "doubling")]
     p = [lim.value for lim in limits[:d]]
     v_ones = limits[d].value
     total = math.fsum(p)
@@ -885,8 +888,8 @@ def verify_aa_bound(u, benchmark: LinearBenchmark, theta_hat: float, pts: np.nda
     )
 
 
-def smooth_ambiguity_bound(model: SmoothAmbiguity, sampler: BoxSampler | None = None,
-                           tol: float = 1e-9) -> tuple[NearRepresentation, tuple[list, list]]:
+def smooth_ambiguity_bound(model: SmoothAmbiguity,
+                           sampler: BoxSampler) -> tuple[NearRepresentation, tuple[list, list]]:
     """Closed-form audit of the raw smooth functional against its mean prior.
 
     The raw integral functional differs from x -> mean_prior . x by exactly
@@ -897,7 +900,6 @@ def smooth_ambiguity_bound(model: SmoothAmbiguity, sampler: BoxSampler | None = 
     """
     if not isinstance(model, SmoothAmbiguity):
         raise InvalidModel("smooth_ambiguity_bound needs a SmoothAmbiguity model")
-    sampler = sampler or BoxSampler(model.n_states)
     pts = sampler.points()
     P = np.asarray(model.priors, dtype=float)
     w = np.asarray(model.weights, dtype=float)
@@ -919,7 +921,7 @@ def smooth_ambiguity_bound(model: SmoothAmbiguity, sampler: BoxSampler | None = 
             witness={"x": tuple(pts[i_max]), "defect": sup})
     zero_rows = np.where(~pts.any(axis=1))[0]
     defect_at_zero = float(defects[zero_rows[0]]) if len(zero_rows) else None
-    if defect_at_zero is not None and abs(defect_at_zero - 1.0) > tol:
+    if defect_at_zero is not None and abs(defect_at_zero - 1.0) > ZERO_ACT_TOL:
         raise BoundViolated(
             f"defect at the zero act is {defect_at_zero!r}, expected exactly 1",
             witness={"x": tuple(pts[zero_rows[0]]), "defect": defect_at_zero})
@@ -940,32 +942,31 @@ def smooth_ambiguity_bound(model: SmoothAmbiguity, sampler: BoxSampler | None = 
 # ---------------------------------------------------------------------------
 # homogeneous benchmark
 
-def homog_limit(model, x, eta: float = 2.0, tol: float = 1e-9, n_max: int = 60,
-                bisect_tol: float = 1e-10) -> ScaledLimit:
+def homog_limit(model, x, eta: float = 2.0, tol: float = 1e-9) -> ScaledLimit:
     """Scaling limit v(x) = lim eta^{-n} u(eta^n x) with its defect series.
 
     The increment at step n equals eta^{-n} times the scaling deviation of
     eta^{n-1} x, so the summed increments are exactly the series
-    sum_j eta^{-(j+1)} dev(eta^j x, eta) that bounds |u(x) - v(x)|.
+    sum_j eta^{-(j+1)} dev(eta^j x, eta) that bounds |u(x) - v(x)|. Raises
+    NotConverged when the Cauchy test tol * eta^{-n} is not met within
+    MAX_SCALINGS steps.
     """
     if not eta > 1.0:
         raise InvalidModel("eta must exceed 1")
-    return _scaled_limit(model, x, eta, tol, n_max, bisect_tol, "scaling")
+    return _scaled_limit(model, x, eta, tol, MAX_SCALINGS, "scaling")
 
 
-def verify_homog_bound(model, u, sampler: BoxSampler, eta: float = 2.0,
-                       alphas: tuple[float, ...] = (0.5, 3.0), tol: float = 1e-6,
-                       n_max: int = 60, bisect_tol: float = 1e-10) -> NearRepresentation:
+def verify_homog_bound(model, u, sampler: BoxSampler, tol: float = 1e-6,
+                       bisect_tol: float = 1e-10) -> NearRepresentation:
     """Check |u(x) - v(x)| <= 2 Theta-hat and degree-one homogeneity of v.
 
     u is the certainty equivalent of each act of sampler.points(), as
     ce_batch returns it. Theta-hat is the largest per-point scaling-defect
     series over a stride of at most HOMOG_MAX_POINTS nonzero acts; the
-    homogeneity of the limit is spot-checked at the supplied alphas (defect
-    at most 1e-6). Raises BoundViolated on either failure.
+    limits scale by HOMOG_ETA, and their homogeneity is spot-checked at the
+    HOMOG_ALPHAS multiples (defect at most 1e-6). Raises BoundViolated on
+    either failure.
     """
-    if not eta > 1.0:
-        raise InvalidModel("eta must exceed 1")
     grid = sampler.points()
     u = _grid_utility(u, grid)
     idx = np.flatnonzero(np.any(grid, axis=1))
@@ -975,10 +976,10 @@ def verify_homog_bound(model, u, sampler: BoxSampler, eta: float = 2.0,
     # every point and every alpha multiple in one lockstep run, then the
     # checks in per-point order, so the first violation raised is unchanged;
     # the points' u(x) is read, only the multiples are solved
-    multiples = np.array([a * x for x in pts for a in alphas]).reshape(-1, model.n_states)
+    multiples = np.array([a * x for x in pts for a in HOMOG_ALPHAS]).reshape(-1, model.n_states)
     limits = _scaled_limits(model, np.concatenate([pts, multiples]),
                             np.concatenate([u[idx], ce_batch(model, multiples, bisect_tol)]),
-                            eta, 1e-9, n_max, bisect_tol, "scaling")
+                            HOMOG_ETA, LIMIT_TOL, MAX_SCALINGS, bisect_tol, "scaling")
     theta_max = 0.0
     sup = (0.0, None)
     homog_defect = 0.0
@@ -992,8 +993,8 @@ def verify_homog_bound(model, u, sampler: BoxSampler, eta: float = 2.0,
                 witness={"x": tuple(x), "gap": gap, "theta": res.theta})
         if gap > sup[0]:
             sup = (gap, x)
-        for j, a in enumerate(alphas):
-            res_a = _unwrap(limits[len(pts) + k * len(alphas) + j])
+        for j, a in enumerate(HOMOG_ALPHAS):
+            res_a = _unwrap(limits[len(pts) + k * len(HOMOG_ALPHAS) + j])
             defect = abs(res_a.value - a * res.value)
             homog_defect = max(homog_defect, defect)
             if defect > 1e-6:
@@ -1002,10 +1003,10 @@ def verify_homog_bound(model, u, sampler: BoxSampler, eta: float = 2.0,
                     witness={"x": tuple(x), "alpha": a, "defect": defect})
     return NearRepresentation(
         kind="homogeneous",
-        parameters={"eta": eta},
+        parameters={"eta": HOMOG_ETA},
         achieved_distance=sup[0],
         bound=2.0 * theta_max,
-        details={"theta_homog": theta_max, "tol": tol, "alphas": alphas,
+        details={"theta_homog": theta_max, "tol": tol, "alphas": HOMOG_ALPHAS,
                  "homogeneity_defect": homog_defect, "n_points": len(pts),
                  "argmax": None if sup[1] is None else tuple(sup[1])},
     )
@@ -1031,8 +1032,7 @@ def measure_eps_ua(model, u, sampler: BoxSampler,
     extra_probes = list(extra_probes)
     pts = sampler.points()
     u = _grid_utility(u, pts)
-    ends, lams, mixtures = _pair_mixtures(pts, sampler.seed, sampler.n_random_pairs,
-                                          sampler.lambdas)
+    ends, lams, mixtures = _pair_mixtures(pts, sampler.seed, sampler.n_random_pairs, LAMBDAS)
     steps = []  # (x, y, lam, mixture) of every decomposition step, in chain order
     for support, weights in extra_probes:
         support = np.asarray(support, dtype=float)
@@ -1069,7 +1069,7 @@ def measure_eps_ua(model, u, sampler: BoxSampler,
         witness=witness,
         samples_evaluated=len(M),
         details={"margin": STRICTNESS_MARGIN, "n_extra_probes": len(extra_probes),
-                 "lambdas": sampler.lambdas, "seed": sampler.seed},
+                 "lambdas": LAMBDAS, "seed": sampler.seed},
     )
 
 
@@ -1269,8 +1269,7 @@ class QuasiConcaveBenchmark:
 
 
 def quasiconcavify(model, box_bound: float = 10.0, resolution: int = 21,
-                   level_resolution: int = 64, membership_tol: float = 1e-9,
-                   bisect_tol: float = 1e-10) -> QuasiConcaveBenchmark:
+                   level_resolution: int = 64, bisect_tol: float = 1e-10) -> QuasiConcaveBenchmark:
     """Quasi-concave envelope from convex hulls of sampled upper level sets.
 
     Supported for up to 3 states (hull cost). For each level c on an even
@@ -1293,8 +1292,8 @@ def quasiconcavify(model, box_bound: float = 10.0, resolution: int = 21,
     if hi <= lo:
         raise InvalidModel("utility is constant on the box; envelope is trivial")
     levels = np.linspace(lo, hi, level_resolution)
-    hulls = tuple(_level_hull(pts[u >= c - 1e-12], membership_tol) for c in levels)
-    member = _membership(hulls, pts, membership_tol)
+    hulls = tuple(_level_hull(pts[u >= c - 1e-12], MEMBERSHIP_TOL) for c in levels)
+    member = _membership(hulls, pts, MEMBERSHIP_TOL)
     cols = np.arange(len(pts))
     start = np.clip(np.searchsorted(levels, u + 1e-12) - 1, 0, len(levels) - 1)
     # x is in its own level cloud; only rounding can make it step down
@@ -1309,7 +1308,7 @@ def quasiconcavify(model, box_bound: float = 10.0, resolution: int = 21,
     for level in np.unique(top[inside]):
         group = inside[top[inside] == level]
         hull = hulls[level]
-        ok, support, weights = hull.decompose(pts[group], membership_tol)
+        ok, support, weights = hull.decompose(pts[group], MEMBERSHIP_TOL)
         for j, good, idx, w in zip(group.tolist(), ok, support, weights):
             mask = w > 0.0
             if good and int(np.count_nonzero(mask)) >= 2:
@@ -1317,26 +1316,24 @@ def quasiconcavify(model, box_bound: float = 10.0, resolution: int = 21,
     probes = [found[j] for j in sorted(found)]
     return QuasiConcaveBenchmark(
         points=pts, u_values=u, v_values=v, levels=levels, hulls=hulls,
-        box_bound=box_bound, resolution=resolution, membership_tol=membership_tol,
+        box_bound=box_bound, resolution=resolution, membership_tol=MEMBERSHIP_TOL,
         probes=tuple(probes),
     )
 
 
 def verify_quasiconcave_bound(benchmark: QuasiConcaveBenchmark, eps_ua: float,
-                              slack: float | None = None, tol: float = 1e-9,
-                              seed: int = 0) -> NearRepresentation:
+                              tol: float = 1e-9, seed: int = 0) -> NearRepresentation:
     """Check v >= u, sup |v - u| <= d eps_ua + slack, and spot quasi-concavity.
 
-    slack defaults to one level spacing plus 1e-9 (the envelope is resolved
-    only to the level grid). Quasi-concavity is spot-checked on QC_CHECKS
+    slack is one level spacing plus 1e-9 (the envelope is resolved only to
+    the level grid). Quasi-concavity is spot-checked on QC_CHECKS
     seeded grid pairs at the LAMBDAS weights: the envelope at a mixture may
     not fall more than one level spacing below the worse endpoint. All
     mixtures are evaluated in one batched half-space pass and all shortfalls
     formed at once; the first violation in draw order is raised.
     """
     spacing = benchmark.level_spacing
-    if slack is None:
-        slack = spacing + 1e-9
+    slack = spacing + 1e-9
     u, v = benchmark.u_values, benchmark.v_values
     below = np.where(v < u)[0]
     if len(below):

@@ -453,21 +453,20 @@ def test_homothetic_exactness_refuses_a_utility_array_that_does_not_fit_the_acts
 
 
 def test_a_continuous_run_solves_each_indifference_delay_once(monkeypatch):
-    # gamma(x) of the 9 payments once for the curve, plus the verifier's
-    # normalization check gamma(x_bar) = 0
+    # gamma(x) of the 9 payments, each once, for the curve
     import nearrep.timepref as timepref
     from nearrep.cli import run_scenario
 
     solve, payments = timepref.gamma_of, []
 
-    def counted(model, x, tol=1e-9):
+    def counted(model, x):
         payments.append(x)
-        return solve(model, x, tol)
+        return solve(model, x)
 
     monkeypatch.setattr(timepref, "gamma_of", counted)
     result = run_scenario(CONTINUOUS_SCENARIO)
     assert result.verdicts == {"time-shift-bound": True}
-    assert len(payments) == 10 and len(set(payments)) == 9
+    assert len(payments) == 9 and len(set(payments)) == 9
 
 
 def _patch_risk_meters(monkeypatch):

@@ -324,21 +324,28 @@ def test_grid_cap_is_checked_from_the_count():
 
 def test_dyadic_tail_sum_constant_terms_divergent():
     # terms pinned at 0.2 never decay: classified divergent, partial sum kept
-    total, converged = dyadic_tail_sum(lambda i: 0.2, 20)
+    total, converged = dyadic_tail_sum([0.2] * 21)
     assert not converged
     assert total == pytest.approx(0.2 * 21, rel=1e-12)
 
 
 def test_dyadic_tail_sum_geometric_convergent():
-    total, converged = dyadic_tail_sum(lambda i: 0.5 ** i, 40)
+    total, converged = dyadic_tail_sum([0.5 ** i for i in range(41)])
     assert converged
     assert total == pytest.approx(2.0, rel=1e-9)
 
 
 def test_dyadic_tail_sum_zero_terms_convergent():
-    total, converged = dyadic_tail_sum(lambda i: 0.0, 10)
+    total, converged = dyadic_tail_sum([0.0] * 11)
     assert converged
     assert total == 0.0
+
+
+@pytest.mark.parametrize("terms", [[0.5, -0.25, 0.125], [0.5, math.nan], [math.inf, 0.5], []],
+                         ids=["negative", "nan", "infinite", "empty"])
+def test_dyadic_tail_sum_refuses_bad_terms(terms):
+    with pytest.raises(InvalidModel):
+        dyadic_tail_sum(terms)
 
 
 # --- package exports ---------------------------------------------------------

@@ -283,6 +283,54 @@ def test_cpt_value_batch_skips_only_prizes_no_row_uses():
             _ref_cpt_value(model, rows[k].tolist()), rel=1e-13)
 
 
+def _skipping_cpt_value_batch(model, P):
+    """CumulativeProspect.value_batch as it was with the unmoved-prize skip."""
+    cum = np.empty((P.shape[1], len(P)))
+    moved = []
+    for k, i in enumerate(model._rank_order):
+        np.add(cum[k - 1] if k else 0.0, P[:, i], out=cum[k])
+        if (cum[k] != (cum[k - 1] if k else 0.0)).any():
+            moved.append(k)
+    G = model.weight(cum[moved])
+    total = np.zeros(len(P))
+    g_prev = 0.0
+    for g, k in zip(G, moved):
+        total += (g - g_prev) * model._prize_values[model._rank_order[k]]
+        g_prev = g
+    return total
+
+
+@st.composite
+def cpt_rows_with_unused_prizes(draw):
+    """A rank-dependent model and rows in which some prizes have zero mass in every row."""
+    n = draw(st.integers(2, 6))
+    prizes = draw(st.lists(st.integers(0, 5000), min_size=n, max_size=n, unique=True))
+    model = CumulativeProspect(draw(st.floats(0.2, 1.0)), draw(st.floats(0.28, 1.0)),
+                               tuple(map(float, prizes)))
+    unused = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    used = [i for i in range(n) if i not in unused]
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        w = [0.0] * n
+        for i in used:
+            w[i] = draw(st.floats(0.0, 1.0))
+        if sum(w) <= 0.0:
+            w[used[0]] = 1.0
+        total = sum(w)
+        rows.append([v / total for v in w])
+    return model, np.array(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cpt_rows_with_unused_prizes())
+def test_cpt_value_batch_equals_the_skipping_loop_bit_for_bit(case):
+    model, P = case
+    assert model.value_batch(P).tobytes() == _skipping_cpt_value_batch(model, P).tobytes()
+    for k in range(len(P)):  # one-row batches too
+        row = P[k:k + 1]
+        assert model.value_batch(row).tobytes() == _skipping_cpt_value_batch(model, row).tobytes()
+
+
 def test_cpt_weight_is_pinned_and_elementwise():
     model = CumulativeProspect(0.6, 0.5, (1.0, 0.0))
     p = np.array([-0.1, 0.0, 0.3, 1.0, 1.0 + 2e-16])
