@@ -317,7 +317,8 @@ class LinearPlusBounded(_RowModel):
     """Linear value plus a bounded saturating bump: prior.x + bump(1 - e^{-sum x}).
 
     The bump is bounded by `bump`, so scaling deviations are capped and the
-    homogeneous-limit series sums geometrically.
+    homogeneous-limit series sums geometrically. The certainty equivalent
+    has no closed form; ce_batch solves it by monotone Newton steps.
     """
 
     prior: tuple[float, ...]
@@ -325,8 +326,8 @@ class LinearPlusBounded(_RowModel):
 
     def __post_init__(self):
         object.__setattr__(self, "prior", _validate_prior(self.prior))
-        if not self.bump >= 0.0:
-            raise InvalidModel("bump must be nonnegative")
+        if not 0.0 <= self.bump < math.inf:
+            raise InvalidModel(f"bump must be finite and nonnegative, got {self.bump!r}")
 
     @property
     def n_states(self) -> int:
@@ -346,21 +347,37 @@ class LinearPlusBounded(_RowModel):
         return np.vecdot(X, self._prior_vector) + self.bump * (1.0 - np.exp(-total))
 
     def ce_batch(self, X: np.ndarray, tol: float) -> np.ndarray:
-        """No closed form: bisected between each row's min and max.
+        """Lockstep Newton on g(c) = value(c * ones) - value(x), rising from below.
 
-        Repeated rows are solved once (doubling ladders share most of their
-        scaled acts), and each row's bisection runs the same steps whatever
-        else is in the batch.
+        g is concave and increasing, g'(c) = s + bump d e^{-dc} with s the
+        prior's sum and d the state count, and its root lies within bump / s
+        above (value(x) - bump) / s. Started there, clipped into [min x, max x],
+        g(c0) <= 0, so the iterates rise to the root without overshooting.
+        Each step is clamped into [c, max x]; a row stops once its step is at
+        most tol / 4 or it no longer rises, and a row still moving after
+        MAX_BISECT_STEPS rounds raises NotConverged. A row's iterates depend
+        on that row alone, whatever else is in the batch.
         """
-        U, inverse = _distinct_rows(_rows(X))
-        target = self.value_batch(U)
-        d = U.shape[1]
-
-        def gap(c: np.ndarray, idx: np.ndarray) -> np.ndarray:
-            return self.value_batch(c[:, None].repeat(d, axis=1)) - target[idx]
-
-        c = bisect_monotone_batch(gap, np.min(U, axis=1), np.max(U, axis=1), tol=tol)
-        return c[inverse]
+        if not tol > 0.0:
+            raise InvalidModel(f"tol must be positive, got {tol!r}")
+        X = _rows(X)
+        d = X.shape[1]
+        s = float(np.sum(self._prior_vector))
+        target, hi = self.value_batch(X), np.max(X, axis=1)
+        c = np.clip((target - self.bump) / s, np.min(X, axis=1), hi)
+        act = np.arange(len(c))
+        for _ in range(MAX_BISECT_STEPS):
+            ca = c[act]
+            g = self.value_batch(ca[:, None].repeat(d, axis=1)) - target[act]
+            step = g / (s + self.bump * d * np.exp(-d * ca))
+            new = np.minimum(np.maximum(ca - step, ca), hi[act])
+            c[act] = new
+            act = act[new - ca > 0.25 * tol]
+            if not len(act):
+                return c
+        k = int(act[0])
+        raise NotConverged(f"row {k}: Newton iterate {c[k]!r} still rising after "
+                           f"{MAX_BISECT_STEPS} rounds", [float(c[k])])
 
 
 # ---------------------------------------------------------------------------
@@ -618,8 +635,8 @@ def ce_batch(model, X, tol: float = 1e-10) -> np.ndarray:
     X has one act per row. Constant rows return their level exactly, so
     u(c * ones) = c holds with no rounding for every model. The other rows
     go to the model's own ce_batch(X, tol) in one call: a closed form where
-    the model admits one, a bisection between each row's min and max
-    otherwise. Every row gets exactly what a one-row call would give.
+    the model admits one, monotone Newton steps for linear-plus-bounded.
+    Every row gets exactly what a one-row call would give.
     """
     X = _as_acts(model, X)
     out = X[:, 0].copy()

@@ -3,6 +3,8 @@
 import runpy
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -30,3 +32,40 @@ def test_option_count_stays_at_most_its_reached_total(capsys):
     assert {"core", "risk", "uncertainty", "timepref", "cli", "total"} <= set(modules)
     assert modules["total"] == sum(n for m, n in modules.items() if m != "total")
     assert modules["total"] <= MAX_OPTIONS
+
+
+def _kept_tree(root: Path, code: int = 0, verdict: str = "PASS", value: str = "0.5",
+               big: str = "2000.0", key: str = "eps") -> Path:
+    """A one-case tree as `golden_digests.py --keep` writes it."""
+    case = root / "extra" / "lpb"
+    case.mkdir(parents=True)
+    (case / "stdout.txt").write_text(f"{verdict} linear-theta-bound\ntheta {value}\n")
+    (case / "report.json").write_text(f'{{"{key}": {big}}}\n')
+    (root / "index.txt").write_text(f"extra/lpb {code} 0123abcd\n")
+    return root
+
+
+# Each edit to the new tree, and the problem --compare must name (None: it passes).
+COMPARE_CASES = {
+    "identical": ({}, None),
+    "moved within tolerance": ({"value": "0.5000000009"}, None),
+    "moved within relative tolerance": ({"big": "2000.0000019"}, None),
+    "moved beyond tolerance": ({"value": "0.500000002"}, "exceeds 1e-09 * max(1, |v|)"),
+    "moved beyond relative tolerance": ({"big": "2000.0000021"}, "exceeds 1e-09 * max(1, |v|)"),
+    "exit code": ({"code": 2}, "exit code 0 -> 2"),
+    "verdict line": ({"verdict": "FAIL"}, "verdicts differ"),
+    "non-numeric text": ({"key": "epsilon"}, "report.json: non-numeric text differs"),
+}
+
+
+@pytest.mark.parametrize("edit, problem", COMPARE_CASES.values(), ids=COMPARE_CASES)
+def test_golden_compare_passes_within_tolerance_and_names_every_other_change(
+        tmp_path, capsys, edit, problem):
+    main = runpy.run_path(str(SCRIPTS / "golden_digests.py"))["main"]
+    old, new = _kept_tree(tmp_path / "old"), _kept_tree(tmp_path / "new", **edit)
+    code = main(["--compare", str(old), str(new)])
+    out = capsys.readouterr().out
+    if problem is None:
+        assert code == 0 and out.endswith("0 of 1 cases differ\n")
+    else:
+        assert code == 1 and problem in out and out.endswith("1 of 1 cases differ\n")

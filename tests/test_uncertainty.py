@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import nearrep
 import numpy as np
@@ -572,10 +573,12 @@ def test_meu_value_is_min_of_priors(a, b, c, d):
 
 # --- model-owned certainty equivalents ---------------------------------------
 
-CE_TOL = 1e-10  # bisection tolerance on c for models without a closed form
-# A bisected c is within CE_TOL / 2 of the root, and no drawn model's value
-# rises faster than 4 per unit of c (LinearPlusBounded: 1 + bump * d with
-# bump <= 1, d <= 3), so value(c * ones) may miss value(x) by 2 * CE_TOL.
+CE_TOL = 1e-10  # solver tolerance on c for models without a closed form
+# LinearPlusBounded's Newton iterate rises to the root and stops once a step
+# is at most CE_TOL / 4; near the root a step covers almost all of the gap
+# left, so c is within CE_TOL / 2 of it, as a bisected c is. No drawn model's
+# value rises faster than 4 per unit of c (LinearPlusBounded: 1 + bump * d
+# with bump <= 1, d <= 3), so value(c * ones) may miss value(x) by 2 * CE_TOL.
 CE_VALUE_TOL = 10.0 * CE_TOL
 EPS = np.finfo(float).eps
 
@@ -720,6 +723,50 @@ def test_ce_batch_rows_match_one_row_calls_and_the_per_act_reference(case):
             delta = 4.0 * EPS * model.value(x) ** 2
             allowed += delta / (2.0 * max(float(c), want, 0.5 * math.sqrt(delta)))
         assert abs(c - want) <= allowed, (x, c, want)
+
+
+@pytest.mark.parametrize("bump", [math.inf, math.nan, -1.0])
+def test_linear_plus_bounded_refuses_a_bump_that_is_not_finite_and_nonnegative(bump):
+    with pytest.raises(InvalidModel, match="bump must be finite and nonnegative"):
+        LinearPlusBounded((0.3, 0.7), bump)
+
+
+LPB_MAX_ROUNDS = 25  # value_batch calls per ce_batch call: the target and the Newton rounds
+
+
+@st.composite
+def _lpb_and_scaled_acts(draw):
+    """LinearPlusBounded on 2-5 states with bump in [0, 1e6], and acts scaled by 2^k,
+    k in [-20, 40], the range the doubling limits reach."""
+    d = draw(st.integers(2, 5))
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=d, max_size=d))
+    total = math.fsum(raw)
+    model = LinearPlusBounded(tuple(v / total for v in raw), draw(st.floats(0.0, 1e6)))
+    rows = [math.ldexp(1.0, draw(st.integers(-20, 40)))
+            * np.array(draw(st.lists(st.floats(0.0, 10.0), min_size=d, max_size=d)))
+            for _ in range(draw(st.integers(1, 4)))]
+    return model, np.array(rows)
+
+
+def _ce_and_value_batch_calls(model, X) -> tuple[np.ndarray, int]:
+    with mock.patch.object(LinearPlusBounded, "value_batch", autospec=True,
+                           side_effect=LinearPlusBounded.value_batch) as spy:
+        c = ce_batch(model, X, tol=CE_TOL)
+    return c, spy.call_count
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lpb_and_scaled_acts())
+def test_linear_plus_bounded_newton_matches_bisection_in_few_rounds(case):
+    model, X = case
+    got, calls = _ce_and_value_batch_calls(model, X)
+    assert calls <= LPB_MAX_ROUNDS
+    for x, c in zip(X, got):
+        one, calls = _ce_and_value_batch_calls(model, x[None, :])
+        assert one[0] == c
+        assert calls <= LPB_MAX_ROUNDS
+        want = _per_act_ce(model, x)
+        assert abs(c - want) <= CE_TOL * max(1.0, abs(want)), (x, c, want)
 
 
 class _Patchy:
