@@ -7,7 +7,7 @@ do not count. Prints one line per module and the total:
 
     cli 2
     ...
-    total 46
+    total 36
 
 Usage: python scripts/option_count.py
 """

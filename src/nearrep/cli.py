@@ -23,13 +23,13 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
-from .core import (MAX_GRID_POINTS, BoundViolated, HypothesisFailed, InvalidModel, NearRepError,
-                   NoBracket, NoSuchTau, NotAdditive, NotConverged, ScenarioError, discount,
-                   grid_size)
+from .core import (BISECT_TOL, BOUND_SLACK, MAX_GRID_POINTS, VERIFY_TOL, BoundViolated,
+                   HypothesisFailed, InvalidModel, NearRepError, NoBracket, NoSuchTau, NotAdditive,
+                   NotConverged, ScenarioError, discount, grid_size)
 from .tables import write_csv, write_report_json
 
 __all__ = ["main", "run_scenario", "BUILTINS"]
@@ -69,7 +69,7 @@ class RunResult:
 
 class _Key(NamedTuple):
     kind: str                 # a _KINDS name
-    default: object = ...     # ... marks a key the scenario must give
+    default: object = ...     # ...: the class field's default, if any (see _parse)
     floor: int | None = None  # least value; for a list, of every entry
 
 
@@ -114,26 +114,31 @@ _KINDS = {
 }
 
 
-def _parse(obj, path: str, spec: dict[str, _Key]) -> dict:
+def _parse(obj, path: str, spec: dict[str, _Key], cls) -> dict:
     """Typed values of every key in spec, defaults filled in.
 
-    Checks in this order: obj is an object; no unknown key (in the file's
-    order); no missing required key (in declared order); then each given
-    key's kind, finiteness (number kinds: NaN, infinities and integers beyond
-    the float range are refused) and floor (in declared order).
+    A key with no default in spec takes the default of the same-named field
+    of the dataclass cls (None: no class), so that field is the one home of
+    the default; a key with neither is required. Checks in this order: obj
+    is an object; no unknown key (in the file's order); no missing required
+    key (in declared order); then each given key's kind, finiteness (number
+    kinds: NaN, infinities and integers beyond the float range are refused)
+    and floor (in declared order).
     """
     if not isinstance(obj, dict):
         raise ScenarioError(f"{path}: expected an object")
+    defaults = {f.name: f.default for f in fields(cls) if f.default is not MISSING} if cls else {}
+    defaults.update({key: want.default for key, want in spec.items() if want.default is not ...})
     for key in obj:
         if key not in spec:
             raise ScenarioError(f"{path}: unknown key '{key}'")
-    for key, want in spec.items():
-        if want.default is ... and key not in obj:
+    for key in spec:
+        if key not in obj and key not in defaults:
             raise ScenarioError(f"{path}: missing required key '{key}'")
     out = {}
     for key, want in spec.items():
         if key not in obj:
-            out[key] = want.default
+            out[key] = defaults[key]
             continue
         v = obj[key]
         accepts, scalar, expected = _KINDS[want.kind]
@@ -153,19 +158,19 @@ def _parse(obj, path: str, spec: dict[str, _Key]) -> dict:
 _SCENARIO = {"version": _Key("any"), "name": _Key("any"), "domain": _Key("any"),
              "model": _Key("any"), "sampler": _Key("any", {}), "tolerances": _Key("any", {})}
 
-_TOLERANCES = {"bisect": _Key("number", 1e-10), "slack": _Key("number", 1e-7),
-               "verify": _Key("number", 1e-6), "time": _Key("number", 1e-6)}
+_TOLERANCES = {"bisect": _Key("number", BISECT_TOL), "slack": _Key("number", BOUND_SLACK),
+               "verify": _Key("number", VERIFY_TOL), "time": _Key("number", VERIFY_TOL)}
 
-# domain -> (what its models are called, their module, {type: (class name, keys in
-# constructor order)}); the module loads only when a scenario names the domain
+# domain -> (what its models are called, their module, its sampler class or None, {type:
+# (class name, keys in constructor order)}); a module loads once a scenario names its domain
 _MODELS = {
-    "risk": ("risk model", "risk", {
+    "risk": ("risk model", "risk", "SimplexSampler", {
         "expected_utility": ("ExpectedUtility", {"utilities": _Key("numbers")}),
         "cpt": ("CumulativeProspect", {"value_exponent": _Key("number"),
                                        "weight_exponent": _Key("number"),
                                        "prizes": _Key("numbers")}),
     }),
-    "uncertainty": ("uncertainty model", "uncertainty", {
+    "uncertainty": ("uncertainty model", "uncertainty", "BoxSampler", {
         "seu": ("SubjectiveExpected", {"prior": _Key("numbers")}),
         "meu": ("MaxminExpected", {"priors": _Key("vectors")}),
         "smooth": ("SmoothAmbiguity", {"f": _Key("string"), "priors": _Key("vectors"),
@@ -174,25 +179,26 @@ _MODELS = {
         "linear_plus_bounded": ("LinearPlusBounded", {"prior": _Key("numbers"),
                                                       "bump": _Key("number")}),
     }),
-    "time-discrete": ("discount model", "timepref", {
+    "time-discrete": ("discount model", "timepref", None, {
         "exponential": ("Exponential", {"gamma": _Key("number")}),
         "quasi_hyperbolic": ("QuasiHyperbolic", {"beta": _Key("number"),
                                                  "delta": _Key("number")}),
         "hyperbolic": ("Hyperbolic", {"k": _Key("number")}),
         "tabulated": ("TabulatedDiscount", {"values": _Key("numbers")}),
     }),
-    "time-continuous": ("reward-timing model", "timepref", {
-        "linear_delay": ("LinearDelay", {"x_bar": _Key("number"), "rate": _Key("number", 1.0)}),
+    "time-continuous": ("reward-timing model", "timepref", None, {
+        "linear_delay": ("LinearDelay", {"x_bar": _Key("number"), "rate": _Key("number")}),
         "log_delay": ("LogDelay", {"x_bar": _Key("number"), "k": _Key("number")}),
     }),
 }
 
+# a risk or uncertainty key with no default here takes its sampler class field's
 _SAMPLERS = {
-    "risk": {"resolution": _Key("integer", 11, 2), "seed": _Key("integer", 0),
-             "n_random_triples": _Key("integer", 100, 0), "n_pairs": _Key("integer", 20, 1),
-             "n_alphas": _Key("integer", 5, 1)},
-    "uncertainty": {"bound": _Key("number", 10.0), "resolution": _Key("integer", 11, 2),
-                    "seed": _Key("integer", 0), "n_random_pairs": _Key("integer", 100, 0),
+    "risk": {"resolution": _Key("integer", floor=2), "seed": _Key("integer"),
+             "n_random_triples": _Key("integer", floor=0), "n_pairs": _Key("integer", floor=1),
+             "n_alphas": _Key("integer", floor=1)},
+    "uncertainty": {"bound": _Key("number"), "resolution": _Key("integer", floor=2),
+                    "seed": _Key("integer"), "n_random_pairs": _Key("integer", floor=0),
                     "quasiconcave": _Key("bool", False),
                     "qc_resolution": _Key("integer", 21, 2),
                     "level_resolution": _Key("integer", 64, 2), "homog": _Key("bool", True)},
@@ -206,16 +212,15 @@ _SAMPLERS = {
 }
 
 
-def _parse_model(cfg, domain: str):
-    noun, module, types = _MODELS[domain]
+def _parse_model(cfg, noun: str, module, types: dict):
     if not isinstance(cfg, dict) or "type" not in cfg:
         raise ScenarioError("model: expected an object with a 'type' key")
     kind = cfg["type"]
     if not isinstance(kind, str) or kind not in types:
         raise ScenarioError(f"model.type: unknown {noun} {kind!r}")
     cls_name, keys = types[kind]
-    values = _parse(cfg, "model", {"type": _Key("any"), **keys})
-    cls = getattr(importlib.import_module(f".{module}", __package__), cls_name)
+    cls = getattr(module, cls_name)
+    values = _parse(cfg, "model", {"type": _Key("any"), **keys}, cls)
     try:
         return cls(*(values[key] for key in keys))
     except InvalidModel as exc:
@@ -555,7 +560,7 @@ def run_scenario(scenario: dict) -> RunResult:
     Tolerances, the model and the sampler are parsed in that order, before
     any work; the pipeline checks its work caps before it starts.
     """
-    top = _parse(scenario, "scenario", _SCENARIO)
+    top = _parse(scenario, "scenario", _SCENARIO, None)
     if not _is_integer(top["version"]) or top["version"] != 1:
         raise ScenarioError(f"version: unsupported value {top['version']!r} (expected 1)")
     name = top["name"]
@@ -567,12 +572,15 @@ def run_scenario(scenario: dict) -> RunResult:
     if not isinstance(domain, str) or domain not in _DOMAINS:
         raise ScenarioError(
             f"domain: unknown value {domain!r} (expected one of {sorted(_DOMAINS)})")
-    tols = _parse(top["tolerances"], "tolerances", _TOLERANCES)
+    tols = _parse(top["tolerances"], "tolerances", _TOLERANCES, None)
     for key, value in tols.items():
         if not value > 0.0:
             raise ScenarioError(f"tolerances.{key}: must be positive")
-    model = _parse_model(top["model"], domain)
-    sampler = _parse(top["sampler"], "sampler", _SAMPLERS[domain])
+    noun, module_name, sampler_name, types = _MODELS[domain]
+    module = importlib.import_module(f".{module_name}", __package__)
+    model = _parse_model(top["model"], noun, module, types)
+    sampler = _parse(top["sampler"], "sampler", _SAMPLERS[domain],
+                     sampler_name and getattr(module, sampler_name))
     return _DOMAINS[domain](name, model, sampler, tols)
 
 

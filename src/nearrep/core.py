@@ -53,7 +53,11 @@ MAX_GRID_POINTS = 100_000
 TAIL_WINDOW = 4  # dyadic_tail_sum judges decay on this many trailing term ratios
 RATIO_TOL = 0.75  # largest trailing term ratio dyadic_tail_sum still calls decaying
 MAX_BISECT_STEPS = 200  # halvings of every bisection; rounds of the linear-plus-bounded Newton
-BISECT_TOL = 1e-10  # argument tolerance of the bisections that take no tol
+# The one home of the scenario tolerances' defaults (cli._TOLERANCES `bisect`,
+# `slack`, `verify` and `time`) and of the library parameters they are passed to.
+BISECT_TOL = 1e-10  # argument tolerance of every bisection and certainty-equivalent solve
+BOUND_SLACK = 1e-7  # slack added to the risk verifiers' bounds
+VERIFY_TOL = 1e-6  # tolerance added to the act and time verifiers' bounds
 STRICTNESS_MARGIN = 1e-12  # bounds are strict inequalities; meters report sup + this
 
 
@@ -237,7 +241,7 @@ def discount(model, t: int) -> float:
 # numerical primitives
 
 def bisect_monotone(f: Callable[[float], float], lo: float, hi: float,
-                    tol: float = 1e-10) -> float:
+                    tol: float = BISECT_TOL) -> float:
     """Root of a monotone f on [lo, hi] to absolute argument tolerance tol.
 
     Exact zeros at the endpoints or a midpoint return immediately, so
@@ -297,12 +301,11 @@ def grid_size(space: str, dim: int, resolution: int) -> int:
     return resolution ** dim
 
 
-def dyadic_tail_sum(terms: Sequence[float], ratio_tol: float = RATIO_TOL,
-                    floor: float = 1e-15) -> tuple[float, bool]:
+def dyadic_tail_sum(terms: Sequence[float], floor: float = 1e-15) -> tuple[float, bool]:
     """Sum of a nonempty list of nonnegative terms with a geometric-decay verdict.
 
     Sums the terms with fsum and classifies the series convergent when each
-    of the last TAIL_WINDOW consecutive ratios is at most ratio_tol (terms at
+    of the last TAIL_WINDOW consecutive ratios is at most RATIO_TOL (terms at
     or below `floor` count as converged; a term rising back above the floor
     after one below it does not).
     """
@@ -318,7 +321,7 @@ def dyadic_tail_sum(terms: Sequence[float], ratio_tol: float = RATIO_TOL,
     for a, b in zip(tail, tail[1:]):
         if b <= floor:
             continue
-        if a <= floor or b > ratio_tol * a:
+        if a <= floor or b > RATIO_TOL * a:
             converged = False
             break
     return total, converged

@@ -21,8 +21,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (BISECT_TOL, STRICTNESS_MARGIN, BoundViolated, HypothesisFailed, InvalidModel,
-                   Lottery, NearRepresentation, ViolationReport, bisect_monotone)
+from .core import (BISECT_TOL, BOUND_SLACK, STRICTNESS_MARGIN, BoundViolated, HypothesisFailed,
+                   InvalidModel, Lottery, NearRepresentation, ViolationReport, bisect_monotone)
 from .uncertainty import (_distinct_rows, _grid_utility, _RowModel, _rows, bisect_monotone_batch,
                           grid_sample)
 
@@ -288,13 +288,13 @@ class SimplexSampler:
     resolution is the lattice denominator (probabilities are multiples of
     1/resolution). n_random_triples controls extra off-lattice mixture
     probes in the reduction meter; n_pairs and n_alphas size the
-    independence meter.
+    independence meter. These defaults are a scenario's too.
     """
 
-    resolution: int = 21
+    resolution: int = 11
     seed: int = 0
-    n_random_triples: int = 200
-    n_pairs: int = 40
+    n_random_triples: int = 100
+    n_pairs: int = 20
     n_alphas: int = 5
     _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -308,7 +308,7 @@ class SimplexSampler:
         return G
 
 
-def mixture_utility_batch(model, P, tol: float = 1e-10) -> np.ndarray:
+def mixture_utility_batch(model, P, tol: float = BISECT_TOL) -> np.ndarray:
     """Calibrated utility of each row p of P: the alpha solving model(seg(alpha)) = model(p).
 
     seg(alpha) puts alpha on the best prize and 1 - alpha on the worst.
@@ -443,7 +443,7 @@ def _worst_mixture_defect(model, G: np.ndarray, u: np.ndarray, sampler: SimplexS
                               "lam": float(lam[b]), "mixture": _probs(rows[whole[b]])}, len(lam)
 
 
-def measure_eps_rcl(model, u, sampler: SimplexSampler, tol: float = 1e-10) -> ViolationReport:
+def measure_eps_rcl(model, u, sampler: SimplexSampler, tol: float = BISECT_TOL) -> ViolationReport:
     """Worst sampled reduction-of-compound-lotteries defect, plus 1e-12.
 
     u is the calibrated utility of the sampler's grid lotteries, as
@@ -475,7 +475,7 @@ def _first_max(gap: np.ndarray) -> tuple[float, int | None]:
 
 
 def verify_thm1(u, benchmark: AffineBenchmark, eps_hat: float, sampler: SimplexSampler,
-                slack: float = 1e-7) -> NearRepresentation:
+                slack: float = BOUND_SLACK) -> NearRepresentation:
     """Check |u(p) - l(p)| <= (support(p) - 1) * eps_hat + slack on the grid.
 
     u is the calibrated utility of the sampler's grid lotteries, as
@@ -654,7 +654,7 @@ def _nearest_roots(f, centers, step: float, tol: float, zero_tol: float = 0.0) -
 
 
 def measure_eps_independence(model, sampler: SimplexSampler,
-                             tol: float = 1e-10) -> ViolationReport:
+                             tol: float = BISECT_TOL) -> ViolationReport:
     """Worst sampled independence defect in mixture-weight units.
 
     For seeded indifferent pairs p ~ q (q found on a segment between
@@ -738,7 +738,7 @@ def measure_eps_independence(model, sampler: SimplexSampler,
 
 
 def verify_thm2(u, benchmark: AffineBenchmark, eps_hat: float, sampler: SimplexSampler,
-                slack: float = 1e-7) -> NearRepresentation:
+                slack: float = BOUND_SLACK) -> NearRepresentation:
     """Check sup |u - l| <= (d + 1)^2 * eps_hat + slack on the grid.
 
     u is the calibrated utility of the sampler's grid lotteries, as
@@ -879,7 +879,7 @@ class Figure1Data:
         return ["p", "weight", "gap"], np.column_stack([self.probs, self.weights, self.gaps])
 
 
-def figure1_data(resolution: int = 1001) -> Figure1Data:
+def figure1_data(resolution: int) -> Figure1Data:
     """Tabulate w(p) - p for the fitted weighting curve and locate max |w(p) - p| to 1e-12.
 
     The maximum is found on a fixed 1e-5 grid and refined by golden-section

@@ -13,11 +13,12 @@ models are defined here too; nothing in this module needs numpy.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import (RATIO_TOL, SUM_TOL, BoundViolated, HypothesisFailed, InvalidModel,
+from .core import (RATIO_TOL, SUM_TOL, VERIFY_TOL, BoundViolated, HypothesisFailed, InvalidModel,
                    NearRepresentation, NoBracket, NoSuchTau, NotConverged, ViolationReport,
                    bisect_monotone, discount, dyadic_tail_sum)
 
@@ -170,7 +171,7 @@ def _horizon_cap(model, t: int, n_max: int) -> int:
     return max(cap, -1)
 
 
-def theta_series(model, t: int, n_max: int = 40) -> ViolationReport:
+def theta_series(model, t: int, n_max: int) -> ViolationReport:
     """Dyadic defect series sum_i 2^{-(i+1)} psi(2^i t, 2^i t) at anchor t.
 
     details carry the raw terms, partial sums, the convergence verdict, and
@@ -179,18 +180,9 @@ def theta_series(model, t: int, n_max: int = 40) -> ViolationReport:
     """
     t = _check_t(t)
     cap = _horizon_cap(model, t, n_max)
-    terms = []
-    for i in range(cap + 1):
-        terms.append((2.0 ** -(i + 1)) * psi(model, (2 ** i) * t, (2 ** i) * t))
-    if terms:
-        total, converged = dyadic_tail_sum(terms)
-    else:
-        total, converged = 0.0, True
-    partials = []
-    acc = 0.0
-    for v in terms:
-        acc += v
-        partials.append(acc)
+    terms = [(2.0 ** -(i + 1)) * psi(model, (2 ** i) * t, (2 ** i) * t) for i in range(cap + 1)]
+    total, converged = dyadic_tail_sum(terms) if terms else (0.0, True)
+    partials = list(itertools.accumulate(terms))
     return ViolationReport(
         axiom="stationarity-dyadic-series",
         value=total,
@@ -202,8 +194,7 @@ def theta_series(model, t: int, n_max: int = 40) -> ViolationReport:
     )
 
 
-def theta_over_sample(model, t_sample: Sequence[int] = (1, 2, 3, 5, 8),
-                      n_max: int = 40) -> tuple[ViolationReport, bool]:
+def theta_over_sample(model, t_sample: Sequence[int], n_max: int) -> tuple[ViolationReport, bool]:
     """Max of theta_series over the anchors, with the combined decay verdict."""
     return _worst_series(t_sample, [theta_series(model, t, n_max) for t in t_sample], n_max)
 
@@ -211,16 +202,11 @@ def theta_over_sample(model, t_sample: Sequence[int] = (1, 2, 3, 5, 8),
 def _worst_series(t_sample: Sequence[int], series: Sequence[ViolationReport],
                   n_max: int) -> tuple[ViolationReport, bool]:
     """theta_over_sample's report from the theta_series of each anchor of t_sample."""
-    best = None
-    all_converged = True
-    count = 0
-    for rep in series:
-        count += rep.samples_evaluated
-        all_converged = all_converged and rep.details["converged"]
-        if best is None or rep.value > best.value:
-            best = rep
-    if best is None:
+    if not series:
         raise InvalidModel("empty t_sample")
+    best = max(series, key=lambda rep: rep.value)  # the first of equal values
+    all_converged = all(rep.details["converged"] for rep in series)
+    count = sum(rep.samples_evaluated for rep in series)
     report = ViolationReport(
         axiom="stationarity-dyadic-series",
         value=best.value,
@@ -245,7 +231,7 @@ class GammaFit:
     iterates: tuple[float, ...]
 
 
-def fit_gamma(model, n_max: int = 40, tol: float = 1e-9) -> GammaFit:
+def fit_gamma(model, n_max: int, tol: float = 1e-9) -> GammaFit:
     """Fit the exponential rate from log d(2^n) / 2^n.
 
     Stops on the scaled Cauchy criterion |a_n - a_{n-1}| <= tol 2^{-n}; when
@@ -297,7 +283,7 @@ def fit_gamma(model, n_max: int = 40, tol: float = 1e-9) -> GammaFit:
 
 
 def verify_exp_bound(model, gamma: float, theta_hat: float,
-                     t_range: Sequence[int], tol: float = 1e-9) -> NearRepresentation:
+                     t_range: Sequence[int], tol: float = VERIFY_TOL) -> NearRepresentation:
     """Check |log d(t) - t log gamma| <= Theta-hat + tol over t_range.
 
     The defect is measured in log space, matching the series that produced
@@ -330,7 +316,7 @@ def verify_exp_bound(model, gamma: float, theta_hat: float,
     )
 
 
-def measure_W_axiom(model, t_max: int = 16) -> ViolationReport:
+def measure_W_axiom(model, t_max: int) -> ViolationReport:
     """Worst multiplicative defect |f(s+t) - f(s) f(t)| of f = 1/d.
 
     Probes all pairs 1 <= s <= t with s + t <= t_max (and within the
@@ -413,7 +399,7 @@ class LinearDelay:
     """u(x, t) = x - rate * t; stationary benchmark with exact time shifts."""
 
     x_bar: float
-    rate: float = 1.0
+    rate: float = 1.0  # a scenario's default too
 
     def __post_init__(self):
         if not self.rate > 0.0:
@@ -576,7 +562,7 @@ def measure_lambda_lipschitz(model, xs: Sequence[float], ts: Sequence[float],
 
 
 def verify_exp3_bound(model, curve: GammaCurve, eps_hat: float, lambda_hat: float,
-                      ts: Sequence[float], tol: float = 1e-6) -> NearRepresentation:
+                      ts: Sequence[float], tol: float = VERIFY_TOL) -> NearRepresentation:
     """Check sup |u(x, t) - g(t + gamma(x))| <= lambda-hat eps-hat + tol.
 
     g is the model's own present-value curve g(t) = u(x_bar, t), so the

@@ -24,9 +24,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (BISECT_TOL, MAX_BISECT_STEPS, MAX_GRID_POINTS, RATIO_TOL, STRICTNESS_MARGIN,
-                   SUM_TOL, BoundViolated, HypothesisFailed, InvalidModel, NearRepresentation,
-                   NoBracket, NotAdditive, NotConverged, ViolationReport, dyadic_tail_sum,
-                   grid_size)
+                   SUM_TOL, VERIFY_TOL, BoundViolated, HypothesisFailed, InvalidModel,
+                   NearRepresentation, NoBracket, NotAdditive, NotConverged, ViolationReport,
+                   dyadic_tail_sum, grid_size)
 
 __all__ = [
     "SubjectiveExpected",
@@ -210,9 +210,11 @@ def _ce_z_minus_exp(Z: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return c
 
 
-_SMOOTH_FS: dict[str, tuple[Callable, Callable]] = {
-    "sqrt1pz2": (_f_sqrt1pz2, _ce_sqrt1pz2),
-    "z_minus_exp": (_f_z_minus_exp, _ce_z_minus_exp),
+# transform name -> (f, its certainty-equivalent inverse, the closed-form defect
+# h(z) = |f(z) - z| that smooth_ambiguity_bound checks)
+_SMOOTH_FS: dict[str, tuple[Callable, Callable, Callable]] = {
+    "sqrt1pz2": (_f_sqrt1pz2, _ce_sqrt1pz2, lambda z: _f_sqrt1pz2(z) - z),
+    "z_minus_exp": (_f_z_minus_exp, _ce_z_minus_exp, lambda z: np.exp(-z)),
 }
 
 
@@ -263,10 +265,6 @@ class SmoothAmbiguity(_RowModel):
     def value_batch(self, X) -> np.ndarray:
         """The integral functional sum_k weights[k] * f(priors[k] . x), per row."""
         return np.vecdot(self.f(np.matvec(self._prior_matrix, _rows(X))), self._weight_vector)
-
-    def raw_value(self, x) -> float:
-        """The integral functional at one act (the model value)."""
-        return self.value(x)
 
     def ce_batch(self, X: np.ndarray, tol: float) -> np.ndarray:
         return _SMOOTH_FS[self.f_name][1](np.matvec(self._prior_matrix, _rows(X)),
@@ -384,7 +382,7 @@ class LinearPlusBounded(_RowModel):
 # array primitives, shared with the risk domain
 
 def bisect_monotone_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi,
-                          tol: float = 1e-10) -> np.ndarray:
+                          tol: float = BISECT_TOL) -> np.ndarray:
     """bisect_monotone for many brackets at once, all stepped in lockstep.
 
     f(c, idx) returns, for each k, the idx[k]-th monotone function at c[k];
@@ -509,16 +507,23 @@ def grid_sample(space: str, dim: int, resolution: int, bound: float = 1.0) -> np
 
 @dataclass(frozen=True)
 class BoxSampler:
-    """Deterministic act sample on [0, bound]^d plus seeded random pairs."""
+    """Deterministic act sample on [0, bound]^d plus seeded pairs; defaults as in a scenario."""
 
     n_states: int
     bound: float = 10.0
     resolution: int = 11
     seed: int = 0
-    n_random_pairs: int = 150
+    n_random_pairs: int = 100
+
+    @cached_property
+    def _points(self) -> np.ndarray:
+        X = grid_sample("box", self.n_states, self.resolution, bound=self.bound)
+        X.flags.writeable = False
+        return X
 
     def points(self) -> np.ndarray:
-        return grid_sample("box", self.n_states, self.resolution, bound=self.bound)
+        """The grid acts as read-only rows, built once per sampler."""
+        return self._points
 
 
 _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
@@ -629,7 +634,7 @@ def _as_act(model, x) -> np.ndarray:
     return _as_acts(model, x[None, :])[0]
 
 
-def ce_batch(model, X, tol: float = 1e-10) -> np.ndarray:
+def ce_batch(model, X, tol: float = BISECT_TOL) -> np.ndarray:
     """Certainty equivalents of the rows of X: each c with model(c * ones) = model(x).
 
     X has one act per row. Constant rows return their level exactly, so
@@ -646,7 +651,7 @@ def ce_batch(model, X, tol: float = 1e-10) -> np.ndarray:
     return out
 
 
-def ce_utility(model, x, tol: float = 1e-10) -> float:
+def ce_utility(model, x, tol: float = BISECT_TOL) -> float:
     """Certainty equivalent of one act: the one-row case of ce_batch."""
     return float(ce_batch(model, _as_act(model, x)[None, :], tol)[0])
 
@@ -701,7 +706,7 @@ def dyadic_phi_series(model, x, y, n_max: int = MAX_DOUBLINGS) -> tuple[list[flo
 
 
 def theta_estimate(model, sampler: BoxSampler,
-                   tol: float = 1e-10) -> tuple[ViolationReport, bool]:
+                   tol: float = BISECT_TOL) -> tuple[ViolationReport, bool]:
     """Worst dyadic defect series over anchored and random act pairs.
 
     The pair set always contains (x, 0) and (2x, 0) for every sampled x: the
@@ -875,7 +880,7 @@ def extract_prior(model) -> LinearBenchmark:
 
 
 def verify_aa_bound(u, benchmark: LinearBenchmark, theta_hat: float, pts: np.ndarray,
-                    converged: bool = True, tol: float = 1e-6) -> NearRepresentation:
+                    converged: bool = True, tol: float = VERIFY_TOL) -> NearRepresentation:
     """Check sup |u(x) - prior . x| <= Theta-hat + tol over the acts pts.
 
     u is the certainty equivalent of each act, as ce_batch returns it.
@@ -918,17 +923,12 @@ def smooth_ambiguity_bound(model: SmoothAmbiguity,
     if not isinstance(model, SmoothAmbiguity):
         raise InvalidModel("smooth_ambiguity_bound needs a SmoothAmbiguity model")
     pts = sampler.points()
-    P = np.asarray(model.priors, dtype=float)
-    w = np.asarray(model.weights, dtype=float)
-    Z = pts @ P.T
+    w = model._weight_vector
+    Z = pts @ model._prior_matrix.T
     raw = model.f(Z) @ w
-    mean_prior = np.asarray(model.mean_prior)
-    linear = pts @ mean_prior
+    linear = pts @ np.asarray(model.mean_prior)
     defects = np.abs(raw - linear)
-    if model.f_name == "sqrt1pz2":
-        formula = (np.sqrt(1.0 + np.square(Z)) - Z) @ w
-    else:
-        formula = np.exp(-Z) @ w
+    formula = _SMOOTH_FS[model.f_name][2](Z) @ w
     identity_gap = float(np.max(np.abs(defects - formula)))
     i_max = int(np.argmax(defects))
     sup = float(defects[i_max])
@@ -959,7 +959,7 @@ def smooth_ambiguity_bound(model: SmoothAmbiguity,
 # ---------------------------------------------------------------------------
 # homogeneous benchmark
 
-def homog_limit(model, x, eta: float = 2.0, tol: float = 1e-9) -> ScaledLimit:
+def homog_limit(model, x, eta: float = HOMOG_ETA, tol: float = LIMIT_TOL) -> ScaledLimit:
     """Scaling limit v(x) = lim eta^{-n} u(eta^n x) with its defect series.
 
     The increment at step n equals eta^{-n} times the scaling deviation of
@@ -973,8 +973,8 @@ def homog_limit(model, x, eta: float = 2.0, tol: float = 1e-9) -> ScaledLimit:
     return _scaled_limit(model, x, eta, tol, MAX_SCALINGS, "scaling")
 
 
-def verify_homog_bound(model, u, sampler: BoxSampler, tol: float = 1e-6,
-                       bisect_tol: float = 1e-10) -> NearRepresentation:
+def verify_homog_bound(model, u, sampler: BoxSampler, tol: float = VERIFY_TOL,
+                       bisect_tol: float = BISECT_TOL) -> NearRepresentation:
     """Check |u(x) - v(x)| <= 2 Theta-hat and degree-one homogeneity of v.
 
     u is the certainty equivalent of each act of sampler.points(), as
@@ -1034,7 +1034,7 @@ def verify_homog_bound(model, u, sampler: BoxSampler, tol: float = 1e-6,
 
 def measure_eps_ua(model, u, sampler: BoxSampler,
                    extra_probes: Sequence[tuple[np.ndarray, np.ndarray]] = (),
-                   tol: float = 1e-10) -> ViolationReport:
+                   tol: float = BISECT_TOL) -> ViolationReport:
     """Worst sampled uncertainty-aversion defect, plus 1e-12.
 
     The defect of a pair (x, y) at weight lam is
@@ -1285,8 +1285,8 @@ class QuasiConcaveBenchmark:
         return float(self.evaluate_batch(x)[0])
 
 
-def quasiconcavify(model, box_bound: float = 10.0, resolution: int = 21,
-                   level_resolution: int = 64, bisect_tol: float = 1e-10) -> QuasiConcaveBenchmark:
+def quasiconcavify(model, box_bound: float, resolution: int, level_resolution: int,
+                   bisect_tol: float = BISECT_TOL) -> QuasiConcaveBenchmark:
     """Quasi-concave envelope from convex hulls of sampled upper level sets.
 
     Supported for up to 3 states (hull cost). For each level c on an even

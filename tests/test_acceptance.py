@@ -160,7 +160,7 @@ def test_criterion_06_meu_divergence_and_homothetic_exactness():
 def test_criterion_07_quasiconcave_envelope_two_states():
     with criterion(7, 10.0):
         model = SmoothAmbiguity("sqrt1pz2", ((0.3, 0.7), (0.8, 0.2)), (0.5, 0.5))
-        env = quasiconcavify(model, box_bound=10.0, resolution=41)
+        env = quasiconcavify(model, box_bound=10.0, resolution=41, level_resolution=64)
         assert np.all(env.v_values >= env.u_values)
         sampler = BoxSampler(2, bound=10.0, resolution=21, n_random_pairs=100)
         ua = measure_eps_ua(model, ce_batch(model, sampler.points()), sampler,
@@ -172,10 +172,10 @@ def test_criterion_07_quasiconcave_envelope_two_states():
 def test_criterion_08_quasi_hyperbolic_tight():
     with criterion(8, 1.0):
         model = QuasiHyperbolic(0.9, 0.95)
-        theta_rep, converged = theta_over_sample(model, (1, 2, 3, 5, 8))
+        theta_rep, converged = theta_over_sample(model, (1, 2, 3, 5, 8), n_max=40)
         assert converged
         assert abs(theta_rep.value - abs(math.log(0.9))) <= 1e-9
-        fit = fit_gamma(model)
+        fit = fit_gamma(model, n_max=40)
         assert abs(fit.gamma - 0.95) <= 1e-6
         rep = verify_exp_bound(model, fit.gamma, theta_rep.value,
                                t_range=range(0, 201), tol=1e-9)
@@ -237,12 +237,12 @@ def test_criterion_11_exact_models_report_zero():
             assert abs(ce_utility(seu, x) - prior.evaluate(x)) <= 1e-7
         # discount meters on an exponential curve
         exp = Exponential(0.9)
-        theta_t, conv_t = theta_over_sample(exp, (1, 2, 3, 5, 8))
+        theta_t, conv_t = theta_over_sample(exp, (1, 2, 3, 5, 8), n_max=40)
         assert conv_t and theta_t.value <= 1e-7
-        fit = fit_gamma(exp)
+        fit = fit_gamma(exp, n_max=40)
         assert abs(fit.gamma - 0.9) <= 1e-7
         assert verify_exp_bound(exp, fit.gamma, theta_t.value,
-                                t_range=range(0, 50)).achieved_distance <= 1e-7
+                                t_range=range(0, 50), tol=1e-9).achieved_distance <= 1e-7
         # continuous-time meters on the exactly stationary model
         lin = LinearDelay(2.0)
         xs = np.linspace(0.0, 2.0, 9)

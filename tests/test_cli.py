@@ -1,5 +1,7 @@
 """End-to-end command line behavior: exit codes, outputs, determinism."""
 
+import importlib
+import inspect
 import json
 
 import pytest
@@ -671,6 +673,79 @@ def _kind_of(default) -> str:
 SAMPLER_KEYS = [(domain, key, _kind_of(default))
                 for domain, defaults in SAMPLER_DEFAULTS.items()
                 for key, default in defaults.items()]
+
+
+class _Built(Exception):
+    """Stops a pipeline once the object under test is built."""
+
+
+def test_an_empty_section_builds_the_bare_dataclass(monkeypatch):
+    # a sampler (or a linear_delay rate) a scenario leaves out takes the dataclass
+    # field's default, so a library call and a scenario measure the same sample
+    import nearrep.cli as cli
+    from nearrep import risk, timepref, uncertainty
+
+    built = []
+
+    def stop(obj):
+        built.append(obj)
+        raise _Built
+
+    monkeypatch.setattr(risk.SimplexSampler, "grid", lambda self, n_outcomes: stop(self))
+    monkeypatch.setattr(uncertainty, "theta_estimate", lambda model, sampler, tol: stop(sampler))
+    monkeypatch.setattr(timepref, "continuous_gamma_curve", lambda model, xs: stop(model))
+    for domain, model in (("risk", {"type": "expected_utility", "utilities": [0, 0.5, 1]}),
+                          ("uncertainty", {"type": "seu", "prior": [0.3, 0.7]}),
+                          ("time-continuous", {"type": "linear_delay", "x_bar": 3})):
+        with pytest.raises(_Built):
+            cli.run_scenario({"version": 1, "name": "d", "domain": domain, "model": model,
+                              "sampler": {}})
+    assert built == [risk.SimplexSampler(), uncertainty.BoxSampler(2), timepref.LinearDelay(3.0)]
+
+
+# scenario tolerance -> every (module, function, parameter) a pipeline passes it to
+TOLERANCE_PARAMETERS = {
+    "bisect": [("risk", "mixture_utility_batch", "tol"), ("risk", "measure_eps_rcl", "tol"),
+               ("risk", "measure_eps_independence", "tol"),
+               ("uncertainty", "theta_estimate", "tol"), ("uncertainty", "ce_batch", "tol"),
+               ("uncertainty", "verify_homog_bound", "bisect_tol"),
+               ("uncertainty", "quasiconcavify", "bisect_tol"),
+               ("uncertainty", "measure_eps_ua", "tol")],
+    "slack": [("risk", "verify_thm1", "slack"), ("risk", "verify_thm2", "slack")],
+    "verify": [("uncertainty", "verify_aa_bound", "tol"),
+               ("uncertainty", "verify_homog_bound", "tol")],
+    "time": [("timepref", "verify_exp_bound", "tol"), ("timepref", "verify_exp3_bound", "tol")],
+}
+
+
+@pytest.mark.parametrize("key", sorted(TOLERANCE_PARAMETERS))
+def test_each_tolerance_default_is_the_library_default(key):
+    import nearrep.cli as cli
+
+    assert set(TOLERANCE_PARAMETERS) == set(cli._TOLERANCES)
+    for module, function, parameter in TOLERANCE_PARAMETERS[key]:
+        fn = getattr(importlib.import_module(f"nearrep.{module}"), function)
+        assert inspect.signature(fn).parameters[parameter].default == \
+            cli._TOLERANCES[key].default, (function, parameter)
+
+
+# sizes only a pipeline or a builtin passes: the schema entry or the call is their one home
+SIZE_PARAMETERS = [("uncertainty", "quasiconcavify", "box_bound"),
+                   ("uncertainty", "quasiconcavify", "resolution"),
+                   ("uncertainty", "quasiconcavify", "level_resolution"),
+                   ("timepref", "theta_series", "n_max"),
+                   ("timepref", "theta_over_sample", "t_sample"),
+                   ("timepref", "theta_over_sample", "n_max"),
+                   ("timepref", "fit_gamma", "n_max"),
+                   ("timepref", "measure_W_axiom", "t_max"),
+                   ("risk", "figure1_data", "resolution")]
+
+
+@pytest.mark.parametrize("module,function,parameter", SIZE_PARAMETERS,
+                         ids=[f"{f}-{p}" for _, f, p in SIZE_PARAMETERS])
+def test_size_parameters_have_no_default(module, function, parameter):
+    fn = getattr(importlib.import_module(f"nearrep.{module}"), function)
+    assert inspect.signature(fn).parameters[parameter].default is inspect.Parameter.empty
 
 
 def test_every_sampler_key_is_covered():

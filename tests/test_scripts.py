@@ -22,7 +22,7 @@ def test_sweep_cpt_grid_prints_one_line_per_cell(capsys):
 
 # The option count this package has reached. A change that adds a parameter
 # with a default raises this number in its own diff.
-MAX_OPTIONS = 46
+MAX_OPTIONS = 36
 
 
 def test_option_count_stays_at_most_its_reached_total(capsys):

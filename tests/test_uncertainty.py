@@ -29,6 +29,7 @@ from nearrep.uncertainty import (
     MaxminExpected,
     SmoothAmbiguity,
     SubjectiveExpected,
+    _SMOOTH_FS,
     _index_pairs,
     _level_hull,
     _phi_rows,
@@ -37,6 +38,7 @@ from nearrep.uncertainty import (
     ce_utility,
     dyadic_phi_series,
     extract_prior,
+    grid_sample,
     homog_limit,
     hyers_ulam_limit,
     measure_eps_ua,
@@ -96,7 +98,7 @@ def test_ce_smooth_sqrt_frozen():
 def test_smooth_raw_closed_form_on_constants():
     # raw z_minus_exp functional at c * ones is c - e^{-c}
     for c in (0.5, 1.0, 3.0):
-        raw = SMOOTH_EXP.raw_value(np.full(2, c))
+        raw = SMOOTH_EXP.value(np.full(2, c))
         assert raw == pytest.approx(c - math.exp(-c), abs=1e-12)
 
 
@@ -238,10 +240,29 @@ def test_smooth_bound_sup_is_one_at_zero(model):
     assert len(rows) == len(sampler.points())
 
 
+@pytest.mark.parametrize("f_name", ["sqrt1pz2", "z_minus_exp"])
+def test_closed_form_defect_is_the_transform_gap(f_name):
+    # h(z) = |f(z) - z|, up to the rounding of f(z) - z near z
+    f, _, h = _SMOOTH_FS[f_name]
+    z = np.linspace(0.0, 40.0, 401)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(h(z) - np.abs(f(z) - z)) <= 4.0 * eps * np.maximum(1.0, z))
+
+
+def test_box_sampler_builds_its_grid_once_read_only():
+    sampler = BoxSampler(2, resolution=5)
+    pts = sampler.points()
+    assert sampler.points() is pts
+    assert not pts.flags.writeable
+    with pytest.raises(ValueError):
+        pts[0, 0] = 1.0
+    assert np.array_equal(pts, grid_sample("box", 2, 5, bound=10.0))
+
+
 def test_smooth_defect_zme_frozen_point():
     # defect at x = (2, 1) is the mixed exponential 0.5 (e^{-1.3} + e^{-1.8})
     pt = np.array([2.0, 1.0])
-    raw = SMOOTH_EXP.raw_value(pt)
+    raw = SMOOTH_EXP.value(pt)
     linear = 0.55 * 2.0 + 0.45 * 1.0
     assert linear - raw == pytest.approx(0.21891534062779955, abs=1e-12)
 
@@ -258,8 +279,8 @@ def test_homog_deviation_raw_zme_closed_form():
     u = lambda cc: cc - math.exp(-cc)
     expected = abs(lam * u(c) - u(lam * c))
     assert expected == pytest.approx(0.6004235991062719, abs=1e-12)
-    raw_dev = abs(lam * SMOOTH_EXP.raw_value(np.ones(2))
-                  - SMOOTH_EXP.raw_value(lam * np.ones(2)))
+    raw_dev = abs(lam * SMOOTH_EXP.value(np.ones(2))
+                  - SMOOTH_EXP.value(lam * np.ones(2)))
     assert raw_dev == pytest.approx(expected, abs=1e-12)
 
 
@@ -324,14 +345,15 @@ def test_eps_ua_same_point_zero_defect():
 
 
 def test_quasiconcavify_meu_envelope_equals_model():
-    env = quasiconcavify(MEU, box_bound=10.0, resolution=11)
+    env = quasiconcavify(MEU, box_bound=10.0, resolution=11, level_resolution=64)
     assert np.max(np.abs(env.v_values - env.u_values)) == 0.0
     rep = verify_quasiconcave_bound(env, 1e-9)
     assert rep.achieved_distance == 0.0
 
 
 def test_quasiconcavify_smooth_bound_holds():
-    env = quasiconcavify(SMOOTH_SQRT, box_bound=10.0, resolution=11)
+    env = quasiconcavify(SMOOTH_SQRT, box_bound=10.0, resolution=11,
+                         level_resolution=64)
     assert np.all(env.v_values >= env.u_values)
     sampler = BoxSampler(2, bound=10.0, resolution=11, n_random_pairs=50)
     ua = measure_eps_ua(SMOOTH_SQRT, ce_batch(SMOOTH_SQRT, sampler.points()), sampler,
@@ -372,7 +394,8 @@ def _quasiconcave_spot_check_loop(benchmark, tol, seed, n_qc_checks=200,
 @pytest.mark.parametrize("seed", [0, 3])
 def test_quasiconcave_array_pass_raises_the_first_violation_of_the_loop(seed):
     # every third grid value raised by 5 keeps v >= u but breaks quasi-concavity
-    env = quasiconcavify(SMOOTH_SQRT, box_bound=10.0, resolution=11)
+    env = quasiconcavify(SMOOTH_SQRT, box_bound=10.0, resolution=11,
+                         level_resolution=64)
     bumped = env.v_values + np.where(np.arange(len(env.v_values)) % 3 == 0, 5.0, 0.0)
     bad = dataclasses.replace(env, v_values=bumped)
     with pytest.raises(BoundViolated) as want:
@@ -405,7 +428,7 @@ def test_linear_benchmark_evaluate_is_the_one_row_case():
 
 def test_envelope_midpoint_never_below_level():
     # v is quasi-concave up to one level spacing by construction
-    env = quasiconcavify(SMOOTH_SQRT, box_bound=10.0, resolution=9)
+    env = quasiconcavify(SMOOTH_SQRT, box_bound=10.0, resolution=9, level_resolution=64)
     pts = env.points
     rng = np.random.default_rng(3)
     for _ in range(25):
