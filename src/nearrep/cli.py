@@ -324,6 +324,10 @@ def _run_risk(name: str, model, s: dict, tols: dict) -> RunResult:
     return result
 
 
+# largest _homothetic_exactness defect the homothetic-exactness verdict accepts
+HOMOTHETIC_EXACTNESS_TOL = 1e-9
+
+
 def _homothetic_exactness(model, pts, u, tol: float) -> float:
     """Largest |u(2^n x) / 2^n - u(x)| over the nonzero acts pts, n in (1, 4, 10).
 
@@ -381,7 +385,7 @@ def _run_uncertainty(name: str, model, s: dict, tols: dict) -> RunResult:
             "dyadic defect series classified divergent; linear closeness bound "
             "not applicable")
         exact = _homothetic_exactness(model, pts[:25], ce[:25], tol)
-        passed = exact <= 1e-9
+        passed = exact <= HOMOTHETIC_EXACTNESS_TOL
         result.verdicts["homothetic-exactness"] = passed
         result.notes.append(f"homothetic exactness defect {exact:.3g}")
     if isinstance(model, unc_mod.SmoothAmbiguity):

@@ -52,7 +52,7 @@ SUM_TOL = 1e-12  # probability vectors must sum to 1 within this before renormal
 MAX_GRID_POINTS = 100_000
 TAIL_WINDOW = 4  # dyadic_tail_sum judges decay on this many trailing term ratios
 RATIO_TOL = 0.75  # largest trailing term ratio dyadic_tail_sum still calls decaying
-MAX_BISECT_STEPS = 200  # halvings of every bisection; rounds of the linear-plus-bounded Newton
+MAX_BISECT_STEPS = 200  # halvings of every bisection; rounds of every Newton solve (LPB, CPT)
 # The one home of the scenario tolerances' defaults (cli._TOLERANCES `bisect`,
 # `slack`, `verify` and `time`) and of the library parameters they are passed to.
 BISECT_TOL = 1e-10  # argument tolerance of every bisection and certainty-equivalent solve

@@ -21,8 +21,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (BISECT_TOL, BOUND_SLACK, STRICTNESS_MARGIN, BoundViolated, HypothesisFailed,
-                   InvalidModel, Lottery, NearRepresentation, ViolationReport, bisect_monotone)
+from .core import (BISECT_TOL, BOUND_SLACK, MAX_BISECT_STEPS, STRICTNESS_MARGIN, BoundViolated,
+                   HypothesisFailed, InvalidModel, Lottery, NearRepresentation, NoBracket,
+                   NotConverged, ViolationReport, bisect_monotone)
 from .uncertainty import (_distinct_rows, _grid_utility, _RowModel, _rows, bisect_monotone_batch,
                           grid_sample)
 
@@ -94,6 +95,44 @@ class _LotteryModel(_RowModel):
         """
         return self.value_batch(_segments(alpha, top, bottom, self.n_outcomes))
 
+    def segment_root(self, target, top, bottom, tol: float) -> np.ndarray:
+        """The alpha with segment_value(alpha, top, bottom) = target[k], for each row k.
+
+        top and bottom are distinct prize indices. This default bisects
+        segment_value in lockstep (bisect_monotone_batch): exact 0.0 or 1.0
+        where a row hits a segment end, NoBracket naming the first row whose
+        two end values share a sign, and each row's steps those of a
+        one-row call. Models with an inverse on the segment override it
+        under the same contract, to within tol of this bisection.
+        """
+        target = np.asarray(target, dtype=float)
+
+        def gap(alpha: np.ndarray, idx: np.ndarray) -> np.ndarray:
+            return self.segment_value(alpha, top, bottom) - target[idx]
+
+        return bisect_monotone_batch(gap, np.zeros(len(target)), np.ones(len(target)), tol=tol)
+
+
+def _segment_ends(f0: np.ndarray, f1: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The checks of a segment solve before its first step, as bisect_monotone_batch makes them.
+
+    f0 and f1 are each row's gap at alpha = 0 and 1. Returns the answers
+    so far (0.0 or 1.0 where a gap is exactly zero there, the 0 end first)
+    and the rows still to solve. Raises InvalidModel for a tolerance that
+    is not positive and NoBracket naming the first row whose two end gaps
+    share a sign.
+    """
+    if not tol > 0.0:
+        raise InvalidModel(f"tol must be positive, got {tol!r}")
+    at_lo = f0 == 0.0
+    at_hi = ~at_lo & (f1 == 0.0)
+    same = np.flatnonzero(~at_lo & ~at_hi & ((f0 > 0.0) == (f1 > 0.0)))
+    if len(same):
+        k = int(same[0])
+        raise NoBracket(f"element {k}: f(0.0)={f0[k]!r} and f(1.0)={f1[k]!r} "
+                        f"have the same sign")
+    return np.where(at_hi, 1.0, 0.0), np.flatnonzero(~at_lo & ~at_hi)
+
 
 @dataclass(frozen=True)
 class ExpectedUtility(_LotteryModel):
@@ -119,6 +158,19 @@ class ExpectedUtility(_LotteryModel):
 
     def value_batch(self, P) -> np.ndarray:
         return np.vecdot(_rows(P), self._utility_vector)
+
+    def segment_root(self, target, top, bottom, tol: float) -> np.ndarray:
+        """The segment is linear: alpha = (t - u_bottom) / (u_top - u_bottom), in closed form.
+
+        The end values are the utilities of the two prizes, which is what
+        value_batch gives a degenerate row, so the ends and NoBracket are
+        those of the bisection it replaces.
+        """
+        target = np.asarray(target, dtype=float)
+        u_top, u_bottom = self.prize_utilities[top], self.prize_utilities[bottom]
+        alpha, act = _segment_ends(u_bottom - target, u_top - target, tol)
+        alpha[act] = (target[act] - u_bottom) / (u_top - u_bottom)
+        return alpha
 
 
 @dataclass(frozen=True)
@@ -172,16 +224,22 @@ class CumulativeProspect(_LotteryModel):
         Probabilities outside [0, 1] (a cumulative sum rounding past 1) are
         clipped onto it first. The formula is evaluated strictly inside
         (0, 1) only: at 0 and 1 it gives the pinned values anyway, and
-        powers of zero take a slow path in NumPy's vector pow.
+        powers of zero take a slow path in NumPy's vector pow. Where every
+        entry is inside, as on a segment solve's iterates, it takes them all
+        without selecting.
         """
         g = np.array(p, dtype=float)
         np.clip(g, 0.0, 1.0, out=g)
         inner = (g > 0.0) & (g < 1.0)
-        x = g[inner]
+        every = inner.all()
+        x = g if every else g[inner]
         b = self.weight_exponent
         xb = x ** b
-        g[inner] = xb / (xb + (1.0 - x) ** b) ** (1.0 / b)
-        return g[()]  # a scalar for a scalar p
+        x = xb / (xb + (1.0 - x) ** b) ** (1.0 / b)
+        if every:
+            return x[()]  # a scalar for a scalar p
+        g[inner] = x
+        return g[()]
 
     def prize_value(self, x: float) -> float:
         return x ** self.value_exponent
@@ -213,9 +271,73 @@ class CumulativeProspect(_LotteryModel):
         """
         alpha = np.asarray(alpha, dtype=float)
         lead = self._ranks[top] < self._ranks[bottom]
-        g = self.weight(np.where(lead, alpha, 1.0 - alpha))
         w = self._value_vector
+        if np.ndim(lead) == 0:  # one pair for every row
+            g = self.weight(alpha if lead else 1.0 - alpha)
+            w_lead, w_trail = w[[top, bottom] if lead else [bottom, top]]
+            return g * w_lead + (1.0 - g) * w_trail
+        g = self.weight(np.where(lead, alpha, 1.0 - alpha))
         return g * w[np.where(lead, top, bottom)] + (1.0 - g) * w[np.where(lead, bottom, top)]
+
+    def segment_root(self, target, top, bottom, tol: float) -> np.ndarray:
+        """Lockstep safeguarded Newton on segment_value(alpha) - target, stepping in logit(alpha).
+
+        On the segment the value is g(a) * w(lead) + (1 - g(a)) * w(trail),
+        a the lead prize's mass (alpha, or 1 - alpha when top is the lower
+        prize), so each row starts where g(a) = a would put its root:
+        y = (t - w(trail)) / (w(lead) - w(trail)), kept within [tol, 1 - tol].
+        The step uses d log g / d logit a = b(1 - a) - (1 - a)h + a(1 - h),
+        h = a^b / (a^b + (1 - a)^b). Each row keeps the bracket its gap's
+        signs give and takes the bracket's midpoint when a step leaves it.
+        A row stops at an exact zero, once its step is at most tol / 4 (the
+        step's end is its answer), once its bracket is at most tol wide or at
+        float resolution (the midpoint is). The ends, NoBracket and the
+        tolerance are those of the default bisection; a row's iterates depend
+        on that row alone, whatever else is in the batch, and a row still
+        moving after MAX_BISECT_STEPS rounds raises NotConverged.
+        """
+        target = np.asarray(target, dtype=float)
+        v0, v1 = self.segment_value(np.array([0.0, 1.0]), top, bottom)  # the same for every row
+        out, act = _segment_ends(v0 - target, v1 - target, tol)
+        if not len(act):
+            return out
+        lead = self._ranks[top] < self._ranks[bottom]
+        w_lead, w_trail = self._value_vector[[top, bottom] if lead else [bottom, top]]
+        t = target[act]
+        increasing = v0 < t
+        y = (t - w_trail) / (w_lead - w_trail)
+        alpha = np.clip(y if lead else 1.0 - y, tol, 1.0 - tol)
+        lo, hi = np.zeros(len(act)), np.ones(len(act))
+        b, sign = self.weight_exponent, 1.0 if lead else -1.0
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for _ in range(MAX_BISECT_STEPS):
+                v = self.segment_value(alpha, top, bottom)
+                f = v - t
+                up = (f < 0.0) == increasing  # the root lies above alpha
+                lo, hi = np.where(up, alpha, lo), np.where(up, hi, alpha)
+                rest = 1.0 - alpha
+                a, r = (alpha, rest) if lead else (rest, alpha)
+                h = 1.0 / (1.0 + (r / a) ** b)
+                # e^{-step} of the Newton step in logit(alpha); g * (w_lead - w_trail) = v - w_trail
+                shrink = np.exp(sign * f / ((v - w_trail) * (r * (b - h) + a * (1.0 - h))))
+                new = alpha / (alpha + rest * shrink)
+                mid = 0.5 * (lo + hi)
+                small = np.abs(new - alpha) <= 0.25 * tol
+                narrow = (hi - lo <= tol) | ~((mid > lo) & (mid < hi))
+                done = (f == 0.0) | small | narrow
+                if done.any():
+                    out[act[done]] = np.where(f == 0.0, alpha, np.where(
+                        small, np.clip(new, lo, hi), mid))[done]
+                    keep = ~done
+                    act, t, increasing, lo, hi, new, mid = (
+                        act[keep], t[keep], increasing[keep], lo[keep], hi[keep], new[keep],
+                        mid[keep])
+                    if not len(act):
+                        return out
+                alpha = np.where((new > lo) & (new < hi), new, mid)
+        k = int(act[0])
+        raise NotConverged(f"row {k}: Newton iterate {alpha[0]!r} still moving after "
+                           f"{MAX_BISECT_STEPS} rounds", [float(alpha[0])])
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,20 +434,14 @@ def mixture_utility_batch(model, P, tol: float = BISECT_TOL) -> np.ndarray:
     """Calibrated utility of each row p of P: the alpha solving model(seg(alpha)) = model(p).
 
     seg(alpha) puts alpha on the best prize and 1 - alpha on the worst.
-    Repeated rows are solved once, and the distinct rows are bisected in one
-    lockstep call that takes, row by row, the steps a one-row call takes.
+    Repeated rows are solved once, and the distinct rows in one
+    model.segment_root call, which solves each row as a one-row call would.
     Exact hits on the endpoints return 0.0 or 1.0 exactly; a row the
     segment does not bracket (e.g. a lottery strictly better than the best
     prize) raises NoBracket.
     """
     U, inverse = _distinct_rows(_rows(P))
-    target = model.value_batch(U)
-    best, worst = model.best_index, model.worst_index
-
-    def gap(alpha: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return model.segment_value(alpha, best, worst) - target[idx]
-
-    alpha = bisect_monotone_batch(gap, np.zeros(len(U)), np.ones(len(U)), tol=tol)
+    alpha = model.segment_root(model.value_batch(U), model.best_index, model.worst_index, tol)
     return alpha[inverse]
 
 

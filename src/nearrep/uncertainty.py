@@ -981,7 +981,7 @@ def verify_homog_bound(model, u, sampler: BoxSampler, tol: float = VERIFY_TOL,
     ce_batch returns it. Theta-hat is the largest per-point scaling-defect
     series over a stride of at most HOMOG_MAX_POINTS nonzero acts; the
     limits scale by HOMOG_ETA, and their homogeneity is spot-checked at the
-    HOMOG_ALPHAS multiples (defect at most 1e-6). Raises BoundViolated on
+    HOMOG_ALPHAS multiples (defect at most tol). Raises BoundViolated on
     either failure.
     """
     grid = sampler.points()
@@ -1014,7 +1014,7 @@ def verify_homog_bound(model, u, sampler: BoxSampler, tol: float = VERIFY_TOL,
             res_a = _unwrap(limits[len(pts) + k * len(HOMOG_ALPHAS) + j])
             defect = abs(res_a.value - a * res.value)
             homog_defect = max(homog_defect, defect)
-            if defect > 1e-6:
+            if defect > tol:
                 raise BoundViolated(
                     f"limit is not homogeneous: |v(a x) - a v(x)| = {defect!r} at a={a!r}",
                     witness={"x": tuple(x), "alpha": a, "defect": defect})

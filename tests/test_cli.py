@@ -796,6 +796,26 @@ def test_run_default_smooth_scenario_passes_the_linear_bound(tmp_path, capsys):
     assert "divergent" not in stdout
 
 
+def test_a_tighter_verify_tolerance_reaches_the_homogeneity_check():
+    from nearrep.cli import run_scenario
+    scenario = {
+        "version": 1,
+        "name": "smooth-homog",
+        "domain": "uncertainty",
+        "model": {"type": "smooth", "f": "sqrt1pz2", "priors": [[0.3, 0.7], [0.6, 0.4]],
+                  "weights": [0.5, 0.5]},
+        "sampler": {"resolution": 5, "n_random_pairs": 5},
+    }
+    loose = run_scenario(scenario)
+    assert loose.verdicts["homogeneous-bound"] is True
+    rep = next(r for r in loose.representations if r["kind"] == "homogeneous")
+    defect = rep["details"]["homogeneity_defect"]
+    assert 0.0 < defect <= 1e-12  # rounding in the limits, far inside |u - v| <= 2 Theta
+    tight = run_scenario({**scenario, "tolerances": {"verify": defect / 2}})
+    assert tight.verdicts["homogeneous-bound"] is False
+    assert any("limit is not homogeneous" in note for note in tight.notes)
+
+
 def test_run_quasiconcave_scenario(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", _write(tmp_path, "s.json", UNC_SCENARIO), "--out", str(out)]) == 0

@@ -106,6 +106,18 @@ def test_eps_rcl_expected_utility_is_tiny():
     assert rep.samples_evaluated > 0
 
 
+@pytest.mark.parametrize("resolution", [21, 41, 81])
+def test_expected_utility_control_is_exact_at_rounding_level(resolution):
+    # the closed-form calibration leaves no bisection noise in the control
+    model = ExpectedUtility((1.0, 0.2013, 0.0))
+    sampler = SimplexSampler(resolution=resolution)
+    u = _grid_utility(model, sampler)
+    rep = measure_eps_rcl(model, u, sampler)
+    near = verify_thm1(u, build_affine_benchmark(model), rep.value, sampler)
+    assert rep.details["max_defect"] <= 1e-13
+    assert near.achieved_distance <= 1e-13
+
+
 def test_eps_rcl_cpt_two_prize_is_tiny():
     # two-prize calibrated utility is the identity, so defects vanish
     sampler = SimplexSampler(resolution=9, n_random_triples=40)

@@ -8,6 +8,7 @@ any difference comes from the batching itself.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nearrep.core import (
+    BISECT_TOL,
     InvalidModel,
     Lottery,
     NoBracket,
@@ -32,6 +34,7 @@ from nearrep.risk import (
     measure_eps_rcl,
     mixture_utility_batch,
 )
+from nearrep.uncertainty import bisect_monotone_batch
 
 
 # --- scalar reference ---------------------------------------------------------
@@ -416,6 +419,107 @@ def test_mixture_utility_batch_endpoints_and_no_bracket():
     over = TabulatedUtility(lambda p: p[0] + 5.0 * p[1] * p[2], 3)
     with pytest.raises(NoBracket):  # (0, 0.5, 0.5) is worth 1.25, more than the best prize
         mixture_utility_batch(over, np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]]))
+
+
+# --- segment inverses --------------------------------------------------------------
+
+@st.composite
+def segment_root_cases(draw):
+    """A model with its own segment inverse, a prize pair in either order, and targets.
+
+    The targets are the segment's values at drawn weights, at both ends and
+    one unit in the last place inside either end.
+    """
+    n = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        prizes = draw(st.lists(st.integers(0, 5000), min_size=n, max_size=n, unique=True))
+        model = CumulativeProspect(draw(st.floats(0.0, 1.0, exclude_min=True)),
+                                   draw(st.floats(0.28, 1.0)), tuple(map(float, prizes)))
+    else:
+        utilities = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n, unique=True))
+        model = ExpectedUtility(tuple(utilities))
+    top = draw(st.integers(0, n - 1))
+    bottom = (top + draw(st.integers(1, n - 1))) % n
+    v0, v1 = model.segment_value(np.array([0.0, 1.0]), top, bottom).tolist()
+    alpha = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=0, max_size=8)))
+    targets = model.segment_value(alpha, top, bottom).tolist()
+    targets += draw(st.lists(st.sampled_from(
+        [v0, v1, np.nextafter(v0, v1), np.nextafter(v1, v0)]), min_size=1, max_size=4))
+    order = draw(st.permutations(range(len(targets))))
+    tol = draw(st.sampled_from([1e-12, BISECT_TOL, 1e-6]))
+    return model, np.array(targets)[list(order)], top, bottom, tol
+
+
+def _rounding_width(model, top, bottom, alpha):
+    """Width in alpha over which a few rounding units of the segment's values can flip a gap.
+
+    Two roots of the computed segment_value - target farther apart than tol
+    are both right within this: the gap is flat or noisy there.
+    """
+    ends = model.segment_value(np.array([0.0, 1.0]), top, bottom)
+    lo, hi = max(alpha - 1e-6, 0.0), min(alpha + 1e-6, 1.0)
+    v = model.segment_value(np.array([lo, hi]), top, bottom)
+    # the local slope, or the mean one where the values are too coarse to see it
+    slope = min(abs(v[1] - v[0]) / (hi - lo), abs(ends[1] - ends[0]))
+    return 8.0 * np.finfo(float).eps * np.max(np.abs(ends)) / slope if slope else math.inf
+
+
+def _bisected_root(model, target, top, bottom, tol):
+    return bisect_monotone_batch(
+        lambda a, idx: model.segment_value(a, top, bottom) - target[idx],
+        np.zeros(len(target)), np.ones(len(target)), tol=tol)
+
+
+@settings(max_examples=300, deadline=None)
+@given(segment_root_cases())
+def test_segment_root_matches_bisection_row_by_row(case):
+    model, target, top, bottom, tol = case
+    try:
+        ref = _bisected_root(model, target, top, bottom, tol)
+    except NoBracket as exc:  # a drawn weight's value rounded past an end value
+        with pytest.raises(NoBracket) as solved:
+            model.segment_root(target, top, bottom, tol)
+        assert str(solved.value).split(":")[0] == str(exc).split(":")[0]  # the same row
+        return
+    with mock.patch.object(type(model), "segment_value", autospec=True,
+                           side_effect=type(model).segment_value) as counted:
+        got = model.segment_root(target, top, bottom, tol)
+    for k in range(len(target)):
+        assert abs(got[k] - ref[k]) <= tol + _rounding_width(model, top, bottom, ref[k])
+        if ref[k] in (0.0, 1.0):  # a segment end is hit exactly
+            assert got[k] == ref[k]
+        # each row alone, bit for bit, whatever else is in the batch
+        assert got[k].tobytes() == model.segment_root(target[k:k + 1], top, bottom, tol).tobytes()
+    if isinstance(model, CumulativeProspect):  # one call for both ends, then one per round
+        assert counted.call_count - 1 <= 25
+    else:
+        assert counted.call_count == 0  # closed form
+
+
+def test_segment_root_raises_no_bracket_at_the_row_bisection_names():
+    model = CumulativeProspect(0.6, 0.5, (10.0, 7.0, 0.0))
+    v0, v1 = model.segment_value(np.array([0.0, 1.0]), 0, 2).tolist()
+    target = np.array([0.5 * (v0 + v1), v0, v1 + 1.0, v0 - 1.0])
+    for m in (model, ExpectedUtility((v1, 3.0, v0))):
+        with pytest.raises(NoBracket) as bisected:
+            _bisected_root(m, target, 0, 2, BISECT_TOL)
+        with pytest.raises(NoBracket) as solved:
+            m.segment_root(target, 0, 2, BISECT_TOL)
+        assert str(bisected.value).startswith("element 2:")
+        assert str(solved.value).startswith("element 2:")
+
+
+@pytest.mark.parametrize("model,bisects", [
+    (CumulativeProspect(0.54, 0.74, (4000.0, 3000.0, 0.0)), False),
+    (ExpectedUtility((1.0, 0.4, 0.0)), False),
+    (TabulatedUtility(lambda p: p[0] + 0.4 * p[1], 3), True),
+], ids=["cpt", "eu", "tabulated"])
+def test_mixture_utility_batch_bisects_only_models_without_an_inverse(model, bisects):
+    rows = SimplexSampler(resolution=6).grid(3)
+    with mock.patch("nearrep.risk.bisect_monotone_batch",
+                    side_effect=bisect_monotone_batch) as counted:
+        mixture_utility_batch(model, rows)
+    assert (counted.call_count > 0) == bisects
 
 
 # --- meters -------------------------------------------------------------------------
