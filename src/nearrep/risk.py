@@ -24,8 +24,8 @@ import numpy as np
 from .core import (BISECT_TOL, BOUND_SLACK, MAX_BISECT_STEPS, STRICTNESS_MARGIN, BoundViolated,
                    HypothesisFailed, InvalidModel, Lottery, NearRepresentation, NoBracket,
                    NotConverged, ViolationReport, bisect_monotone)
-from .uncertainty import (_distinct_rows, _grid_utility, _RowModel, _rows, bisect_monotone_batch,
-                          grid_sample)
+from .uncertainty import (_bracket_ends, _distinct_rows, _grid_utility, _RowModel, _rows,
+                          bisect_monotone_batch, grid_sample)
 
 __all__ = [
     "ExpectedUtility",
@@ -113,27 +113,6 @@ class _LotteryModel(_RowModel):
         return bisect_monotone_batch(gap, np.zeros(len(target)), np.ones(len(target)), tol=tol)
 
 
-def _segment_ends(f0: np.ndarray, f1: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The checks of a segment solve before its first step, as bisect_monotone_batch makes them.
-
-    f0 and f1 are each row's gap at alpha = 0 and 1. Returns the answers
-    so far (0.0 or 1.0 where a gap is exactly zero there, the 0 end first)
-    and the rows still to solve. Raises InvalidModel for a tolerance that
-    is not positive and NoBracket naming the first row whose two end gaps
-    share a sign.
-    """
-    if not tol > 0.0:
-        raise InvalidModel(f"tol must be positive, got {tol!r}")
-    at_lo = f0 == 0.0
-    at_hi = ~at_lo & (f1 == 0.0)
-    same = np.flatnonzero(~at_lo & ~at_hi & ((f0 > 0.0) == (f1 > 0.0)))
-    if len(same):
-        k = int(same[0])
-        raise NoBracket(f"element {k}: f(0.0)={f0[k]!r} and f(1.0)={f1[k]!r} "
-                        f"have the same sign")
-    return np.where(at_hi, 1.0, 0.0), np.flatnonzero(~at_lo & ~at_hi)
-
-
 @dataclass(frozen=True)
 class ExpectedUtility(_LotteryModel):
     """Linear model u(p) = sum_i p_i * prize_utilities[i]."""
@@ -168,7 +147,8 @@ class ExpectedUtility(_LotteryModel):
         """
         target = np.asarray(target, dtype=float)
         u_top, u_bottom = self.prize_utilities[top], self.prize_utilities[bottom]
-        alpha, act = _segment_ends(u_bottom - target, u_top - target, tol)
+        n = len(target)
+        alpha, act = _bracket_ends(u_bottom - target, u_top - target, np.zeros(n), np.ones(n), tol)
         alpha[act] = (target[act] - u_bottom) / (u_top - u_bottom)
         return alpha
 
@@ -224,22 +204,16 @@ class CumulativeProspect(_LotteryModel):
         Probabilities outside [0, 1] (a cumulative sum rounding past 1) are
         clipped onto it first. The formula is evaluated strictly inside
         (0, 1) only: at 0 and 1 it gives the pinned values anyway, and
-        powers of zero take a slow path in NumPy's vector pow. Where every
-        entry is inside, as on a segment solve's iterates, it takes them all
-        without selecting.
+        powers of zero take a slow path in NumPy's vector pow.
         """
         g = np.array(p, dtype=float)
         np.clip(g, 0.0, 1.0, out=g)
         inner = (g > 0.0) & (g < 1.0)
-        every = inner.all()
-        x = g if every else g[inner]
+        x = g[inner]
         b = self.weight_exponent
         xb = x ** b
-        x = xb / (xb + (1.0 - x) ** b) ** (1.0 / b)
-        if every:
-            return x[()]  # a scalar for a scalar p
-        g[inner] = x
-        return g[()]
+        g[inner] = xb / (xb + (1.0 - x) ** b) ** (1.0 / b)
+        return g[()]  # a scalar for a scalar p
 
     def prize_value(self, x: float) -> float:
         return x ** self.value_exponent
@@ -271,12 +245,8 @@ class CumulativeProspect(_LotteryModel):
         """
         alpha = np.asarray(alpha, dtype=float)
         lead = self._ranks[top] < self._ranks[bottom]
-        w = self._value_vector
-        if np.ndim(lead) == 0:  # one pair for every row
-            g = self.weight(alpha if lead else 1.0 - alpha)
-            w_lead, w_trail = w[[top, bottom] if lead else [bottom, top]]
-            return g * w_lead + (1.0 - g) * w_trail
         g = self.weight(np.where(lead, alpha, 1.0 - alpha))
+        w = self._value_vector
         return g * w[np.where(lead, top, bottom)] + (1.0 - g) * w[np.where(lead, bottom, top)]
 
     def segment_root(self, target, top, bottom, tol: float) -> np.ndarray:
@@ -298,7 +268,8 @@ class CumulativeProspect(_LotteryModel):
         """
         target = np.asarray(target, dtype=float)
         v0, v1 = self.segment_value(np.array([0.0, 1.0]), top, bottom)  # the same for every row
-        out, act = _segment_ends(v0 - target, v1 - target, tol)
+        n = len(target)
+        out, act = _bracket_ends(v0 - target, v1 - target, np.zeros(n), np.ones(n), tol)
         if not len(act):
             return out
         lead = self._ranks[top] < self._ranks[bottom]

@@ -381,6 +381,30 @@ class LinearPlusBounded(_RowModel):
 # ---------------------------------------------------------------------------
 # array primitives, shared with the risk domain
 
+def _bracket_ends(flo: np.ndarray, fhi: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                  tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The checks of a batched root solve before its first step.
+
+    flo and fhi are each element's function values at its bracket ends lo
+    and hi. Returns the answers so far (lo or hi where the value there is
+    exactly zero, lo first) and the elements still to solve. Raises
+    InvalidModel for a tolerance that is not positive and NoBracket naming
+    the first element whose two end values share a sign. Every segment
+    solve (bisect_monotone_batch and the risk models' segment_root) starts
+    here, so they agree on the ends and on where NoBracket is raised.
+    """
+    if not tol > 0.0:
+        raise InvalidModel(f"tol must be positive, got {tol!r}")
+    at_lo = flo == 0.0
+    at_hi = ~at_lo & (fhi == 0.0)
+    same = np.flatnonzero(~at_lo & ~at_hi & ((flo > 0.0) == (fhi > 0.0)))
+    if len(same):
+        k = int(same[0])
+        raise NoBracket(f"element {k}: f({lo[k]!r})={flo[k]!r} and f({hi[k]!r})={fhi[k]!r} "
+                        f"have the same sign")
+    return np.where(at_hi, hi, lo), np.flatnonzero(~at_lo & ~at_hi)
+
+
 def bisect_monotone_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi,
                           tol: float = BISECT_TOL) -> np.ndarray:
     """bisect_monotone for many brackets at once, all stepped in lockstep.
@@ -392,8 +416,6 @@ def bisect_monotone_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo,
     midpoint no longer splits the interval. Raises NoBracket, naming the
     first such element, when any f(lo) and f(hi) share a sign.
     """
-    if not tol > 0.0:
-        raise InvalidModel(f"tol must be positive, got {tol!r}")
     lo = np.array(lo, dtype=float).reshape(-1)
     hi = np.array(hi, dtype=float).reshape(-1)
     if lo.shape != hi.shape:
@@ -402,18 +424,9 @@ def bisect_monotone_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo,
     if len(empty):
         k = int(empty[0])
         raise InvalidModel(f"empty bracket [{lo[k]!r}, {hi[k]!r}] at element {k}")
-    out = np.empty_like(lo)
     idx = np.arange(len(lo))
-    flo, fhi = f(lo, idx), f(hi, idx)
-    at_lo = flo == 0.0
-    at_hi = ~at_lo & (fhi == 0.0)
-    out[at_lo], out[at_hi] = lo[at_lo], hi[at_hi]
-    same = np.flatnonzero(~at_lo & ~at_hi & ((flo > 0.0) == (fhi > 0.0)))
-    if len(same):
-        k = int(same[0])
-        raise NoBracket(f"element {k}: f({lo[k]!r})={flo[k]!r} and f({hi[k]!r})={fhi[k]!r} "
-                        f"have the same sign")
-    act = np.flatnonzero(~at_lo & ~at_hi)
+    flo = f(lo, idx)
+    out, act = _bracket_ends(flo, f(hi, idx), lo, hi, tol)
     increasing = flo[act] < 0.0
     lo, hi = lo[act], hi[act]
     for _ in range(MAX_BISECT_STEPS):

@@ -797,21 +797,34 @@ def test_run_default_smooth_scenario_passes_the_linear_bound(tmp_path, capsys):
 
 
 def test_a_tighter_verify_tolerance_reaches_the_homogeneity_check():
+    import numpy as np
+
+    from nearrep import uncertainty as unc_mod
     from nearrep.cli import run_scenario
+
+    class LogPeriodic(unc_mod.SubjectiveExpected):
+        """ce = m (1 + 1e-9 sin(2 pi log2 m)), m = prior . x: its scaling limits are
+        homogeneous under doubling but not under tripling, by about 1e-9 m."""
+
+        def ce_batch(self, X, tol):
+            m = self.value_batch(X)
+            return m * (1.0 + 1e-9 * np.sin(2.0 * np.pi * np.log2(m)))
+
     scenario = {
         "version": 1,
-        "name": "smooth-homog",
+        "name": "log-periodic-homog",
         "domain": "uncertainty",
-        "model": {"type": "smooth", "f": "sqrt1pz2", "priors": [[0.3, 0.7], [0.6, 0.4]],
-                  "weights": [0.5, 0.5]},
+        "model": {"type": "seu", "prior": [0.3, 0.7]},
         "sampler": {"resolution": 5, "n_random_pairs": 5},
     }
-    loose = run_scenario(scenario)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(unc_mod, "SubjectiveExpected", LogPeriodic)
+        loose = run_scenario(scenario)
+        rep = next(r for r in loose.representations if r["kind"] == "homogeneous")
+        defect = rep["details"]["homogeneity_defect"]
+        tight = run_scenario({**scenario, "tolerances": {"verify": defect / 2}})
     assert loose.verdicts["homogeneous-bound"] is True
-    rep = next(r for r in loose.representations if r["kind"] == "homogeneous")
-    defect = rep["details"]["homogeneity_defect"]
-    assert 0.0 < defect <= 1e-12  # rounding in the limits, far inside |u - v| <= 2 Theta
-    tight = run_scenario({**scenario, "tolerances": {"verify": defect / 2}})
+    assert 1e-10 < defect < 1e-7  # the tripling defect, far above rounding and below 1e-6
     assert tight.verdicts["homogeneous-bound"] is False
     assert any("limit is not homogeneous" in note for note in tight.notes)
 
