@@ -24,7 +24,7 @@ import numpy as np
 from .core import (BISECT_TOL, BOUND_SLACK, MAX_BISECT_STEPS, STRICTNESS_MARGIN, BoundViolated,
                    HypothesisFailed, InvalidModel, Lottery, NearRepresentation, NoBracket,
                    NotConverged, ViolationReport, bisect_monotone)
-from .uncertainty import (_bracket_ends, _distinct_rows, _grid_utility, _RowModel, _rows,
+from .uncertainty import (EPS, _bracket_ends, _distinct_rows, _grid_utility, _RowModel, _rows,
                           bisect_monotone_batch, grid_sample)
 
 __all__ = [
@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 DEGENERATE_TOL = 1e-12     # calibrated u must hit the benchmark exactly on vertices
+SNAP_ULPS = 4  # ulps (of the larger end value) a value may round past a segment end and be it
 # float64 entries per block of the independence meter's scans and probe
 # rows (128 KB), so the few temporaries of one block stay near 1 MB
 _BLOCK_ENTRIES = 1 << 14
@@ -404,16 +405,21 @@ class SimplexSampler:
 def mixture_utility_batch(model, P, tol: float = BISECT_TOL) -> np.ndarray:
     """Calibrated utility of each row p of P: the alpha solving model(seg(alpha)) = model(p).
 
-    seg(alpha) puts alpha on the best prize and 1 - alpha on the worst.
-    Repeated rows are solved once, and the distinct rows in one
-    model.segment_root call, which solves each row as a one-row call would.
+    seg(alpha) puts alpha on the best prize and 1 - alpha on the worst. All
+    rows go to one model.segment_root call, which solves each row as a
+    one-row call would; a repeated row is solved again, so callers pass
+    distinct rows. A value at most SNAP_ULPS units in the last place
+    outside [v(worst), v(best)] is rounding and is moved onto that end.
     Exact hits on the endpoints return 0.0 or 1.0 exactly; a row the
     segment does not bracket (e.g. a lottery strictly better than the best
     prize) raises NoBracket.
     """
-    U, inverse = _distinct_rows(_rows(P))
-    alpha = model.segment_root(model.value_batch(U), model.best_index, model.worst_index, tol)
-    return alpha[inverse]
+    top, bottom = model.best_index, model.worst_index
+    ends = model._degenerate_values[bottom], model._degenerate_values[top]
+    v = model.value_batch(_rows(P))
+    snapped = np.clip(v, *ends)
+    band = SNAP_ULPS * EPS * max(map(abs, ends))
+    return model.segment_root(np.where(np.abs(v - snapped) <= band, snapped, v), top, bottom, tol)
 
 
 @dataclass(frozen=True)
@@ -650,17 +656,18 @@ def _first_true(mask: np.ndarray) -> np.ndarray:
     return np.where(mask.any(axis=1), mask.argmax(axis=1), mask.shape[1])
 
 
-def _scan_window(f, center, idx, a_prev, f_prev, sign: float, ks, step, zero_tol):
-    """Scan steps ks of one direction for every row: the points, their values and verdicts.
+def _scan_window(f, center, idx, a_prev, f_prev, sign, ks, step, zero_tol):
+    """Scan steps ks of every row's ray: the points, their values and verdicts.
 
-    The points are center + sign * k * step clipped to [0, 1], as a scan
-    step by step takes them: a row stops before a point that repeats the one
-    before it (a_prev before the first) and after a point at 0 or 1. The
-    first point whose value is within zero_tol of zero, or whose sign differs
-    from the value before it (f_prev before the first), is the row's hit.
-    Returns (points, values, hit column or window width, row scanned to its end).
+    The points are center + sign * k * step clipped to [0, 1], each row's
+    sign 1.0 (up) or -1.0 (down), as a scan step by step takes them: a row
+    stops before a point that repeats the one before it (a_prev before the
+    first) and after a point at 0 or 1. The first point whose value is
+    within zero_tol of zero, or whose sign differs from the value before it
+    (f_prev before the first), is the row's hit. Returns (points, values,
+    hit column or window width, row scanned to its end).
     """
-    A = np.clip(center[:, None] + sign * (ks * step), 0.0, 1.0)
+    A = np.clip(center[:, None] + sign[:, None] * (ks * step), 0.0, 1.0)
     width = len(ks)
     edge = _first_true((A == 0.0) | (A == 1.0))
     repeat = _first_true(A == np.concatenate([a_prev[:, None], A[:, :-1]], axis=1))
@@ -674,20 +681,21 @@ def _scan_window(f, center, idx, a_prev, f_prev, sign: float, ks, step, zero_tol
 def _nearest_roots(f, centers, step: float, tol: float, zero_tol: float = 0.0) -> np.ndarray:
     """Root of each function nearest to its center in [0, 1], scanning outward then bisecting.
 
-    Each direction steps by step (clipped to [0, 1]) until it finds a
-    sign change or hits its boundary; the closer bracketed root wins, and a
-    function that neither direction brackets gets NaN. Values within
-    zero_tol of zero count as roots: the probe construction carries
-    bisection noise, and chasing an exact root of a nearly flat function
-    would turn that noise into an arbitrary displacement.
+    Each function has two rays from its center, up and down, that step by
+    step (clipped to [0, 1]) until they find a sign change or hit their
+    boundary; the closer bracketed root wins, and a function that neither
+    ray brackets gets NaN. Values within zero_tol of zero count as roots:
+    the probe construction carries bisection noise, and chasing an exact
+    root of a nearly flat function would turn that noise into an arbitrary
+    displacement.
 
-    f(a, idx) returns, for each k, the idx[k]-th function at a[k]. All
-    functions are scanned together, _SCAN_WINDOW steps each way per round
+    f(a, idx) returns, for each k, the idx[k]-th function at a[k]. All rays
+    are scanned together, _SCAN_WINDOW steps each and one f call per round
     (functions in blocks of a few hundred, so a round's points stay near
-    _BLOCK_ENTRIES), and the first sign change in each direction gives a
-    bracket; every bracket is then bisected in one lockstep call. Once one
-    direction has its first hit at step h, the other stops after step
-    h + 1: a root it found further out would be the farther one.
+    _BLOCK_ENTRIES), and the first sign change on each ray gives a bracket;
+    every bracket is then bisected in one lockstep call. Once one ray has
+    its first hit at step h, its partner stops after step h + 1: a root it
+    found further out would be the farther one.
     """
     centers = np.asarray(centers, dtype=float)
     ks = np.arange(1, _SCAN_WINDOW + 1)
@@ -699,41 +707,38 @@ def _nearest_roots(f, centers, step: float, tol: float, zero_tol: float = 0.0) -
         f_c = np.asarray(f(c, idx), dtype=float)
         at_center = np.abs(f_c) <= zero_tol
         roots[idx[at_center]] = c[at_center]
-        # per direction (up, down): first-hit step (0: none yet) and what it found
-        hit_step = np.zeros((2, len(c)), dtype=np.intp)
-        exact = np.full((2, len(c)), np.nan)
-        bracket = np.full((2, 2, len(c)), np.nan)
-        a_prev, f_prev = np.array([c, c]), np.array([f_c, f_c])
-        scanning = np.array([~at_center, ~at_center])
+        # ray j < m goes up from function j's center and ray m + j down: partners
+        m = len(c)
+        sign, owner = np.repeat([1.0, -1.0], m), np.tile(idx, 2)
+        partner = np.roll(np.arange(2 * m), m)
+        a_prev, f_prev, scanning = np.tile(c, 2), np.tile(f_c, 2), np.tile(~at_center, 2)
+        hit_step = np.zeros(2 * m, dtype=np.intp)  # 0: no hit yet
+        found, lo, hi = np.full((3, 2 * m), np.nan)  # a root on the ray, or a bracket of one
         k0 = 0
         while scanning.any():
-            for d, sign in enumerate((1.0, -1.0)):
-                other = hit_step[1 - d]
-                scanning[d] &= (other == 0) | (k0 < other + 1)  # else beyond the other's root
-                rows = np.flatnonzero(scanning[d])
-                if not len(rows):
-                    continue
-                A, F, hit, ended = _scan_window(f, c[rows], idx[rows], a_prev[d, rows],
-                                                f_prev[d, rows], sign, k0 + ks, step, zero_tol)
-                found = np.flatnonzero(hit < len(ks))
-                r, h = rows[found], hit[found]
-                hit_step[d, r] = k0 + 1 + h
-                a_hit, f_hit = A[found, h], F[found, h]
-                before = np.where(h > 0, A[found, h - 1], a_prev[d, r])
-                zero = np.abs(f_hit) <= zero_tol
-                exact[d, r[zero]] = a_hit[zero]
-                bracket[0, d, r[~zero]] = np.minimum(before, a_hit)[~zero]
-                bracket[1, d, r[~zero]] = np.maximum(before, a_hit)[~zero]
-                scanning[d, rows[(hit < len(ks)) | ended]] = False
-                a_prev[d, rows], f_prev[d, rows] = A[:, -1], F[:, -1]
+            rays = np.flatnonzero(scanning)
+            A, F, hit, ended = _scan_window(f, centers[owner[rays]], owner[rays], a_prev[rays],
+                                            f_prev[rays], sign[rays], k0 + ks, step, zero_tol)
+            hits = np.flatnonzero(hit < len(ks))
+            r, h = rays[hits], hit[hits]
+            hit_step[r] = k0 + 1 + h
+            a_hit, f_hit = A[hits, h], F[hits, h]
+            before = np.where(h > 0, A[hits, h - 1], a_prev[r])
+            zero = np.abs(f_hit) <= zero_tol
+            found[r[zero]] = a_hit[zero]
+            lo[r[~zero]] = np.minimum(before, a_hit)[~zero]
+            hi[r[~zero]] = np.maximum(before, a_hit)[~zero]
+            scanning[rays[(hit < len(ks)) | ended]] = False
+            a_prev[rays], f_prev[rays] = A[:, -1], F[:, -1]
             k0 += len(ks)
-        to_bisect = np.flatnonzero(~np.isnan(bracket[0].ravel()))
-        if len(to_bisect):
-            owner = idx[to_bisect % len(c)]
-            exact.ravel()[to_bisect] = bisect_monotone_batch(
-                lambda x, k: f(x, owner[k]), bracket[0].ravel()[to_bisect],
-                bracket[1].ravel()[to_bisect], tol=tol)
-        up, down = exact
+            other = hit_step[partner]
+            scanning &= (other == 0) | (other >= k0)  # else past the partner's root
+        bracketed = np.flatnonzero(~np.isnan(lo))
+        if len(bracketed):
+            who = owner[bracketed]
+            found[bracketed] = bisect_monotone_batch(lambda x, k: f(x, who[k]), lo[bracketed],
+                                                     hi[bracketed], tol=tol)
+        up, down = found[:m], found[m:]
         # the nearer candidate; the upward one on a tie, as it is found first
         nearer = np.where(np.isnan(up) | (np.abs(down - c) < np.abs(up - c)), down, up)
         roots[idx[~at_center]] = nearer[~at_center]
@@ -797,6 +802,7 @@ def measure_eps_independence(model, sampler: SimplexSampler,
         def probe_gap(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
             # model(a q + (1 - a) r) - model(alpha p + (1 - alpha) r), per probe idx
             out = np.empty(len(a))
+            # blocked: a round's 2 * 127 * 64 points x 446 prizes would be ~58 MB a temporary
             for start in range(0, len(a), block):
                 k, w = idx[start:start + block], a[start:start + block, None]
                 out[start:start + block] = model.value_batch(

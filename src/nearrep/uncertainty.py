@@ -433,7 +433,7 @@ def bisect_monotone_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo,
         mid = 0.5 * (lo + hi)
         # stop at tol or at float resolution; either way the answer is the midpoint
         keep = (hi - lo > tol) & (mid > lo) & (mid < hi)
-        if np.count_nonzero(keep) == len(keep):
+        if np.count_nonzero(keep) == len(keep):  # no masked copies: removing this costs +7% a call
             fm = f(mid, act)
             keep = fm != 0.0
         else:
@@ -781,56 +781,43 @@ def _scaled_limits(model, X, v0, base: float, tol: float, n_max: int, bisect_tol
     raised) that names the `what` iterates and carries them.
     """
     X = _as_acts(model, X)
-    v0 = _grid_utility(v0, X).tolist()
-    iterates = [[v] for v in v0]
-    increments: list[list[float]] = [[] for _ in v0]
+    iterates = [[v] for v in _grid_utility(v0, X).tolist()]
     caps = [_scale_cap(max(float(np.max(x)), 1.0), n_max, base=base) for x in X]
-    results: list = [None] * len(X)
-    running = []
-    for k, x in enumerate(X):
-        if np.any(x):
-            running.append(k)
-        else:
-            results[k] = ScaledLimit(value=v0[k], theta=0.0, n_used=0, tail_bound=0.0,
-                                     iterates=(v0[k],))
+    # the zero act is its own limit; every other row runs until its first Cauchy step
+    results = [None if np.any(x) else _settled_limit(it) for x, it in zip(X, iterates)]
     n0 = 0  # steps n0 + 1 .. n0 + SCALE_BLOCK of every running row in one call
-    while running:
-        todo = [(k, n) for k in running
-                for n in range(n0 + 1, min(n0 + SCALE_BLOCK, caps[k]) + 1)]
+    while todo := [(k, n) for k, res in enumerate(results) if res is None
+                   for n in range(n0 + 1, min(n0 + SCALE_BLOCK, caps[k]) + 1)]:
         scales = np.array([base ** n for _, n in todo])
         acts = scales[:, None] * X[[k for k, _ in todo]].reshape(len(todo), X.shape[1])
         values = (ce_batch(model, acts, bisect_tol) / scales).tolist()
-        pos = 0
-        still = []
-        for k in running:
-            last = min(n0 + SCALE_BLOCK, caps[k])
-            for n in range(n0 + 1, last + 1):
-                v = values[pos + n - n0 - 1]
-                inc = abs(v - iterates[k][-1])
-                iterates[k].append(v)
-                increments[k].append(inc)
+        for (k, n), v in zip(todo, values):
+            if results[k] is None:  # else the row stopped at an earlier step of this block
+                it = iterates[k]
+                it.append(v)
+                inc = abs(v - it[-2])
                 if inc <= tol * (base ** -n) or inc <= 1e-15 * max(1.0, abs(v)):
-                    incs = increments[k]
-                    tail = 0.0
-                    if len(incs) >= 2 and incs[-2] > 0.0:
-                        r = incs[-1] / incs[-2]
-                        if r < 1.0:
-                            tail = incs[-1] * r / (1.0 - r)
-                    results[k] = ScaledLimit(value=v, theta=math.fsum(incs) + tail, n_used=n,
-                                             tail_bound=tail, iterates=tuple(iterates[k]))
-                    break
-            else:
-                if last < caps[k]:
-                    still.append(k)
-                else:
-                    inc = increments[k]
-                    results[k] = NotConverged(
-                        f"{what} iterates not Cauchy within n={caps[k]} (last increment "
-                        f"{inc[-1] if inc else 0.0!r})", iterates[k])
-            pos += max(last - n0, 0)
-        running = still
+                    results[k] = _settled_limit(it)
         n0 += SCALE_BLOCK
-    return results
+    return [NotConverged(f"{what} iterates not Cauchy within n={cap} (last increment "
+                         f"{abs(it[-1] - it[-2]) if len(it) > 1 else 0.0!r})", it)
+            if res is None else res for res, cap, it in zip(results, caps, iterates)]
+
+
+def _settled_limit(iterates: list[float]) -> ScaledLimit:
+    """The ScaledLimit of iterates whose last step passed the Cauchy test.
+
+    theta is the exact sum of the increments plus the geometric tail that
+    the last two of them project, when they shrink.
+    """
+    incs = [abs(b - a) for a, b in zip(iterates, iterates[1:])]
+    tail = 0.0
+    if len(incs) >= 2 and incs[-2] > 0.0:
+        r = incs[-1] / incs[-2]
+        if r < 1.0:
+            tail = incs[-1] * r / (1.0 - r)
+    return ScaledLimit(value=iterates[-1], theta=math.fsum(incs) + tail,
+                       n_used=len(iterates) - 1, tail_bound=tail, iterates=tuple(iterates))
 
 
 def _unwrap(res: ScaledLimit | NotConverged) -> ScaledLimit:

@@ -15,6 +15,8 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from nearrep import risk
+from nearrep.cli import run_scenario
 from nearrep.core import (
     BISECT_TOL,
     InvalidModel,
@@ -34,7 +36,7 @@ from nearrep.risk import (
     measure_eps_rcl,
     mixture_utility_batch,
 )
-from nearrep.uncertainty import bisect_monotone_batch
+from nearrep.uncertainty import _distinct_rows, bisect_monotone_batch
 
 
 # --- scalar reference ---------------------------------------------------------
@@ -101,9 +103,13 @@ def _ref_segment(model, alpha):
 
 def _ref_mixture_utility(model, probs, tol=1e-10):
     target = model.value(probs)
-    if target == model.value(_ref_segment(model, 1.0)):
+    best, worst = model.value(_ref_segment(model, 1.0)), model.value(_ref_segment(model, 0.0))
+    band = 4.0 * np.finfo(float).eps * max(abs(worst), abs(best))  # SNAP_ULPS units
+    if worst - band <= target < worst or best < target <= best + band:  # rounded past an end
+        target = min(max(target, worst), best)
+    if target == best:
         return 1.0
-    if target == model.value(_ref_segment(model, 0.0)):
+    if target == worst:
         return 0.0
     return _ref_bisect(lambda a: model.value(_ref_segment(model, a)) - target, 0.0, 1.0, tol)
 
@@ -421,6 +427,35 @@ def test_mixture_utility_batch_endpoints_and_no_bracket():
         mixture_utility_batch(over, np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]]))
 
 
+def test_mixture_utility_batch_takes_a_value_rounded_past_an_end_as_that_end():
+    # a mass of 2^-52 or 2^-53 on the better prize rounds the value one unit
+    # below the worse prize's own value
+    model = CumulativeProspect(1.192092896e-07, 0.7421875, (2.0, 3.0))
+    rows = np.array([[1.0 - 2.0 ** -52, 2.0 ** -52], [1.0 - 2.0 ** -53, 2.0 ** -53]])
+    assert (model.value_batch(rows) < model.value((1.0, 0.0))).all()
+    assert mixture_utility_batch(model, rows).tolist() == [0.0, 0.0]
+    assert [_ref_mixture_utility(model, tuple(row)) for row in rows.tolist()] == [0.0, 0.0]
+
+
+def test_calibration_never_sees_a_repeated_row():
+    # callers pass distinct rows: mixture_utility_batch solves every row it gets
+    scenario = {"version": 1, "name": "cpt-4", "domain": "risk",
+                "model": {"type": "cpt", "value_exponent": 0.7, "weight_exponent": 0.6,
+                          "prizes": [1480, 1250, 80, 0]},
+                "sampler": {"resolution": 9, "n_random_triples": 40, "n_pairs": 6}}
+    sizes = []
+
+    def distinct_only(model, P, tol=BISECT_TOL):
+        P = np.asarray(P, dtype=float)
+        assert len(_distinct_rows(P)[0]) == len(P)
+        sizes.append(len(P))
+        return mixture_utility_batch(model, P, tol)
+
+    with mock.patch.object(risk, "mixture_utility_batch", side_effect=distinct_only):
+        run_scenario(scenario)
+    assert len(sizes) >= 2  # the grid, then the reduction meter's probes
+
+
 # --- segment inverses --------------------------------------------------------------
 
 @st.composite
@@ -591,6 +626,30 @@ def test_nearest_root_matches_scalar_scan(center, step, freq, phase, offset, zer
     assert math.isnan(got) == (ref is None)
     if ref is not None:
         assert got == pytest.approx(ref, abs=1e-12)
+
+
+def test_nearest_roots_call_the_functions_once_per_scan_round():
+    # roots 0.1003 / 0.1207 and 0.1504 / 0.1401 below / above the centers,
+    # off the step grid and beyond the first 64-step round on both rays:
+    # three rounds before the bisection
+    centers = np.array([0.5, 0.4])
+    below, above = np.array([0.1003, 0.1504]), np.array([0.1207, 0.1401])
+    calls = []
+
+    def f(a, idx):
+        calls.append(len(a))
+        return (a - (centers[idx] - below[idx])) * (a - (centers[idx] + above[idx]))
+
+    scanned = []
+
+    def bisect(*args, **kwargs):
+        scanned.append(len(calls))
+        return bisect_monotone_batch(*args, **kwargs)
+
+    with mock.patch("nearrep.risk.bisect_monotone_batch", side_effect=bisect):
+        roots = _nearest_roots(f, centers, 1e-3, 1e-10)
+    assert scanned == [1 + 3]  # the centers, then one call per round
+    assert roots == pytest.approx([0.3997, 0.5401], abs=1e-9)
 
 
 @settings(max_examples=40, deadline=None)
