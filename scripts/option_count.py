@@ -1,13 +1,16 @@
-"""Count the options of the nearrep package: parameters that have a default.
+"""Count the options of the nearrep package: parameters and fields that have a default.
 
 Every function and lambda under src/nearrep is read with `ast` (nothing is
 imported), and each parameter with a default value counts once, positional
-or keyword-only, public or private. Dataclass fields are not parameters and
-do not count. Prints one line per module and the total:
+or keyword-only, public or private. Prints one line per module and the
+total of those parameters, then on its own line the dataclass fields that
+take a default through __init__ (`field(init=False)` and a `field()` with no
+default are not options):
 
     cli 2
     ...
-    total 36
+    total 35
+    fields 17
 
 Usage: python scripts/option_count.py
 """
@@ -18,18 +21,45 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nearrep"
 
 
-def count_options(path: Path) -> int:
+def count_options(tree: ast.Module) -> int:
     functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
     return sum(len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
-               for node in ast.walk(ast.parse(path.read_text(), str(path)))
-               if isinstance(node, functions))
+               for node in ast.walk(tree) if isinstance(node, functions))
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in node.decorator_list)
+
+
+def _is_init_default(value: ast.expr) -> bool:
+    """Whether a dataclass field's assigned value gives __init__ a default."""
+    if not (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            and value.func.id == "field"):
+        return True
+    keywords = {k.arg: k.value for k in value.keywords}
+    init = keywords.get("init")
+    if isinstance(init, ast.Constant) and init.value is False:
+        return False
+    return "default" in keywords or "default_factory" in keywords
+
+
+def count_fields(tree: ast.Module) -> int:
+    return sum(isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+               and _is_init_default(stmt.value)
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+               for stmt in node.body)
 
 
 def main() -> None:
-    counts = {path.stem: count_options(path) for path in sorted(PACKAGE.glob("*.py"))}
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    counts = {module: count_options(tree) for module, tree in trees.items()}
     for module, n in counts.items():
         print(f"{module} {n}")
     print(f"total {sum(counts.values())}")
+    print(f"fields {sum(count_fields(tree) for tree in trees.values())}")
 
 
 if __name__ == "__main__":

@@ -298,11 +298,11 @@ def _run_risk(name: str, model, s: dict, tols: dict) -> RunResult:
     slack = tols["slack"]
     result = RunResult(name=name, domain="risk")
     # the grid is calibrated once; the meter, both verifiers and the table read u,
-    # and the benchmark takes its coefficients from u at the vertices
+    # and the benchmark is the expected utility of u at the vertices
     G = sampler.grid(model.n_outcomes)
     u = risk_mod.mixture_utility_batch(model, G, tol)
     vertex_rows, prize = np.nonzero(G == 1.0)
-    benchmark = risk_mod.AffineBenchmark(tuple(u[vertex_rows[np.argsort(prize)]].tolist()))
+    benchmark = risk_mod.ExpectedUtility(tuple(u[vertex_rows[np.argsort(prize)]].tolist()))
     rcl = risk_mod.measure_eps_rcl(model, u, sampler, tol=tol)
     result.reports.append(rcl.as_dict())
     _check(result, "mixture-support-bound",
@@ -311,7 +311,7 @@ def _run_risk(name: str, model, s: dict, tols: dict) -> RunResult:
     result.reports.append(ind.as_dict())
     _check(result, "independence-square-bound",
            lambda: risk_mod.verify_thm2(u, benchmark, ind.value, sampler, slack=slack))
-    l = benchmark.evaluate_batch(G)
+    l = benchmark.value_batch(G)
     allowed = (risk_mod._support_sizes(G) - 1) * rcl.value + slack
     header = [f"p{i}" for i in range(model.n_outcomes)] + \
         ["calibrated_utility", "affine_value", "gap", "allowed"]
@@ -597,7 +597,7 @@ def _builtin_allais() -> RunResult:
     result = RunResult(name="allais", domain="risk")
     result.verdicts["common-ratio-pattern"] = rep.exhibits_common_ratio_effect
     result.verdicts["reversal-restored"] = rep.reversal_restored
-    lo, hi = rep.lambda_bracket
+    lo, hi = risk_mod.LAMBDA_BRACKET
     result.verdicts["lambda-star-in-bracket"] = lo < rep.lambda_star < hi
     result.notes.append(
         f"values: " + ", ".join(f"{k}={v:.6f}" for k, v in rep.values.items()))

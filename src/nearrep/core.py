@@ -45,10 +45,10 @@ __all__ = [
 ]
 
 SUM_TOL = 1e-12  # probability vectors must sum to 1 within this before renormalizing
-# Largest grid grid_sample builds. Every grid the tests, builtins and example
-# scenarios use has at most a few thousand points; at 1e5 points the act and
-# lottery meters already run for many minutes, and a typo such as a resolution
-# of 10^6 would ask for terabytes.
+# Largest simplex lattice or box grid the samplers build. Every grid the tests,
+# builtins and example scenarios use has at most a few thousand points; at 1e5
+# points the act and lottery meters already run for many minutes, and a typo
+# such as a resolution of 10^6 would ask for terabytes.
 MAX_GRID_POINTS = 100_000
 TAIL_WINDOW = 4  # dyadic_tail_sum judges decay on this many trailing term ratios
 RATIO_TOL = 0.75  # largest trailing term ratio dyadic_tail_sum still calls decaying
@@ -129,9 +129,9 @@ class Lottery:
     def __post_init__(self):
         if len(self.probs) < 2:
             raise InvalidModel("a lottery needs at least two prizes")
-        p = tuple(float(v) for v in self.probs)
-        if any(v < 0.0 or not math.isfinite(v) for v in p):
-            raise InvalidModel(f"negative or non-finite probability in {p}")
+        p = _finite(self.probs, "probabilities")
+        if any(v < 0.0 for v in p):
+            raise InvalidModel(f"negative probability in {p}")
         total = math.fsum(p)
         if abs(total - 1.0) > SUM_TOL:
             raise InvalidModel(f"probabilities sum to {total!r}, not 1")
@@ -161,6 +161,14 @@ class Lottery:
         if not 0.0 <= lam <= 1.0:
             raise InvalidModel(f"mixture weight {lam!r} outside [0, 1]")
         return Lottery(mix_probs(self.probs, other.probs, lam))
+
+
+def _finite(values: Sequence[float], what: str) -> tuple[float, ...]:
+    """values as a tuple of floats; InvalidModel when any of them is nan or infinite."""
+    v = tuple(float(x) for x in values)
+    if not all(map(math.isfinite, v)):
+        raise InvalidModel(f"{what} must be finite, got {v}")
+    return v
 
 
 def mix_probs(p: Sequence[float], q: Sequence[float], lam: float) -> tuple[float, ...]:
@@ -227,8 +235,6 @@ def _jsonable(obj: Any) -> Any:
         return [_jsonable(v) for v in obj]
     if type(obj).__module__ == "numpy":  # an array or a scalar, told without importing numpy
         return _jsonable(obj.tolist())
-    if isinstance(obj, (Lottery,)):
-        return list(obj.probs)
     return obj
 
 
@@ -278,11 +284,11 @@ def bisect_monotone(f: Callable[[float], float], lo: float, hi: float,
 
 
 def grid_size(space: str, dim: int, resolution: int) -> int:
-    """Number of points grid_sample(space, dim, resolution) builds; allocates nothing.
+    """Number of points of a sampler grid over dim coordinates; allocates nothing.
 
-    C(resolution + dim - 1, dim - 1) for the simplex, resolution^dim for the
-    box, resolution for the interval. Invalid arguments raise as in
-    grid_sample.
+    C(resolution + dim - 1, dim - 1) for the simplex lattice (multiples of
+    1/resolution), resolution^dim for the box grid (resolution points per
+    axis). Invalid arguments raise InvalidModel.
     """
     if space == "simplex":
         if resolution < 1:
@@ -290,15 +296,21 @@ def grid_size(space: str, dim: int, resolution: int) -> int:
         if dim < 2:
             raise InvalidModel("simplex needs at least 2 coordinates")
         return math.comb(resolution + dim - 1, dim - 1)
-    if space not in ("box", "interval"):
+    if space != "box":
         raise InvalidModel(f"unknown space {space!r}")
     if resolution < 2:
         raise InvalidModel(f"resolution {resolution!r} must be at least 2")
-    if space == "interval":
-        return resolution
     if dim < 1:
         raise InvalidModel("box needs at least 1 axis")
     return resolution ** dim
+
+
+def _check_grid_cap(space: str, dim: int, resolution: int) -> None:
+    """Refuse a grid above MAX_GRID_POINTS from its count, before anything is allocated."""
+    n = grid_size(space, dim, resolution)
+    if n > MAX_GRID_POINTS:
+        raise InvalidModel(f"{space} grid of {n} points exceeds the cap of "
+                           f"{MAX_GRID_POINTS} points")
 
 
 def dyadic_tail_sum(terms: Sequence[float], floor: float = 1e-15) -> tuple[float, bool]:

@@ -9,11 +9,12 @@ lotteries, and the verifiers check the quantitative closeness bounds the
 defects imply.
 
 All utilities are in calibration units: u(best) = 1, u(worst) = 0. The lottery
-models are defined here too.
+models are defined here too, with the segment-root solves their calibration uses.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -22,17 +23,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (BISECT_TOL, BOUND_SLACK, MAX_BISECT_STEPS, STRICTNESS_MARGIN, BoundViolated,
-                   HypothesisFailed, InvalidModel, Lottery, NearRepresentation, NoBracket,
-                   NotConverged, ViolationReport, bisect_monotone)
-from .uncertainty import (EPS, _bracket_ends, _distinct_rows, _grid_utility, _RowModel, _rows,
-                          bisect_monotone_batch, grid_sample)
+                   HypothesisFailed, InvalidModel, NearRepresentation, NoBracket, NotConverged,
+                   ViolationReport, _check_grid_cap, _finite, bisect_monotone)
+from .uncertainty import EPS, _grid_utility, _RowModel, _rows
 
 __all__ = [
     "ExpectedUtility",
     "CumulativeProspect",
     "TabulatedUtility",
     "SimplexSampler",
-    "AffineBenchmark",
+    "bisect_monotone_batch",
     "mixture_utility_batch",
     "build_affine_benchmark",
     "measure_eps_rcl",
@@ -60,6 +60,83 @@ SCAN_STEP = 1e-3  # mixture-weight step of the independence meter's outward scan
 FITTED_VALUE_EXPONENT = 0.54
 FITTED_WEIGHT_EXPONENT = 0.74
 FIGURE1_CLAIM = 0.1  # the nominal reading of max |w(p) - p| for the fitted curve
+LAMBDA_BRACKET = (0.25, 0.27)  # the common-ratio audit expects lambda* strictly inside
+
+
+# ---------------------------------------------------------------------------
+# segment roots: the checks every solve makes at the segment ends, and the
+# lockstep bisection that is the default solve
+
+def _bracket_ends(flo: np.ndarray, fhi: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                  tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The checks of a batched root solve before its first step.
+
+    flo and fhi are each element's function values at its bracket ends lo
+    and hi. Returns the answers so far (lo or hi where the value there is
+    exactly zero, lo first) and the elements still to solve. Raises
+    InvalidModel for a tolerance that is not positive and NoBracket naming
+    the first element whose two end values share a sign. Every segment
+    solve (bisect_monotone_batch and the risk models' segment_root) starts
+    here, so they agree on the ends and on where NoBracket is raised.
+    """
+    if not tol > 0.0:
+        raise InvalidModel(f"tol must be positive, got {tol!r}")
+    at_lo = flo == 0.0
+    at_hi = ~at_lo & (fhi == 0.0)
+    same = np.flatnonzero(~at_lo & ~at_hi & ((flo > 0.0) == (fhi > 0.0)))
+    if len(same):
+        k = int(same[0])
+        raise NoBracket(f"element {k}: f({lo[k]!r})={flo[k]!r} and f({hi[k]!r})={fhi[k]!r} "
+                        f"have the same sign")
+    return np.where(at_hi, hi, lo), np.flatnonzero(~at_lo & ~at_hi)
+
+
+def bisect_monotone_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi,
+                          tol: float = BISECT_TOL) -> np.ndarray:
+    """bisect_monotone for many brackets at once, all stepped in lockstep.
+
+    f(c, idx) returns, for each k, the idx[k]-th monotone function at c[k];
+    element k is bracketed by [lo[k], hi[k]]. Every element takes the steps
+    bisect_monotone takes on its own: an exact zero at lo, at hi or at a
+    midpoint returns that point, and it stops once hi - lo <= tol or the
+    midpoint no longer splits the interval. Raises NoBracket, naming the
+    first such element, when any f(lo) and f(hi) share a sign.
+    """
+    lo = np.array(lo, dtype=float).reshape(-1)
+    hi = np.array(hi, dtype=float).reshape(-1)
+    if lo.shape != hi.shape:
+        raise InvalidModel(f"{len(lo)} lower and {len(hi)} upper bracket ends")
+    empty = np.flatnonzero(~(lo < hi))
+    if len(empty):
+        k = int(empty[0])
+        raise InvalidModel(f"empty bracket [{lo[k]!r}, {hi[k]!r}] at element {k}")
+    idx = np.arange(len(lo))
+    flo = f(lo, idx)
+    out, act = _bracket_ends(flo, f(hi, idx), lo, hi, tol)
+    increasing = flo[act] < 0.0
+    lo, hi = lo[act], hi[act]
+    for _ in range(MAX_BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        # stop at tol or at float resolution; either way the answer is the midpoint
+        keep = (hi - lo > tol) & (mid > lo) & (mid < hi)
+        if np.count_nonzero(keep) == len(keep):  # no masked copies: removing this costs +7% a call
+            fm = f(mid, act)
+            keep = fm != 0.0
+        else:
+            fm = f(mid[keep], act[keep])
+            keep[keep] = fm != 0.0
+        if np.count_nonzero(keep) < len(keep):  # finished elements leave the active set
+            out[act[~keep]] = mid[~keep]
+            fm = fm[fm != 0.0]
+            act, increasing, lo, hi, mid = (act[keep], increasing[keep], lo[keep], hi[keep],
+                                            mid[keep])
+            if not len(act):
+                break
+        up = (fm < 0.0) == increasing
+        lo = np.where(up, mid, lo)
+        hi = np.where(up, hi, mid)
+    out[act] = 0.5 * (lo + hi)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +198,7 @@ class ExpectedUtility(_LotteryModel):
     prize_utilities: tuple[float, ...]
 
     def __post_init__(self):
-        u = tuple(float(v) for v in self.prize_utilities)
+        u = _finite(self.prize_utilities, "prize utilities")
         if len(u) < 2:
             raise InvalidModel("need at least two prizes")
         if len(set(u)) < 2:
@@ -174,7 +251,7 @@ class CumulativeProspect(_LotteryModel):
         # classical monotonicity threshold for this functional form
         if not 0.28 <= self.weight_exponent <= 1.0:
             raise InvalidModel(f"weight exponent {self.weight_exponent!r} outside [0.28, 1]")
-        z = tuple(float(v) for v in self.prizes)
+        z = _finite(self.prizes, "prizes")
         if len(z) < 2:
             raise InvalidModel("need at least two prizes")
         if any(v < 0.0 for v in z):
@@ -215,9 +292,6 @@ class CumulativeProspect(_LotteryModel):
         xb = x ** b
         g[inner] = xb / (xb + (1.0 - x) ** b) ** (1.0 / b)
         return g[()]  # a scalar for a scalar p
-
-    def prize_value(self, x: float) -> float:
-        return x ** self.value_exponent
 
     def value_batch(self, P) -> np.ndarray:
         """Sum over the descending prize order of (g(cum) - g(previous cum)) * w(prize).
@@ -328,7 +402,7 @@ class TabulatedUtility(_LotteryModel):
     def __post_init__(self):
         if self.n_outcomes < 2:
             raise InvalidModel("need at least two prizes")
-        if len(set(self._degenerate_values)) < 2:
+        if len(set(_finite(self._degenerate_values, "degenerate values"))) < 2:
             raise InvalidModel("constant on degenerates; no calibration segment")
 
     def value_batch(self, P) -> np.ndarray:
@@ -367,6 +441,38 @@ def _segments(alpha: np.ndarray, top, bottom, n: int) -> np.ndarray:
     return S
 
 
+def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows U of X and each row's index into them: X == U[inverse]."""
+    if len(X) < 2:
+        return X, np.arange(len(X))
+    order = np.lexsort(X.T[::-1])
+    S = X[order]
+    first = np.empty(len(X), dtype=bool)
+    first[0] = True
+    np.any(S[1:] != S[:-1], axis=1, out=first[1:])
+    inverse = np.empty(len(X), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return S[first], inverse
+
+
+def _simplex_lattice(n_coords: int, subdivisions: int) -> np.ndarray:
+    """All compositions of `subdivisions` into n_coords parts, divided out.
+
+    Deterministic lexicographic order; contains every vertex, and the
+    barycenter whenever subdivisions is a multiple of n_coords.
+    """
+    if subdivisions == 0:
+        return np.full((1, n_coords), 1.0 / n_coords)
+    # stars and bars: each combination of bar slots is one composition, and
+    # the parts are the gaps between consecutive bars (and the two ends)
+    slots = subdivisions + n_coords - 1
+    count = math.comb(slots, n_coords - 1)
+    bars = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations(range(slots), n_coords - 1)), dtype=np.intp,
+        count=count * (n_coords - 1)).reshape(count, n_coords - 1)
+    return (np.diff(bars, axis=1, prepend=-1, append=slots) - 1) / subdivisions
+
+
 def _support_sizes(P: np.ndarray) -> np.ndarray:
     return np.count_nonzero(P > 0.0, axis=1)
 
@@ -396,7 +502,8 @@ class SimplexSampler:
         """The lattice lotteries as read-only rows, built once per sampler and prize count."""
         G = self._grids.get(n_outcomes)
         if G is None:
-            G = _on_simplex(grid_sample("simplex", n_outcomes, self.resolution))
+            _check_grid_cap("simplex", n_outcomes, self.resolution)
+            G = _on_simplex(_simplex_lattice(n_outcomes, self.resolution))
             G.flags.writeable = False
             self._grids[n_outcomes] = G
         return G
@@ -422,23 +529,10 @@ def mixture_utility_batch(model, P, tol: float = BISECT_TOL) -> np.ndarray:
     return model.segment_root(np.where(np.abs(v - snapped) <= band, snapped, v), top, bottom, tol)
 
 
-@dataclass(frozen=True)
-class AffineBenchmark:
-    """Affine function through the calibrated degenerate utilities."""
-
-    coefficients: tuple[float, ...]
-
-    def evaluate_batch(self, P) -> np.ndarray:
-        return np.vecdot(_rows(P), np.asarray(self.coefficients, dtype=float))
-
-    def evaluate(self, p) -> float:
-        return float(self.evaluate_batch(p.probs if isinstance(p, Lottery) else p)[0])
-
-
-def build_affine_benchmark(model) -> AffineBenchmark:
-    """Affine benchmark l(p) = sum_i p_i u(delta_i) in calibration units."""
+def build_affine_benchmark(model) -> ExpectedUtility:
+    """Affine benchmark l(p) = sum_i p_i u(delta_i), u calibrated: u(best) = 1, u(worst) = 0."""
     coeffs = mixture_utility_batch(model, np.eye(model.n_outcomes), BISECT_TOL)
-    return AffineBenchmark(coefficients=tuple(coeffs.tolist()))
+    return ExpectedUtility(tuple(coeffs.tolist()))
 
 
 def _peel_chains(G: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -567,7 +661,7 @@ def _first_max(gap: np.ndarray) -> tuple[float, int | None]:
     return (float(gap[k]), k) if gap[k] > 0.0 else (0.0, None)
 
 
-def verify_thm1(u, benchmark: AffineBenchmark, eps_hat: float, sampler: SimplexSampler,
+def verify_thm1(u, benchmark: ExpectedUtility, eps_hat: float, sampler: SimplexSampler,
                 slack: float = BOUND_SLACK) -> NearRepresentation:
     """Check |u(p) - l(p)| <= (support(p) - 1) * eps_hat + slack on the grid.
 
@@ -578,8 +672,8 @@ def verify_thm1(u, benchmark: AffineBenchmark, eps_hat: float, sampler: SimplexS
     the sup-norm gap against the global bound d * eps_hat with
     d = n_outcomes - 1.
     """
-    G = sampler.grid(len(benchmark.coefficients))
-    gap = np.abs(_grid_utility(u, G) - benchmark.evaluate_batch(G))
+    G = sampler.grid(benchmark.n_outcomes)
+    gap = np.abs(_grid_utility(u, G) - benchmark.value_batch(G))
     support = _support_sizes(G)
     degenerate = support == 1
     allowed = (support - 1) * eps_hat + slack
@@ -595,10 +689,10 @@ def verify_thm1(u, benchmark: AffineBenchmark, eps_hat: float, sampler: SimplexS
             witness={"p": _probs(G[k]), "gap": float(gap[k]), "allowed": float(allowed[k]),
                      "support_size": int(support[k])})
     worst_gap, worst = _first_max(np.where(degenerate, 0.0, gap))
-    d = len(benchmark.coefficients) - 1
+    d = benchmark.n_outcomes - 1
     return NearRepresentation(
         kind="affine",
-        parameters={"coefficients": benchmark.coefficients},
+        parameters={"coefficients": benchmark.prize_utilities},
         achieved_distance=worst_gap,
         bound=d * eps_hat,
         details={"slack": slack, "per_point_rule": "support-minus-one",
@@ -608,7 +702,7 @@ def verify_thm1(u, benchmark: AffineBenchmark, eps_hat: float, sampler: SimplexS
     )
 
 
-def converse_check_4eps(model, benchmark: AffineBenchmark, eps: float,
+def converse_check_4eps(model, benchmark: ExpectedUtility, eps: float,
                         sampler: SimplexSampler) -> ViolationReport:
     """Given sup |u - l| < eps, confirm all sampled mixture defects stay < 4 eps.
 
@@ -620,7 +714,7 @@ def converse_check_4eps(model, benchmark: AffineBenchmark, eps: float,
     """
     n = model.n_outcomes
     vertices = np.eye(n)
-    vertex_gap = np.abs(model.value_batch(vertices) - benchmark.evaluate_batch(vertices))
+    vertex_gap = np.abs(model.value_batch(vertices) - benchmark.value_batch(vertices))
     off = np.flatnonzero(vertex_gap > 1e-9)
     if len(off):
         i = int(off[0])
@@ -628,7 +722,7 @@ def converse_check_4eps(model, benchmark: AffineBenchmark, eps: float,
             f"model differs from benchmark on degenerate {i} by {float(vertex_gap[i])!r}",
             witness={"p": _probs(vertices[i]), "gap": float(vertex_gap[i])})
     G = sampler.grid(n)
-    sup_gap, sup = _first_max(np.abs(model.value_batch(G) - benchmark.evaluate_batch(G)))
+    sup_gap, sup = _first_max(np.abs(model.value_batch(G) - benchmark.value_batch(G)))
     if sup_gap >= eps:
         raise HypothesisFailed(
             f"sup |u - l| = {sup_gap!r} is not below eps = {eps!r}",
@@ -830,7 +924,7 @@ def measure_eps_independence(model, sampler: SimplexSampler,
     )
 
 
-def verify_thm2(u, benchmark: AffineBenchmark, eps_hat: float, sampler: SimplexSampler,
+def verify_thm2(u, benchmark: ExpectedUtility, eps_hat: float, sampler: SimplexSampler,
                 slack: float = BOUND_SLACK) -> NearRepresentation:
     """Check sup |u - l| <= (d + 1)^2 * eps_hat + slack on the grid.
 
@@ -838,10 +932,10 @@ def verify_thm2(u, benchmark: AffineBenchmark, eps_hat: float, sampler: SimplexS
     mixture_utility_batch returns it. Raises BoundViolated with the first
     violating lottery in grid order.
     """
-    d = len(benchmark.coefficients) - 1
+    d = benchmark.n_outcomes - 1
     G = sampler.grid(d + 1)
     bound = (d + 1) ** 2 * eps_hat
-    gap = np.abs(_grid_utility(u, G) - benchmark.evaluate_batch(G))
+    gap = np.abs(_grid_utility(u, G) - benchmark.value_batch(G))
     bad = np.flatnonzero(gap > bound + slack)
     if len(bad):
         k = int(bad[0])
@@ -851,7 +945,7 @@ def verify_thm2(u, benchmark: AffineBenchmark, eps_hat: float, sampler: SimplexS
     worst_gap, worst = _first_max(gap)
     return NearRepresentation(
         kind="affine",
-        parameters={"coefficients": benchmark.coefficients},
+        parameters={"coefficients": benchmark.prize_utilities},
         achieved_distance=worst_gap,
         bound=bound,
         details={"slack": slack, "n_points": len(G),
@@ -876,7 +970,6 @@ class AllaisReport:
     prefers_scaled_4000: bool
     reversal_restored: bool
     lambda_star: float
-    lambda_bracket: tuple[float, float] = (0.25, 0.27)
 
     @property
     def exhibits_common_ratio_effect(self) -> bool:
@@ -906,20 +999,15 @@ def allais_report() -> AllaisReport:
         "D": (3000.0, 0.25),
         "D'": (3000.0, 0.27),
     }
-
-    def lottery_for(prize: float, prob: float) -> Lottery:
-        idx = model.prizes.index(prize)
-        probs = [0.0, 0.0, 0.0]
-        probs[idx] = prob
-        probs[2] = probs[2] + (1.0 - prob)
-        return Lottery(tuple(probs))
-
-    values = {name: model.value(lottery_for(z, p).probs) for name, (z, p) in gambles.items()}
-    calibrated = mixture_utility_batch(
-        model, [lottery_for(z, p).probs for z, p in gambles.values()], BISECT_TOL).tolist()
-    alphas = dict(zip(gambles, calibrated))
+    # each gamble's prize with its probability, the rest on the zero prize; rows sum to 1
+    P = np.zeros((len(gambles), 3))
+    for k, (prize, prob) in enumerate(gambles.values()):
+        P[k, model.prizes.index(prize)] = prob
+        P[k, 2] += 1.0 - prob
+    values = dict(zip(gambles, model.value_batch(P).tolist()))
+    alphas = dict(zip(gambles, mixture_utility_batch(model, P, BISECT_TOL).tolist()))
     target = values["C"]
-    w3000 = model.prize_value(3000.0)
+    w3000 = model._prize_values[1]  # w(3000), stored with the model
     lam_star = bisect_monotone(lambda lam: model.weight(lam) * w3000 - target,
                                0.0, 1.0, tol=BISECT_TOL)
     return AllaisReport(

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .core import (RATIO_TOL, SUM_TOL, VERIFY_TOL, BoundViolated, HypothesisFailed, InvalidModel,
                    NearRepresentation, NoBracket, NoSuchTau, NotConverged, ViolationReport,
-                   bisect_monotone, discount, dyadic_tail_sum)
+                   _finite, bisect_monotone, discount, dyadic_tail_sum)
 
 __all__ = [
     "Exponential",
@@ -52,14 +52,14 @@ DELAY_TOL = 1e-9  # argument tolerance of every indifference-delay bisection
 
 
 # ---------------------------------------------------------------------------
-# discrete-time discount models: log_d(t) over integer delays
+# discrete-time discount models: log_d(t) over integer delays up to T_max (None: no horizon)
 
 @dataclass(frozen=True)
 class Exponential:
     """d(t) = gamma^t."""
 
     gamma: float
-    T_max: int | None = None
+    T_max = None
 
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
@@ -76,7 +76,7 @@ class QuasiHyperbolic:
 
     beta: float
     delta: float
-    T_max: int | None = None
+    T_max = None
 
     def __post_init__(self):
         if not 0.0 < self.beta <= 1.0:
@@ -96,9 +96,10 @@ class Hyperbolic:
     """d(t) = 1 / (1 + k t)."""
 
     k: float
-    T_max: int | None = None
+    T_max = None
 
     def __post_init__(self):
+        _finite((self.k,), "k")
         if not self.k > 0.0:
             raise InvalidModel(f"k {self.k!r} must be positive")
 
@@ -118,7 +119,7 @@ class TabulatedDiscount:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        v = tuple(float(x) for x in self.values)
+        v = _finite(self.values, "discount levels")
         if len(v) < 2:
             raise InvalidModel("need at least d(0) and d(1)")
         if any(x <= 0.0 for x in v):
@@ -402,6 +403,7 @@ class LinearDelay:
     rate: float = 1.0  # a scenario's default too
 
     def __post_init__(self):
+        _finite((self.x_bar, self.rate), "x_bar and rate")
         if not self.rate > 0.0:
             raise InvalidModel("rate must be positive")
 
@@ -421,6 +423,7 @@ class LogDelay:
     k: float
 
     def __post_init__(self):
+        _finite((self.x_bar, self.k), "x_bar and k")
         if not self.k > 0.0:
             raise InvalidModel("k must be positive")
 
@@ -477,7 +480,6 @@ class GammaCurve:
 
     xs: tuple[float, ...]
     gammas: tuple[float, ...]
-    x_bar: float
 
     def table(self) -> tuple[list[str], list[list]]:
         return ["x", "gamma"], [[x, g] for x, g in zip(self.xs, self.gammas)]
@@ -499,7 +501,7 @@ def continuous_gamma_curve(model, xs: Sequence[float]) -> GammaCurve:
                 f"u(x, 0) = {now!r} differs from x = {x!r}",
                 witness={"x": x, "value_at_zero": now})
         gammas.append(gamma_of(model, x))
-    return GammaCurve(xs=xs, gammas=tuple(gammas), x_bar=model.x_bar)
+    return GammaCurve(xs=xs, gammas=tuple(gammas))
 
 
 def measure_eps_stationarity(model, curve: GammaCurve,

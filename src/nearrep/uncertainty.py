@@ -9,8 +9,8 @@ quasi-concave envelope comes from convex hulls of sampled upper level sets.
 
 Certainty equivalents keep u(c * ones) = c exactly (constant acts short-cut
 the solve), which is what makes the doubling bookkeeping phi(x, 0) legitimate.
-The act models are defined here too, with the array primitives the risk
-domain shares: row evaluation, lockstep bisection and evaluation grids.
+The act models are defined here too, with the row layer the risk domain
+shares: value_batch over rows, value as its one-row case.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (BISECT_TOL, MAX_BISECT_STEPS, MAX_GRID_POINTS, RATIO_TOL, STRICTNESS_MARGIN,
-                   SUM_TOL, VERIFY_TOL, BoundViolated, HypothesisFailed, InvalidModel,
-                   NearRepresentation, NoBracket, NotAdditive, NotConverged, ViolationReport,
-                   dyadic_tail_sum, grid_size)
+from .core import (BISECT_TOL, MAX_BISECT_STEPS, RATIO_TOL, STRICTNESS_MARGIN, SUM_TOL,
+                   VERIFY_TOL, BoundViolated, HypothesisFailed, InvalidModel, NearRepresentation,
+                   NotAdditive, NotConverged, ViolationReport, _check_grid_cap, _finite,
+                   dyadic_tail_sum)
 
 __all__ = [
     "SubjectiveExpected",
@@ -34,8 +34,6 @@ __all__ = [
     "SmoothAmbiguity",
     "CESUtility",
     "LinearPlusBounded",
-    "bisect_monotone_batch",
-    "grid_sample",
     "BoxSampler",
     "LinearBenchmark",
     "ScaledLimit",
@@ -83,7 +81,7 @@ ADDITIVITY_TOL = 1e-6  # coordinate limits must sum to the sure act's limit with
 
 # ---------------------------------------------------------------------------
 # every model evaluates rows: value_batch(X) over rows of lotteries or acts,
-# value(x) as its one-row case
+# value(x) as its one-row case; a meter reads one utility per grid row
 
 def _rows(X) -> np.ndarray:
     return np.ascontiguousarray(X, dtype=float).reshape(-1, np.shape(X)[-1])
@@ -102,13 +100,21 @@ class _RowModel:
         return float(self.value_batch(_rows(x))[0])
 
 
+def _grid_utility(u, grid: np.ndarray) -> np.ndarray:
+    """u as a float array of one utility per grid row; InvalidModel when the counts differ."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != (len(grid),):
+        raise InvalidModel(f"utility array of shape {u.shape} for a grid of {len(grid)} points")
+    return u
+
+
 # ---------------------------------------------------------------------------
 # uncertainty models: value_batch(X) over rows of acts in R^d_+, value(x) as its
 # one-row case, and ce_batch(X, tol), the sure payoff with each row's value
 # (ce_batch below handles constant rows before calling it)
 
 def _validate_prior(prior: Sequence[float], what: str = "prior") -> tuple[float, ...]:
-    p = tuple(float(v) for v in prior)
+    p = _finite(prior, what)
     if len(p) < 1:
         raise InvalidModel(f"empty {what}")
     if any(v < 0.0 for v in p):
@@ -279,7 +285,7 @@ class CESUtility(_RowModel):
     rho: float
 
     def __post_init__(self):
-        w = tuple(float(v) for v in self.weights)
+        w = _finite(self.weights, "weights")
         if any(v <= 0.0 for v in w):
             raise InvalidModel("weights must be strictly positive")
         if not 0.0 < self.rho <= 1.0:
@@ -379,143 +385,17 @@ class LinearPlusBounded(_RowModel):
 
 
 # ---------------------------------------------------------------------------
-# array primitives, shared with the risk domain
+# the act grid
 
-def _bracket_ends(flo: np.ndarray, fhi: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                  tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The checks of a batched root solve before its first step.
-
-    flo and fhi are each element's function values at its bracket ends lo
-    and hi. Returns the answers so far (lo or hi where the value there is
-    exactly zero, lo first) and the elements still to solve. Raises
-    InvalidModel for a tolerance that is not positive and NoBracket naming
-    the first element whose two end values share a sign. Every segment
-    solve (bisect_monotone_batch and the risk models' segment_root) starts
-    here, so they agree on the ends and on where NoBracket is raised.
-    """
-    if not tol > 0.0:
-        raise InvalidModel(f"tol must be positive, got {tol!r}")
-    at_lo = flo == 0.0
-    at_hi = ~at_lo & (fhi == 0.0)
-    same = np.flatnonzero(~at_lo & ~at_hi & ((flo > 0.0) == (fhi > 0.0)))
-    if len(same):
-        k = int(same[0])
-        raise NoBracket(f"element {k}: f({lo[k]!r})={flo[k]!r} and f({hi[k]!r})={fhi[k]!r} "
-                        f"have the same sign")
-    return np.where(at_hi, hi, lo), np.flatnonzero(~at_lo & ~at_hi)
-
-
-def bisect_monotone_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi,
-                          tol: float = BISECT_TOL) -> np.ndarray:
-    """bisect_monotone for many brackets at once, all stepped in lockstep.
-
-    f(c, idx) returns, for each k, the idx[k]-th monotone function at c[k];
-    element k is bracketed by [lo[k], hi[k]]. Every element takes the steps
-    bisect_monotone takes on its own: an exact zero at lo, at hi or at a
-    midpoint returns that point, and it stops once hi - lo <= tol or the
-    midpoint no longer splits the interval. Raises NoBracket, naming the
-    first such element, when any f(lo) and f(hi) share a sign.
-    """
-    lo = np.array(lo, dtype=float).reshape(-1)
-    hi = np.array(hi, dtype=float).reshape(-1)
-    if lo.shape != hi.shape:
-        raise InvalidModel(f"{len(lo)} lower and {len(hi)} upper bracket ends")
-    empty = np.flatnonzero(~(lo < hi))
-    if len(empty):
-        k = int(empty[0])
-        raise InvalidModel(f"empty bracket [{lo[k]!r}, {hi[k]!r}] at element {k}")
-    idx = np.arange(len(lo))
-    flo = f(lo, idx)
-    out, act = _bracket_ends(flo, f(hi, idx), lo, hi, tol)
-    increasing = flo[act] < 0.0
-    lo, hi = lo[act], hi[act]
-    for _ in range(MAX_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        # stop at tol or at float resolution; either way the answer is the midpoint
-        keep = (hi - lo > tol) & (mid > lo) & (mid < hi)
-        if np.count_nonzero(keep) == len(keep):  # no masked copies: removing this costs +7% a call
-            fm = f(mid, act)
-            keep = fm != 0.0
-        else:
-            fm = f(mid[keep], act[keep])
-            keep[keep] = fm != 0.0
-        if np.count_nonzero(keep) < len(keep):  # finished elements leave the active set
-            out[act[~keep]] = mid[~keep]
-            fm = fm[fm != 0.0]
-            act, increasing, lo, hi, mid = (act[keep], increasing[keep], lo[keep], hi[keep],
-                                            mid[keep])
-            if not len(act):
-                break
-        up = (fm < 0.0) == increasing
-        lo = np.where(up, mid, lo)
-        hi = np.where(up, hi, mid)
-    out[act] = 0.5 * (lo + hi)
-    return out
-
-
-def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows U of X and each row's index into them: X == U[inverse]."""
-    if len(X) < 2:
-        return X, np.arange(len(X))
-    order = np.lexsort(X.T[::-1])
-    S = X[order]
-    first = np.empty(len(X), dtype=bool)
-    first[0] = True
-    np.any(S[1:] != S[:-1], axis=1, out=first[1:])
-    inverse = np.empty(len(X), dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    return S[first], inverse
-
-
-def _grid_utility(u, grid: np.ndarray) -> np.ndarray:
-    """u as a float array of one utility per grid row; InvalidModel when the counts differ."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (len(grid),):
-        raise InvalidModel(f"utility array of shape {u.shape} for a grid of {len(grid)} points")
-    return u
-
-
-def _simplex_lattice(n_coords: int, subdivisions: int) -> np.ndarray:
-    """All compositions of `subdivisions` into n_coords parts, divided out.
-
-    Deterministic lexicographic order; contains every vertex, and the
-    barycenter whenever subdivisions is a multiple of n_coords.
-    """
-    if subdivisions == 0:
-        return np.full((1, n_coords), 1.0 / n_coords)
-    # stars and bars: each combination of bar slots is one composition, and
-    # the parts are the gaps between consecutive bars (and the two ends)
-    slots = subdivisions + n_coords - 1
-    count = math.comb(slots, n_coords - 1)
-    bars = np.fromiter(itertools.chain.from_iterable(
-        itertools.combinations(range(slots), n_coords - 1)), dtype=np.intp,
-        count=count * (n_coords - 1)).reshape(count, n_coords - 1)
-    return (np.diff(bars, axis=1, prepend=-1, append=slots) - 1) / subdivisions
-
-
-def grid_sample(space: str, dim: int, resolution: int, bound: float = 1.0) -> np.ndarray:
-    """Deterministic evaluation grid for one of the three domains.
-
-    space 'simplex': the composition lattice of probabilities that are
-    multiples of 1/resolution over `dim` coordinates (resolution 2 on three
-    prizes gives the 6 half-integer points). space 'box': the product grid
-    of per-axis linspace(0, bound, resolution) over `dim` axes. space
-    'interval': linspace(0, bound, resolution), shape (resolution, 1).
+def _box_grid(dim: int, resolution: int, bound: float) -> np.ndarray:
+    """The product grid of linspace(0, bound, resolution) over dim axes, last axis fastest.
 
     Grids above MAX_GRID_POINTS are refused before anything is allocated.
-    The same arguments always return the same array.
     """
-    n = grid_size(space, dim, resolution)
-    if n > MAX_GRID_POINTS:
-        raise InvalidModel(f"{space} grid of {n} points exceeds the cap of "
-                           f"{MAX_GRID_POINTS} points")
-    if space == "simplex":
-        return _simplex_lattice(dim, resolution)
-    if space == "box":
-        axis = np.linspace(0.0, bound, resolution)
-        grids = np.meshgrid(*([axis] * dim), indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
-    return np.linspace(0.0, bound, resolution).reshape(-1, 1)
+    _check_grid_cap("box", dim, resolution)
+    axis = np.linspace(0.0, bound, resolution)
+    grids = np.meshgrid(*([axis] * dim), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -530,7 +410,7 @@ class BoxSampler:
 
     @cached_property
     def _points(self) -> np.ndarray:
-        X = grid_sample("box", self.n_states, self.resolution, bound=self.bound)
+        X = _box_grid(self.n_states, self.resolution, self.bound)
         X.flags.writeable = False
         return X
 
@@ -1303,7 +1183,7 @@ def quasiconcavify(model, box_bound: float, resolution: int, level_resolution: i
     d = model.n_states
     if d > 3:
         raise InvalidModel("quasi-concave envelope supported for at most 3 states")
-    pts = grid_sample("box", d, resolution, bound=box_bound)
+    pts = _box_grid(d, resolution, box_bound)
     u = ce_batch(model, pts, bisect_tol)
     lo, hi = float(np.min(u)), float(np.max(u))
     if hi <= lo:

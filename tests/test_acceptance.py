@@ -222,10 +222,10 @@ def test_criterion_11_exact_models_report_zero():
         assert measure_eps_rcl(eu, u, sampler).value <= 1e-7
         assert measure_eps_independence(eu, sampler).value <= 1e-7
         bench = build_affine_benchmark(eu)
-        assert max(abs(a - b) for a, b in zip(bench.coefficients,
+        assert max(abs(a - b) for a, b in zip(bench.prize_utilities,
                                               (1.0, 0.4, 0.0))) <= 1e-7
         for p, u_p in zip(G, u):
-            assert abs(u_p - bench.evaluate(p)) <= 1e-7
+            assert abs(u_p - bench.value(p)) <= 1e-7
         # act meters on a subjective-expected model
         seu = SubjectiveExpected((0.3, 0.7))
         box = BoxSampler(2, resolution=5, n_random_pairs=20)

@@ -128,8 +128,8 @@ def test_run_rejects_grid_over_the_cap(tmp_path, capsys, monkeypatch, domain_sce
     def refuse(*args, **kwargs):
         raise AssertionError("a grid was built before the size check")
 
-    monkeypatch.setattr(nearrep.risk, "grid_sample", refuse)
-    monkeypatch.setattr(nearrep.uncertainty, "grid_sample", refuse)
+    monkeypatch.setattr(nearrep.risk, "_simplex_lattice", refuse)
+    monkeypatch.setattr(nearrep.uncertainty, "_box_grid", refuse)
     scenario = json.loads(json.dumps(RISK_SCENARIO if domain_scenario == "risk"
                                      else UNC_SCENARIO))
     scenario["sampler"][key] = value
@@ -146,7 +146,7 @@ def _patch_uncertainty_meters(monkeypatch):
         raise _Reached
 
     for meter in ("theta_estimate", "extract_prior", "verify_aa_bound", "verify_homog_bound",
-                  "quasiconcavify", "measure_eps_ua", "ce_batch", "grid_sample"):
+                  "quasiconcavify", "measure_eps_ua", "ce_batch", "_box_grid"):
         monkeypatch.setattr(nearrep.uncertainty, meter, reached)
 
 
@@ -373,6 +373,44 @@ def test_a_risk_run_calibrates_each_grid_row_once(monkeypatch):
     assert [int(np.all(rows == g, axis=1).sum()) for g in grid] == [1] * len(grid)
 
 
+RISK_MODELS = {
+    "cpt": ({"type": "cpt", "value_exponent": 0.54, "weight_exponent": 0.74,
+             "prizes": [4000, 3000, 2000, 0]},
+            lambda risk: risk.CumulativeProspect(0.54, 0.74, (4000.0, 3000.0, 2000.0, 0.0))),
+    "eu": ({"type": "expected_utility", "utilities": [0.3, 2.0, 0.7]},
+           lambda risk: risk.ExpectedUtility((0.3, 2.0, 0.7))),
+}
+
+
+@pytest.mark.parametrize("model_json, build", RISK_MODELS.values(), ids=RISK_MODELS)
+def test_a_risk_run_verifies_against_the_model_affine_benchmark(monkeypatch, model_json, build):
+    # the pipeline reads its benchmark off the grid's calibration at the vertices;
+    # that is build_affine_benchmark's expected utility, bit for bit
+    import numpy as np
+
+    import nearrep.risk as risk
+    from nearrep.cli import run_scenario
+
+    received = []
+
+    def recording(verify):
+        def recorded(u, benchmark, *args, **kwargs):
+            received.append(benchmark)
+            return verify(u, benchmark, *args, **kwargs)
+        return recorded
+
+    for name in ("verify_thm1", "verify_thm2"):
+        monkeypatch.setattr(risk, name, recording(getattr(risk, name)))
+    result = run_scenario({**RISK_SCENARIO, "model": model_json})
+    assert set(result.verdicts) == {"mixture-support-bound", "independence-square-bound"}
+    want = risk.build_affine_benchmark(build(risk))
+    assert len(received) == 2
+    for benchmark in received:
+        assert type(benchmark) is type(want) is risk.ExpectedUtility
+        assert (np.array(benchmark.prize_utilities).tobytes()
+                == np.array(want.prize_utilities).tobytes())
+
+
 def test_an_uncertainty_run_solves_its_act_grid_once(monkeypatch):
     # the pipeline solves the grid; the homogeneous verifier, the homothetic
     # check and the aversion meter read that array and solve only acts it lacks
@@ -436,7 +474,7 @@ def test_an_uncertainty_run_solves_its_act_grid_once(monkeypatch):
     *_, mixtures = unc._pair_mixtures(grid, 0, 20, unc.LAMBDAS)
     assert np.array_equal(probed[2 * chain:2 * chain + n_pairs], mixtures)
     chain_acts = {tuple(r) for r in probed[2 * chain + n_pairs:].tolist()}
-    chain_acts |= {tuple(r) for r in unc.grid_sample("box", 2, 11, bound=10.0).tolist()}
+    chain_acts |= {tuple(r) for r in unc._box_grid(2, 11, 10.0).tolist()}
     assert all(tuple(r) in chain_acts for r in probed[:2 * chain].tolist())
 
 

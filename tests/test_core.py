@@ -22,18 +22,26 @@ from nearrep.core import (
 from nearrep.risk import (
     CumulativeProspect,
     ExpectedUtility,
+    SimplexSampler,
     TabulatedUtility,
+    _simplex_lattice,
+    bisect_monotone_batch,
 )
 from nearrep.timepref import (
     Exponential,
     Hyperbolic,
+    LinearDelay,
+    LogDelay,
     QuasiHyperbolic,
     TabulatedDiscount,
 )
 from nearrep.uncertainty import (
-    _simplex_lattice,
-    bisect_monotone_batch,
-    grid_sample,
+    CESUtility,
+    LinearPlusBounded,
+    MaxminExpected,
+    SmoothAmbiguity,
+    SubjectiveExpected,
+    _box_grid,
 )
 
 
@@ -137,6 +145,40 @@ def test_tabulated_utility_requires_nonconstant_degenerates():
     assert t.best_index == 0
     assert t.worst_index == 2
     assert t.value((0.5, 0.3, 0.2)) == pytest.approx(0.3)
+
+
+# Every model constructor with one parameter set to x; all other parameters valid.
+MODELS_OF_ONE_PARAMETER = {
+    "eu-utility": lambda x: ExpectedUtility((x, 1.0)),
+    "cpt-value-exponent": lambda x: CumulativeProspect(x, 0.7, (1.0, 0.0)),
+    "cpt-weight-exponent": lambda x: CumulativeProspect(0.5, x, (1.0, 0.0)),
+    "cpt-prize": lambda x: CumulativeProspect(0.5, 0.7, (x, 1.0, 0.0)),
+    "tabulated-utility": lambda x: TabulatedUtility(lambda p: x * p[0], 2),
+    "seu-prior": lambda x: SubjectiveExpected((x, 1.0)),
+    "meu-prior": lambda x: MaxminExpected(((x, 1.0),)),
+    "smooth-prior": lambda x: SmoothAmbiguity("sqrt1pz2", ((x, 1.0),), (1.0,)),
+    "smooth-weight": lambda x: SmoothAmbiguity("sqrt1pz2", ((0.5, 0.5),), (x,)),
+    "ces-weight": lambda x: CESUtility((x, 1.0), 0.5),
+    "ces-rho": lambda x: CESUtility((1.0, 1.0), x),
+    "lpb-prior": lambda x: LinearPlusBounded((x, 1.0), 0.5),
+    "lpb-bump": lambda x: LinearPlusBounded((0.5, 0.5), x),
+    "exponential": lambda x: Exponential(x),
+    "qh-beta": lambda x: QuasiHyperbolic(x, 0.9),
+    "qh-delta": lambda x: QuasiHyperbolic(0.9, x),
+    "hyperbolic": lambda x: Hyperbolic(x),
+    "tabulated-discount": lambda x: TabulatedDiscount((1.0, x, 0.5)),
+    "linear-delay-x-bar": lambda x: LinearDelay(x),
+    "linear-delay-rate": lambda x: LinearDelay(1.0, x),
+    "log-delay-x-bar": lambda x: LogDelay(x, 0.1),
+    "log-delay-k": lambda x: LogDelay(1.0, x),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("build", MODELS_OF_ONE_PARAMETER.values(), ids=MODELS_OF_ONE_PARAMETER)
+def test_every_model_refuses_a_non_finite_parameter(build, value):
+    with pytest.raises(InvalidModel):
+        build(value)
 
 
 def test_value_does_not_mutate_input():
@@ -248,7 +290,7 @@ def test_bisect_batch_matches_scalar_elementwise(brackets):
 # --- grids -----------------------------------------------------------------
 
 def test_simplex_grid_is_lattice_with_denominator_resolution():
-    pts = grid_sample("simplex", 3, 2)
+    pts = _simplex_lattice(3, 2)
     assert len(pts) == 6  # compositions of 2 into 3 parts
     as_tuples = {tuple(p) for p in pts}
     assert (1.0, 0.0, 0.0) in as_tuples
@@ -258,7 +300,7 @@ def test_simplex_grid_is_lattice_with_denominator_resolution():
 
 
 def test_simplex_grid_count_matches_binomial():
-    pts = grid_sample("simplex", 3, 101)
+    pts = _simplex_lattice(3, 101)
     assert len(pts) == math.comb(103, 2)
 
 
@@ -287,37 +329,35 @@ def test_simplex_lattice_matches_the_composition_loop(n_coords):
         assert got.tobytes() == want.tobytes()  # same order, same bits
 
 
-def test_box_and_interval_grids():
-    box = grid_sample("box", 2, 3, bound=10.0)
+def test_box_grid_spans_the_bound():
+    box = _box_grid(2, 3, 10.0)
     assert box.shape == (9, 2)
     assert [0.0, 0.0] in box.tolist()
     assert [10.0, 10.0] in box.tolist()
-    line = grid_sample("interval", 1, 5, bound=1.0)
-    assert line.shape == (5, 1)
-    assert line[2, 0] == pytest.approx(0.5)
 
 
 def test_grid_rejects_bad_arguments():
     with pytest.raises(InvalidModel):
-        grid_sample("simplex", 3, 0)
+        SimplexSampler(resolution=0).grid(3)
     with pytest.raises(InvalidModel):
-        grid_sample("box", 2, 1)
+        _box_grid(2, 1, 1.0)
     with pytest.raises(InvalidModel):
-        grid_sample("noplace", 2, 3)
+        grid_size("noplace", 2, 3)
 
 
 def test_grid_cap_is_checked_from_the_count():
     # counts come from arithmetic alone; nothing near these sizes is allocated
     assert grid_size("box", 3, 10 ** 6) == 10 ** 18
     assert grid_size("simplex", 4, 101) == math.comb(104, 3)
-    assert grid_size("interval", 1, 1001) == 1001
+    with pytest.raises(InvalidModel, match="unknown space"):
+        grid_size("interval", 1, 1001)
     with pytest.raises(InvalidModel, match="exceeds the cap"):
-        grid_sample("box", 3, 10 ** 6)
+        _box_grid(3, 10 ** 6, 1.0)
     with pytest.raises(InvalidModel, match="exceeds the cap"):
-        grid_sample("simplex", 6, 10 ** 4)
-    assert len(grid_sample("interval", 1, MAX_GRID_POINTS)) == MAX_GRID_POINTS
+        SimplexSampler(resolution=10 ** 4).grid(6)
+    assert len(_box_grid(1, MAX_GRID_POINTS, 1.0)) == MAX_GRID_POINTS
     with pytest.raises(InvalidModel, match="exceeds the cap"):
-        grid_sample("interval", 1, MAX_GRID_POINTS + 1)
+        _box_grid(1, MAX_GRID_POINTS + 1, 1.0)
 
 
 # --- dyadic tail sums ------------------------------------------------------

@@ -14,6 +14,7 @@ from nearrep.core import (
     Lottery,
 )
 from nearrep.risk import (
+    LAMBDA_BRACKET,
     CumulativeProspect,
     ExpectedUtility,
     SimplexSampler,
@@ -76,11 +77,11 @@ def test_mixture_utility_endpoints_exact():
 
 def test_benchmark_coefficients():
     b_eu = build_affine_benchmark(EU3)
-    assert b_eu.coefficients == pytest.approx((1.0, 0.4, 0.0), abs=1e-9)
+    assert b_eu.prize_utilities == pytest.approx((1.0, 0.4, 0.0), abs=1e-9)
     b3 = build_affine_benchmark(CPT3)
-    assert b3.coefficients[0] == 1.0
-    assert b3.coefficients[2] == 0.0
-    assert b3.coefficients[1] == pytest.approx(0.9367900900754369, abs=1e-8)
+    assert b3.prize_utilities[0] == 1.0
+    assert b3.prize_utilities[2] == 0.0
+    assert b3.prize_utilities[1] == pytest.approx(0.9367900900754369, abs=1e-8)
 
 
 @settings(max_examples=60, deadline=None)
@@ -92,8 +93,8 @@ def test_benchmark_is_affine_in_mixtures(a, b, lam):
     p = Lottery((a, b, max(1.0 - a - b, 0.0)))
     q = Lottery((0.2, 0.5, 0.3))
     bench = build_affine_benchmark(EU3)
-    mixed = bench.evaluate(p.mix(q, lam))
-    split = lam * bench.evaluate(p) + (1 - lam) * bench.evaluate(q)
+    mixed = bench.value(p.mix(q, lam).probs)
+    split = lam * bench.value(p.probs) + (1 - lam) * bench.value(q.probs)
     assert mixed == pytest.approx(split, abs=1e-12)
 
 
@@ -153,7 +154,7 @@ def test_verify_thm1_support_rule_is_per_point():
     bench = build_affine_benchmark(CPT3)
     for row, u in zip(sampler.grid(3).tolist(), grid_u):
         p = Lottery(tuple(row))
-        gap = abs(u - bench.evaluate(p))
+        gap = abs(u - bench.value(p.probs))
         if p.is_degenerate:
             assert gap <= 1e-12
         else:
@@ -288,7 +289,7 @@ def test_allais_pattern_flags():
 def test_allais_lambda_star():
     rep = allais_report()
     assert rep.lambda_star == pytest.approx(0.2529330130885611, abs=1e-9)
-    lo, hi = rep.lambda_bracket
+    lo, hi = LAMBDA_BRACKET
     assert lo < rep.lambda_star < hi
 
 

@@ -29,14 +29,15 @@ from nearrep.risk import (
     ExpectedUtility,
     SimplexSampler,
     TabulatedUtility,
+    _distinct_rows,
     _LotteryModel,
     _nearest_roots,
     _segments,
+    bisect_monotone_batch,
     measure_eps_independence,
     measure_eps_rcl,
     mixture_utility_batch,
 )
-from nearrep.uncertainty import _distinct_rows, bisect_monotone_batch
 
 
 # --- scalar reference ---------------------------------------------------------

@@ -1,5 +1,6 @@
 """The scripts under scripts/ still run against the library's current signatures."""
 
+import ast
 import runpy
 from pathlib import Path
 
@@ -20,18 +21,43 @@ def test_sweep_cpt_grid_prints_one_line_per_cell(capsys):
     assert float(eps_rcl) < 1e-9 and float(sup_gap) <= float(allowed)
 
 
-# The option count this package has reached. A change that adds a parameter
-# with a default raises this number in its own diff.
+# The option counts this package has reached: parameters with a default, and
+# dataclass fields with a default. A change that adds either raises its
+# number in its own diff.
 MAX_OPTIONS = 36
+MAX_FIELDS = 17
 
 
 def test_option_count_stays_at_most_its_reached_total(capsys):
     runpy.run_path(str(SCRIPTS / "option_count.py"), run_name="__main__")
     lines = capsys.readouterr().out.splitlines()
     modules = {line.split()[0]: int(line.split()[1]) for line in lines}
+    fields = modules.pop("fields")
     assert {"core", "risk", "uncertainty", "timepref", "cli", "total"} <= set(modules)
     assert modules["total"] == sum(n for m, n in modules.items() if m != "total")
     assert modules["total"] <= MAX_OPTIONS
+    assert fields <= MAX_FIELDS
+
+
+def test_option_count_counts_dataclass_fields_that_init_defaults():
+    count_fields = runpy.run_path(str(SCRIPTS / "option_count.py"))["count_fields"]
+    source = """
+from dataclasses import dataclass, field
+
+@dataclass(frozen=True)
+class A:
+    required: int
+    knob: int = 1
+    made: dict = field(default_factory=dict)
+    kept: int = field(default=2, repr=False)
+    cache: dict = field(default_factory=dict, init=False)
+    plain: int = field(repr=False)
+    CONSTANT = 3
+
+class NotADataclass:
+    knob: int = 1
+"""
+    assert count_fields(ast.parse(source)) == 3
 
 
 def _kept_tree(root: Path, code: int = 0, verdict: str = "PASS", value: str = "0.5",

@@ -30,6 +30,7 @@ from nearrep.uncertainty import (
     SmoothAmbiguity,
     SubjectiveExpected,
     _SMOOTH_FS,
+    _box_grid,
     _index_pairs,
     _level_hull,
     _phi_rows,
@@ -38,7 +39,6 @@ from nearrep.uncertainty import (
     ce_utility,
     dyadic_phi_series,
     extract_prior,
-    grid_sample,
     homog_limit,
     hyers_ulam_limit,
     measure_eps_ua,
@@ -256,7 +256,7 @@ def test_box_sampler_builds_its_grid_once_read_only():
     assert not pts.flags.writeable
     with pytest.raises(ValueError):
         pts[0, 0] = 1.0
-    assert np.array_equal(pts, grid_sample("box", 2, 5, bound=10.0))
+    assert np.array_equal(pts, _box_grid(2, 5, 10.0))
 
 
 def test_smooth_defect_zme_frozen_point():
