@@ -3,6 +3,7 @@
 Usage:
   PYTHONPATH=src python scripts/golden_digests.py > digests.txt
   PYTHONPATH=src python scripts/golden_digests.py --keep DIR > digests.txt
+  PYTHONPATH=src python scripts/golden_digests.py --write [DIR] > digests.txt
   python scripts/golden_digests.py --compare OLD_DIR NEW_DIR
 
 The digest is a sha256 of everything a case prints (with its input and
@@ -13,7 +14,13 @@ code, error message, report and CSV byte-identical.
 
 --keep DIR also stores each case's printed output (`DIR/<case>/stdout.txt`),
 its error output when there is any (`stderr.txt`) and its written files
-under `DIR/<case>/`, and the digest lines in `DIR/index.txt`. --compare reads two kept trees and passes when every case
+under `DIR/<case>/`, and the digest lines in `DIR/index.txt`. --write DIR
+(default tests/golden, the committed reference) stores the same tree with
+each CSV replaced by a summary, `<name>.csv.summary.json`: its header, its
+row count and per column the fsum and the max |v| of its numbers and the
+count of each text entry; its index holds `case exit-code` lines, without
+digests, since a digest would change with any last digit the comparison
+allows. --compare reads two kept or written trees and passes when every case
 has the same exit code, the same PASS/FAIL lines and the same non-numeric
 text in every file, and every number differs by at most
 1e-9 * max(1, |v|) (v from OLD_DIR): ten times the default 1e-10 bisection
@@ -34,10 +41,13 @@ interpreter would exit with) and its type and message as the error output.
 """
 
 import argparse
+import collections
 import contextlib
+import csv
 import hashlib
 import io
 import json
+import math
 import re
 import shutil
 import sys
@@ -45,6 +55,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
 REL_TOL = 1e-9
 
@@ -164,24 +175,57 @@ def run_case(argv: list[str], scenario: dict | None,
     return code, h.hexdigest(), printed, errors
 
 
-def main_digests(keep: Path | None) -> int:
-    lines = []
+def csv_summary(path: Path) -> str:
+    """A CSV's header, row count and per column the fsum and max |v|, as JSON.
+
+    Entries that are not numbers are counted per distinct text instead.
+    """
+    with path.open(newline="") as f:
+        header, *rows = csv.reader(f)
+    columns = []
+    for j, name in enumerate(header):
+        numbers, text = [], collections.Counter()
+        for row in rows:
+            try:
+                numbers.append(float(row[j]))
+            except ValueError:
+                text[row[j]] += 1
+        column = {"name": name, "fsum": math.fsum(numbers),
+                  "max_abs": max(map(abs, numbers), default=0.0)}
+        if text:
+            column["text"] = dict(sorted(text.items()))
+        columns.append(column)
+    return json.dumps({"header": header, "rows": len(rows), "columns": columns},
+                      indent=1) + "\n"
+
+
+def _store(dest: Path, out_dir: Path, printed: str, errors: str, summarize: bool) -> None:
+    """Store one case's outputs under dest, each CSV as its summary when summarize."""
+    shutil.rmtree(dest, ignore_errors=True)
+    dest.mkdir(parents=True)
+    if out_dir.is_dir():
+        for path in out_dir.iterdir():
+            if summarize and path.suffix == ".csv":
+                (dest / f"{path.name}.summary.json").write_text(csv_summary(path))
+            else:
+                shutil.copyfile(path, dest / path.name)
+    (dest / "stdout.txt").write_text(printed)
+    if errors:
+        (dest / "stderr.txt").write_text(errors)
+
+
+def main_digests(tree: Path | None, summarize: bool) -> int:
+    lines, index = [], []
     for name, argv, scenario in cases():
         with tempfile.TemporaryDirectory() as tmp:
             code, digest, printed, errors = run_case(argv, scenario, Path(tmp))
-            if keep is not None:
-                dest = keep / name
-                shutil.rmtree(dest, ignore_errors=True)
-                if (Path(tmp) / "out").is_dir():
-                    shutil.copytree(Path(tmp) / "out", dest)
-                dest.mkdir(parents=True, exist_ok=True)
-                (dest / "stdout.txt").write_text(printed)
-                if errors:
-                    (dest / "stderr.txt").write_text(errors)
+            if tree is not None:
+                _store(tree / name, Path(tmp) / "out", printed, errors, summarize)
         lines.append(f"{name} {code} {digest}")
+        index.append(f"{name} {code}" if summarize else lines[-1])
         print(lines[-1], flush=True)
-    if keep is not None:
-        (keep / "index.txt").write_text("\n".join(lines) + "\n")
+    if tree is not None:
+        (tree / "index.txt").write_text("\n".join(index) + "\n")
     return 0
 
 
@@ -191,7 +235,7 @@ def main_digests(keep: Path | None) -> int:
 def _index(tree: Path) -> dict[str, int]:
     out = {}
     for line in (tree / "index.txt").read_text().splitlines():
-        name, code, _ = line.split()
+        name, code = line.split()[:2]
         out[name] = int(code)
     return out
 
@@ -260,14 +304,18 @@ def main(argv=None) -> int:
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--keep", type=Path, metavar="DIR",
                       help="also keep every case's printed output and files under DIR")
+    mode.add_argument("--write", type=Path, nargs="?", const=GOLDEN, metavar="DIR",
+                      help="write the reference tree, each CSV as its summary, under DIR "
+                           "(default tests/golden)")
     mode.add_argument("--compare", type=Path, nargs=2, metavar=("OLD_DIR", "NEW_DIR"),
-                      help="compare two trees written by --keep")
+                      help="compare two trees written by --keep or --write")
     args = parser.parse_args(argv)
     if args.compare:
         return main_compare(*args.compare)
-    if args.keep is not None:
-        args.keep.mkdir(parents=True, exist_ok=True)
-    return main_digests(args.keep)
+    tree = args.keep if args.write is None else args.write
+    if tree is not None:
+        tree.mkdir(parents=True, exist_ok=True)
+    return main_digests(tree, summarize=args.write is not None)
 
 
 if __name__ == "__main__":

@@ -95,3 +95,17 @@ def test_golden_compare_passes_within_tolerance_and_names_every_other_change(
         assert code == 0 and out.endswith("0 of 1 cases differ\n")
     else:
         assert code == 1 and problem in out and out.endswith("1 of 1 cases differ\n")
+
+
+def test_every_golden_case_matches_the_committed_reference(tmp_path, capsys):
+    """A fresh run of the golden cases against tests/golden under --compare's rule.
+
+    Regenerate the reference with `scripts/golden_digests.py --write` when a
+    change moves an output on purpose, so the diff shows what moved.
+    """
+    main = runpy.run_path(str(SCRIPTS / "golden_digests.py"))["main"]
+    assert main(["--write", str(tmp_path)]) == 0
+    capsys.readouterr()
+    code = main(["--compare", str(SCRIPTS.parent / "tests" / "golden"), str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0, "\n".join(line for line in out.splitlines() if not line.endswith(" ok"))
