@@ -34,14 +34,12 @@ __all__ = [
     "NotAdditive",
     "NoSuchTau",
     "ScenarioError",
-    "Lottery",
     "ViolationReport",
     "NearRepresentation",
     "discount",
     "bisect_monotone",
     "grid_size",
     "dyadic_tail_sum",
-    "mix_probs",
 ]
 
 SUM_TOL = 1e-12  # probability vectors must sum to 1 within this before renormalizing
@@ -115,66 +113,12 @@ class ScenarioError(NearRepError):
 # ---------------------------------------------------------------------------
 # object types
 
-@dataclass(frozen=True)
-class Lottery:
-    """Probability vector over prizes indexed 0..n-1.
-
-    Entries must be nonnegative and sum to 1 within 1e-12; the stored tuple
-    is renormalized by the exact sum so downstream mixtures stay on the
-    simplex.
-    """
-
-    probs: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.probs) < 2:
-            raise InvalidModel("a lottery needs at least two prizes")
-        p = _finite(self.probs, "probabilities")
-        if any(v < 0.0 for v in p):
-            raise InvalidModel(f"negative probability in {p}")
-        total = math.fsum(p)
-        if abs(total - 1.0) > SUM_TOL:
-            raise InvalidModel(f"probabilities sum to {total!r}, not 1")
-        if total != 1.0:
-            p = tuple(v / total for v in p)
-        object.__setattr__(self, "probs", p)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        """Indices with strictly positive probability."""
-        return tuple(i for i, v in enumerate(self.probs) if v > 0.0)
-
-    @property
-    def support_size(self) -> int:
-        return len(self.support)
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self.support_size == 1
-
-    @staticmethod
-    def degenerate(index: int, n: int) -> "Lottery":
-        return Lottery(tuple(1.0 if i == index else 0.0 for i in range(n)))
-
-    def mix(self, other: "Lottery", lam: float) -> "Lottery":
-        """Compound lottery lam * self + (1 - lam) * other."""
-        if not 0.0 <= lam <= 1.0:
-            raise InvalidModel(f"mixture weight {lam!r} outside [0, 1]")
-        return Lottery(mix_probs(self.probs, other.probs, lam))
-
-
 def _finite(values: Sequence[float], what: str) -> tuple[float, ...]:
     """values as a tuple of floats; InvalidModel when any of them is nan or infinite."""
     v = tuple(float(x) for x in values)
     if not all(map(math.isfinite, v)):
         raise InvalidModel(f"{what} must be finite, got {v}")
     return v
-
-
-def mix_probs(p: Sequence[float], q: Sequence[float], lam: float) -> tuple[float, ...]:
-    if len(p) != len(q):
-        raise InvalidModel("mixture of lotteries over different prize sets")
-    return tuple(lam * a + (1.0 - lam) * b for a, b in zip(p, q))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import numpy as np
 from .core import (BISECT_TOL, BOUND_SLACK, MAX_BISECT_STEPS, STRICTNESS_MARGIN, BoundViolated,
                    HypothesisFailed, InvalidModel, NearRepresentation, NoBracket, NotConverged,
                    ViolationReport, _check_grid_cap, _finite, bisect_monotone)
-from .uncertainty import EPS, _grid_utility, _RowModel, _rows
+from .uncertainty import EPS, _grid_utility, _rows
 
 __all__ = [
     "ExpectedUtility",
@@ -143,7 +143,7 @@ def bisect_monotone_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo,
 # risk models: value_batch(P) over rows of probability vectors on a fixed
 # prize set, and segment_value on the two-prize rows the calibrations solve on
 
-class _LotteryModel(_RowModel):
+class _LotteryModel:
     """A risk model: value_batch over probability rows, and its value on segment rows.
 
     The best and worst prizes are read off the values of the degenerate
@@ -412,11 +412,11 @@ class TabulatedUtility(_LotteryModel):
 def _on_simplex(P: np.ndarray) -> np.ndarray:
     """Rows of P divided, in place, by their sums where those are not exactly 1.
 
-    As Lottery does with math.fsum, each row's sum is its exact sum
-    rounded once: a compensated sum (Ogita, Rump and Oishi's Sum2, exact
-    error terms carried in a second float) that agrees with fsum on these
-    few-term rows. A sum off by one unit in the last place matters: near 1
-    the weighting g moves by about that unit to the power of its exponent.
+    Each row's sum is its exact sum rounded once, as math.fsum gives it: a
+    compensated sum (Ogita, Rump and Oishi's Sum2, exact error terms carried
+    in a second float) that agrees with fsum on these few-term rows. A sum
+    off by one unit in the last place matters: near 1 the weighting g moves
+    by about that unit to the power of its exponent.
     """
     total = P[:, 0].copy()
     error = np.zeros(len(P))

@@ -133,10 +133,6 @@ class TabulatedDiscount:
     def T_max(self) -> int:
         return len(self.values) - 1
 
-    @property
-    def is_strictly_decreasing(self) -> bool:
-        return all(b < a for a, b in zip(self.values, self.values[1:]))
-
     def log_d(self, t: int) -> float:
         _check_delay(self, t)
         return self._log_values[t]

@@ -10,7 +10,7 @@ quasi-concave envelope comes from convex hulls of sampled upper level sets.
 Certainty equivalents keep u(c * ones) = c exactly (constant acts short-cut
 the solve), which is what makes the doubling bookkeeping phi(x, 0) legitimate.
 The act models are defined here too, with the row layer the risk domain
-shares: value_batch over rows, value as its one-row case.
+shares: value_batch over rows, each row computed alone.
 """
 
 from __future__ import annotations
@@ -36,17 +36,13 @@ __all__ = [
     "LinearPlusBounded",
     "BoxSampler",
     "LinearBenchmark",
-    "ScaledLimit",
     "QuasiConcaveBenchmark",
     "ce_batch",
-    "ce_utility",
     "dyadic_phi_series",
     "theta_estimate",
-    "hyers_ulam_limit",
     "extract_prior",
     "verify_aa_bound",
     "smooth_ambiguity_bound",
-    "homog_limit",
     "verify_homog_bound",
     "measure_eps_ua",
     "quasiconcavify",
@@ -81,23 +77,14 @@ ADDITIVITY_TOL = 1e-6  # coordinate limits must sum to the sure act's limit with
 
 # ---------------------------------------------------------------------------
 # every model evaluates rows: value_batch(X) over rows of lotteries or acts,
-# value(x) as its one-row case; a meter reads one utility per grid row
+# and a meter reads one utility per grid row. Each row is computed alone, so
+# its bits do not depend on the rest of the batch: row-wise products use
+# np.vecdot (one dot per row, as np.dot(p, x)) and np.matvec (one
+# matrix-vector product per row, as P @ x), and the rank-dependent model
+# works column by column.
 
 def _rows(X) -> np.ndarray:
     return np.ascontiguousarray(X, dtype=float).reshape(-1, np.shape(X)[-1])
-
-
-class _RowModel:
-    """value(x) as the one-row case of value_batch, so both agree bit for bit.
-
-    Row-wise products use np.vecdot (one dot per row, as np.dot(p, x)) and
-    np.matvec (one matrix-vector product per row, as P @ x), and the
-    rank-dependent model works column by column: each row is computed alone,
-    so its bits do not depend on the rest of the batch.
-    """
-
-    def value(self, x) -> float:
-        return float(self.value_batch(_rows(x))[0])
 
 
 def _grid_utility(u, grid: np.ndarray) -> np.ndarray:
@@ -109,9 +96,9 @@ def _grid_utility(u, grid: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# uncertainty models: value_batch(X) over rows of acts in R^d_+, value(x) as its
-# one-row case, and ce_batch(X, tol), the sure payoff with each row's value
-# (ce_batch below handles constant rows before calling it)
+# uncertainty models: value_batch(X) over rows of acts in R^d_+, and
+# ce_batch(X, tol), the sure payoff with each row's value (ce_batch below
+# handles constant rows before calling it)
 
 def _validate_prior(prior: Sequence[float], what: str = "prior") -> tuple[float, ...]:
     p = _finite(prior, what)
@@ -128,7 +115,7 @@ def _validate_prior(prior: Sequence[float], what: str = "prior") -> tuple[float,
 
 
 @dataclass(frozen=True)
-class SubjectiveExpected(_RowModel):
+class SubjectiveExpected:
     """Linear model u(x) = prior . x."""
 
     prior: tuple[float, ...]
@@ -152,7 +139,7 @@ class SubjectiveExpected(_RowModel):
 
 
 @dataclass(frozen=True)
-class MaxminExpected(_RowModel):
+class MaxminExpected:
     """Worst-case expected value over a finite prior set."""
 
     priors: tuple[tuple[float, ...], ...]
@@ -225,7 +212,7 @@ _SMOOTH_FS: dict[str, tuple[Callable, Callable, Callable]] = {
 
 
 @dataclass(frozen=True)
-class SmoothAmbiguity(_RowModel):
+class SmoothAmbiguity:
     """Second-order model: raw functional is a mixture of f(prior . x).
 
     f_name selects the strictly increasing transform; the value is the raw
@@ -278,7 +265,7 @@ class SmoothAmbiguity(_RowModel):
 
 
 @dataclass(frozen=True)
-class CESUtility(_RowModel):
+class CESUtility:
     """Homogeneous-of-degree-one aggregator (sum_i w_i x_i^rho)^(1/rho)."""
 
     weights: tuple[float, ...]
@@ -317,7 +304,7 @@ class CESUtility(_RowModel):
 
 
 @dataclass(frozen=True)
-class LinearPlusBounded(_RowModel):
+class LinearPlusBounded:
     """Linear value plus a bounded saturating bump: prior.x + bump(1 - e^{-sum x}).
 
     The bump is bounded by `bump`, so scaling deviations are capped and the
@@ -544,11 +531,6 @@ def ce_batch(model, X, tol: float = BISECT_TOL) -> np.ndarray:
     return out
 
 
-def ce_utility(model, x, tol: float = BISECT_TOL) -> float:
-    """Certainty equivalent of one act: the one-row case of ce_batch."""
-    return float(ce_batch(model, _as_act(model, x)[None, :], tol)[0])
-
-
 def _phi_rows(model, X: np.ndarray, Y: np.ndarray, tol: float) -> np.ndarray:
     """phi(X[k], Y[k]) for every row pair, from one ce_batch call."""
     n = len(X)
@@ -706,24 +688,6 @@ def _unwrap(res: ScaledLimit | NotConverged) -> ScaledLimit:
     return res
 
 
-def _scaled_limit(model, x, base: float, tol: float, n_max: int, what: str) -> ScaledLimit:
-    """The one-act case of _scaled_limits, solved to BISECT_TOL; raises its NotConverged."""
-    X = _as_act(model, x)[None, :]
-    return _unwrap(_scaled_limits(model, X, ce_batch(model, X, BISECT_TOL), base, tol, n_max,
-                                  BISECT_TOL, what)[0])
-
-
-def hyers_ulam_limit(model, x) -> ScaledLimit:
-    """Doubling limit v(x) = lim 2^{-n} u(2^n x) of the certainty equivalent.
-
-    Raises NotConverged with the iterates when the scaled Cauchy test
-    LIMIT_TOL * 2^{-n} is not met within MAX_DOUBLINGS doublings. Curves whose
-    increments decay exactly like 2^{-n} never meet it; the iterates show
-    the stall.
-    """
-    return _scaled_limit(model, x, 2.0, LIMIT_TOL, MAX_DOUBLINGS, "doubling")
-
-
 @dataclass(frozen=True)
 class LinearBenchmark:
     """Linear functional x -> prior . x recovered from doubling limits."""
@@ -732,9 +696,6 @@ class LinearBenchmark:
 
     def evaluate_batch(self, X) -> np.ndarray:
         return np.vecdot(_rows(X), np.asarray(self.prior, dtype=float))
-
-    def evaluate(self, x) -> float:
-        return float(self.evaluate_batch(x)[0])
 
 
 def extract_prior(model) -> LinearBenchmark:
@@ -838,20 +799,6 @@ def smooth_ambiguity_bound(model: SmoothAmbiguity,
 
 # ---------------------------------------------------------------------------
 # homogeneous benchmark
-
-def homog_limit(model, x, eta: float = HOMOG_ETA, tol: float = LIMIT_TOL) -> ScaledLimit:
-    """Scaling limit v(x) = lim eta^{-n} u(eta^n x) with its defect series.
-
-    The increment at step n equals eta^{-n} times the scaling deviation of
-    eta^{n-1} x, so the summed increments are exactly the series
-    sum_j eta^{-(j+1)} dev(eta^j x, eta) that bounds |u(x) - v(x)|. Raises
-    NotConverged when the Cauchy test tol * eta^{-n} is not met within
-    MAX_SCALINGS steps.
-    """
-    if not eta > 1.0:
-        raise InvalidModel("eta must exceed 1")
-    return _scaled_limit(model, x, eta, tol, MAX_SCALINGS, "scaling")
-
 
 def verify_homog_bound(model, u, sampler: BoxSampler, tol: float = VERIFY_TOL,
                        bisect_tol: float = BISECT_TOL) -> NearRepresentation:
@@ -1159,10 +1106,6 @@ class QuasiConcaveBenchmark:
             raise InvalidModel(
                 f"act {tuple(X[outside[0]])} lies outside the sampled hull family")
         return self.levels[_bisect_levels(member, np.zeros(len(X), dtype=int))]
-
-    def evaluate(self, x) -> float:
-        """Top feasible hull level for an arbitrary act in the box."""
-        return float(self.evaluate_batch(x)[0])
 
 
 def quasiconcavify(model, box_bound: float, resolution: int, level_resolution: int,

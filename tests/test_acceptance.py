@@ -49,7 +49,6 @@ from nearrep.uncertainty import (
     SmoothAmbiguity,
     SubjectiveExpected,
     ce_batch,
-    ce_utility,
     dyadic_phi_series,
     extract_prior,
     measure_eps_ua,
@@ -151,10 +150,10 @@ def test_criterion_06_meu_divergence_and_homothetic_exactness():
             assert abs(s - 0.2 * (n + 1)) <= 1e-9
         for x in (np.array([1.0, 0.0]), np.array([2.0, 1.0]),
                   np.array([0.3, 5.0])):
-            u = ce_utility(model, x)
+            u = ce_batch(model, x[None])[0]
             for n in range(1, 11):
                 scale = 2.0 ** n
-                assert abs(ce_utility(model, scale * x) / scale - u) <= 1e-9
+                assert abs(ce_batch(model, scale * x[None])[0] / scale - u) <= 1e-9
 
 
 def test_criterion_07_quasiconcave_envelope_two_states():
@@ -224,8 +223,7 @@ def test_criterion_11_exact_models_report_zero():
         bench = build_affine_benchmark(eu)
         assert max(abs(a - b) for a, b in zip(bench.prize_utilities,
                                               (1.0, 0.4, 0.0))) <= 1e-7
-        for p, u_p in zip(G, u):
-            assert abs(u_p - bench.value(p)) <= 1e-7
+        assert np.max(np.abs(u - bench.value_batch(G))) <= 1e-7
         # act meters on a subjective-expected model
         seu = SubjectiveExpected((0.3, 0.7))
         box = BoxSampler(2, resolution=5, n_random_pairs=20)
@@ -233,8 +231,8 @@ def test_criterion_11_exact_models_report_zero():
         assert converged and theta_rep.value <= 1e-7
         prior = extract_prior(seu)
         assert max(abs(a - b) for a, b in zip(prior.prior, (0.3, 0.7))) <= 1e-7
-        for x in box.points():
-            assert abs(ce_utility(seu, x) - prior.evaluate(x)) <= 1e-7
+        X = box.points()
+        assert np.max(np.abs(ce_batch(seu, X) - prior.evaluate_batch(X))) <= 1e-7
         # discount meters on an exponential curve
         exp = Exponential(0.9)
         theta_t, conv_t = theta_over_sample(exp, (1, 2, 3, 5, 8), n_max=40)

@@ -1,4 +1,4 @@
-"""Primitives: lotteries, models, bisection, grids, dyadic tail sums."""
+"""Primitives: models, bisection, grids, dyadic tail sums."""
 
 import itertools
 import math
@@ -11,13 +11,11 @@ from hypothesis import strategies as st
 from nearrep.core import (
     MAX_GRID_POINTS,
     InvalidModel,
-    Lottery,
     NoBracket,
     bisect_monotone,
     discount,
     dyadic_tail_sum,
     grid_size,
-    mix_probs,
 )
 from nearrep.risk import (
     CumulativeProspect,
@@ -45,54 +43,11 @@ from nearrep.uncertainty import (
 )
 
 
-# --- lotteries -------------------------------------------------------------
-
-def test_lottery_renormalizes_and_validates():
-    p = Lottery((0.2, 0.3, 0.5))
-    assert math.fsum(p.probs) == 1.0
-    assert p.support == (0, 1, 2)
-    assert p.support_size == 3
-    assert not p.is_degenerate
-    with pytest.raises(InvalidModel):
-        Lottery((0.5,))
-    with pytest.raises(InvalidModel):
-        Lottery((0.5, -0.1, 0.6))
-    with pytest.raises(InvalidModel):
-        Lottery((0.5, 0.6))  # sums to 1.1, outside tolerance
-
-
-def test_lottery_degenerate_and_mix():
-    e0 = Lottery.degenerate(0, 3)
-    assert e0.probs == (1.0, 0.0, 0.0)
-    assert e0.is_degenerate
-    e2 = Lottery.degenerate(2, 3)
-    m = e0.mix(e2, 0.25)
-    assert m.probs == (0.25, 0.0, 0.75)
-    assert mix_probs((1, 0), (0, 1), 0.5) == (0.5, 0.5)
-
-
-probs_strategy = st.lists(st.floats(0.0, 1.0), min_size=2, max_size=5).filter(
-    lambda xs: sum(xs) > 1e-6)
-
-
-@settings(max_examples=80, deadline=None)
-@given(probs_strategy, probs_strategy.map(tuple), st.floats(0.0, 1.0))
-def test_lottery_mixture_is_convex_combination(raw_p, raw_q, lam):
-    if len(raw_p) != len(raw_q):
-        raw_q = raw_p[::-1]
-    p = Lottery(tuple(v / sum(raw_p) for v in raw_p))
-    q = Lottery(tuple(v / sum(raw_q) for v in raw_q))
-    m = p.mix(q, lam)
-    assert math.fsum(m.probs) == pytest.approx(1.0, abs=1e-12)
-    for a, b, c in zip(m.probs, p.probs, q.probs):
-        assert a == pytest.approx(lam * b + (1 - lam) * c, abs=1e-12)
-
-
 # --- parametric models -----------------------------------------------------
 
 def test_expected_utility_dot_and_extremes():
     m = ExpectedUtility((1.0, 0.4, 0.0))
-    assert m.value((0.5, 0.25, 0.25)) == pytest.approx(0.6, abs=1e-15)
+    assert m.value_batch(np.array([[0.5, 0.25, 0.25]]))[0] == pytest.approx(0.6, abs=1e-15)
     assert m.best_index == 0
     assert m.worst_index == 2
 
@@ -120,13 +75,14 @@ def test_cpt_weight_endpoints_pinned():
 def test_cpt_two_prize_value_identity(a, b, p):
     # with prizes (1, 0) the value reduces to g(p) * 1^a = g(p)
     m = CumulativeProspect(a, b, (1.0, 0.0))
-    assert m.value((p, 1.0 - p)) == pytest.approx(m.weight(p), abs=1e-12)
+    assert m.value_batch(np.array([[p, 1.0 - p]]))[0] == pytest.approx(m.weight(p), abs=1e-12)
 
 
 def test_cpt_three_prize_rank_dependent_value():
     # frozen: decision weights g(.2), g(.7)-g(.2), 1-g(.7) over 4000 > 3000 > 0
     m = CumulativeProspect(0.54, 0.74, (4000.0, 3000.0, 0.0))
-    assert m.value((0.2, 0.5, 0.3)) == pytest.approx(49.60691000911335, abs=1e-9)
+    value = m.value_batch(np.array([[0.2, 0.5, 0.3]]))[0]
+    assert value == pytest.approx(49.60691000911335, abs=1e-9)
 
 
 def test_cpt_rejects_bad_parameters():
@@ -144,7 +100,7 @@ def test_tabulated_utility_requires_nonconstant_degenerates():
     t = TabulatedUtility(lambda p: p[0] - p[2], 3)
     assert t.best_index == 0
     assert t.worst_index == 2
-    assert t.value((0.5, 0.3, 0.2)) == pytest.approx(0.3)
+    assert t.value_batch(np.array([[0.5, 0.3, 0.2]]))[0] == pytest.approx(0.3)
 
 
 # Every model constructor with one parameter set to x; all other parameters valid.
@@ -184,7 +140,7 @@ def test_every_model_refuses_a_non_finite_parameter(build, value):
 def test_value_does_not_mutate_input():
     m = ExpectedUtility((1.0, 0.0))
     probs = [0.25, 0.75]
-    m.value(probs)
+    m.value_batch([probs])
     assert probs == [0.25, 0.75]
 
 
@@ -201,7 +157,6 @@ def test_discount_models_log_space():
 def test_tabulated_discount_validation_and_horizon():
     t = TabulatedDiscount((1.0, 0.9, 0.81))
     assert t.T_max == 2
-    assert t.is_strictly_decreasing
     assert discount(t, 2) == pytest.approx(0.81, rel=1e-15)
     with pytest.raises(InvalidModel):
         TabulatedDiscount((0.9, 0.8))  # d(0) must be 1

@@ -11,7 +11,6 @@ from nearrep.core import (
     BoundViolated,
     HypothesisFailed,
     InvalidModel,
-    Lottery,
 )
 from nearrep.risk import (
     LAMBDA_BRACKET,
@@ -35,8 +34,8 @@ CPT2 = CumulativeProspect(0.54, 0.74, (1.0, 0.0))
 CPT3 = CumulativeProspect(0.54, 0.74, (4000.0, 3000.0, 0.0))
 
 
-def _calibrated(model, p: Lottery) -> float:
-    return float(mixture_utility_batch(model, [p.probs])[0])
+def _calibrated(model, probs) -> float:
+    return float(mixture_utility_batch(model, [probs])[0])
 
 
 def _grid_utility(model, sampler):
@@ -48,29 +47,28 @@ def _grid_utility(model, sampler):
 def test_mixture_utility_matches_normalized_eu():
     # calibration maps value range [0, 1] onto segment weight directly
     for probs in [(0.5, 0.25, 0.25), (0.1, 0.8, 0.1), (0.0, 1.0, 0.0)]:
-        p = Lottery(probs)
-        expected = EU3.value(p.probs)  # utilities already span [0, 1]
-        assert _calibrated(EU3, p) == pytest.approx(expected, abs=1e-9)
+        expected = EU3.value_batch(np.array([probs]))[0]  # utilities already span [0, 1]
+        assert _calibrated(EU3, probs) == pytest.approx(expected, abs=1e-9)
 
 
 def test_mixture_utility_cpt_two_prize_is_probability():
     # with two prizes the calibration segment is the whole simplex, so the
     # calibrated utility of (p, 1-p) is p itself
     for p in (0.0, 0.1, 0.37, 0.5, 0.93, 1.0):
-        got = _calibrated(CPT2, Lottery((p, 1.0 - p)))
+        got = _calibrated(CPT2, (p, 1.0 - p))
         assert got == pytest.approx(p, abs=2e-9)
 
 
 def test_mixture_utility_cpt3_known_alpha():
     # frozen: the sure-3000 lottery sits at g^{-1}(w(3000)/w(4000)) on the
     # best-worst segment
-    got = _calibrated(CPT3, Lottery((0.0, 1.0, 0.0)))
+    got = _calibrated(CPT3, (0.0, 1.0, 0.0))
     assert got == pytest.approx(0.9367900900754369, abs=1e-8)
 
 
 def test_mixture_utility_endpoints_exact():
-    assert _calibrated(CPT3, Lottery((1.0, 0.0, 0.0))) == 1.0
-    assert _calibrated(CPT3, Lottery((0.0, 0.0, 1.0))) == 0.0
+    assert _calibrated(CPT3, (1.0, 0.0, 0.0)) == 1.0
+    assert _calibrated(CPT3, (0.0, 0.0, 1.0)) == 0.0
 
 
 # --- affine benchmark ------------------------------------------------------
@@ -90,11 +88,11 @@ def test_benchmark_is_affine_in_mixtures(a, b, lam):
     total = a + b
     if total > 1.0:
         a, b = a / total, b / total
-    p = Lottery((a, b, max(1.0 - a - b, 0.0)))
-    q = Lottery((0.2, 0.5, 0.3))
+    p = np.array([a, b, max(1.0 - a - b, 0.0)])
+    q = np.array([0.2, 0.5, 0.3])
     bench = build_affine_benchmark(EU3)
-    mixed = bench.value(p.mix(q, lam).probs)
-    split = lam * bench.value(p.probs) + (1 - lam) * bench.value(q.probs)
+    mixed, vp, vq = bench.value_batch(np.array([lam * p + (1 - lam) * q, p, q]))
+    split = lam * vp + (1 - lam) * vq
     assert mixed == pytest.approx(split, abs=1e-12)
 
 
@@ -152,13 +150,14 @@ def test_verify_thm1_support_rule_is_per_point():
     grid_u = _grid_utility(CPT3, sampler)
     rep = measure_eps_rcl(CPT3, grid_u, sampler)
     bench = build_affine_benchmark(CPT3)
-    for row, u in zip(sampler.grid(3).tolist(), grid_u):
-        p = Lottery(tuple(row))
-        gap = abs(u - bench.value(p.probs))
-        if p.is_degenerate:
+    G = sampler.grid(3)
+    for row, u, v in zip(G, grid_u, bench.value_batch(G)):
+        support_size = np.count_nonzero(row)
+        gap = abs(u - v)
+        if support_size == 1:
             assert gap <= 1e-12
         else:
-            assert gap <= (p.support_size - 1) * rep.value + 1e-7
+            assert gap <= (support_size - 1) * rep.value + 1e-7
 
 
 def test_verify_thm1_rejects_eps_zero_for_nonlinear_model():

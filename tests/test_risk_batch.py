@@ -20,9 +20,7 @@ from nearrep.cli import run_scenario
 from nearrep.core import (
     BISECT_TOL,
     InvalidModel,
-    Lottery,
     NoBracket,
-    mix_probs,
 )
 from nearrep.risk import (
     CumulativeProspect,
@@ -41,6 +39,30 @@ from nearrep.risk import (
 
 
 # --- scalar reference ---------------------------------------------------------
+
+def _lottery(probs) -> tuple[float, ...]:
+    """probs as a tuple of floats, divided by its exact sum when that is not 1."""
+    p = tuple(map(float, probs))
+    total = math.fsum(p)
+    return p if total == 1.0 else tuple(v / total for v in p)
+
+
+def _degenerate(i, n):
+    return tuple(1.0 if k == i else 0.0 for k in range(n))
+
+
+def _mix_probs(p, q, lam):
+    return tuple(lam * a + (1.0 - lam) * b for a, b in zip(p, q))
+
+
+def _support(p):
+    return [i for i, v in enumerate(p) if v > 0.0]
+
+
+def _value(model, probs) -> float:
+    """One lottery's value: a one-row value_batch call."""
+    return float(model.value_batch(np.array([probs]))[0])
+
 
 def _ref_bisect(f, lo, hi, tol=1e-10, max_iter=200):
     flo = f(lo)
@@ -103,8 +125,8 @@ def _ref_segment(model, alpha):
 
 
 def _ref_mixture_utility(model, probs, tol=1e-10):
-    target = model.value(probs)
-    best, worst = model.value(_ref_segment(model, 1.0)), model.value(_ref_segment(model, 0.0))
+    target = _value(model, probs)
+    best, worst = _value(model, _ref_segment(model, 1.0)), _value(model, _ref_segment(model, 0.0))
     band = 4.0 * np.finfo(float).eps * max(abs(worst), abs(best))  # SNAP_ULPS units
     if worst - band <= target < worst or best < target <= best + band:  # rounded past an end
         target = min(max(target, worst), best)
@@ -112,50 +134,48 @@ def _ref_mixture_utility(model, probs, tol=1e-10):
         return 1.0
     if target == worst:
         return 0.0
-    return _ref_bisect(lambda a: model.value(_ref_segment(model, a)) - target, 0.0, 1.0, tol)
+    return _ref_bisect(lambda a: _value(model, _ref_segment(model, a)) - target, 0.0, 1.0, tol)
 
 
 def _ref_peel_chain(p):
-    chain, cur, mass = [], list(p.probs), 1.0
-    for i in p.support[:-1]:
+    chain, cur, mass = [], list(p), 1.0
+    for i in _support(p)[:-1]:
         lam = cur[i] / mass
         if lam >= 1.0:
             break
-        whole = Lottery(tuple(v / mass for v in cur))
+        whole = _lottery(v / mass for v in cur)
         nxt = list(cur)
         nxt[i] = 0.0
         tail_mass = mass - cur[i]
-        chain.append((Lottery.degenerate(i, len(cur)),
-                      Lottery(tuple(v / tail_mass for v in nxt)), lam, whole))
+        chain.append((_degenerate(i, len(cur)), _lottery(v / tail_mass for v in nxt), lam, whole))
         cur, mass = nxt, tail_mass
     return chain
 
 
 def _grid_lotteries(sampler, n):
-    return [Lottery(tuple(row)) for row in sampler.grid(n).tolist()]
+    return [_lottery(row) for row in sampler.grid(n).tolist()]
 
 
 def _ref_eps_rcl(model, sampler, tol=1e-10):
     points = _grid_lotteries(sampler, model.n_outcomes)
-    probes = [t for p in points if not p.is_degenerate for t in _ref_peel_chain(p)]
+    probes = [t for p in points if len(_support(p)) > 1 for t in _ref_peel_chain(p)]
     rng = np.random.default_rng(sampler.seed)
     for _ in range(sampler.n_random_triples):
         i, j = rng.integers(0, len(points), size=2)
         lam = float(rng.uniform())
-        probes.append((points[i], points[j], lam, points[i].mix(points[j], lam)))
+        probes.append((points[i], points[j], lam, _lottery(_mix_probs(points[i], points[j], lam))))
     u = {}
 
     def cal(q):
-        if q.probs not in u:
-            u[q.probs] = _ref_mixture_utility(model, q.probs, tol)
-        return u[q.probs]
+        if q not in u:
+            u[q] = _ref_mixture_utility(model, q, tol)
+        return u[q]
 
     best = (-1.0, None)
     for left, right, lam, whole in probes:
         defect = abs(cal(whole) - (lam * cal(left) + (1.0 - lam) * cal(right)))
         if defect > best[0]:
-            best = (defect, {"left": left.probs, "right": right.probs, "lam": lam,
-                             "mixture": whole.probs})
+            best = (defect, {"left": left, "right": right, "lam": lam, "mixture": whole})
     return max(best[0], 0.0), best[1] or {}, len(probes)
 
 
@@ -188,32 +208,31 @@ def _ref_nearest_root(f, center, step, tol, lo=0.0, hi=1.0, zero_tol=0.0):
 def _ref_eps_independence(model, sampler, tol=1e-10, scan_step=1e-3):
     points = _grid_lotteries(sampler, model.n_outcomes)
     n = model.n_outcomes
-    vertex_values = [model.value(Lottery.degenerate(i, n).probs) for i in range(n)]
+    vertex_values = [_value(model, _degenerate(i, n)) for i in range(n)]
     value_floor = 10.0 * tol * max(1.0, max(vertex_values) - min(vertex_values))
     rng = np.random.default_rng(sampler.seed)
-    interior = [p for p in points if not p.is_degenerate]
+    interior = [p for p in points if len(_support(p)) > 1]
     best, count, no_root_seen, pairs = -1.0, 0, False, 0
     for idx in rng.permutation(len(interior)):
         if pairs >= sampler.n_pairs:
             break
         p = interior[idx]
-        vp = model.value(p.probs)
+        vp = _value(model, p)
         lows = [i for i, v in enumerate(vertex_values) if v < vp - 1e-12]
         highs = [i for i, v in enumerate(vertex_values) if v > vp + 1e-12]
         if not lows or not highs:
             continue
-        d_lo = Lottery.degenerate(lows[int(rng.integers(0, len(lows)))], n)
-        d_hi = Lottery.degenerate(highs[int(rng.integers(0, len(highs)))], n)
-        s = _ref_bisect(lambda a: model.value(mix_probs(d_hi.probs, d_lo.probs, a)) - vp,
-                        0.0, 1.0, tol)
-        q = d_hi.mix(d_lo, s)
+        d_lo = _degenerate(lows[int(rng.integers(0, len(lows)))], n)
+        d_hi = _degenerate(highs[int(rng.integers(0, len(highs)))], n)
+        s = _ref_bisect(lambda a: _value(model, _mix_probs(d_hi, d_lo, a)) - vp, 0.0, 1.0, tol)
+        q = _lottery(_mix_probs(d_hi, d_lo, s))
         pairs += 1
         for _ in range(sampler.n_alphas):
             alpha = float(rng.uniform())
             r = points[int(rng.integers(0, len(points)))]
-            target = model.value(p.mix(r, alpha).probs)
+            target = _value(model, _lottery(_mix_probs(p, r, alpha)))
             root = _ref_nearest_root(
-                lambda a: model.value(mix_probs(q.probs, r.probs, a)) - target,
+                lambda a: _value(model, _mix_probs(q, r, a)) - target,
                 alpha, scan_step, tol, zero_tol=value_floor)
             count += 1
             no_root_seen |= root is None
@@ -256,7 +275,7 @@ def models_and_lotteries(draw):
     for _ in range(draw(st.integers(1, 12))):
         choice = draw(st.sampled_from(["random", "vertex", "repeat", "sparse"]))
         if choice == "vertex" or (choice == "repeat" and not rows):
-            rows.append(Lottery.degenerate(draw(st.integers(0, n - 1)), n).probs)
+            rows.append(_degenerate(draw(st.integers(0, n - 1)), n))
         elif choice == "repeat":
             rows.append(rows[draw(st.integers(0, len(rows) - 1))])
         else:
@@ -266,7 +285,7 @@ def models_and_lotteries(draw):
             if sum(w) <= 0.0:
                 w = [1.0] + [0.0] * (n - 1)
             total = sum(w)
-            rows.append(Lottery(tuple(v / total for v in w)).probs)
+            rows.append(_lottery(v / total for v in w))
     return model, rows
 
 
@@ -279,7 +298,7 @@ def test_value_batch_rows_equal_scalar_value(case):
     batch = model.value_batch(np.array(rows))
     for k, probs in enumerate(rows):
         # each row alone, bit for bit, whatever else is in the batch
-        assert batch[k] == model.value(probs)
+        assert batch[k] == model.value_batch(np.array([probs]))[0]
         ref = _ref_value(model, probs)
         assert batch[k] == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
@@ -433,7 +452,7 @@ def test_mixture_utility_batch_takes_a_value_rounded_past_an_end_as_that_end():
     # below the worse prize's own value
     model = CumulativeProspect(1.192092896e-07, 0.7421875, (2.0, 3.0))
     rows = np.array([[1.0 - 2.0 ** -52, 2.0 ** -52], [1.0 - 2.0 ** -53, 2.0 ** -53]])
-    assert (model.value_batch(rows) < model.value((1.0, 0.0))).all()
+    assert (model.value_batch(rows) < _value(model, (1.0, 0.0))).all()
     assert mixture_utility_batch(model, rows).tolist() == [0.0, 0.0]
     assert [_ref_mixture_utility(model, tuple(row)) for row in rows.tolist()] == [0.0, 0.0]
 

@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nearrep.core import (
+    BISECT_TOL,
     BoundViolated,
     HypothesisFailed,
     InvalidModel,
@@ -22,6 +23,9 @@ from nearrep.core import (
     NotConverged,
 )
 from nearrep.uncertainty import (
+    HOMOG_ETA,
+    LIMIT_TOL,
+    MAX_SCALINGS,
     BoxSampler,
     CESUtility,
     LinearBenchmark,
@@ -35,12 +39,10 @@ from nearrep.uncertainty import (
     _level_hull,
     _phi_rows,
     _scaled_limits,
+    _unwrap,
     ce_batch,
-    ce_utility,
     dyadic_phi_series,
     extract_prior,
-    homog_limit,
-    hyers_ulam_limit,
     measure_eps_ua,
     quasiconcavify,
     smooth_ambiguity_bound,
@@ -64,6 +66,16 @@ def _phi(model, x, y) -> float:
     return float(_phi_rows(model, x[None, :], y[None, :], 1e-10)[0])
 
 
+def _limit(model, x):
+    """lim eta^-n u(eta^n x), eta = HOMOG_ETA, of one act as verify_homog_bound solves it.
+
+    A one-row _scaled_limits call; raises its NotConverged.
+    """
+    X = np.asarray(x, dtype=float)[None, :]
+    return _unwrap(_scaled_limits(model, X, ce_batch(model, X), HOMOG_ETA, LIMIT_TOL,
+                                  MAX_SCALINGS, BISECT_TOL, "scaling")[0])
+
+
 def _homog_deviation(model, x, lam: float) -> float:
     """Scaling defect |u(lam x) - lam u(x)| of the certainty equivalent."""
     scaled, base = ce_batch(model, np.stack([lam * x, x])).tolist()
@@ -76,29 +88,29 @@ def test_ce_constant_acts_exact():
     for model in ALL_MODELS:
         for c in (0.0, 1.0, 7.5, 1000.0):
             x = np.full(2, c)
-            assert ce_utility(model, x) == c
+            assert ce_batch(model, x[None])[0] == c
 
 
 def test_ce_seu_is_prior_dot():
     x = np.array([2.0, 5.0])
-    assert ce_utility(SEU, x) == pytest.approx(0.3 * 2 + 0.7 * 5, abs=1e-12)
+    assert ce_batch(SEU, x[None])[0] == pytest.approx(0.3 * 2 + 0.7 * 5, abs=1e-12)
 
 
 def test_ce_meu_takes_worst_prior():
     x = np.array([1.0, 0.0])
-    assert ce_utility(MEU, x) == pytest.approx(0.3, abs=1e-12)
+    assert ce_batch(MEU, x[None])[0] == pytest.approx(0.3, abs=1e-12)
 
 
 def test_ce_smooth_sqrt_frozen():
     # mean of sqrt(1 + (p_k . x)^2) mapped back through the transform
-    got = ce_utility(SMOOTH_SQRT, np.array([10.0, 0.0]))
+    got = ce_batch(SMOOTH_SQRT, np.array([[10.0, 0.0]]))[0]
     assert got == pytest.approx(5.522458581463691, abs=1e-9)
 
 
 def test_smooth_raw_closed_form_on_constants():
     # raw z_minus_exp functional at c * ones is c - e^{-c}
     for c in (0.5, 1.0, 3.0):
-        raw = SMOOTH_EXP.value(np.full(2, c))
+        raw = SMOOTH_EXP.value_batch(np.full((1, 2), c))[0]
         assert raw == pytest.approx(c - math.exp(-c), abs=1e-12)
 
 
@@ -139,20 +151,20 @@ def test_theta_estimate_meu_divergent():
 
 def test_hyers_seu_trivial():
     x = np.array([2.0, 5.0])
-    res = hyers_ulam_limit(SEU, x)
-    assert res.value == pytest.approx(ce_utility(SEU, x), abs=1e-12)
+    res = _limit(SEU, x)
+    assert res.value == pytest.approx(ce_batch(SEU, x[None])[0], abs=1e-12)
 
 
 def test_hyers_meu_iterates_constant():
     # positively homogeneous value: every iterate equals the value itself
     x = np.array([2.0, 1.0])
-    res = hyers_ulam_limit(MEU, x)
-    assert res.value == ce_utility(MEU, x)
+    res = _limit(MEU, x)
+    assert res.value == ce_batch(MEU, x[None])[0]
     assert all(it == res.value for it in res.iterates)
 
 
 def test_hyers_smooth_sqrt_frozen_limit():
-    res = hyers_ulam_limit(SMOOTH_SQRT, np.array([2.0, 1.0]))
+    res = _limit(SMOOTH_SQRT, np.array([2.0, 1.0]))
     assert res.value == pytest.approx(1.55, abs=1e-6)
     assert res.tail_bound <= 1e-8
 
@@ -161,7 +173,7 @@ def test_hyers_induction_inequality():
     # |2^-n u(2^n x) - u(x)| <= sum_{i=1..n} 2^{-(i-1)} phi(2^i x, 0)
     model = SMOOTH_EXP
     x = np.array([1.5, 0.5])
-    u = lambda z: ce_utility(model, z)
+    u = lambda z: ce_batch(model, z[None])[0]
     base = u(x)
     bound = 0.0
     for n in range(1, 21):
@@ -262,7 +274,7 @@ def test_box_sampler_builds_its_grid_once_read_only():
 def test_smooth_defect_zme_frozen_point():
     # defect at x = (2, 1) is the mixed exponential 0.5 (e^{-1.3} + e^{-1.8})
     pt = np.array([2.0, 1.0])
-    raw = SMOOTH_EXP.value(pt)
+    raw = SMOOTH_EXP.value_batch(pt[None])[0]
     linear = 0.55 * 2.0 + 0.45 * 1.0
     assert linear - raw == pytest.approx(0.21891534062779955, abs=1e-12)
 
@@ -279,23 +291,23 @@ def test_homog_deviation_raw_zme_closed_form():
     u = lambda cc: cc - math.exp(-cc)
     expected = abs(lam * u(c) - u(lam * c))
     assert expected == pytest.approx(0.6004235991062719, abs=1e-12)
-    raw_dev = abs(lam * SMOOTH_EXP.value(np.ones(2))
-                  - SMOOTH_EXP.value(lam * np.ones(2)))
+    at_one, at_lam = SMOOTH_EXP.value_batch(np.array([[1.0, 1.0], [lam, lam]]))
+    raw_dev = abs(lam * at_one - at_lam)
     assert raw_dev == pytest.approx(expected, abs=1e-12)
 
 
 def test_homog_limit_meu_is_value():
     x = np.array([2.0, 1.0])
-    res = homog_limit(MEU, x)
-    assert res.value == ce_utility(MEU, x)
+    res = _limit(MEU, x)
+    assert res.value == ce_batch(MEU, x[None])[0]
     assert res.theta <= 1e-12
 
 
 def test_homog_limit_smooth_matches_doubling_limit():
     x = np.array([2.0, 1.0])
-    res = homog_limit(SMOOTH_SQRT, x, eta=2.0)
-    dbl = hyers_ulam_limit(SMOOTH_SQRT, x)
-    assert res.value == pytest.approx(dbl.value, abs=1e-6)
+    res = _limit(SMOOTH_SQRT, x)
+    dbl = extract_prior(SMOOTH_SQRT).evaluate_batch(x)[0]
+    assert res.value == pytest.approx(dbl, abs=1e-6)
     assert res.value == pytest.approx(0.55 * 2.0 + 0.45 * 1.0, abs=1e-6)
 
 
@@ -311,7 +323,7 @@ def test_homog_theta_respects_geometric_envelope():
     # single-step deviations cap the scaled series: theta <= sup dev / (eta - 1)
     model = LinearPlusBounded((0.3, 0.7), 0.5)
     x = np.array([1.0, 2.0])
-    res = homog_limit(model, x, eta=2.0)
+    res = _limit(model, x)
     worst = 0.0
     probe = x.copy()
     for _ in range(20):
@@ -323,8 +335,8 @@ def test_homog_theta_respects_geometric_envelope():
 def test_homogeneity_of_limit_irrational_scale():
     model = SMOOTH_SQRT
     x = np.array([2.0, 1.0])
-    res = homog_limit(model, x)
-    scaled = homog_limit(model, math.sqrt(2.0) * x)
+    res = _limit(model, x)
+    scaled = _limit(model, math.sqrt(2.0) * x)
     assert scaled.value == pytest.approx(math.sqrt(2.0) * res.value, abs=1e-6)
 
 
@@ -423,7 +435,7 @@ def test_meters_refuse_a_utility_array_that_does_not_fit_the_grid():
 def test_linear_benchmark_evaluate_is_the_one_row_case():
     bench = LinearBenchmark((0.3, 0.7))
     pts = BoxSampler(2, resolution=7).points()
-    assert bench.evaluate_batch(pts).tolist() == [bench.evaluate(x) for x in pts]
+    assert bench.evaluate_batch(pts).tolist() == [bench.evaluate_batch(x[None])[0] for x in pts]
 
 
 def test_envelope_midpoint_never_below_level():
@@ -434,7 +446,7 @@ def test_envelope_midpoint_never_below_level():
     for _ in range(25):
         i, j = rng.integers(0, len(pts), size=2)
         m = 0.5 * (pts[i] + pts[j])
-        vm = env.evaluate(m)
+        vm = env.evaluate_batch(m)[0]
         assert vm >= min(env.v_values[i], env.v_values[j]) - env.level_spacing - 1e-9
 
 
@@ -578,8 +590,7 @@ def test_uncertainty_run_leaves_numpy_random_unloaded():
 
 def test_ce_monotone_in_payoffs():
     for model in ALL_MODELS:
-        lo = ce_utility(model, np.array([1.0, 2.0]))
-        hi = ce_utility(model, np.array([1.5, 2.5]))
+        lo, hi = ce_batch(model, np.array([[1.0, 2.0], [1.5, 2.5]]))
         assert hi >= lo - 1e-12
 
 
@@ -591,7 +602,7 @@ def test_meu_value_is_min_of_priors(a, b, c, d):
     y = np.array([c, d])
     for z in (x, y, 0.5 * (x + y)):
         direct = min(0.3 * z[0] + 0.7 * z[1], 0.7 * z[0] + 0.3 * z[1])
-        assert MEU.value(z) == pytest.approx(direct, abs=1e-12)
+        assert MEU.value_batch(z[None])[0] == pytest.approx(direct, abs=1e-12)
 
 
 # --- model-owned certainty equivalents ---------------------------------------
@@ -642,16 +653,16 @@ def _ce_range_slack(model, x) -> float:
 @given(_model_and_act())
 def test_model_ce_meets_its_defining_equation(case):
     model, x = case
-    c = ce_utility(model, x, tol=CE_TOL)
+    c = ce_batch(model, x[None], tol=CE_TOL)[0]
     slack = _ce_range_slack(model, x)
     assert float(np.min(x)) - slack <= c <= float(np.max(x)) + slack
-    target = model.value(x)
-    assert abs(model.value(np.full(len(x), c)) - target) <= CE_VALUE_TOL * max(1.0, abs(target))
+    target, at_c = model.value_batch(np.array([x, np.full(len(x), c)]))
+    assert abs(at_c - target) <= CE_VALUE_TOL * max(1.0, abs(target))
 
 
 def test_sqrt1pz2_ce_stays_in_range_near_zero():
     x = np.array([6.69438024e-08, 7.43820026e-08])
-    c = ce_utility(SMOOTH_SQRT, x)
+    c = ce_batch(SMOOTH_SQRT, x[None])[0]
     assert x.min() <= c <= x.max()
 
 
@@ -737,13 +748,12 @@ def test_ce_batch_rows_match_one_row_calls_and_the_per_act_reference(case):
     for x, c in zip(X, got):
         # batch-size invariance: exactly what a one-row call gives
         assert ce_batch(model, x[None, :], tol=CE_TOL)[0] == c
-        assert ce_utility(model, x, tol=CE_TOL) == c
         want = _per_act_ce(model, x)
         allowed = CE_TOL * max(1.0, abs(want))
         if getattr(model, "f_name", None) == "sqrt1pz2":
             # the reference's sqrt(w^2 - 1) loses digits at w ~ 1: an error of
             # delta = 4 eps w^2 in w^2 - 1 moves it by min(delta / 2c, sqrt(delta))
-            delta = 4.0 * EPS * model.value(x) ** 2
+            delta = 4.0 * EPS * model.value_batch(x[None])[0] ** 2
             allowed += delta / (2.0 * max(float(c), want, 0.5 * math.sqrt(delta)))
         assert abs(c - want) <= allowed, (x, c, want)
 
@@ -817,14 +827,14 @@ def _homog_bound_point_by_point(model, sampler, alphas=(0.5, 3.0), tol=1e-6):
     """Reference: the per-point loop of verify_homog_bound, one limit at a time."""
     pts = [x for x in sampler.points() if np.any(x)]
     for x in pts:
-        res = homog_limit(model, x, tol=1e-9)
+        res = _limit(model, x)
         gap = abs(res.iterates[0] - res.value)
         if gap > 2.0 * res.theta + tol:
             raise BoundViolated(
                 f"|u - v| = {gap!r} exceeds 2 Theta + tol = {2.0 * res.theta + tol!r}",
                 witness={"x": tuple(x), "gap": gap, "theta": res.theta})
         for a in alphas:
-            defect = abs(homog_limit(model, a * x, tol=1e-9).value - a * res.value)
+            defect = abs(_limit(model, a * x).value - a * res.value)
             if defect > 1e-6:
                 raise BoundViolated(
                     f"limit is not homogeneous: |v(a x) - a v(x)| = {defect!r} at a={a!r}",
@@ -851,12 +861,12 @@ def test_lockstep_homog_bound_raises_the_first_failure_in_point_order(swap):
 
 def _scaled_limit_step_by_step(model, x, base, n_max, tol=1e-9):
     """Reference: one act's scaled limit, one certainty equivalent per step."""
-    iterates, increments = [ce_utility(model, x)], []
+    iterates, increments = [ce_batch(model, x[None])[0]], []
     if not np.any(x):
         return iterates[0], 0.0, 0, tuple(iterates)
     cap = max(min(n_max, int(math.floor(math.log(1e12 / max(float(np.max(x)), 1.0), base)))), 0)
     for n in range(1, cap + 1):
-        v = ce_utility(model, (base ** n) * x) / base ** n
+        v = ce_batch(model, (base ** n) * x[None])[0] / base ** n
         increments.append(abs(v - iterates[-1]))
         iterates.append(v)
         if increments[-1] <= tol * base ** -n or increments[-1] <= 1e-15 * max(1.0, abs(v)):
@@ -896,13 +906,21 @@ class _UnitOffset:
         return np.array([self.value(x) for x in X])
 
 
-@pytest.mark.parametrize("limit, label", [(hyers_ulam_limit, "doubling"),
-                                          (homog_limit, "scaling")])
-def test_scaled_limit_failure_is_labelled_and_carries_iterates(limit, label):
+def _homog_bound_on_the_unit_box(model):
+    box = BoxSampler(2, bound=1.0, resolution=2, n_random_pairs=0)
+    verify_homog_bound(model, ce_batch(model, box.points()), box)
+
+
+# The doubling limits behind the prior fail first at e_1 = (1, 0), the
+# homogeneous verifier's scaling limits at the grid act (0, 1): p . x = 0.5 both.
+@pytest.mark.parametrize("limits, label", [
+    pytest.param(extract_prior, "doubling", id="hyers_ulam_limit-doubling"),
+    pytest.param(_homog_bound_on_the_unit_box, "scaling", id="homog_limit-scaling")])
+def test_scaled_limit_failure_is_labelled_and_carries_iterates(limits, label):
     # increments are exactly 2^-n, never below tol * 2^-n, and the 1e12
     # coordinate guard stops doubling before the 1e-15 relative floor
     with pytest.raises(NotConverged, match=f"^{label} iterates not Cauchy") as exc:
-        limit(_UnitOffset(), np.array([1.0, 0.0]))
+        limits(_UnitOffset())
     iterates = exc.value.iterates
     assert len(iterates) > 1
     assert [a - b for a, b in zip(iterates, iterates[1:])] == \
