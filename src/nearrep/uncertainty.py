@@ -619,8 +619,10 @@ def theta_estimate(model, sampler: BoxSampler,
 class ScaledLimit:
     """Limit of base^{-n} u(base^n x) with the Cauchy trace that certified it.
 
-    theta sums the increments plus the geometric tail estimate: the scaled
-    defect series that bounds |u(x) - value|.
+    The increment at step n is base^{-n} times the scaling deviation
+    |u(base^n x) - base u(base^{n-1} x)|, so theta, the summed increments
+    plus the geometric tail estimate, is the scaled defect series that
+    bounds |u(x) - value|.
     """
 
     value: float

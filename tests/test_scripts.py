@@ -116,9 +116,13 @@ def test_every_golden_case_matches_the_committed_reference(tmp_path, capsys):
     Regenerate the reference with `scripts/golden_digests.py --write` when a
     change moves an output on purpose, so the diff shows what moved.
     """
-    main = runpy.run_path(str(SCRIPTS / "golden_digests.py"))["main"]
+    script = runpy.run_path(str(SCRIPTS / "golden_digests.py"))
+    main, golden = script["main"], script["GOLDEN"]
     assert main(["--write", str(tmp_path)]) == 0
     capsys.readouterr()
-    code = main(["--compare", str(SCRIPTS.parent / "tests" / "golden"), str(tmp_path)])
+    code = main(["--compare", str(golden), str(tmp_path)])
     out = capsys.readouterr().out
     assert code == 0, "\n".join(line for line in out.splitlines() if not line.endswith(" ok"))
+    # --write leaves a dropped case's directory behind: the reference holds none
+    cases = {line.split()[0] for line in (golden / "index.txt").read_text().splitlines()}
+    assert {p.parent.relative_to(golden).as_posix() for p in golden.rglob("stdout.txt")} == cases
