@@ -15,18 +15,17 @@ shares: value_batch over rows, each row computed alone.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import (BISECT_TOL, MAX_BISECT_STEPS, RATIO_TOL, STRICTNESS_MARGIN, SUM_TOL,
-                   VERIFY_TOL, BoundViolated, HypothesisFailed, InvalidModel, NearRepresentation,
-                   NotAdditive, NotConverged, ViolationReport, _check_grid_cap, _finite,
-                   dyadic_tail_sum)
+                   TAIL_WINDOW, VERIFY_TOL, BoundViolated, HypothesisFailed, InvalidModel,
+                   NearRepresentation, NotAdditive, NotConverged, ViolationReport,
+                   _check_grid_cap, _finite)
 
 __all__ = [
     "SubjectiveExpected",
@@ -58,14 +57,11 @@ EPS = float(np.finfo(float).eps)
 # on the smooth model. 16 sits well above that and about 13 orders of
 # magnitude below any real defect, such as the maxmin series' constant 0.2.
 NOISE_KAPPA = 16.0
-SERIES_CHUNK = 32  # act pairs per batched solve in the defect series; caps peak memory
-# Scaled-limit steps per batched solve. Most limits stop within a few steps
-# (exact models at the first), so a short block saves calls and wastes little.
-SCALE_BLOCK = 8
-MAX_DOUBLINGS = 40  # doublings of the defect series and of the doubling limits
-MAX_SCALINGS = 60  # eta-scalings of the homogeneous limits
+CHAIN_BLOCK = 4096  # chain rows per ce_batch call; caps the solves' peak memory
+SCALE_BLOCK = 8  # first-round steps of the scaled limits; exact models stop at step 1
+MAX_DOUBLINGS = 40  # doublings of the defect series and of the scaled limits
 LIMIT_TOL = 1e-9  # Cauchy tolerance of the doubling limits behind the prior
-HOMOG_ETA = 2.0  # scaling ratio of the homogeneous verifier's limits
+HOMOG_ETA = 2.0  # scaling ratio of the homogeneous verifier's limits: they are dyadic
 HOMOG_ALPHAS = (0.5, 3.0)  # multiples at which that verifier spot-checks homogeneity
 ZERO_ACT_TOL = 1e-9  # the smooth defect at the zero act must be 1 within this
 MEMBERSHIP_TOL = 1e-9  # relative tolerance of the level hulls' membership and decompositions
@@ -523,7 +519,11 @@ def ce_batch(model, X, tol: float = BISECT_TOL) -> np.ndarray:
     the model admits one, monotone Newton steps for linear-plus-bounded.
     Every row gets exactly what a one-row call would give.
     """
-    X = _as_acts(model, X)
+    return _ce_rows(model, _as_acts(model, X), tol)
+
+
+def _ce_rows(model, X: np.ndarray, tol: float) -> np.ndarray:
+    """ce_batch of rows known to be acts, such as exact 2^n multiples of checked ones."""
     out = X[:, 0].copy()
     varying = np.flatnonzero(np.any(X != X[:, :1], axis=1))
     if len(varying):
@@ -531,42 +531,108 @@ def ce_batch(model, X, tol: float = BISECT_TOL) -> np.ndarray:
     return out
 
 
-def _phi_rows(model, X: np.ndarray, Y: np.ndarray, tol: float) -> np.ndarray:
-    """phi(X[k], Y[k]) for every row pair, from one ce_batch call."""
-    n = len(X)
-    c = ce_batch(model, np.concatenate([X, Y, 0.5 * (X + Y)]), tol)
-    return np.abs(c[2 * n:] - 0.5 * (c[:n] + c[n:2 * n]))
+def _scale_caps(tops: np.ndarray, n_max: int) -> np.ndarray:
+    """Doublings n <= n_max with 2^n * top inside SCALE_GUARD, per top (each max(1, max x)).
+
+    floor(log2 q) is frexp's exponent of q minus one; math.log decides near a power of two.
+    """
+    q = SCALE_GUARD / tops
+    m, e = np.frexp(q)
+    caps, near = e.astype(int) - 1, np.abs(m - 0.75) > 0.25 - 1e-9
+    if near.any():
+        for k in np.flatnonzero(near).tolist():
+            caps[k] = math.floor(math.log(q[k], 2.0))
+    return np.maximum(np.minimum(caps, n_max), 0)
 
 
-def _scale_cap(top: float, n_max: int, base: float = 2.0) -> int:
-    """Steps n <= n_max with base^n * top inside SCALE_GUARD; top is max(1, max |x|)."""
-    cap = int(math.floor(math.log(SCALE_GUARD / top, base)))
-    return max(min(n_max, cap), 0)
+class _Chains:
+    """ce(2^n a) of acts a for steps n = 0 .. hi per act, each distinct row solved once.
+
+    An act is 2^shift * unit, unit's top payoff in [1/2, 1), when that round
+    trip is exact (else it is its own unit). 2^n scaling is exact, so acts
+    with one unit (x, 2x, x / 2) share its chain of rows bit for bit, and a
+    row-independent ce_batch gives each what solving it alone gives.
+    ce(2^n acts[k]) is values[start[k] + n] once solve() has reached step n.
+    """
+
+    def __init__(self, model, acts: np.ndarray, hi: np.ndarray, tol: float):
+        self.model, self.tol = model, tol
+        shift = np.frexp(reduce(np.maximum, acts.T))[1].astype(int)  # of row maxima, by columns
+        unit = np.ldexp(acts, -shift[:, None])
+        lost = np.ldexp(unit, shift[:, None]) != acts
+        if lost.any():  # an act whose round trip is not exact keeps its own chain
+            lossy = lost.any(axis=1)
+            unit, shift = np.where(lossy[:, None], acts, unit), np.where(lossy, 0, shift)
+        rows = unit.view(np.dtype((np.void, unit.itemsize * unit.shape[1]))).ravel()
+        self.order = rows.argsort()  # equal units side by side
+        rows, head = rows[self.order], np.empty(len(rows), dtype=bool)
+        head[:1], head[1:] = True, rows[1:] != rows[:-1]
+        chain = np.empty(len(rows), dtype=int)
+        chain[self.order] = np.cumsum(head, dtype=int) - 1
+        self.heads = np.flatnonzero(head)
+        self.units = unit[self.order[self.heads]]
+        kmin = np.minimum.reduceat(shift[self.order], self.heads)
+        size = np.maximum.reduceat((shift + hi)[self.order], self.heads) - kmin + 1
+        self.solved = np.cumsum(size) - size  # each chain's next row in values
+        self.origin = self.solved - kmin  # where each chain's 2^0 unit would sit
+        self.start = self.origin[chain] + shift
+        self.values = np.zeros(int(np.sum(size)))
+
+    def solve(self, upto: np.ndarray) -> None:
+        """Solve each chain through step upto[k] of every act k, CHAIN_BLOCK rows per call."""
+        need = np.maximum(self.solved,
+                          np.maximum.reduceat((self.start + upto + 1)[self.order], self.heads))
+        count = need - self.solved
+        owner = np.repeat(np.arange(len(count)), count)
+        index = np.arange(len(owner)) + np.repeat(self.solved - np.cumsum(count) + count, count)
+        for s in range(0, len(owner), CHAIN_BLOCK):
+            i, u = index[s:s + CHAIN_BLOCK], owner[s:s + CHAIN_BLOCK]
+            rows = np.ldexp(self.units[u], (i - self.origin[u])[:, None])
+            self.values[i] = _ce_rows(self.model, rows, self.tol)
+        self.solved = need
 
 
 def _phi_series(model, xs: np.ndarray, ys: np.ndarray, n_max: int,
-                tol: float) -> list[tuple[list[float], bool]]:
-    """(partial sums, convergence verdict) of the dyadic series of each pair (xs[k], ys[k]).
+                tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sums, lengths, converged) of the dyadic series of each pair (xs[k], ys[k]).
 
-    The terms of all pairs in a chunk of SERIES_CHUNK pairs come from one
-    ce_batch call over every scaled act and midpoint.
+    The x, y and midpoint chains share one _Chains ((2^i x + 2^i y) / 2 is
+    2^i (x + y) / 2 bit for bit); _tail_sums judges the terms at the floor
+    16 eps * max(1, max x, max y).
     """
-    xs, ys = _as_acts(model, xs), _as_acts(model, ys)
-    out = []
-    for start in range(0, len(xs), SERIES_CHUNK):
-        X, Y = xs[start:start + SERIES_CHUNK], ys[start:start + SERIES_CHUNK]
-        tops = np.maximum(np.maximum(np.max(X, axis=1), np.max(Y, axis=1)), 1.0).tolist()
-        caps = [_scale_cap(top, n_max) for top in tops]
-        pair = np.repeat(np.arange(len(X)), [cap + 1 for cap in caps])
-        steps = np.concatenate([np.arange(cap + 1) for cap in caps])
-        scale = np.ldexp(1.0, steps)[:, None]
-        terms = np.ldexp(1.0, -steps) * _phi_rows(model, scale * X[pair], scale * Y[pair], tol)
-        ends = np.cumsum([cap + 1 for cap in caps]).tolist()
-        for top, cap, end in zip(tops, caps, ends):
-            t = terms[end - cap - 1:end].tolist()
-            _, converged = dyadic_tail_sum(t, floor=NOISE_KAPPA * EPS * top)
-            out.append((list(itertools.accumulate(t)), converged))
-    return out
+    p = len(xs)
+    acts = _as_acts(model, np.concatenate([xs, ys]))
+    top = reduce(np.maximum, acts.T)  # row maxima, a column at a time
+    tops = np.maximum(np.maximum(top[:p], top[p:]), 1.0)
+    caps = _scale_caps(tops, n_max)
+    hi = np.concatenate([caps, caps, caps])
+    chains = _Chains(model, np.concatenate([acts, 0.5 * (acts[:p] + acts[p:])]), hi, tol)
+    chains.solve(hi)
+    n = np.arange(int(caps.max(initial=0)) + 1)
+    steps = np.minimum(n, caps[:, None])
+    cx, cy, cm = chains.values[chains.start.reshape(3, p, 1) + steps]
+    terms = np.where(n <= caps[:, None], np.ldexp(1.0, -steps) * np.abs(cm - 0.5 * (cx + cy)),
+                     0.0)
+    return _tail_sums(terms, caps, NOISE_KAPPA * EPS * tops)
+
+
+def _tail_sums(terms: np.ndarray, caps: np.ndarray,
+               floor: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """core.dyadic_tail_sum of each row terms[k, :caps[k] + 1] at floor[k], all rows at once.
+
+    Entries past a row's last term are 0. Returns (sums, lengths, converged):
+    sums[k] holds the partial sums, added in order, then the total.
+    """
+    bad = (terms < 0.0) | ~np.isfinite(terms)
+    if bad.any():
+        k, i = divmod(int(bad.argmax()), bad.shape[1])
+        raise InvalidModel(f"term({i}) = {terms[k, i].item()!r}; "
+                           "terms must be nonnegative and finite")
+    a, b, floor = terms[:, :-1], terms[:, 1:], floor[:, None]
+    j = np.arange(1, terms.shape[1])  # b's step: the last TAIL_WINDOW ratios of each row
+    last = (j <= caps[:, None]) & (j > caps[:, None] - TAIL_WINDOW)
+    broken = last & (b > floor) & ((a <= floor) | (b > RATIO_TOL * a))
+    return terms.cumsum(axis=1), caps + 1, ~broken.any(axis=1)
 
 
 def dyadic_phi_series(model, x, y, n_max: int = MAX_DOUBLINGS) -> tuple[list[float], bool]:
@@ -576,8 +642,9 @@ def dyadic_phi_series(model, x, y, n_max: int = MAX_DOUBLINGS) -> tuple[list[flo
     coordinate guard, whichever comes first. Terms below a rounding floor of
     16 eps * max(1, max x, max y) count as converged.
     """
-    return _phi_series(model, _as_act(model, x)[None, :], _as_act(model, y)[None, :],
-                       n_max, BISECT_TOL)[0]
+    sums, lengths, converged = _phi_series(model, _as_act(model, x)[None, :],
+                                           _as_act(model, y)[None, :], n_max, BISECT_TOL)
+    return sums[0, :lengths[0]].tolist(), bool(converged[0])
 
 
 def theta_estimate(model, sampler: BoxSampler,
@@ -600,94 +667,71 @@ def theta_estimate(model, sampler: BoxSampler,
     ys = np.concatenate([np.zeros((2 * len(nonzero), model.n_states)), base[pairs[:, 1]]])
     keep = np.any(xs, axis=1) | np.any(ys, axis=1)
     xs, ys = xs[keep], ys[keep]
-    series = _phi_series(model, xs, ys, MAX_DOUBLINGS, tol)
-    all_converged = all(converged for _, converged in series)
-    k = max(range(len(series)), key=lambda i: series[i][0][-1], default=None)
+    sums, lengths, converged = _phi_series(model, xs, ys, MAX_DOUBLINGS, tol)
+    all_converged = bool(np.all(converged))
+    k = int(np.argmax(sums[:, -1])) if len(sums) else None
     report = ViolationReport(
         axiom="midpoint-additivity-series",
-        value=0.0 if k is None else max(series[k][0][-1], 0.0),
+        value=0.0 if k is None else max(sums[k, -1].item(), 0.0),
         witness={} if k is None else {"x": tuple(xs[k]), "y": tuple(ys[k])},
         samples_evaluated=len(xs),
         details={"converged": all_converged, "n_max": MAX_DOUBLINGS,
-                 "ratio_tol": RATIO_TOL, "partial_sums": [] if k is None else series[k][0],
+                 "ratio_tol": RATIO_TOL,
+                 "partial_sums": [] if k is None else sums[k, :lengths[k]].tolist(),
                  "resolution": sampler.resolution, "seed": sampler.seed},
     )
     return report, all_converged
 
 
-@dataclass(frozen=True)
-class ScaledLimit:
-    """Limit of base^{-n} u(base^n x) with the Cauchy trace that certified it.
+def _scaled_limits(model, X, u0, tol: float, bisect_tol: float) -> tuple[np.ndarray, ...]:
+    """(iterates, stop, caps) of lim 2^{-n} u(2^n x) for every row of X, stepped together.
 
-    The increment at step n is base^{-n} times the scaling deviation
-    |u(base^n x) - base u(base^{n-1} x)|, so theta, the summed increments
-    plus the geometric tail estimate, is the scaled defect series that
-    bounds |u(x) - value|.
-    """
-
-    value: float
-    theta: float
-    n_used: int
-    tail_bound: float
-    iterates: tuple[float, ...]
-
-
-def _scaled_limits(model, X, v0, base: float, tol: float, n_max: int, bisect_tol: float,
-                   what: str) -> list[ScaledLimit | NotConverged]:
-    """lim base^{-n} u(base^n x) for every row of X, all rows stepped together.
-
-    v0 holds each row's u(x), the step-0 iterate, as the caller solved it.
-    One ce_batch call solves the next SCALE_BLOCK steps of every row still
-    running. Each row then stops on its own scaled Cauchy test, in step
-    order: an increment below tol * base^{-n} (or a 1e-15 relative floor);
-    iterates solved past that step are dropped. A row whose cap or
-    coordinate guard arrives first gets a NotConverged (returned, not
-    raised) that names the `what` iterates and carries them.
+    u0 is u(x), the step-0 iterate, of the first len(u0) rows, as the caller
+    solved it; x / 2 shares x's chain one step down. A row stops at its first
+    step whose increment is below tol * 2^{-n} (or a 1e-15 relative floor);
+    the zero act at step 0; stop is -1 where its cap (MAX_DOUBLINGS or the
+    coordinate guard) came first. The first round solves SCALE_BLOCK steps,
+    the second the rest of each row still running.
     """
     X = _as_acts(model, X)
-    iterates = [[v] for v in _grid_utility(v0, X).tolist()]
-    caps = [_scale_cap(max(float(np.max(x)), 1.0), n_max, base=base) for x in X]
-    # the zero act is its own limit; every other row runs until its first Cauchy step
-    results = [None if np.any(x) else _settled_limit(it) for x, it in zip(X, iterates)]
-    n0 = 0  # steps n0 + 1 .. n0 + SCALE_BLOCK of every running row in one call
-    while todo := [(k, n) for k, res in enumerate(results) if res is None
-                   for n in range(n0 + 1, min(n0 + SCALE_BLOCK, caps[k]) + 1)]:
-        scales = np.array([base ** n for _, n in todo])
-        acts = scales[:, None] * X[[k for k, _ in todo]].reshape(len(todo), X.shape[1])
-        values = (ce_batch(model, acts, bisect_tol) / scales).tolist()
-        for (k, n), v in zip(todo, values):
-            if results[k] is None:  # else the row stopped at an earlier step of this block
-                it = iterates[k]
-                it.append(v)
-                inc = abs(v - it[-2])
-                if inc <= tol * (base ** -n) or inc <= 1e-15 * max(1.0, abs(v)):
-                    results[k] = _settled_limit(it)
-        n0 += SCALE_BLOCK
-    return [NotConverged(f"{what} iterates not Cauchy within n={cap} (last increment "
-                         f"{abs(it[-1] - it[-2]) if len(it) > 1 else 0.0!r})", it)
-            if res is None else res for res, cap, it in zip(results, caps, iterates)]
+    caps = _scale_caps(np.maximum(reduce(np.maximum, X.T), 1.0), MAX_DOUBLINGS)
+    chains = _Chains(model, X, caps, bisect_tol)
+    n = np.arange(int(caps.max(initial=1)) + 1)
+    read = chains.start[:, None] + np.minimum(n, caps[:, None])
+    step_tol, zero = np.ldexp(tol, -n[1:]), ~X.any(axis=1)
+    upto = np.minimum(caps, SCALE_BLOCK)
+    while True:
+        chains.solve(upto)
+        its = np.ldexp(chains.values[read], -n)
+        its[:len(u0), 0] = u0
+        inc = np.abs(its[:, 1:] - its[:, :-1])
+        settled = (((inc <= step_tol) | (inc <= 1e-15 * np.maximum(1.0, np.abs(its[:, 1:]))))
+                   & (n[1:] <= upto[:, None]))
+        stop = np.where(settled.any(axis=1), settled.argmax(axis=1) + 1, -1)
+        stop[zero] = 0
+        running = (stop < 0) & (upto < caps)
+        if not running.any():
+            return its, stop, caps
+        upto = np.where(running, caps, upto)
 
 
-def _settled_limit(iterates: list[float]) -> ScaledLimit:
-    """The ScaledLimit of iterates whose last step passed the Cauchy test.
+def _limit_theta(its: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """Each row's scaled defect series theta, which bounds |u(x) - value|.
 
-    theta is the exact sum of the increments plus the geometric tail that
-    the last two of them project, when they shrink.
+    The exact sum of the increments through stop, plus the geometric tail
+    that the last two of them project when they shrink.
     """
-    incs = [abs(b - a) for a, b in zip(iterates, iterates[1:])]
-    tail = 0.0
-    if len(incs) >= 2 and incs[-2] > 0.0:
-        r = incs[-1] / incs[-2]
-        if r < 1.0:
-            tail = incs[-1] * r / (1.0 - r)
-    return ScaledLimit(value=iterates[-1], theta=math.fsum(incs) + tail,
-                       n_used=len(iterates) - 1, tail_bound=tail, iterates=tuple(iterates))
+    inc = np.where(np.arange(1, its.shape[1]) <= stop[:, None], np.abs(np.diff(its)), 0.0)
+    last, prev = (inc[np.arange(len(inc)), np.maximum(stop - j, 0)] for j in (1, 2))
+    ratio = np.divide(last, prev, out=np.ones(len(inc)), where=(stop >= 2) & (prev > 0.0))
+    return np.array(list(map(math.fsum, inc.tolist()))) + np.divide(
+        last * ratio, 1.0 - ratio, out=np.zeros(len(inc)), where=ratio < 1.0)
 
 
-def _unwrap(res: ScaledLimit | NotConverged) -> ScaledLimit:
-    if isinstance(res, NotConverged):
-        raise res
-    return res
+def _not_cauchy(what: str, iterates: np.ndarray, cap: int) -> NotConverged:
+    it = iterates[:cap + 1].tolist()
+    last = abs(it[-1] - it[-2]) if len(it) > 1 else 0.0
+    return NotConverged(f"{what} iterates not Cauchy within n={cap} (last increment {last!r})", it)
 
 
 @dataclass(frozen=True)
@@ -708,12 +752,13 @@ def extract_prior(model) -> LinearBenchmark:
     the sure act (e.g. lower envelopes give sum min_k prior_k[i] < 1).
     """
     d = model.n_states
-    rows = np.vstack([np.eye(d), np.ones((1, d))])  # e_1 .. e_d, then the sure act
-    limits = [_unwrap(res) for res in _scaled_limits(
-        model, rows, ce_batch(model, rows, BISECT_TOL), 2.0, LIMIT_TOL, MAX_DOUBLINGS, BISECT_TOL,
-        "doubling")]
-    p = [lim.value for lim in limits[:d]]
-    v_ones = limits[d].value
+    rows = np.eye(d + 1, d)
+    rows[d] = 1.0  # e_1 .. e_d, then the sure act
+    its, stop, caps = _scaled_limits(model, rows, (), LIMIT_TOL, BISECT_TOL)
+    if np.any(stop < 0):
+        k = int(np.argmax(stop < 0))
+        raise _not_cauchy("doubling", its[k], caps[k])
+    *p, v_ones = its[np.arange(d + 1), stop].tolist()
     total = math.fsum(p)
     if abs(total - v_ones) > ADDITIVITY_TOL:
         raise NotAdditive(
@@ -819,42 +864,45 @@ def verify_homog_bound(model, u, sampler: BoxSampler, tol: float = VERIFY_TOL,
     if len(idx) > HOMOG_MAX_POINTS:
         idx = idx[::max(len(idx) // HOMOG_MAX_POINTS, 1)][:HOMOG_MAX_POINTS]
     pts = grid[idx]
-    # every point and every alpha multiple in one lockstep run, then the
-    # checks in per-point order, so the first violation raised is unchanged;
-    # the points' u(x) is read, only the multiples are solved
-    multiples = np.array([a * x for x in pts for a in HOMOG_ALPHAS]).reshape(-1, model.n_states)
-    limits = _scaled_limits(model, np.concatenate([pts, multiples]),
-                            np.concatenate([u[idx], ce_batch(model, multiples, bisect_tol)]),
-                            HOMOG_ETA, LIMIT_TOL, MAX_SCALINGS, bisect_tol, "scaling")
-    theta_max = 0.0
-    sup = (0.0, None)
-    homog_defect = 0.0
-    for k, x in enumerate(pts):
-        res = _unwrap(limits[k])
-        gap = abs(res.iterates[0] - res.value)  # iterates[0] is u(x)
-        theta_max = max(theta_max, res.theta)
-        if gap > 2.0 * res.theta + tol:
-            raise BoundViolated(
-                f"|u - v| = {gap!r} exceeds 2 Theta + tol = {2.0 * res.theta + tol!r}",
-                witness={"x": tuple(x), "gap": gap, "theta": res.theta})
-        if gap > sup[0]:
-            sup = (gap, x)
-        for j, a in enumerate(HOMOG_ALPHAS):
-            res_a = _unwrap(limits[len(pts) + k * len(HOMOG_ALPHAS) + j])
-            defect = abs(res_a.value - a * res.value)
-            homog_defect = max(homog_defect, defect)
-            if defect > tol:
-                raise BoundViolated(
-                    f"limit is not homogeneous: |v(a x) - a v(x)| = {defect!r} at a={a!r}",
-                    witness={"x": tuple(x), "alpha": a, "defect": defect})
+    # every point and every alpha multiple in one solve, then the checks as
+    # arrays; the first failure in per-point check order is raised. The
+    # points' u(x) is read; x / 2 shares x's chain one step down
+    alphas = np.asarray(HOMOG_ALPHAS)
+    n, m = len(pts), len(HOMOG_ALPHAS)
+    multiples = (alphas[:, None] * pts[:, None, :]).reshape(-1, model.n_states)
+    its, stop, caps = _scaled_limits(model, np.concatenate([pts, multiples]), u[idx],
+                                     LIMIT_TOL, bisect_tol)
+    value = np.where(stop >= 0, its[np.arange(len(its)), stop], np.nan)
+    theta = _limit_theta(its[:n], stop[:n])
+    gap = np.abs(its[:n, 0] - value[:n])  # iterates[0] is u(x)
+    defect = np.abs(value[n:].reshape(n, m) - alphas * value[:n, None])
+    # per point: its limit settles, its gap, then per alpha: that limit settles, its defect
+    failed = np.column_stack([stop[:n] < 0, gap > 2.0 * theta + tol, np.stack(
+        [stop[n:].reshape(n, m) < 0, defect > tol], axis=2).reshape(n, 2 * m)])
+    if np.any(failed):
+        k, check = divmod(int(np.argmax(failed)), failed.shape[1])
+        j = (check - 2) // 2
+        if check == 1:
+            g, t = gap[k].item(), theta[k].item()
+            raise BoundViolated(f"|u - v| = {g!r} exceeds 2 Theta + tol = {2.0 * t + tol!r}",
+                                witness={"x": tuple(pts[k]), "gap": g, "theta": t})
+        if check % 2 == 0:
+            row = k if check == 0 else n + k * m + j
+            raise _not_cauchy("scaling", its[row], caps[row])
+        d = defect[k, j].item()
+        raise BoundViolated(
+            f"limit is not homogeneous: |v(a x) - a v(x)| = {d!r} at a={HOMOG_ALPHAS[j]!r}",
+            witness={"x": tuple(pts[k]), "alpha": HOMOG_ALPHAS[j], "defect": d})
+    worst = float(np.max(gap, initial=0.0))
+    theta_max = float(np.max(theta, initial=0.0))
     return NearRepresentation(
         kind="homogeneous",
         parameters={"eta": HOMOG_ETA},
-        achieved_distance=sup[0],
+        achieved_distance=worst,
         bound=2.0 * theta_max,
         details={"theta_homog": theta_max, "tol": tol, "alphas": HOMOG_ALPHAS,
-                 "homogeneity_defect": homog_defect, "n_points": len(pts),
-                 "argmax": None if sup[1] is None else tuple(sup[1])},
+                 "homogeneity_defect": float(np.max(defect, initial=0.0)), "n_points": n,
+                 "argmax": tuple(pts[int(np.argmax(gap))]) if worst > 0.0 else None},
     )
 
 

@@ -3,6 +3,7 @@
 import importlib
 import inspect
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -411,6 +412,46 @@ def test_a_risk_run_verifies_against_the_model_affine_benchmark(monkeypatch, mod
                 == np.array(want.prize_utilities).tobytes())
 
 
+def test_the_dyadic_meters_solve_each_distinct_row_at_most_once(monkeypatch):
+    # theta_estimate, verify_homog_bound and extract_prior each hand every
+    # model's own ce_batch (the rows left after the constant-row shortcut)
+    # each distinct act at most once, on the seed-1 ambiguity-doubling runs
+    import importlib.util
+    import sys
+
+    import numpy as np
+
+    import nearrep.uncertainty as unc
+    from nearrep.cli import run_scenario
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    rows, consumer = {}, [None]
+    for cls in (unc.SubjectiveExpected, unc.MaxminExpected, unc.SmoothAmbiguity,
+                unc.CESUtility, unc.LinearPlusBounded):
+        def recorded(self, X, tol, _solve=cls.ce_batch):
+            rows.setdefault(consumer[0], []).append(np.array(X, dtype=float))
+            return _solve(self, X, tol)
+        monkeypatch.setattr(cls, "ce_batch", recorded)
+    for name in ("theta_estimate", "verify_homog_bound", "extract_prior"):
+        def within(*args, _fn=getattr(unc, name), _name=name, **kwargs):
+            consumer[0] = _name
+            try:
+                return _fn(*args, **kwargs)
+            finally:
+                consumer[0] = None
+        monkeypatch.setattr(unc, name, within)
+    for inv in workloads.ambiguity_doubling(1):
+        rows.clear()
+        run_scenario(inv.scenario)
+        for name in ("theta_estimate", "verify_homog_bound", "extract_prior"):
+            X = np.concatenate(rows[name])
+            assert len(np.unique(X, axis=0)) == len(X), (inv.name, name)
+
+
 def test_an_uncertainty_run_solves_its_act_grid_once(monkeypatch):
     # the pipeline solves the grid; the homogeneous verifier, the homothetic
     # check and the aversion meter read that array and solve only acts it lacks
@@ -420,9 +461,9 @@ def test_an_uncertainty_run_solves_its_act_grid_once(monkeypatch):
     import nearrep.uncertainty as unc
     from nearrep.cli import run_scenario
 
-    solve, calls, consumer = unc.ce_batch, [], [None]
+    solve, calls, consumer = unc._ce_rows, [], [None]
 
-    def recorded(model, X, tol=1e-10):
+    def recorded(model, X, tol):  # every solve, through ce_batch or a chain
         calls.append((consumer[0], np.array(X, dtype=float).reshape(-1, model.n_states)))
         return solve(model, X, tol)
 
@@ -435,7 +476,7 @@ def test_an_uncertainty_run_solves_its_act_grid_once(monkeypatch):
                 consumer[0] = None
         return run
 
-    monkeypatch.setattr(unc, "ce_batch", recorded)
+    monkeypatch.setattr(unc, "_ce_rows", recorded)
     for owner, name in ((unc, "verify_homog_bound"), (unc, "measure_eps_ua"),
                         (cli, "_homothetic_exactness")):
         monkeypatch.setattr(owner, name, within(name, getattr(owner, name)))
@@ -455,14 +496,16 @@ def test_an_uncertainty_run_solves_its_act_grid_once(monkeypatch):
     [scaled] = rows["_homothetic_exactness"]
     assert np.array_equal(scaled, np.concatenate([2.0 * head, 16.0 * head, 1024.0 * head]))
 
-    # homogeneous bound: the alpha multiples first, then only scaled steps 2^n, n >= 1
+    # homogeneous bound: the alpha multiples and the scaled steps 2^n, n >= 1,
+    # of the points and the multiples, each row once; the points' u(x) is read
     pts = grid[np.any(grid, axis=1)]
-    multiples = np.array([a * x for x in pts for a in (0.5, 3.0)])
-    first, *steps = rows["verify_homog_bound"]
-    assert np.array_equal(first, multiples) and steps
-    inputs = np.concatenate([pts, multiples])
+    multiples = {tuple((a * x).tolist()) for x in pts for a in (0.5, 3.0)}
+    solved = np.concatenate(rows["verify_homog_bound"])
+    inputs = np.concatenate([pts, np.array(sorted(multiples))])
     scaled_copies = {tuple(r) for n in range(1, 61) for r in (2.0 ** n * inputs).tolist()}
-    assert all(tuple(r) in scaled_copies for X in steps for r in X.tolist())
+    assert multiples <= {tuple(r) for r in solved.tolist()}
+    assert all(tuple(r) in multiples | scaled_copies for r in solved.tolist())
+    assert len(np.unique(solved, axis=0)) == len(solved)
 
     # aversion meter: one call with the chains' endpoints and every mixture; the
     # seeded grid pairs' endpoints are read from the grid solve

@@ -1,31 +1,34 @@
 """Doubling limits, defect series, and benchmark bounds for act models."""
 
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 from unittest import mock
 
 import nearrep
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nearrep.core import (
     BISECT_TOL,
+    RATIO_TOL,
+    TAIL_WINDOW,
     BoundViolated,
     HypothesisFailed,
     InvalidModel,
     NotAdditive,
     NotConverged,
+    dyadic_tail_sum,
 )
 from nearrep.uncertainty import (
-    HOMOG_ETA,
     LIMIT_TOL,
-    MAX_SCALINGS,
     BoxSampler,
     CESUtility,
     LinearBenchmark,
@@ -37,9 +40,10 @@ from nearrep.uncertainty import (
     _box_grid,
     _index_pairs,
     _level_hull,
-    _phi_rows,
+    _limit_theta,
+    _not_cauchy,
     _scaled_limits,
-    _unwrap,
+    _tail_sums,
     ce_batch,
     dyadic_phi_series,
     extract_prior,
@@ -63,17 +67,24 @@ ALL_MODELS = [SEU, MEU, SMOOTH_SQRT, SMOOTH_EXP,
 
 def _phi(model, x, y) -> float:
     """Midpoint additivity defect |u((x+y)/2) - (u(x) + u(y))/2| of one act pair."""
-    return float(_phi_rows(model, x[None, :], y[None, :], 1e-10)[0])
+    return dyadic_phi_series(model, x, y, n_max=0)[0][0]
 
 
 def _limit(model, x):
-    """lim eta^-n u(eta^n x), eta = HOMOG_ETA, of one act as verify_homog_bound solves it.
+    """lim 2^-n u(2^n x) of one act as verify_homog_bound solves it.
 
-    A one-row _scaled_limits call; raises its NotConverged.
+    A one-row _scaled_limits call: (value, theta, n_used, iterates, tail_bound)
+    of the settled limit; raises the NotConverged verify_homog_bound would.
     """
     X = np.asarray(x, dtype=float)[None, :]
-    return _unwrap(_scaled_limits(model, X, ce_batch(model, X), HOMOG_ETA, LIMIT_TOL,
-                                  MAX_SCALINGS, BISECT_TOL, "scaling")[0])
+    its, stop, caps = _scaled_limits(model, X, ce_batch(model, X), LIMIT_TOL, BISECT_TOL)
+    if stop[0] < 0:
+        raise _not_cauchy("scaling", its[0], caps[0])
+    iterates = tuple(its[0, :stop[0] + 1].tolist())
+    theta = _limit_theta(its, stop)[0].item()
+    incs = [abs(b - a) for a, b in zip(iterates, iterates[1:])]
+    return types.SimpleNamespace(value=iterates[-1], theta=theta, n_used=int(stop[0]),
+                                 iterates=iterates, tail_bound=theta - math.fsum(incs))
 
 
 def _homog_deviation(model, x, lam: float) -> float:
@@ -859,17 +870,17 @@ def test_lockstep_homog_bound_raises_the_first_failure_in_point_order(swap):
         assert got.value.witness["x"] == (5.0, 0.0)
 
 
-def _scaled_limit_step_by_step(model, x, base, n_max, tol=1e-9):
-    """Reference: one act's scaled limit, one certainty equivalent per step."""
+def _scaled_limit_step_by_step(model, x, n_max, tol=1e-9):
+    """Reference: one act's doubling limit, one certainty equivalent per step."""
     iterates, increments = [ce_batch(model, x[None])[0]], []
     if not np.any(x):
         return iterates[0], 0.0, 0, tuple(iterates)
-    cap = max(min(n_max, int(math.floor(math.log(1e12 / max(float(np.max(x)), 1.0), base)))), 0)
+    cap = max(min(n_max, int(math.floor(math.log(1e12 / max(float(np.max(x)), 1.0), 2.0)))), 0)
     for n in range(1, cap + 1):
-        v = ce_batch(model, (base ** n) * x[None])[0] / base ** n
+        v = ce_batch(model, (2.0 ** n) * x[None])[0] / 2.0 ** n
         increments.append(abs(v - iterates[-1]))
         iterates.append(v)
-        if increments[-1] <= tol * base ** -n or increments[-1] <= 1e-15 * max(1.0, abs(v)):
+        if increments[-1] <= tol * 2.0 ** -n or increments[-1] <= 1e-15 * max(1.0, abs(v)):
             tail = 0.0
             if len(increments) >= 2 and increments[-2] > 0.0:
                 r = increments[-1] / increments[-2]
@@ -880,15 +891,89 @@ def _scaled_limit_step_by_step(model, x, base, n_max, tol=1e-9):
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: type(m).__name__)
-@pytest.mark.parametrize("base", [2.0, 1.5])
-def test_blocked_scaled_limits_match_the_step_by_step_loop(model, base):
-    # all points solved together, several steps per call: every limit must
-    # equal the one-point, one-step-at-a-time construction, iterates included
+@pytest.mark.parametrize("scale", [2.0, 1.5])
+def test_blocked_scaled_limits_match_the_step_by_step_loop(model, scale):
+    # all acts solved together over shared chains, in two rounds: every limit
+    # must equal the one-act, one-step-at-a-time construction, iterates and
+    # theta included. Scale 2 adds acts that share chains with the grid's
+    # (2x and x / 2 of a grid act), scale 1.5 adds acts with units of their
+    # own; the last two acts lose bits in a subnormal payoff when scaled to
+    # their unit, so each keeps a chain of its own
     pts = BoxSampler(2, resolution=4).points()
-    for x, got in zip(pts, _scaled_limits(model, pts, ce_batch(model, pts), base, 1e-9, 60,
-                                          1e-10, "scaling")):
-        want = _scaled_limit_step_by_step(model, x, base, 60)
-        assert (got.value, got.theta, got.n_used, got.iterates) == want
+    tiny = np.array([[7 * 5e-324, scale], [scale, 7 * 5e-324]])
+    acts = np.concatenate([pts, scale * pts, pts / scale, tiny])
+    its, stop, caps = _scaled_limits(model, acts, ce_batch(model, pts), 1e-9, 1e-10)
+    theta = _limit_theta(its, stop)
+    for k, x in enumerate(acts):
+        want = _scaled_limit_step_by_step(model, x, 40)
+        got = (its[k, stop[k]].item(), theta[k].item(), int(stop[k]),
+               tuple(its[k, :stop[k] + 1].tolist()))
+        assert got == want
+
+
+# --- the array tail verdict ---------------------------------------------------
+
+def _padded(rows):
+    terms = np.zeros((len(rows), max(map(len, rows))))
+    for k, row in enumerate(rows):
+        terms[k, :len(row)] = row
+    return terms, np.array([len(row) - 1 for row in rows])
+
+
+_FLOORS = st.sampled_from([0.0, 1e-15, 3.5e-15, 1e-3, 0.25])
+_TERMS = st.one_of(
+    st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e-14), st.just(1e-3), st.just(0.25),
+                       st.floats(0.0, 10.0)), min_size=1, max_size=12),
+    st.builds(lambda a, r, n: [a * r ** i for i in range(n)],
+              st.floats(0.0, 10.0), st.floats(0.0, 1.2), st.integers(1, 12)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(_TERMS, _FLOORS), min_size=1, max_size=6))
+@example([([1.0, 0.5, 0.0, 0.3], 1e-15)])  # a term rising back above the floor
+@example([([0.5, 0.4], 0.0), ([0.25, 0.25, 0.25], 0.25)])  # short rows; terms at the floor
+@example([([0.0] * 6, 0.0), ([2.0, 1.0, 0.5, 0.25, 0.125, 0.0625], 1e-15)])
+def test_array_tail_verdict_matches_dyadic_tail_sum_row_by_row(rows):
+    # the array verdict of the defect series against the scalar reference:
+    # partial sums as itertools.accumulate adds them, the verdict of
+    # dyadic_tail_sum at each row's own floor, over ragged rows
+    terms, caps = _padded([row for row, _ in rows])
+    sums, lengths, converged = _tail_sums(terms, caps, np.array([f for _, f in rows]))
+    assert TAIL_WINDOW == 4 and RATIO_TOL == 0.75
+    for k, (row, floor) in enumerate(rows):
+        assert lengths[k] == len(row)
+        assert sums[k, :lengths[k]].tolist() == list(itertools.accumulate(row))
+        assert bool(converged[k]) == dyadic_tail_sum(row, floor=floor)[1]
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, -0.5])
+def test_array_tail_verdict_refuses_a_bad_term_as_dyadic_tail_sum_does(bad):
+    rows = [[0.5, 0.25, 0.125], [1.0, 0.5, bad, 0.3], [-1.0]]
+    terms, caps = _padded(rows)
+    with pytest.raises(InvalidModel) as want:
+        dyadic_tail_sum(rows[1])
+    with pytest.raises(InvalidModel) as got:
+        _tail_sums(terms, caps, np.zeros(3))
+    assert str(got.value) == str(want.value)
+
+
+class _Overflowing:
+    """ce is the mean payoff, but infinite once an act's top payoff reaches 2^20."""
+
+    n_states = 2
+
+    def ce_batch(self, X, tol):
+        return np.where(X.max(axis=1) >= 2.0 ** 20, np.inf, X.mean(axis=1))
+
+
+def test_a_non_finite_term_is_refused_through_the_series_meters():
+    # 2^i (1, 0) reaches 2^20 at i = 20; the first grid pair, ((0, 5), 0), at i = 18
+    with pytest.raises(InvalidModel) as got, np.errstate(invalid="ignore"):  # inf - inf
+        dyadic_phi_series(_Overflowing(), (1.0, 0.0), (0.0, 0.0))
+    assert str(got.value) == "term(20) = inf; terms must be nonnegative and finite"
+    with pytest.raises(InvalidModel) as got, np.errstate(invalid="ignore"):
+        theta_estimate(_Overflowing(), BoxSampler(2, resolution=3, n_random_pairs=5))
+    assert str(got.value) == "term(18) = inf; terms must be nonnegative and finite"
 
 
 # --- scaled limits -----------------------------------------------------------
