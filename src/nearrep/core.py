@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 __all__ = [
     "NearRepError",
@@ -37,7 +37,6 @@ __all__ = [
     "ViolationReport",
     "NearRepresentation",
     "discount",
-    "bisect_monotone",
     "grid_size",
     "dyadic_tail_sum",
 ]
@@ -71,7 +70,7 @@ class InvalidModel(NearRepError):
 
 
 class NoBracket(NearRepError):
-    """Bisection endpoints do not straddle a sign change."""
+    """No root in range: bracket ends share a sign, or a delay lies beyond its cap."""
 
 
 class _WitnessedError(NearRepError):
@@ -189,43 +188,6 @@ def discount(model, t: int) -> float:
 
 # ---------------------------------------------------------------------------
 # numerical primitives
-
-def bisect_monotone(f: Callable[[float], float], lo: float, hi: float,
-                    tol: float = BISECT_TOL) -> float:
-    """Root of a monotone f on [lo, hi] to absolute argument tolerance tol.
-
-    Exact zeros at the endpoints or a midpoint return immediately, so
-    calibration endpoints snap without rounding. Raises NoBracket when
-    f(lo) and f(hi) share a sign. At most MAX_BISECT_STEPS halvings.
-    """
-    if not tol > 0.0:
-        raise InvalidModel(f"tol must be positive, got {tol!r}")
-    if not lo < hi:
-        raise InvalidModel(f"empty bracket [{lo!r}, {hi!r}]")
-    flo = f(lo)
-    if flo == 0.0:
-        return lo
-    fhi = f(hi)
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise NoBracket(f"f({lo!r})={flo!r} and f({hi!r})={fhi!r} have the same sign")
-    increasing = flo < 0.0
-    for _ in range(MAX_BISECT_STEPS):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # interval at float resolution
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm < 0.0) == increasing:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
 
 def grid_size(space: str, dim: int, resolution: int) -> int:
     """Number of points of a sampler grid over dim coordinates; allocates nothing.

@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import (BISECT_TOL, BOUND_SLACK, MAX_BISECT_STEPS, STRICTNESS_MARGIN, BoundViolated,
                    HypothesisFailed, InvalidModel, NearRepresentation, NoBracket, NotConverged,
-                   ViolationReport, _check_grid_cap, _finite, bisect_monotone)
+                   ViolationReport, _check_grid_cap, _finite)
 from .uncertainty import EPS, _grid_utility, _rows
 
 __all__ = [
@@ -93,14 +93,15 @@ def _bracket_ends(flo: np.ndarray, fhi: np.ndarray, lo: np.ndarray, hi: np.ndarr
 
 def bisect_monotone_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi,
                           tol: float = BISECT_TOL) -> np.ndarray:
-    """bisect_monotone for many brackets at once, all stepped in lockstep.
+    """Roots of many monotone functions, each bisected on its bracket, all in lockstep.
 
     f(c, idx) returns, for each k, the idx[k]-th monotone function at c[k];
     element k is bracketed by [lo[k], hi[k]]. Every element takes the steps
-    bisect_monotone takes on its own: an exact zero at lo, at hi or at a
-    midpoint returns that point, and it stops once hi - lo <= tol or the
-    midpoint no longer splits the interval. Raises NoBracket, naming the
-    first such element, when any f(lo) and f(hi) share a sign.
+    a bisection of its function alone would: an exact zero at lo, at hi or
+    at a midpoint returns that point, and it stops at the midpoint once
+    hi - lo <= tol, once the midpoint no longer splits the interval or
+    after MAX_BISECT_STEPS halvings. Raises NoBracket, naming the first
+    such element, when any f(lo) and f(hi) share a sign.
     """
     lo = np.array(lo, dtype=float).reshape(-1)
     hi = np.array(hi, dtype=float).reshape(-1)
@@ -1008,8 +1009,8 @@ def allais_report() -> AllaisReport:
     alphas = dict(zip(gambles, mixture_utility_batch(model, P, BISECT_TOL).tolist()))
     target = values["C"]
     w3000 = model._prize_values[1]  # w(3000), stored with the model
-    lam_star = bisect_monotone(lambda lam: model.weight(lam) * w3000 - target,
-                               0.0, 1.0, tol=BISECT_TOL)
+    lam_star = float(bisect_monotone_batch(lambda lam, _: model.weight(lam) * w3000 - target,
+                                           0.0, 1.0)[0])
     return AllaisReport(
         value_exponent=FITTED_VALUE_EXPONENT,
         weight_exponent=FITTED_WEIGHT_EXPONENT,

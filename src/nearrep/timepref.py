@@ -7,8 +7,10 @@ separate recipe recovers gamma from the first horizon where d drops below a
 threshold set by the multiplicative-axiom defect. Continuous reward-timing
 models u(x, t) get an indifference-delay curve gamma(x) and a time-shift
 benchmark h(x, t) = g(t + gamma(x)) whose gap is controlled by the measured
-stationarity and delay-Lipschitz constants. The curve and reward-timing
-models are defined here too; nothing in this module needs numpy.
+stationarity and delay-Lipschitz constants. Each reward-timing model inverts
+its own present-value curve g(t) = u(x_bar, t) (delay_at), so no delay is
+searched for. The curve and reward-timing models are defined here too;
+nothing in this module needs numpy.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Sequence
 
 from .core import (RATIO_TOL, SUM_TOL, VERIFY_TOL, BoundViolated, HypothesisFailed, InvalidModel,
                    NearRepresentation, NoBracket, NoSuchTau, NotConverged, ViolationReport,
-                   _finite, bisect_monotone, discount, dyadic_tail_sum)
+                   _finite, discount, dyadic_tail_sum)
 
 __all__ = [
     "Exponential",
@@ -45,10 +47,9 @@ __all__ = [
     "verify_exp3_bound",
 ]
 
-BRACKET_CAP = 2.0 ** 60  # doubling searches stop here and report NoBracket
+BRACKET_CAP = 2.0 ** 60  # longest indifference delay or time shift; beyond it NoBracket
 TAU_CAP = 10 ** 6  # exact_recovery scans horizons up to here
 EXACT_TOL = 1e-12  # exact_recovery calls a curve exponential when its level gap is at most this
-DELAY_TOL = 1e-9  # argument tolerance of every indifference-delay bisection
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +408,9 @@ class LinearDelay:
         _check_xt(self, x, t)
         return x - self.rate * t
 
-    def gamma_closed_form(self, x: float) -> float:
-        return (self.x_bar - x) / self.rate
+    def delay_at(self, v: float) -> float:
+        """The t with u(x_bar, t) = v."""
+        return (self.x_bar - v) / self.rate
 
 
 @dataclass(frozen=True)
@@ -427,8 +429,12 @@ class LogDelay:
         _check_xt(self, x, t)
         return x - math.log1p(self.k * t)
 
-    def gamma_closed_form(self, x: float) -> float:
-        return (math.exp(self.x_bar - x) - 1.0) / self.k
+    def delay_at(self, v: float) -> float:
+        """The t with u(x_bar, t) = v; inf where that t overflows a float."""
+        try:
+            return math.expm1(self.x_bar - v) / self.k
+        except OverflowError:  # expm1 raises rather than return inf
+            return math.inf
 
 
 def _check_xt(model, x: float, t: float) -> None:
@@ -438,36 +444,20 @@ def _check_xt(model, x: float, t: float) -> None:
         raise InvalidModel(f"delay {t!r} must be nonnegative")
 
 
-def _present_value(model, t: float) -> float:
-    return model.value(model.x_bar, t)
-
-
-def _doubling_root(f, hi: float, tol: float, no_bracket) -> float:
-    """Root of the decreasing f on [0, hi], hi doubled until f(hi) <= 0.
-
-    NoBracket with the message no_bracket(hi) once hi passes BRACKET_CAP.
-    """
-    while f(hi) > 0.0:
-        hi *= 2.0
-        if hi > BRACKET_CAP:
-            raise NoBracket(no_bracket(hi))
-    return bisect_monotone(f, 0.0, hi, tol=tol)
-
-
 def gamma_of(model, x: float) -> float:
     """Indifference delay: the t with u(x_bar, t) = x; gamma(x_bar) = 0 exactly.
 
-    The bracket doubles until the delayed ceiling drops to x; NoBracket
-    after 60 doublings means the curve never reaches x (divergence fails on
-    the probed range).
+    The model's own inverse, model.delay_at(x). NoBracket when that delay
+    is not finite or above BRACKET_CAP: the delayed ceiling does not reach
+    x in time (divergence fails on the probed range).
     """
     if x > model.x_bar:
         raise InvalidModel(f"payment {x!r} above the ceiling {model.x_bar!r}")
-    if x == model.x_bar:
-        return 0.0
-    return _doubling_root(
-        lambda t: _present_value(model, t) - x, 1.0, DELAY_TOL,
-        lambda hi: f"u(x_bar, t) stays above {x!r} out to t={hi!r}; no indifference delay")
+    t = model.delay_at(x)
+    if not t <= BRACKET_CAP:
+        raise NoBracket(f"u(x_bar, t) stays above {x!r} out to t={2.0 * BRACKET_CAP!r}; "
+                        "no indifference delay")
+    return t
 
 
 @dataclass(frozen=True)
@@ -505,8 +495,10 @@ def measure_eps_stationarity(model, curve: GammaCurve,
     """Worst time-shift defect |delta' - delta| in delay units.
 
     delta' restores indifference after moving the comparison to the ceiling:
-    u(x_bar, gamma(x) + delta') = u(x, delta), with gamma(x) read from the
-    curve. Under exact stationarity delta' = delta.
+    u(x_bar, gamma(x) + delta') = u(x, delta), so delta' is
+    model.delay_at(u(x, delta)) - gamma(x), with gamma(x) read from the
+    curve. Under exact stationarity delta' = delta. NoBracket when a delta'
+    is not finite or above BRACKET_CAP.
     """
     deltas = [float(d) for d in deltas]
     best = (0.0, None)
@@ -515,10 +507,9 @@ def measure_eps_stationarity(model, curve: GammaCurve,
         for delta in deltas:
             if delta <= 0.0:
                 raise InvalidModel("deltas must be positive")
-            target = model.value(x, delta)
-            delta_prime = _doubling_root(
-                lambda D: _present_value(model, t0 + D) - target, max(delta, 1.0), DELAY_TOL,
-                lambda hi: f"delayed ceiling never reaches u({x!r}, {delta!r})")
+            delta_prime = model.delay_at(model.value(x, delta)) - t0
+            if not delta_prime <= BRACKET_CAP:
+                raise NoBracket(f"delayed ceiling never reaches u({x!r}, {delta!r})")
             defect = abs(delta_prime - delta)
             count += 1
             if defect > best[0]:
@@ -528,7 +519,7 @@ def measure_eps_stationarity(model, curve: GammaCurve,
         value=best[0],
         witness=best[1] or {},
         samples_evaluated=count,
-        details={"bisect_tol": DELAY_TOL, "n_x": len(curve.xs), "n_deltas": len(deltas)},
+        details={"n_x": len(curve.xs), "n_deltas": len(deltas)},
     )
 
 
@@ -567,8 +558,8 @@ def verify_exp3_bound(model, curve: GammaCurve, eps_hat: float, lambda_hat: floa
     benchmark h(x, t) = g(t + gamma(x)) is stationary by construction;
     gamma(x) is read from the curve, over its payments x. The normalization
     u(x_bar, 0) = x_bar is asserted first (gamma_of returns gamma(x_bar) = 0
-    exactly); divergence is witnessed by the bracket searches that built the
-    curve.
+    exactly); divergence is witnessed by the curve itself, since gamma_of
+    refuses a delay above BRACKET_CAP.
     """
     if eps_hat < 0.0 or lambda_hat < 0.0:
         raise InvalidModel("eps_hat and lambda_hat must be nonnegative")
@@ -582,7 +573,7 @@ def verify_exp3_bound(model, curve: GammaCurve, eps_hat: float, lambda_hat: floa
     for x, g_x in zip(curve.xs, curve.gammas):
         for t in ts:
             t = float(t)
-            gap = abs(model.value(x, t) - _present_value(model, t + g_x))
+            gap = abs(model.value(x, t) - model.value(model.x_bar, t + g_x))
             count += 1
             if gap > worst[0]:
                 worst = (gap, {"x": x, "t": t})

@@ -247,5 +247,5 @@ def test_criterion_11_exact_models_report_zero():
         curve = continuous_gamma_curve(lin, xs)
         assert measure_eps_stationarity(lin, curve, [0.5, 1.0]).value <= 1e-7
         for x, g in zip(curve.xs, curve.gammas):
-            assert abs(g - lin.gamma_closed_form(x)) <= 1e-7
+            assert abs(g - lin.delay_at(x)) <= 1e-7
         assert gamma_of(lin, 2.0) == 0.0

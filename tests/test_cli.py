@@ -412,23 +412,29 @@ def test_a_risk_run_verifies_against_the_model_affine_benchmark(monkeypatch, mod
                 == np.array(want.prize_utilities).tobytes())
 
 
-def test_the_dyadic_meters_solve_each_distinct_row_at_most_once(monkeypatch):
-    # theta_estimate, verify_homog_bound and extract_prior each hand every
-    # model's own ce_batch (the rows left after the constant-row shortcut)
-    # each distinct act at most once, on the seed-1 ambiguity-doubling runs
+def _workloads(monkeypatch):
+    """perfbench/workloads.py, loaded as a module for the length of one test."""
     import importlib.util
     import sys
-
-    import numpy as np
-
-    import nearrep.uncertainty as unc
-    from nearrep.cli import run_scenario
 
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_the_dyadic_meters_solve_each_distinct_row_at_most_once(monkeypatch):
+    # theta_estimate, verify_homog_bound and extract_prior each hand every
+    # model's own ce_batch (the rows left after the constant-row shortcut)
+    # each distinct act at most once, on the seed-1 ambiguity-doubling runs
+    import numpy as np
+
+    import nearrep.uncertainty as unc
+    from nearrep.cli import run_scenario
+
+    workloads = _workloads(monkeypatch)
     rows, consumer = {}, [None]
     for cls in (unc.SubjectiveExpected, unc.MaxminExpected, unc.SmoothAmbiguity,
                 unc.CESUtility, unc.LinearPlusBounded):
@@ -550,6 +556,20 @@ def test_a_continuous_run_solves_each_indifference_delay_once(monkeypatch):
     result = run_scenario(CONTINUOUS_SCENARIO)
     assert result.verdicts == {"time-shift-bound": True}
     assert len(payments) == 9 and len(set(payments)) == 9
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_the_benchmark_linear_delay_control_reads_numerical_zero(monkeypatch, seed):
+    # the exactly stationary control of the cli-cold workload: its
+    # stationarity defect and time-shift distance are rounding, not solver noise
+    from nearrep.cli import run_scenario
+
+    (inv,) = [inv for inv in _workloads(monkeypatch).cli_cold(seed) if inv.name == "linear-delay"]
+    result = run_scenario(inv.scenario)
+    (eps,) = [rep for rep in result.reports if rep["axiom"] == "stationarity"]
+    (shift,) = result.representations
+    assert shift["kind"] == "time-shift"
+    assert eps["value"] <= 1e-13 and shift["achieved_distance"] <= 1e-13
 
 
 def _patch_risk_meters(monkeypatch):

@@ -240,6 +240,68 @@ def _ref_eps_independence(model, sampler, tol=1e-10, scan_step=1e-3):
     return max(best, 0.0), count, pairs, no_root_seen
 
 
+# --- batch bisection ----------------------------------------------------------
+
+def test_bisect_batch_snaps_exact_zeros():
+    # roots at lo, at hi, at the first midpoint, and one that needs bisecting
+    lo = np.array([0.5, 0.0, 0.0, 0.0])
+    hi = np.array([1.0, 0.5, 1.0, 1.0])
+    roots = np.array([0.5, 0.5, 0.5, 0.3])
+    got = bisect_monotone_batch(lambda c, idx: c - roots[idx], lo, hi)
+    assert got[:3].tolist() == [0.5, 0.5, 0.5]
+    assert abs(got[3] - 0.3) <= 1e-10
+
+
+def test_bisect_batch_no_bracket_names_the_element():
+    with pytest.raises(NoBracket, match="^element 1:"):
+        bisect_monotone_batch(lambda c, idx: c + np.array([-0.5, 1.0, -0.5])[idx],
+                              np.zeros(3), np.ones(3))
+    with pytest.raises(InvalidModel):
+        bisect_monotone_batch(lambda c, idx: c, np.zeros(2), np.array([1.0, 0.0]))
+
+
+def test_bisect_batch_stops_at_float_resolution():
+    # a step function never returns an exact zero and tol is far below one
+    # ulp: each element stops once its midpoint no longer splits the interval
+    lo, hi = np.array([1.0, -3.0]), np.array([2.0, 5.0])
+    steps = np.array([1.3, 0.1])
+    calls = []
+
+    def f(c, idx):
+        calls.append(len(c))
+        return np.where(c < steps[idx], -1.0, 1.0)
+
+    got = bisect_monotone_batch(f, lo, hi, tol=1e-300)
+    assert len(calls) < 70  # about 53 halvings, far below max_iter = 200
+    for k in range(2):
+        assert abs(got[k] - steps[k]) <= 2.0 * np.spacing(steps[k])
+        assert got[k] == _ref_bisect(lambda c: -1.0 if c < steps[k] else 1.0,
+                                     lo[k], hi[k], tol=1e-300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(-50.0, 50.0), st.floats(1e-6, 100.0),
+                          st.floats(0.0, 1.0), st.sampled_from([1, -1, 3]),
+                          st.sampled_from([1e-10, 1e-6, 1e-300])),
+                min_size=1, max_size=12))
+def test_bisect_batch_matches_scalar_elementwise(brackets):
+    # f_k(c) = sign_k (c - r_k)^3 or sign_k (c - r_k); every element must take
+    # exactly the steps _ref_bisect takes on its own function
+    lo = np.array([b[0] for b in brackets])
+    hi = lo + np.array([b[1] for b in brackets])
+    roots = lo + np.array([b[2] for b in brackets]) * (hi - lo)
+    kind = np.array([b[3] for b in brackets], dtype=float)
+    for tol in {b[4] for b in brackets}:
+        def f(c, idx):
+            d = c - roots[idx]
+            return np.where(kind[idx] == 3, d ** 3, kind[idx] * d)
+        got = bisect_monotone_batch(f, lo, hi, tol=tol)
+        for k in range(len(lo)):
+            want = _ref_bisect(lambda c: float(f(np.array([c]), np.array([k]))[0]),
+                               float(lo[k]), float(hi[k]), tol=tol)
+            assert got[k] == want
+
+
 # --- models -------------------------------------------------------------------
 
 def _bump_fn(amplitude, base):

@@ -1,13 +1,17 @@
 """Discount-curve meters, rate fitting, and continuous-time shift bounds."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nearrep.core import (
     BoundViolated,
     HypothesisFailed,
+    NoBracket,
     NoSuchTau,
     discount,
 )
@@ -184,18 +188,70 @@ LOGD = LogDelay(2.0, 0.1)
 
 def test_gamma_matches_closed_forms():
     for x in (0.2, 1.0, 1.7):
-        assert gamma_of(LIN, x) == pytest.approx(LIN.gamma_closed_form(x), abs=1e-8)
-        assert gamma_of(LOGD, x) == pytest.approx(LOGD.gamma_closed_form(x), abs=1e-8)
+        assert gamma_of(LIN, x) == 2.0 - x
+        assert gamma_of(LOGD, x) == math.expm1(2.0 - x) / 0.1
 
 
 def test_gamma_frozen_log_delay():
-    assert LOGD.gamma_closed_form(0.5) == pytest.approx(34.81689070338064, abs=1e-9)
-    assert gamma_of(LOGD, 0.5) == pytest.approx(34.81689070338064, abs=1e-6)
+    assert gamma_of(LOGD, 0.5) == pytest.approx(34.81689070338064, abs=1e-12)
+
+
+def _doubling_bisection(model, v, tol=1e-9):
+    # the t with u(x_bar, t) = v: double a bracket from 1 until the delayed
+    # ceiling drops to v, then halve it down to tol
+    def f(t):
+        return model.value(model.x_bar, t) - v
+
+    lo, hi = 0.0, 1.0
+    while f(hi) > 0.0:
+        hi *= 2.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x_bar=st.floats(1.0, 5.0), rate=st.floats(0.5, 2.0), k=st.floats(0.1, 1.0),
+       below=st.floats(0.0, 2.0))
+def test_delay_at_agrees_with_a_doubling_bisection(x_bar, rate, k, below):
+    # over the ranges of the benchmark's continuous scenarios
+    v = x_bar - below
+    for model in (LinearDelay(x_bar, rate), LogDelay(x_bar, k)):
+        assert abs(model.delay_at(v) - _doubling_bisection(model, v)) <= 1e-9
 
 
 def test_gamma_at_ceiling_exact_zero():
     assert gamma_of(LIN, 2.0) == 0.0
     assert gamma_of(LOGD, 2.0) == 0.0
+
+
+@pytest.mark.parametrize("model,x", [(LogDelay(2.0, 0.1), -800.0),  # e^802 overflows
+                                     (LinearDelay(2.0, 1e-20), 1.0)])  # a delay of 1e20
+def test_gamma_refuses_a_delay_beyond_the_cap(model, x):
+    with pytest.raises(NoBracket, match=r"^u\(x_bar, t\) stays above "
+                       + re.escape(f"{x!r} out to t=2.305843009213694e+18; no indifference delay")):
+        gamma_of(model, x)
+
+
+def test_stationarity_refuses_a_shift_beyond_the_cap():
+    # delta' = delta (1 + k gamma(1)) is about 2.7e18, above 2^60
+    curve = continuous_gamma_curve(LOGD, [1.0])
+    with pytest.raises(NoBracket, match=re.escape("delayed ceiling never reaches u(1.0, 1e+18)")):
+        measure_eps_stationarity(LOGD, curve, [1e18])
+    # u(1, 1e308) lies so far below the ceiling that its delay overflows a float
+    with pytest.raises(NoBracket, match=re.escape("delayed ceiling never reaches u(1.0, 1e+308)")):
+        measure_eps_stationarity(LOGD, curve, [1e308])
+
+
+def test_stationarity_caps_the_shift_not_the_delay():
+    # gamma(1.5) = 5e17 and delta' = 1e18 are each below 2^60; their sum is not
+    model = LinearDelay(2.0, 1e-18)
+    rep = measure_eps_stationarity(model, continuous_gamma_curve(model, [1.5]), [1e18])
+    assert rep.value == 0.0
 
 
 def test_gamma_curve_validates_time_zero_payoff():
@@ -208,7 +264,7 @@ def test_gamma_curve_validates_time_zero_payoff():
 
 def test_stationarity_linear_exact():
     rep = measure_eps_stationarity(LIN, continuous_gamma_curve(LIN, [0.5, 1.0, 1.5]), [0.5, 1.0])
-    assert rep.value <= 1e-7
+    assert rep.value <= 1e-13
 
 
 def test_stationarity_log_delay_closed_form():
@@ -219,7 +275,7 @@ def test_stationarity_log_delay_closed_form():
     rep = measure_eps_stationarity(LOGD, continuous_gamma_curve(LOGD, xs), deltas)
     expected = 0.0
     for x in xs:
-        g = LOGD.gamma_closed_form(x)
+        g = LOGD.delay_at(x)
         for delta in deltas:
             expected = max(expected, abs(delta * (1.0 + 0.1 * g) - delta))
     assert rep.value == pytest.approx(expected, rel=1e-6)
