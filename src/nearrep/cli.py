@@ -328,18 +328,17 @@ def _run_risk(name: str, model, s: dict, tols: dict) -> RunResult:
 HOMOTHETIC_EXACTNESS_TOL = 1e-9
 
 
-def _homothetic_exactness(model, pts, u, tol: float) -> float:
+def _homothetic_exactness(model, pts) -> float:
     """Largest |u(2^n x) / 2^n - u(x)| over the nonzero acts pts, n in (1, 4, 10).
 
-    u is the certainty equivalent of each act; only the scaled copies are solved.
+    u is the certainty equivalent; the acts and their scaled copies are solved in one call.
     """
     import numpy as np
     from . import uncertainty as unc_mod
-    nonzero = np.any(pts, axis=1)
-    X, u = pts[nonzero], unc_mod._grid_utility(u, pts)[nonzero]
-    scales = np.array([2.0, 16.0, 1024.0])[:, None]
-    scaled = unc_mod.ce_batch(model, np.concatenate([s * X for s in scales]), tol)
-    return float(np.max(np.abs(scaled.reshape(len(scales), len(X)) / scales - u), initial=0.0))
+    X = pts[np.any(pts, axis=1)]
+    scales = np.array([1.0, 2.0, 16.0, 1024.0])[:, None]
+    u = unc_mod.ce_batch(model, np.concatenate([s * X for s in scales])).reshape(len(scales), -1)
+    return float(np.max(np.abs(u[1:] / scales[1:] - u[0]), initial=0.0))
 
 
 def _run_uncertainty(name: str, model, s: dict, tols: dict) -> RunResult:
@@ -360,10 +359,9 @@ def _run_uncertainty(name: str, model, s: dict, tols: dict) -> RunResult:
                 f"{MAX_HULL_MEMBERSHIPS}")
     sampler = unc_mod.BoxSampler(model.n_states, s["bound"], s["resolution"], s["seed"],
                                  s["n_random_pairs"])
-    tol = tols["bisect"]
     verify_tol = tols["verify"]
     result = RunResult(name=name, domain="uncertainty")
-    theta_rep, converged = unc_mod.theta_estimate(model, sampler, tol=tol)
+    theta_rep, converged = unc_mod.theta_estimate(model, sampler)
     result.reports.append(theta_rep.as_dict())
     benchmark = None
     try:
@@ -373,9 +371,9 @@ def _run_uncertainty(name: str, model, s: dict, tols: dict) -> RunResult:
         result.notes.append(f"prior not additive: {exc}")
     except NotConverged as exc:
         result.notes.append(f"doubling limit did not converge: {exc}")
-    # the acts are solved once; the verifiers, the meters and the acts table read ce
+    # the acts are solved once; the linear verifier and the acts table read ce
     pts = sampler.points()
-    ce = unc_mod.ce_batch(model, pts, tol)
+    ce = unc_mod.ce_batch(model, pts)
     if benchmark is not None and converged:
         _check(result, "linear-theta-bound",
                lambda: unc_mod.verify_aa_bound(ce, benchmark, theta_rep.value, pts,
@@ -384,7 +382,7 @@ def _run_uncertainty(name: str, model, s: dict, tols: dict) -> RunResult:
         result.notes.append(
             "dyadic defect series classified divergent; linear closeness bound "
             "not applicable")
-        exact = _homothetic_exactness(model, pts[:25], ce[:25], tol)
+        exact = _homothetic_exactness(model, pts[:25])
         passed = exact <= HOMOTHETIC_EXACTNESS_TOL
         result.verdicts["homothetic-exactness"] = passed
         result.notes.append(f"homothetic exactness defect {exact:.3g}")
@@ -394,17 +392,14 @@ def _run_uncertainty(name: str, model, s: dict, tols: dict) -> RunResult:
     if s["homog"]:
         try:
             _check(result, "homogeneous-bound",
-                   lambda: unc_mod.verify_homog_bound(model, ce, sampler, bisect_tol=tol,
-                                                      tol=verify_tol))
+                   lambda: unc_mod.verify_homog_bound(model, sampler, tol=verify_tol))
         except NotConverged as exc:
             result.notes.append(f"scaling limit did not converge: {exc}")
     if s["quasiconcave"]:
         envelope = unc_mod.quasiconcavify(model, box_bound=sampler.bound,
                                           resolution=s["qc_resolution"],
-                                          level_resolution=s["level_resolution"],
-                                          bisect_tol=tol)
-        ua = unc_mod.measure_eps_ua(model, ce, sampler, extra_probes=envelope.probes,
-                                    tol=tol)
+                                          level_resolution=s["level_resolution"])
+        ua = unc_mod.measure_eps_ua(model, sampler, extra_probes=envelope.probes)
         result.reports.append(ua.as_dict())
         _check(result, "quasiconcave-bound",
                lambda: unc_mod.verify_quasiconcave_bound(envelope, ua.value,

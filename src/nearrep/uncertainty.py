@@ -67,6 +67,7 @@ ZERO_ACT_TOL = 1e-9  # the smooth defect at the zero act must be 1 within this
 MEMBERSHIP_TOL = 1e-9  # relative tolerance of the level hulls' membership and decompositions
 LAMBDAS = (0.25, 0.5, 0.75)  # mixture weights of every seeded pair probe
 QC_CHECKS = 200  # seeded grid pairs that spot-check the envelope's quasi-concavity
+QC_TOL = 1e-9  # shortfall those checks allow beyond one level spacing
 HOMOG_MAX_POINTS = 40  # nonzero grid acts the homogeneous verifier strides over
 ADDITIVITY_TOL = 1e-6  # coordinate limits must sum to the sure act's limit within this
 
@@ -93,7 +94,7 @@ def _grid_utility(u, grid: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # uncertainty models: value_batch(X) over rows of acts in R^d_+, and
-# ce_batch(X, tol), the sure payoff with each row's value (ce_batch below
+# ce_batch(X), the sure payoff with each row's value (ce_batch below
 # handles constant rows before calling it)
 
 def _validate_prior(prior: Sequence[float], what: str = "prior") -> tuple[float, ...]:
@@ -130,7 +131,7 @@ class SubjectiveExpected:
     def value_batch(self, X) -> np.ndarray:
         return np.vecdot(_rows(X), self._prior_vector)
 
-    def ce_batch(self, X: np.ndarray, tol: float) -> np.ndarray:
+    def ce_batch(self, X: np.ndarray) -> np.ndarray:
         return self.value_batch(X)
 
 
@@ -159,7 +160,7 @@ class MaxminExpected:
     def value_batch(self, X) -> np.ndarray:
         return np.min(np.matvec(self._prior_matrix, _rows(X)), axis=1)
 
-    def ce_batch(self, X: np.ndarray, tol: float) -> np.ndarray:
+    def ce_batch(self, X: np.ndarray) -> np.ndarray:
         return self.value_batch(X)
 
 
@@ -255,7 +256,7 @@ class SmoothAmbiguity:
         """The integral functional sum_k weights[k] * f(priors[k] . x), per row."""
         return np.vecdot(self.f(np.matvec(self._prior_matrix, _rows(X))), self._weight_vector)
 
-    def ce_batch(self, X: np.ndarray, tol: float) -> np.ndarray:
+    def ce_batch(self, X: np.ndarray) -> np.ndarray:
         return _SMOOTH_FS[self.f_name][1](np.matvec(self._prior_matrix, _rows(X)),
                                           self._weight_vector)
 
@@ -295,7 +296,7 @@ class CESUtility:
         # maxima (and so the witnesses) of this exactly homogeneous model
         return np.array([v ** (1.0 / self.rho) for v in inner])
 
-    def ce_batch(self, X: np.ndarray, tol: float) -> np.ndarray:
+    def ce_batch(self, X: np.ndarray) -> np.ndarray:
         return self.value_batch(X) / self.unit_level
 
 
@@ -333,7 +334,7 @@ class LinearPlusBounded:
         total = np.vecdot(X, self._ones)
         return np.vecdot(X, self._prior_vector) + self.bump * (1.0 - np.exp(-total))
 
-    def ce_batch(self, X: np.ndarray, tol: float) -> np.ndarray:
+    def ce_batch(self, X: np.ndarray) -> np.ndarray:
         """Lockstep Newton on g(c) = value(c * ones) - value(x), rising from below.
 
         g is concave and increasing, g'(c) = s + bump d e^{-dc} with s the
@@ -341,12 +342,10 @@ class LinearPlusBounded:
         above (value(x) - bump) / s. Started there, clipped into [min x, max x],
         g(c0) <= 0, so the iterates rise to the root without overshooting.
         Each step is clamped into [c, max x]; a row stops once its step is at
-        most tol / 4 or it no longer rises, and a row still moving after
-        MAX_BISECT_STEPS rounds raises NotConverged. A row's iterates depend
-        on that row alone, whatever else is in the batch.
+        most BISECT_TOL / 4 or it no longer rises, and a row still moving
+        after MAX_BISECT_STEPS rounds raises NotConverged. A row's iterates
+        depend on that row alone, whatever else is in the batch.
         """
-        if not tol > 0.0:
-            raise InvalidModel(f"tol must be positive, got {tol!r}")
         X = _rows(X)
         d = X.shape[1]
         s = float(np.sum(self._prior_vector))
@@ -359,7 +358,7 @@ class LinearPlusBounded:
             step = g / (s + self.bump * d * np.exp(-d * ca))
             new = np.minimum(np.maximum(ca - step, ca), hi[act])
             c[act] = new
-            act = act[new - ca > 0.25 * tol]
+            act = act[new - ca > 0.25 * BISECT_TOL]
             if not len(act):
                 return c
         k = int(act[0])
@@ -400,6 +399,17 @@ class BoxSampler:
     def points(self) -> np.ndarray:
         """The grid acts as read-only rows, built once per sampler."""
         return self._points
+
+    @cached_property
+    def _pairs(self) -> np.ndarray:
+        P = np.array(_index_pairs(self.seed, len(self._points), self.n_random_pairs),
+                     dtype=int).reshape(-1, 2)
+        P.flags.writeable = False
+        return P
+
+    def pairs(self) -> np.ndarray:
+        """The seeded grid index pairs as read-only (i, j) rows, drawn once per sampler."""
+        return self._pairs
 
 
 _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
@@ -480,16 +490,15 @@ def _index_pairs(seed: int, n: int, count: int) -> list[tuple[int, int]]:
     return [(below_n(), below_n()) for _ in range(count)]
 
 
-def _pair_mixtures(pts: np.ndarray, seed: int, count: int,
-                   lambdas: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Seeded row pairs of pts mixed at each weight: (ends, lams, mixtures), a row per mixture.
+def _pair_mixtures(pts: np.ndarray,
+                   pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index pairs of pts mixed at each LAMBDAS weight: (ends, lams, mixtures), a row per mixture.
 
     Row k is lams[k] pts[ends[k, 0]] + (1 - lams[k]) pts[ends[k, 1]]; the rows
-    run pair by pair in draw order, each pair's weights in order.
+    run pair by pair in order, each pair's weights in order.
     """
-    pairs = np.array(_index_pairs(seed, len(pts), count), dtype=int).reshape(-1, 2)
-    ends = np.repeat(pairs, len(lambdas), axis=0)
-    lams = np.tile(np.asarray(lambdas, dtype=float), len(pairs))
+    ends = np.repeat(pairs, len(LAMBDAS), axis=0)
+    lams = np.tile(np.asarray(LAMBDAS, dtype=float), len(pairs))
     return ends, lams, lams[:, None] * pts[ends[:, 0]] + (1.0 - lams[:, None]) * pts[ends[:, 1]]
 
 
@@ -510,24 +519,24 @@ def _as_act(model, x) -> np.ndarray:
     return _as_acts(model, x[None, :])[0]
 
 
-def ce_batch(model, X, tol: float = BISECT_TOL) -> np.ndarray:
+def ce_batch(model, X) -> np.ndarray:
     """Certainty equivalents of the rows of X: each c with model(c * ones) = model(x).
 
     X has one act per row. Constant rows return their level exactly, so
     u(c * ones) = c holds with no rounding for every model. The other rows
-    go to the model's own ce_batch(X, tol) in one call: a closed form where
+    go to the model's own ce_batch(X) in one call: a closed form where
     the model admits one, monotone Newton steps for linear-plus-bounded.
     Every row gets exactly what a one-row call would give.
     """
-    return _ce_rows(model, _as_acts(model, X), tol)
+    return _ce_rows(model, _as_acts(model, X))
 
 
-def _ce_rows(model, X: np.ndarray, tol: float) -> np.ndarray:
+def _ce_rows(model, X: np.ndarray) -> np.ndarray:
     """ce_batch of rows known to be acts, such as exact 2^n multiples of checked ones."""
     out = X[:, 0].copy()
     varying = np.flatnonzero(np.any(X != X[:, :1], axis=1))
     if len(varying):
-        out[varying] = model.ce_batch(X[varying], tol)
+        out[varying] = model.ce_batch(X[varying])
     return out
 
 
@@ -555,8 +564,8 @@ class _Chains:
     ce(2^n acts[k]) is values[start[k] + n] once solve() has reached step n.
     """
 
-    def __init__(self, model, acts: np.ndarray, hi: np.ndarray, tol: float):
-        self.model, self.tol = model, tol
+    def __init__(self, model, acts: np.ndarray, hi: np.ndarray):
+        self.model = model
         shift = np.frexp(reduce(np.maximum, acts.T))[1].astype(int)  # of row maxima, by columns
         unit = np.ldexp(acts, -shift[:, None])
         lost = np.ldexp(unit, shift[:, None]) != acts
@@ -588,12 +597,12 @@ class _Chains:
         for s in range(0, len(owner), CHAIN_BLOCK):
             i, u = index[s:s + CHAIN_BLOCK], owner[s:s + CHAIN_BLOCK]
             rows = np.ldexp(self.units[u], (i - self.origin[u])[:, None])
-            self.values[i] = _ce_rows(self.model, rows, self.tol)
+            self.values[i] = _ce_rows(self.model, rows)
         self.solved = need
 
 
-def _phi_series(model, xs: np.ndarray, ys: np.ndarray, n_max: int,
-                tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _phi_series(model, xs: np.ndarray, ys: np.ndarray,
+                n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(sums, lengths, converged) of the dyadic series of each pair (xs[k], ys[k]).
 
     The x, y and midpoint chains share one _Chains ((2^i x + 2^i y) / 2 is
@@ -606,7 +615,7 @@ def _phi_series(model, xs: np.ndarray, ys: np.ndarray, n_max: int,
     tops = np.maximum(np.maximum(top[:p], top[p:]), 1.0)
     caps = _scale_caps(tops, n_max)
     hi = np.concatenate([caps, caps, caps])
-    chains = _Chains(model, np.concatenate([acts, 0.5 * (acts[:p] + acts[p:])]), hi, tol)
+    chains = _Chains(model, np.concatenate([acts, 0.5 * (acts[:p] + acts[p:])]), hi)
     chains.solve(hi)
     n = np.arange(int(caps.max(initial=0)) + 1)
     steps = np.minimum(n, caps[:, None])
@@ -643,12 +652,11 @@ def dyadic_phi_series(model, x, y, n_max: int = MAX_DOUBLINGS) -> tuple[list[flo
     16 eps * max(1, max x, max y) count as converged.
     """
     sums, lengths, converged = _phi_series(model, _as_act(model, x)[None, :],
-                                           _as_act(model, y)[None, :], n_max, BISECT_TOL)
+                                           _as_act(model, y)[None, :], n_max)
     return sums[0, :lengths[0]].tolist(), bool(converged[0])
 
 
-def theta_estimate(model, sampler: BoxSampler,
-                   tol: float = BISECT_TOL) -> tuple[ViolationReport, bool]:
+def theta_estimate(model, sampler: BoxSampler) -> tuple[ViolationReport, bool]:
     """Worst dyadic defect series over anchored and random act pairs.
 
     The pair set always contains (x, 0) and (2x, 0) for every sampled x: the
@@ -659,15 +667,14 @@ def theta_estimate(model, sampler: BoxSampler,
     """
     base = sampler.points()
     nonzero = base[np.any(base, axis=1)]
-    pairs = np.array(_index_pairs(sampler.seed, len(base), sampler.n_random_pairs),
-                     dtype=int).reshape(-1, 2)
+    pairs = sampler.pairs()
     # (x, 0) and (2x, 0) for each nonzero x in grid order, then the seeded pairs
     xs = np.concatenate([np.stack([nonzero, 2.0 * nonzero], axis=1).reshape(-1, model.n_states),
                          base[pairs[:, 0]]])
     ys = np.concatenate([np.zeros((2 * len(nonzero), model.n_states)), base[pairs[:, 1]]])
     keep = np.any(xs, axis=1) | np.any(ys, axis=1)
     xs, ys = xs[keep], ys[keep]
-    sums, lengths, converged = _phi_series(model, xs, ys, MAX_DOUBLINGS, tol)
+    sums, lengths, converged = _phi_series(model, xs, ys, MAX_DOUBLINGS)
     all_converged = bool(np.all(converged))
     k = int(np.argmax(sums[:, -1])) if len(sums) else None
     report = ViolationReport(
@@ -683,27 +690,25 @@ def theta_estimate(model, sampler: BoxSampler,
     return report, all_converged
 
 
-def _scaled_limits(model, X, u0, tol: float, bisect_tol: float) -> tuple[np.ndarray, ...]:
+def _scaled_limits(model, X) -> tuple[np.ndarray, ...]:
     """(iterates, stop, caps) of lim 2^{-n} u(2^n x) for every row of X, stepped together.
 
-    u0 is u(x), the step-0 iterate, of the first len(u0) rows, as the caller
-    solved it; x / 2 shares x's chain one step down. A row stops at its first
-    step whose increment is below tol * 2^{-n} (or a 1e-15 relative floor);
-    the zero act at step 0; stop is -1 where its cap (MAX_DOUBLINGS or the
-    coordinate guard) came first. The first round solves SCALE_BLOCK steps,
-    the second the rest of each row still running.
+    Step 0 is u(x); x / 2 shares x's chain one step down. A row stops at its
+    first step whose increment is below LIMIT_TOL * 2^{-n} (or a 1e-15
+    relative floor); the zero act at step 0; stop is -1 where its cap
+    (MAX_DOUBLINGS or the coordinate guard) came first. The first round
+    solves SCALE_BLOCK steps, the second the rest of each row still running.
     """
     X = _as_acts(model, X)
     caps = _scale_caps(np.maximum(reduce(np.maximum, X.T), 1.0), MAX_DOUBLINGS)
-    chains = _Chains(model, X, caps, bisect_tol)
+    chains = _Chains(model, X, caps)
     n = np.arange(int(caps.max(initial=1)) + 1)
     read = chains.start[:, None] + np.minimum(n, caps[:, None])
-    step_tol, zero = np.ldexp(tol, -n[1:]), ~X.any(axis=1)
+    step_tol, zero = np.ldexp(LIMIT_TOL, -n[1:]), ~X.any(axis=1)
     upto = np.minimum(caps, SCALE_BLOCK)
     while True:
         chains.solve(upto)
         its = np.ldexp(chains.values[read], -n)
-        its[:len(u0), 0] = u0
         inc = np.abs(its[:, 1:] - its[:, :-1])
         settled = (((inc <= step_tol) | (inc <= 1e-15 * np.maximum(1.0, np.abs(its[:, 1:]))))
                    & (n[1:] <= upto[:, None]))
@@ -754,7 +759,7 @@ def extract_prior(model) -> LinearBenchmark:
     d = model.n_states
     rows = np.eye(d + 1, d)
     rows[d] = 1.0  # e_1 .. e_d, then the sure act
-    its, stop, caps = _scaled_limits(model, rows, (), LIMIT_TOL, BISECT_TOL)
+    its, stop, caps = _scaled_limits(model, rows)
     if np.any(stop < 0):
         k = int(np.argmax(stop < 0))
         raise _not_cauchy("doubling", its[k], caps[k])
@@ -847,31 +852,27 @@ def smooth_ambiguity_bound(model: SmoothAmbiguity,
 # ---------------------------------------------------------------------------
 # homogeneous benchmark
 
-def verify_homog_bound(model, u, sampler: BoxSampler, tol: float = VERIFY_TOL,
-                       bisect_tol: float = BISECT_TOL) -> NearRepresentation:
+def verify_homog_bound(model, sampler: BoxSampler,
+                       tol: float = VERIFY_TOL) -> NearRepresentation:
     """Check |u(x) - v(x)| <= 2 Theta-hat and degree-one homogeneity of v.
 
-    u is the certainty equivalent of each act of sampler.points(), as
-    ce_batch returns it. Theta-hat is the largest per-point scaling-defect
-    series over a stride of at most HOMOG_MAX_POINTS nonzero acts; the
-    limits scale by HOMOG_ETA, and their homogeneity is spot-checked at the
-    HOMOG_ALPHAS multiples (defect at most tol). Raises BoundViolated on
-    either failure.
+    u is the certainty equivalent and v its limit lim 2^{-n} u(2^n x).
+    Theta-hat is the largest per-point scaling-defect series over a stride
+    of at most HOMOG_MAX_POINTS nonzero acts; the limits scale by
+    HOMOG_ETA, and their homogeneity is spot-checked at the HOMOG_ALPHAS
+    multiples (defect at most tol). Raises BoundViolated on either failure.
     """
     grid = sampler.points()
-    u = _grid_utility(u, grid)
     idx = np.flatnonzero(np.any(grid, axis=1))
     if len(idx) > HOMOG_MAX_POINTS:
         idx = idx[::max(len(idx) // HOMOG_MAX_POINTS, 1)][:HOMOG_MAX_POINTS]
     pts = grid[idx]
     # every point and every alpha multiple in one solve, then the checks as
-    # arrays; the first failure in per-point check order is raised. The
-    # points' u(x) is read; x / 2 shares x's chain one step down
+    # arrays; the first failure in per-point check order is raised
     alphas = np.asarray(HOMOG_ALPHAS)
     n, m = len(pts), len(HOMOG_ALPHAS)
     multiples = (alphas[:, None] * pts[:, None, :]).reshape(-1, model.n_states)
-    its, stop, caps = _scaled_limits(model, np.concatenate([pts, multiples]), u[idx],
-                                     LIMIT_TOL, bisect_tol)
+    its, stop, caps = _scaled_limits(model, np.concatenate([pts, multiples]))
     value = np.where(stop >= 0, its[np.arange(len(its)), stop], np.nan)
     theta = _limit_theta(its[:n], stop[:n])
     gap = np.abs(its[:n, 0] - value[:n])  # iterates[0] is u(x)
@@ -909,24 +910,22 @@ def verify_homog_bound(model, u, sampler: BoxSampler, tol: float = VERIFY_TOL,
 # ---------------------------------------------------------------------------
 # quasi-concave envelope
 
-def measure_eps_ua(model, u, sampler: BoxSampler,
-                   extra_probes: Sequence[tuple[np.ndarray, np.ndarray]] = (),
-                   tol: float = BISECT_TOL) -> ViolationReport:
+def measure_eps_ua(model, sampler: BoxSampler,
+                   extra_probes: Sequence[tuple[np.ndarray, np.ndarray]] = ()) -> ViolationReport:
     """Worst sampled uncertainty-aversion defect, plus 1e-12.
 
     The defect of a pair (x, y) at weight lam is
     max(0, min(u(x), u(y)) - u(lam x + (1 - lam) y)): how far the mixture
-    falls below the worse endpoint. Seeded pairs of sampler.points() come
-    first; u is the certainty equivalent of each of those acts, as ce_batch
-    returns it. extra_probes supplies hull decompositions (points, weights);
-    each is expanded into the sequential pairwise mixtures that rebuild it,
-    so the envelope verifier's own combinations are covered by the sample.
-    The mixtures and the decomposition chains' acts are solved in one call.
+    falls below the worse endpoint, u the certainty equivalent. The seeded
+    pairs of sampler.points() come first. extra_probes supplies hull
+    decompositions (points, weights); each is expanded into the sequential
+    pairwise mixtures that rebuild it, so the envelope verifier's own
+    combinations are covered by the sample. Every endpoint and mixture is
+    solved in one call.
     """
     extra_probes = list(extra_probes)
     pts = sampler.points()
-    u = _grid_utility(u, pts)
-    ends, lams, mixtures = _pair_mixtures(pts, sampler.seed, sampler.n_random_pairs, LAMBDAS)
+    ends, lams, mixtures = _pair_mixtures(pts, sampler.pairs())
     steps = []  # (x, y, lam, mixture) of every decomposition step, in chain order
     for support, weights in extra_probes:
         support = np.asarray(support, dtype=float)
@@ -949,10 +948,8 @@ def measure_eps_ua(model, u, sampler: BoxSampler,
     X, Y = np.concatenate([pts[ends[:, 0]], cx]), np.concatenate([pts[ends[:, 1]], cy])
     M = np.concatenate([mixtures, cm])
     lams = np.concatenate([lams, [step[2] for step in steps]])
-    ce = ce_batch(model, np.concatenate([cx, cy, M]), tol)
-    worse = np.minimum(np.concatenate([u[ends[:, 0]], ce[:c]]),
-                       np.concatenate([u[ends[:, 1]], ce[c:2 * c]]))
-    viol = np.maximum(0.0, worse - ce[2 * c:])
+    ux, uy, um = ce_batch(model, np.concatenate([X, Y, M])).reshape(3, len(M))
+    viol = np.maximum(0.0, np.minimum(ux, uy) - um)
     k = int(np.argmax(viol)) if len(viol) else None
     witness = {} if k is None else {"x": tuple(X[k]), "y": tuple(Y[k]),
                                     "lam": float(lams[k]), "mixture": tuple(M[k])}
@@ -1158,8 +1155,8 @@ class QuasiConcaveBenchmark:
         return self.levels[_bisect_levels(member, np.zeros(len(X), dtype=int))]
 
 
-def quasiconcavify(model, box_bound: float, resolution: int, level_resolution: int,
-                   bisect_tol: float = BISECT_TOL) -> QuasiConcaveBenchmark:
+def quasiconcavify(model, box_bound: float, resolution: int,
+                   level_resolution: int) -> QuasiConcaveBenchmark:
     """Quasi-concave envelope from convex hulls of sampled upper level sets.
 
     Supported for up to 3 states (hull cost). For each level c on an even
@@ -1177,7 +1174,7 @@ def quasiconcavify(model, box_bound: float, resolution: int, level_resolution: i
     if d > 3:
         raise InvalidModel("quasi-concave envelope supported for at most 3 states")
     pts = _box_grid(d, resolution, box_bound)
-    u = ce_batch(model, pts, bisect_tol)
+    u = ce_batch(model, pts)
     lo, hi = float(np.min(u)), float(np.max(u))
     if hi <= lo:
         raise InvalidModel("utility is constant on the box; envelope is trivial")
@@ -1212,15 +1209,15 @@ def quasiconcavify(model, box_bound: float, resolution: int, level_resolution: i
 
 
 def verify_quasiconcave_bound(benchmark: QuasiConcaveBenchmark, eps_ua: float,
-                              tol: float = 1e-9, seed: int = 0) -> NearRepresentation:
+                              seed: int = 0) -> NearRepresentation:
     """Check v >= u, sup |v - u| <= d eps_ua + slack, and spot quasi-concavity.
 
     slack is one level spacing plus 1e-9 (the envelope is resolved only to
     the level grid). Quasi-concavity is spot-checked on QC_CHECKS
     seeded grid pairs at the LAMBDAS weights: the envelope at a mixture may
-    not fall more than one level spacing below the worse endpoint. All
-    mixtures are evaluated in one batched half-space pass and all shortfalls
-    formed at once; the first violation in draw order is raised.
+    not fall more than one level spacing plus QC_TOL below the worse
+    endpoint. All mixtures are evaluated in one batched half-space pass and
+    all shortfalls formed at once; the first violation in draw order is raised.
     """
     spacing = benchmark.level_spacing
     slack = spacing + 1e-9
@@ -1240,14 +1237,15 @@ def verify_quasiconcave_bound(benchmark: QuasiConcaveBenchmark, eps_ua: float,
             f"sup |v - u| = {sup!r} exceeds d eps + slack = {bound + slack!r}",
             witness={"x": tuple(benchmark.points[i_max]), "gap": sup})
     pts = benchmark.points
-    ends, lams, mixtures = _pair_mixtures(pts, seed, QC_CHECKS, LAMBDAS)
+    pairs = np.array(_index_pairs(seed, len(pts), QC_CHECKS), dtype=int).reshape(-1, 2)
+    ends, lams, mixtures = _pair_mixtures(pts, pairs)
     shortfall = (np.minimum(v[ends[:, 0]], v[ends[:, 1]]) - spacing
                  - benchmark.evaluate_batch(mixtures))
 
     def witness(k: int) -> dict:
         return {"x": tuple(pts[ends[k, 0]]), "y": tuple(pts[ends[k, 1]]), "lam": float(lams[k])}
 
-    over = np.flatnonzero(shortfall > tol)
+    over = np.flatnonzero(shortfall > QC_TOL)
     if len(over):
         k = int(over[0])
         raise BoundViolated(

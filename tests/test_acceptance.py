@@ -162,8 +162,7 @@ def test_criterion_07_quasiconcave_envelope_two_states():
         env = quasiconcavify(model, box_bound=10.0, resolution=41, level_resolution=64)
         assert np.all(env.v_values >= env.u_values)
         sampler = BoxSampler(2, bound=10.0, resolution=21, n_random_pairs=100)
-        ua = measure_eps_ua(model, ce_batch(model, sampler.points()), sampler,
-                            extra_probes=env.probes)
+        ua = measure_eps_ua(model, sampler, extra_probes=env.probes)
         rep = verify_quasiconcave_bound(env, ua.value)
         assert rep.achieved_distance <= 2 * ua.value + rep.details["slack"]
 

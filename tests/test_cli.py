@@ -438,9 +438,9 @@ def test_the_dyadic_meters_solve_each_distinct_row_at_most_once(monkeypatch):
     rows, consumer = {}, [None]
     for cls in (unc.SubjectiveExpected, unc.MaxminExpected, unc.SmoothAmbiguity,
                 unc.CESUtility, unc.LinearPlusBounded):
-        def recorded(self, X, tol, _solve=cls.ce_batch):
+        def recorded(self, X, _solve=cls.ce_batch):
             rows.setdefault(consumer[0], []).append(np.array(X, dtype=float))
-            return _solve(self, X, tol)
+            return _solve(self, X)
         monkeypatch.setattr(cls, "ce_batch", recorded)
     for name in ("theta_estimate", "verify_homog_bound", "extract_prior"):
         def within(*args, _fn=getattr(unc, name), _name=name, **kwargs):
@@ -459,19 +459,23 @@ def test_the_dyadic_meters_solve_each_distinct_row_at_most_once(monkeypatch):
 
 
 def test_an_uncertainty_run_solves_its_act_grid_once(monkeypatch):
-    # the pipeline solves the grid; the homogeneous verifier, the homothetic
-    # check and the aversion meter read that array and solve only acts it lacks
+    # the pipeline solves the grid once, for the linear verifier and the acts
+    # table; the homothetic check and the aversion meter solve the acts they
+    # read, each in one call
     import numpy as np
 
     import nearrep.cli as cli
     import nearrep.uncertainty as unc
     from nearrep.cli import run_scenario
 
-    solve, calls, consumer = unc._ce_rows, [], [None]
+    for fn in (unc.verify_homog_bound, unc.measure_eps_ua, cli._homothetic_exactness):
+        assert "u" not in inspect.signature(fn).parameters, fn.__name__
+    solve, calls, consumer, linear_u = unc._ce_rows, [], [None], []
 
-    def recorded(model, X, tol):  # every solve, through ce_batch or a chain
-        calls.append((consumer[0], np.array(X, dtype=float).reshape(-1, model.n_states)))
-        return solve(model, X, tol)
+    def recorded(model, X):  # every solve, through ce_batch or a chain
+        out = solve(model, X)
+        calls.append((consumer[0], np.array(X, dtype=float).reshape(-1, model.n_states), out))
+        return out
 
     def within(name, fn):
         def run(*args, **kwargs):
@@ -482,63 +486,83 @@ def test_an_uncertainty_run_solves_its_act_grid_once(monkeypatch):
                 consumer[0] = None
         return run
 
+    def verify_aa_bound(u, *args, _fn=unc.verify_aa_bound, **kwargs):
+        linear_u.append(u)
+        return _fn(u, *args, **kwargs)
+
     monkeypatch.setattr(unc, "_ce_rows", recorded)
-    for owner, name in ((unc, "verify_homog_bound"), (unc, "measure_eps_ua"),
-                        (cli, "_homothetic_exactness")):
+    monkeypatch.setattr(unc, "verify_aa_bound", verify_aa_bound)
+    for owner, name in ((unc, "theta_estimate"), (unc, "extract_prior"),
+                        (unc, "verify_homog_bound"), (unc, "quasiconcavify"),
+                        (unc, "measure_eps_ua"), (cli, "_homothetic_exactness")):
         monkeypatch.setattr(owner, name, within(name, getattr(owner, name)))
-    scenario = json.loads(json.dumps(UNC_SCENARIO))
-    scenario["sampler"] = {"resolution": 5, "n_random_pairs": 20, "homog": True,
-                           "quasiconcave": True, "qc_resolution": 11, "level_resolution": 16}
-    result = run_scenario(scenario)
+    sampler = {"resolution": 5, "n_random_pairs": 20, "homog": True,
+               "quasiconcave": True, "qc_resolution": 11, "level_resolution": 16}
+    grid = unc.BoxSampler(2, resolution=5).points()
+
+    def run(model):
+        calls.clear()
+        linear_u.clear()
+        scenario = {**json.loads(json.dumps(UNC_SCENARIO)), "model": model, "sampler": sampler}
+        result = run_scenario(scenario)
+        [(X, ce)] = [(X, out) for who, X, out in calls if who is None]
+        assert np.array_equal(X, grid)
+        assert np.array_equal(result.tables["acts"][1][:, 2], ce)
+        return result, ce
+
+    # a convergent model: the grid solve is the one the linear verifier reads
+    result, ce = run({"type": "seu", "prior": [0.3, 0.7]})
+    assert result.verdicts["linear-theta-bound"] is True
+    assert len(linear_u) == 1 and linear_u[0] is ce
+
+    result, ce = run(UNC_SCENARIO["model"])
     assert result.verdicts == {"homothetic-exactness": True, "homogeneous-bound": True,
                                "quasiconcave-bound": True}
-    grid = unc.BoxSampler(2, resolution=5).points()
-    rows = {name: [X for who, X in calls if who == name] for name in
-            (None, "verify_homog_bound", "measure_eps_ua", "_homothetic_exactness")}
-    assert sum(np.array_equal(X, grid) for X in rows[None]) == 1
+    assert linear_u == []
+    rows = {name: [X for who, X, _ in calls if who == name] for name in
+            ("verify_homog_bound", "measure_eps_ua", "_homothetic_exactness")}
 
-    # homothetic exactness: the scaled copies of the first 25 acts, and nothing else
+    # homothetic exactness: the nonzero acts among the first 25 and their
+    # scaled copies, in one call
     head = grid[:25][np.any(grid[:25], axis=1)]
     [scaled] = rows["_homothetic_exactness"]
-    assert np.array_equal(scaled, np.concatenate([2.0 * head, 16.0 * head, 1024.0 * head]))
+    assert np.array_equal(scaled, np.concatenate([head, 2.0 * head, 16.0 * head,
+                                                  1024.0 * head]))
 
-    # homogeneous bound: the alpha multiples and the scaled steps 2^n, n >= 1,
-    # of the points and the multiples, each row once; the points' u(x) is read
+    # homogeneous bound: the points, the alpha multiples and their scaled
+    # steps 2^n, each row once
     pts = grid[np.any(grid, axis=1)]
     multiples = {tuple((a * x).tolist()) for x in pts for a in (0.5, 3.0)}
     solved = np.concatenate(rows["verify_homog_bound"])
     inputs = np.concatenate([pts, np.array(sorted(multiples))])
     scaled_copies = {tuple(r) for n in range(1, 61) for r in (2.0 ** n * inputs).tolist()}
-    assert multiples <= {tuple(r) for r in solved.tolist()}
-    assert all(tuple(r) in multiples | scaled_copies for r in solved.tolist())
+    solved_rows = {tuple(r) for r in solved.tolist()}
+    assert multiples <= solved_rows and {tuple(x) for x in pts.tolist()} <= solved_rows
+    assert all(r in multiples | scaled_copies for r in solved_rows)
     assert len(np.unique(solved, axis=0)) == len(solved)
 
-    # aversion meter: one call with the chains' endpoints and every mixture; the
-    # seeded grid pairs' endpoints are read from the grid solve
+    # aversion meter: one call with both endpoints of every pair and every
+    # mixture, the seeded grid pairs first, then the hull decompositions' chains
     [probed] = rows["measure_eps_ua"]
     ua = next(r for r in result.reports if r["axiom"] == "uncertainty-aversion")
     n, n_pairs = ua["samples_evaluated"], 20 * len(unc.LAMBDAS)
-    chain = n - n_pairs
-    assert chain > 0 and len(probed) == 2 * chain + n
-    *_, mixtures = unc._pair_mixtures(grid, 0, 20, unc.LAMBDAS)
-    assert np.array_equal(probed[2 * chain:2 * chain + n_pairs], mixtures)
-    chain_acts = {tuple(r) for r in probed[2 * chain + n_pairs:].tolist()}
+    assert n > n_pairs and len(probed) == 3 * n
+    ends, _, mixtures = unc._pair_mixtures(grid, unc.BoxSampler(2, resolution=5,
+                                                                n_random_pairs=20).pairs())
+    for k, want in enumerate([grid[ends[:, 0]], grid[ends[:, 1]], mixtures]):
+        assert np.array_equal(probed[k * n:k * n + n_pairs], want)
+    chain_acts = {tuple(r) for r in probed[2 * n + n_pairs:].tolist()}
     chain_acts |= {tuple(r) for r in unc._box_grid(2, 11, 10.0).tolist()}
-    assert all(tuple(r) in chain_acts for r in probed[:2 * chain].tolist())
+    assert all(tuple(r) in chain_acts for k in (0, 1)
+               for r in probed[k * n + n_pairs:(k + 1) * n].tolist())
 
 
-def test_homothetic_exactness_refuses_a_utility_array_that_does_not_fit_the_acts():
-    import numpy as np
-
+def test_homothetic_exactness_of_a_maxmin_model_is_zero():
     from nearrep.cli import _homothetic_exactness
-    from nearrep.core import InvalidModel
-    from nearrep.uncertainty import BoxSampler, MaxminExpected, ce_batch
+    from nearrep.uncertainty import BoxSampler, MaxminExpected
 
     model = MaxminExpected(((0.3, 0.7), (0.7, 0.3)))
-    pts = BoxSampler(2, resolution=3).points()
-    assert _homothetic_exactness(model, pts, ce_batch(model, pts), 1e-10) <= 1e-9
-    with pytest.raises(InvalidModel, match="for a grid of 9 points"):
-        _homothetic_exactness(model, pts, np.zeros(8), 1e-10)
+    assert _homothetic_exactness(model, BoxSampler(2, resolution=3).points()) <= 1e-9
 
 
 def test_a_continuous_run_solves_each_indifference_delay_once(monkeypatch):
@@ -793,7 +817,7 @@ def test_an_empty_section_builds_the_bare_dataclass(monkeypatch):
         raise _Built
 
     monkeypatch.setattr(risk.SimplexSampler, "grid", lambda self, n_outcomes: stop(self))
-    monkeypatch.setattr(uncertainty, "theta_estimate", lambda model, sampler, tol: stop(sampler))
+    monkeypatch.setattr(uncertainty, "theta_estimate", lambda model, sampler: stop(sampler))
     monkeypatch.setattr(timepref, "continuous_gamma_curve", lambda model, xs: stop(model))
     for domain, model in (("risk", {"type": "expected_utility", "utilities": [0, 0.5, 1]}),
                           ("uncertainty", {"type": "seu", "prior": [0.3, 0.7]}),
@@ -807,11 +831,7 @@ def test_an_empty_section_builds_the_bare_dataclass(monkeypatch):
 # scenario tolerance -> every (module, function, parameter) a pipeline passes it to
 TOLERANCE_PARAMETERS = {
     "bisect": [("risk", "mixture_utility_batch", "tol"), ("risk", "measure_eps_rcl", "tol"),
-               ("risk", "measure_eps_independence", "tol"),
-               ("uncertainty", "theta_estimate", "tol"), ("uncertainty", "ce_batch", "tol"),
-               ("uncertainty", "verify_homog_bound", "bisect_tol"),
-               ("uncertainty", "quasiconcavify", "bisect_tol"),
-               ("uncertainty", "measure_eps_ua", "tol")],
+               ("risk", "measure_eps_independence", "tol")],
     "slack": [("risk", "verify_thm1", "slack"), ("risk", "verify_thm2", "slack")],
     "verify": [("uncertainty", "verify_aa_bound", "tol"),
                ("uncertainty", "verify_homog_bound", "tol")],
@@ -907,7 +927,7 @@ def test_a_tighter_verify_tolerance_reaches_the_homogeneity_check():
         """ce = m (1 + 1e-9 sin(2 pi log2 m)), m = prior . x: its scaling limits are
         homogeneous under doubling but not under tripling, by about 1e-9 m."""
 
-        def ce_batch(self, X, tol):
+        def ce_batch(self, X):
             m = self.value_batch(X)
             return m * (1.0 + 1e-9 * np.sin(2.0 * np.pi * np.log2(m)))
 
@@ -928,6 +948,73 @@ def test_a_tighter_verify_tolerance_reaches_the_homogeneity_check():
     assert 1e-10 < defect < 1e-7  # the tripling defect, far above rounding and below 1e-6
     assert tight.verdicts["homogeneous-bound"] is False
     assert any("limit is not homogeneous" in note for note in tight.notes)
+
+
+# one scenario per uncertainty model type; the smooth one builds the hull envelope
+TOLERANCE_FREE_MODELS = [
+    {"type": "seu", "prior": [0.3, 0.7]},
+    {"type": "meu", "priors": [[0.3, 0.7], [0.7, 0.3]]},
+    {"type": "smooth", "f": "sqrt1pz2", "priors": [[0.3, 0.7], [0.8, 0.2]],
+     "weights": [0.5, 0.5]},
+    {"type": "ces", "weights": [1.0, 2.0], "rho": 0.5},
+    {"type": "linear_plus_bounded", "prior": [0.2, 0.8], "bump": 3.0},
+]
+
+
+@pytest.mark.parametrize("model", TOLERANCE_FREE_MODELS, ids=lambda m: m["type"])
+def test_an_uncertainty_run_does_not_read_the_bisection_tolerance(tmp_path, model):
+    # no uncertainty solve bisects: report and tables are the same bytes at
+    # any tolerances.bisect
+    from nearrep.cli import run_scenario
+    from nearrep.tables import write_csv
+
+    sampler = {"resolution": 5, "n_random_pairs": 10}
+    if model["type"] == "smooth":
+        sampler.update(quasiconcave=True, qc_resolution=7, level_resolution=8)
+    outputs = []
+    for tol in (1e-6, 1e-12):
+        result = run_scenario({"version": 1, "name": "t", "domain": "uncertainty",
+                               "model": model, "sampler": sampler,
+                               "tolerances": {"bisect": tol}})
+        tables = {name: write_csv(tmp_path / f"{tol}-{name}.csv", *table).read_bytes()
+                  for name, table in result.tables.items()}
+        outputs.append((json.dumps(result.report_dict(), sort_keys=True), tables))
+    assert outputs[0] == outputs[1]
+
+
+def test_a_custom_act_model_with_a_one_argument_ce_batch_runs_through_run_scenario(monkeypatch):
+    from dataclasses import dataclass
+
+    import numpy as np
+
+    from nearrep import uncertainty as unc_mod
+    from nearrep.cli import run_scenario
+
+    @dataclass(frozen=True)
+    class Linear:
+        """The whole act-model protocol: n_states, value_batch(X) and ce_batch(X)."""
+
+        prior: tuple
+
+        @property
+        def n_states(self):
+            return len(self.prior)
+
+        def value_batch(self, X):
+            return np.asarray(X, dtype=float) @ np.asarray(self.prior)
+
+        def ce_batch(self, X):
+            return self.value_batch(X)
+
+    monkeypatch.setattr(unc_mod, "SubjectiveExpected", Linear)
+    result = run_scenario({"version": 1, "name": "custom", "domain": "uncertainty",
+                           "model": {"type": "seu", "prior": [0.3, 0.7]},
+                           "sampler": {"resolution": 5, "n_random_pairs": 5,
+                                       "quasiconcave": True, "qc_resolution": 5,
+                                       "level_resolution": 8}})
+    assert result.verdicts == {"linear-theta-bound": True, "homogeneous-bound": True,
+                               "quasiconcave-bound": True}
+    assert "recovered prior (0.3, 0.7)" in result.notes
 
 
 def test_run_quasiconcave_scenario(tmp_path, capsys):

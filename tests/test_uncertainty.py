@@ -28,7 +28,6 @@ from nearrep.core import (
     dyadic_tail_sum,
 )
 from nearrep.uncertainty import (
-    LIMIT_TOL,
     BoxSampler,
     CESUtility,
     LinearBenchmark,
@@ -77,7 +76,7 @@ def _limit(model, x):
     of the settled limit; raises the NotConverged verify_homog_bound would.
     """
     X = np.asarray(x, dtype=float)[None, :]
-    its, stop, caps = _scaled_limits(model, X, ce_batch(model, X), LIMIT_TOL, BISECT_TOL)
+    its, stop, caps = _scaled_limits(model, X)
     if stop[0] < 0:
         raise _not_cauchy("scaling", its[0], caps[0])
     iterates = tuple(its[0, :stop[0] + 1].tolist())
@@ -325,7 +324,7 @@ def test_homog_limit_smooth_matches_doubling_limit():
 @pytest.mark.parametrize("model", [MEU, SMOOTH_SQRT, LinearPlusBounded((0.3, 0.7), 0.5)])
 def test_verify_homog_bound(model):
     sampler = BoxSampler(2, resolution=5, n_random_pairs=0)
-    near = verify_homog_bound(model, ce_batch(model, sampler.points()), sampler)
+    near = verify_homog_bound(model, sampler)
     assert near.achieved_distance <= near.bound + 1e-6
     assert near.details["homogeneity_defect"] <= 1e-6
 
@@ -355,14 +354,14 @@ def test_homogeneity_of_limit_irrational_scale():
 
 def test_eps_ua_meu_zero():
     sampler = BoxSampler(2, resolution=5, n_random_pairs=30)
-    rep = measure_eps_ua(MEU, ce_batch(MEU, sampler.points()), sampler)
+    rep = measure_eps_ua(MEU, sampler)
     assert rep.value <= 1e-9
 
 
 def test_eps_ua_same_point_zero_defect():
     sampler = BoxSampler(2, resolution=3, n_random_pairs=0)
     x = np.array([2.0, 3.0])
-    rep = measure_eps_ua(MEU, ce_batch(MEU, sampler.points()), sampler,
+    rep = measure_eps_ua(MEU, sampler,
                          extra_probes=[(np.array([x, x]), np.array([0.5, 0.5]))])
     assert rep.value <= 1e-9
 
@@ -379,8 +378,7 @@ def test_quasiconcavify_smooth_bound_holds():
                          level_resolution=64)
     assert np.all(env.v_values >= env.u_values)
     sampler = BoxSampler(2, bound=10.0, resolution=11, n_random_pairs=50)
-    ua = measure_eps_ua(SMOOTH_SQRT, ce_batch(SMOOTH_SQRT, sampler.points()), sampler,
-                        extra_probes=env.probes)
+    ua = measure_eps_ua(SMOOTH_SQRT, sampler, extra_probes=env.probes)
     rep = verify_quasiconcave_bound(env, ua.value)
     assert rep.achieved_distance <= rep.bound + rep.details["slack"]
     assert rep.details["qc_worst_shortfall"] <= 1e-9
@@ -415,7 +413,7 @@ def _quasiconcave_spot_check_loop(benchmark, tol, seed, n_qc_checks=200,
 
 
 @pytest.mark.parametrize("seed", [0, 3])
-def test_quasiconcave_array_pass_raises_the_first_violation_of_the_loop(seed):
+def test_quasiconcave_array_pass_raises_the_first_violation_of_the_loop(seed, monkeypatch):
     # every third grid value raised by 5 keeps v >= u but breaks quasi-concavity
     env = quasiconcavify(SMOOTH_SQRT, box_bound=10.0, resolution=11,
                          level_resolution=64)
@@ -428,19 +426,11 @@ def test_quasiconcave_array_pass_raises_the_first_violation_of_the_loop(seed):
     assert str(got.value) == str(want.value)
     assert got.value.witness == want.value.witness
     # with a tolerance nothing exceeds, both report the same worst shortfall and witness
-    rep = verify_quasiconcave_bound(bad, 10.0, tol=1e9, seed=seed)
+    monkeypatch.setattr(nearrep.uncertainty, "QC_TOL", 1e9)
+    rep = verify_quasiconcave_bound(bad, 10.0, seed=seed)
     worst, witness = _quasiconcave_spot_check_loop(bad, 1e9, seed)
     assert worst > 0.0
     assert (rep.details["qc_worst_shortfall"], rep.details["qc_witness"]) == (worst, witness)
-
-
-def test_meters_refuse_a_utility_array_that_does_not_fit_the_grid():
-    sampler = BoxSampler(2, resolution=3, n_random_pairs=5)
-    short = ce_batch(MEU, sampler.points())[:-1]
-    with pytest.raises(InvalidModel, match="for a grid of 9 points"):
-        verify_homog_bound(MEU, short, sampler)
-    with pytest.raises(InvalidModel, match="for a grid of 9 points"):
-        measure_eps_ua(MEU, short, sampler)
 
 
 def test_linear_benchmark_evaluate_is_the_one_row_case():
@@ -618,7 +608,7 @@ def test_meu_value_is_min_of_priors(a, b, c, d):
 
 # --- model-owned certainty equivalents ---------------------------------------
 
-CE_TOL = 1e-10  # solver tolerance on c for models without a closed form
+CE_TOL = BISECT_TOL  # solver tolerance on c for models without a closed form
 # LinearPlusBounded's Newton iterate rises to the root and stops once a step
 # is at most CE_TOL / 4; near the root a step covers almost all of the gap
 # left, so c is within CE_TOL / 2 of it, as a bisected c is. No drawn model's
@@ -664,7 +654,7 @@ def _ce_range_slack(model, x) -> float:
 @given(_model_and_act())
 def test_model_ce_meets_its_defining_equation(case):
     model, x = case
-    c = ce_batch(model, x[None], tol=CE_TOL)[0]
+    c = ce_batch(model, x[None])[0]
     slack = _ce_range_slack(model, x)
     assert float(np.min(x)) - slack <= c <= float(np.max(x)) + slack
     target, at_c = model.value_batch(np.array([x, np.full(len(x), c)]))
@@ -755,10 +745,10 @@ def _model_and_batch(draw):
 @given(_model_and_batch())
 def test_ce_batch_rows_match_one_row_calls_and_the_per_act_reference(case):
     model, X = case
-    got = ce_batch(model, X, tol=CE_TOL)
+    got = ce_batch(model, X)
     for x, c in zip(X, got):
         # batch-size invariance: exactly what a one-row call gives
-        assert ce_batch(model, x[None, :], tol=CE_TOL)[0] == c
+        assert ce_batch(model, x[None, :])[0] == c
         want = _per_act_ce(model, x)
         allowed = CE_TOL * max(1.0, abs(want))
         if getattr(model, "f_name", None) == "sqrt1pz2":
@@ -795,7 +785,7 @@ def _lpb_and_scaled_acts(draw):
 def _ce_and_value_batch_calls(model, X) -> tuple[np.ndarray, int]:
     with mock.patch.object(LinearPlusBounded, "value_batch", autospec=True,
                            side_effect=LinearPlusBounded.value_batch) as spy:
-        c = ce_batch(model, X, tol=CE_TOL)
+        c = ce_batch(model, X)
     return c, spy.call_count
 
 
@@ -824,7 +814,7 @@ class _Patchy:
     def __init__(self, swap: bool):
         self.swap = swap
 
-    def ce_batch(self, X, tol):
+    def ce_batch(self, X):
         s = X.mean(axis=1)
         out = s.copy()
         first, second = X[:, 0] > X[:, 1], (X[:, 1] > X[:, 0]) & (X[:, 0] > 0.0)
@@ -861,7 +851,7 @@ def test_lockstep_homog_bound_raises_the_first_failure_in_point_order(swap):
     with pytest.raises((BoundViolated, NotConverged)) as want:
         _homog_bound_point_by_point(model, sampler)
     with pytest.raises((BoundViolated, NotConverged)) as got:
-        verify_homog_bound(model, ce_batch(model, sampler.points()), sampler)
+        verify_homog_bound(model, sampler)
     assert type(got.value) is type(want.value) is (NotConverged if swap else BoundViolated)
     assert str(got.value) == str(want.value)
     assert getattr(got.value, "witness", None) == getattr(want.value, "witness", None)
@@ -902,7 +892,7 @@ def test_blocked_scaled_limits_match_the_step_by_step_loop(model, scale):
     pts = BoxSampler(2, resolution=4).points()
     tiny = np.array([[7 * 5e-324, scale], [scale, 7 * 5e-324]])
     acts = np.concatenate([pts, scale * pts, pts / scale, tiny])
-    its, stop, caps = _scaled_limits(model, acts, ce_batch(model, pts), 1e-9, 1e-10)
+    its, stop, caps = _scaled_limits(model, acts)
     theta = _limit_theta(its, stop)
     for k, x in enumerate(acts):
         want = _scaled_limit_step_by_step(model, x, 40)
@@ -962,7 +952,7 @@ class _Overflowing:
 
     n_states = 2
 
-    def ce_batch(self, X, tol):
+    def ce_batch(self, X):
         return np.where(X.max(axis=1) >= 2.0 ** 20, np.inf, X.mean(axis=1))
 
 
@@ -987,13 +977,13 @@ class _UnitOffset:
     def value(self, x):
         return float(self.prior @ x) + 1.0 if np.any(x) else 0.0
 
-    def ce_batch(self, X, tol):
+    def ce_batch(self, X):
         return np.array([self.value(x) for x in X])
 
 
 def _homog_bound_on_the_unit_box(model):
     box = BoxSampler(2, bound=1.0, resolution=2, n_random_pairs=0)
-    verify_homog_bound(model, ce_batch(model, box.points()), box)
+    verify_homog_bound(model, box)
 
 
 # The doubling limits behind the prior fail first at e_1 = (1, 0), the
