@@ -455,7 +455,7 @@ def gamma_of(model, x: float) -> float:
         raise InvalidModel(f"payment {x!r} above the ceiling {model.x_bar!r}")
     t = model.delay_at(x)
     if not t <= BRACKET_CAP:
-        raise NoBracket(f"u(x_bar, t) stays above {x!r} out to t={2.0 * BRACKET_CAP!r}; "
+        raise NoBracket(f"u(x_bar, t) stays above {x!r} out to t={BRACKET_CAP!r}; "
                         "no indifference delay")
     return t
 

@@ -232,8 +232,9 @@ def test_gamma_at_ceiling_exact_zero():
 @pytest.mark.parametrize("model,x", [(LogDelay(2.0, 0.1), -800.0),  # e^802 overflows
                                      (LinearDelay(2.0, 1e-20), 1.0)])  # a delay of 1e20
 def test_gamma_refuses_a_delay_beyond_the_cap(model, x):
+    # the message names BRACKET_CAP, 2^60
     with pytest.raises(NoBracket, match=r"^u\(x_bar, t\) stays above "
-                       + re.escape(f"{x!r} out to t=2.305843009213694e+18; no indifference delay")):
+                       + re.escape(f"{x!r} out to t=1.152921504606847e+18; no indifference delay")):
         gamma_of(model, x)
 
 
