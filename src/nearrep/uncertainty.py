@@ -332,7 +332,9 @@ class LinearPlusBounded:
     def value_batch(self, X) -> np.ndarray:
         X = _rows(X)
         total = np.vecdot(X, self._ones)
-        return np.vecdot(X, self._prior_vector) + self.bump * (1.0 - np.exp(-total))
+        # -expm1(-total) keeps the bump's relative precision as total shrinks, where
+        # 1 - e^{-total} cancels (and rounds to 0 below about 1e-16)
+        return np.vecdot(X, self._prior_vector) + self.bump * -np.expm1(-total)
 
     def ce_batch(self, X: np.ndarray) -> np.ndarray:
         """Lockstep Newton on g(c) = value(c * ones) - value(x), rising from below.

@@ -765,6 +765,16 @@ def test_linear_plus_bounded_refuses_a_bump_that_is_not_finite_and_nonnegative(b
         LinearPlusBounded((0.3, 0.7), bump)
 
 
+@pytest.mark.parametrize("t", [1e-12, 1e-100, 1e-300])
+def test_linear_plus_bounded_keeps_the_relative_precision_of_a_small_act(t):
+    # near zero the bump is bump * sum x to first order, so the certainty
+    # equivalent of (0, t) is (p . x + bump sum x) / (s + bump d)
+    model = LinearPlusBounded((0.5, 0.5), 3.0)
+    want = (0.5 * t + 3.0 * t) / (1.0 + 3.0 * 2)
+    got = ce_batch(model, np.array([[0.0, t]]))[0]
+    assert abs(got - want) <= 1e-9 * want
+
+
 LPB_MAX_ROUNDS = 25  # value_batch calls per ce_batch call: the target and the Newton rounds
 
 
