@@ -5,12 +5,16 @@ imported), and each parameter with a default value counts once, positional
 or keyword-only, public or private. Prints one line per module and the
 total of those parameters, then on its own line the dataclass fields that
 take a default through __init__ (`field(init=False)` and a `field()` with no
-default are not options):
+default are not options), then the two kinds of knob a user sets without
+calling the library: the scenario keys the schema in cli.py declares (its
+`_Key(...)` calls) and the `--` flags its build_parser adds:
 
     cli 2
     ...
-    total 35
+    total 12
     fields 17
+    schema_keys 50
+    flags 4
 
 Usage: python scripts/option_count.py
 """
@@ -52,6 +56,21 @@ def count_fields(tree: ast.Module) -> int:
                for stmt in node.body)
 
 
+def count_schema_keys(tree: ast.Module) -> int:
+    return sum(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "_Key" for node in ast.walk(tree))
+
+
+def count_flags(tree: ast.Module) -> int:
+    build = next(node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and node.name == "build_parser")
+    return sum(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "add_argument"
+               and any(isinstance(a, ast.Constant) and str(a.value).startswith("--")
+                       for a in node.args)
+               for node in ast.walk(build))
+
+
 def main() -> None:
     trees = {path.stem: ast.parse(path.read_text(), str(path))
              for path in sorted(PACKAGE.glob("*.py"))}
@@ -60,6 +79,8 @@ def main() -> None:
         print(f"{module} {n}")
     print(f"total {sum(counts.values())}")
     print(f"fields {sum(count_fields(tree) for tree in trees.values())}")
+    print(f"schema_keys {count_schema_keys(trees['cli'])}")
+    print(f"flags {count_flags(trees['cli'])}")
 
 
 if __name__ == "__main__":

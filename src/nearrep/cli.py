@@ -1,18 +1,20 @@
 """Command line front end: audit scenario files and built-in worked examples.
 
 Subcommands:
-  run <scenario.json> [--out DIR] [--tol R] [--seed N] [--grid N]
+  run <scenario.json> [--out DIR] [--seed N] [--grid N]
   builtin <name> [--out DIR]
   list
 
 Exit codes: 0 when every applicable theorem bound passed, 2 when at least
-one bound check failed, 1 for malformed scenarios or unusable inputs.
+one bound check failed, 1 for malformed scenarios, unusable inputs or a
+command line that does not parse.
 
 A scenario file is a JSON object with keys version (must be 1), name,
-domain, model, and optional sampler / tolerances objects; unknown keys
-anywhere are rejected so typos fail loudly rather than silently changing
-the run. Outputs are <name>-report.json plus one <name>-<table>.csv per
-table; identical scenario and seed produce byte-identical files.
+domain, model, and an optional sampler object; unknown keys anywhere are
+rejected so typos fail loudly rather than silently changing the run. The
+solve tolerance and the bound slacks are the core constants, not keys.
+Outputs are <name>-report.json plus one <name>-<table>.csv per table;
+identical scenario and seed produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
-from .core import (BISECT_TOL, BOUND_SLACK, MAX_GRID_POINTS, VERIFY_TOL, BoundViolated,
-                   HypothesisFailed, InvalidModel, NearRepError, NoBracket, NoSuchTau, NotAdditive,
-                   NotConverged, ScenarioError, discount, grid_size)
+from .core import (BOUND_SLACK, MAX_GRID_POINTS, BoundViolated, HypothesisFailed, InvalidModel,
+                   NearRepError, NoBracket, NoSuchTau, NotAdditive, NotConverged, ScenarioError,
+                   discount, grid_size)
 from .tables import write_csv, write_report_json
 
 __all__ = ["main", "run_scenario", "BUILTINS"]
@@ -156,10 +158,7 @@ def _parse(obj, path: str, spec: dict[str, _Key], cls) -> dict:
 
 
 _SCENARIO = {"version": _Key("any"), "name": _Key("any"), "domain": _Key("any"),
-             "model": _Key("any"), "sampler": _Key("any", {}), "tolerances": _Key("any", {})}
-
-_TOLERANCES = {"bisect": _Key("number", BISECT_TOL), "slack": _Key("number", BOUND_SLACK),
-               "verify": _Key("number", VERIFY_TOL), "time": _Key("number", VERIFY_TOL)}
+             "model": _Key("any"), "sampler": _Key("any", {})}
 
 # domain -> (what its models are called, their module, its sampler class or None, {type:
 # (class name, keys in constructor order)}); a module loads once a scenario names its domain
@@ -281,7 +280,7 @@ def _smooth_cap(result: RunResult, table_name: str, model, sampler):
     return rep
 
 
-def _run_risk(name: str, model, s: dict, tols: dict) -> RunResult:
+def _run_risk(name: str, model, s: dict) -> RunResult:
     import numpy as np
     from . import risk as risk_mod
     _check_grid("simplex", model.n_outcomes, s["resolution"], "resolution")
@@ -294,25 +293,23 @@ def _run_risk(name: str, model, s: dict, tols: dict) -> RunResult:
                             f"{s['n_alphas']} give {probes} independence probes, above the "
                             f"cap of {MAX_GRID_POINTS}")
     sampler = risk_mod.SimplexSampler(**s)
-    tol = tols["bisect"]
-    slack = tols["slack"]
     result = RunResult(name=name, domain="risk")
     # the grid is calibrated once; the meter, both verifiers and the table read u,
     # and the benchmark is the expected utility of u at the vertices
     G = sampler.grid(model.n_outcomes)
-    u = risk_mod.mixture_utility_batch(model, G, tol)
+    u = risk_mod.mixture_utility_batch(model, G)
     vertex_rows, prize = np.nonzero(G == 1.0)
     benchmark = risk_mod.ExpectedUtility(tuple(u[vertex_rows[np.argsort(prize)]].tolist()))
-    rcl = risk_mod.measure_eps_rcl(model, u, sampler, tol=tol)
+    rcl = risk_mod.measure_eps_rcl(model, u, sampler)
     result.reports.append(rcl.as_dict())
     _check(result, "mixture-support-bound",
-           lambda: risk_mod.verify_thm1(u, benchmark, rcl.value, sampler, slack=slack))
-    ind = risk_mod.measure_eps_independence(model, sampler, tol=tol)
+           lambda: risk_mod.verify_thm1(u, benchmark, rcl.value, sampler))
+    ind = risk_mod.measure_eps_independence(model, sampler)
     result.reports.append(ind.as_dict())
     _check(result, "independence-square-bound",
-           lambda: risk_mod.verify_thm2(u, benchmark, ind.value, sampler, slack=slack))
+           lambda: risk_mod.verify_thm2(u, benchmark, ind.value, sampler))
     l = benchmark.value_batch(G)
-    allowed = (risk_mod._support_sizes(G) - 1) * rcl.value + slack
+    allowed = (risk_mod._support_sizes(G) - 1) * rcl.value + BOUND_SLACK
     header = [f"p{i}" for i in range(model.n_outcomes)] + \
         ["calibrated_utility", "affine_value", "gap", "allowed"]
     result.tables["grid"] = (header, np.column_stack([G, u, l, np.abs(u - l), allowed]))
@@ -341,7 +338,7 @@ def _homothetic_exactness(model, pts) -> float:
     return float(np.max(np.abs(u[1:] / scales[1:] - u[0]), initial=0.0))
 
 
-def _run_uncertainty(name: str, model, s: dict, tols: dict) -> RunResult:
+def _run_uncertainty(name: str, model, s: dict) -> RunResult:
     import numpy as np
     from . import uncertainty as unc_mod
     _check_grid("box", model.n_states, s["resolution"], "resolution")
@@ -359,7 +356,6 @@ def _run_uncertainty(name: str, model, s: dict, tols: dict) -> RunResult:
                 f"{MAX_HULL_MEMBERSHIPS}")
     sampler = unc_mod.BoxSampler(model.n_states, s["bound"], s["resolution"], s["seed"],
                                  s["n_random_pairs"])
-    verify_tol = tols["verify"]
     result = RunResult(name=name, domain="uncertainty")
     theta_rep, converged = unc_mod.theta_estimate(model, sampler)
     result.reports.append(theta_rep.as_dict())
@@ -377,7 +373,7 @@ def _run_uncertainty(name: str, model, s: dict, tols: dict) -> RunResult:
     if benchmark is not None and converged:
         _check(result, "linear-theta-bound",
                lambda: unc_mod.verify_aa_bound(ce, benchmark, theta_rep.value, pts,
-                                               converged=converged, tol=verify_tol))
+                                               converged=converged))
     elif not converged:
         result.notes.append(
             "dyadic defect series classified divergent; linear closeness bound "
@@ -392,7 +388,7 @@ def _run_uncertainty(name: str, model, s: dict, tols: dict) -> RunResult:
     if s["homog"]:
         try:
             _check(result, "homogeneous-bound",
-                   lambda: unc_mod.verify_homog_bound(model, sampler, tol=verify_tol))
+                   lambda: unc_mod.verify_homog_bound(model, sampler))
         except NotConverged as exc:
             result.notes.append(f"scaling limit did not converge: {exc}")
     if s["quasiconcave"]:
@@ -419,7 +415,7 @@ def _run_uncertainty(name: str, model, s: dict, tols: dict) -> RunResult:
     return result
 
 
-def _run_time_discrete(name: str, model, s: dict, tols: dict) -> RunResult:
+def _run_time_discrete(name: str, model, s: dict) -> RunResult:
     from . import timepref as time_mod
     t_sample, n_max, w_t_max = s["t_sample"], s["n_max"], s["w_t_max"]
     t_top = max(1, *t_sample)
@@ -450,7 +446,7 @@ def _run_time_discrete(name: str, model, s: dict, tols: dict) -> RunResult:
     if fit is not None and not fit.degenerate and converged:
         _check(result, "exponential-log-bound",
                lambda: time_mod.verify_exp_bound(model, fit.gamma, theta_rep.value,
-                                                 t_range=[0, *t_sample], tol=tols["time"]))
+                                                 t_range=[0, *t_sample]))
     elif not converged:
         result.notes.append(
             "stationarity defect series classified divergent; exponential "
@@ -506,7 +502,7 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
     return pts
 
 
-def _run_time_continuous(name: str, model, s: dict, tols: dict) -> RunResult:
+def _run_time_continuous(name: str, model, s: dict) -> RunResult:
     from . import timepref as time_mod
     x_count, t_count, d_count = s["x_count"], s["t_count"], s["delta_count"]
     probes = x_count * t_count * d_count  # the delay-Lipschitz meter evaluates each twice
@@ -524,7 +520,6 @@ def _run_time_continuous(name: str, model, s: dict, tols: dict) -> RunResult:
     ts = _linspace(0.0, s["t_max"], t_count)
     d_top = s["delta_max"]
     deltas = _linspace(d_top / d_count, d_top, d_count)
-    tol = tols["time"]
     result = RunResult(name=name, domain="time-continuous")
     # gamma(x) is solved once; the stationarity meter, the verifier and the shift table read it
     curve = time_mod.continuous_gamma_curve(model, xs)
@@ -534,7 +529,7 @@ def _run_time_continuous(name: str, model, s: dict, tols: dict) -> RunResult:
     lam = time_mod.measure_lambda_lipschitz(model, xs, ts, deltas)
     result.reports.append(lam.as_dict())
     _check(result, "time-shift-bound",
-           lambda: time_mod.verify_exp3_bound(model, curve, eps.value, lam.value, ts, tol=tol))
+           lambda: time_mod.verify_exp3_bound(model, curve, eps.value, lam.value, ts))
     rows = []
     for x, g in zip(curve.xs, curve.gammas):
         for t in ts:
@@ -556,8 +551,8 @@ _DOMAINS = {
 def run_scenario(scenario: dict) -> RunResult:
     """Parse every key of a scenario object, then run its domain pipeline.
 
-    Tolerances, the model and the sampler are parsed in that order, before
-    any work; the pipeline checks its work caps before it starts.
+    The model and then the sampler are parsed before any work; the
+    pipeline checks its work caps before it starts.
     """
     top = _parse(scenario, "scenario", _SCENARIO, None)
     if not _is_integer(top["version"]) or top["version"] != 1:
@@ -571,16 +566,12 @@ def run_scenario(scenario: dict) -> RunResult:
     if not isinstance(domain, str) or domain not in _DOMAINS:
         raise ScenarioError(
             f"domain: unknown value {domain!r} (expected one of {sorted(_DOMAINS)})")
-    tols = _parse(top["tolerances"], "tolerances", _TOLERANCES, None)
-    for key, value in tols.items():
-        if not value > 0.0:
-            raise ScenarioError(f"tolerances.{key}: must be positive")
     noun, module_name, sampler_name, types = _MODELS[domain]
     module = importlib.import_module(f".{module_name}", __package__)
     model = _parse_model(top["model"], noun, module, types)
     sampler = _parse(top["sampler"], "sampler", _SAMPLERS[domain],
                      sampler_name and getattr(module, sampler_name))
-    return _DOMAINS[domain](name, model, sampler, tols)
+    return _DOMAINS[domain](name, model, sampler)
 
 
 # ---------------------------------------------------------------------------
@@ -732,12 +723,10 @@ def _cmd_run(args) -> int:
     if not isinstance(data, dict):
         print("error: scenario: expected a JSON object", file=sys.stderr)
         return 1
-    overrides = (("tolerances", "bisect", args.tol), ("sampler", "seed", args.seed),
-                 ("sampler", "resolution", args.grid))
-    for section, key, value in overrides:
-        # a section that is not an object is left for run_scenario to reject
-        if value is not None and isinstance(data.setdefault(section, {}), dict):
-            data[section][key] = value
+    for key, value in (("seed", args.seed), ("resolution", args.grid)):
+        # a sampler that is not an object is left for run_scenario to reject
+        if value is not None and isinstance(data.setdefault("sampler", {}), dict):
+            data["sampler"][key] = value
     result = run_scenario(data)
     _emit(result, Path(args.out))
     return result.exit_code
@@ -768,8 +757,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a JSON scenario file")
     p_run.add_argument("scenario", help="path to the scenario JSON")
     p_run.add_argument("--out", default=".", help="output directory (default: .)")
-    p_run.add_argument("--tol", type=float, default=None,
-                       help="override the bisection tolerance")
     p_run.add_argument("--seed", type=int, default=None,
                        help="override the sampler seed")
     p_run.add_argument("--grid", type=int, default=None,
@@ -785,7 +772,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except ScenarioError as exc:

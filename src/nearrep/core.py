@@ -50,8 +50,8 @@ MAX_GRID_POINTS = 100_000
 TAIL_WINDOW = 4  # dyadic_tail_sum judges decay on this many trailing term ratios
 RATIO_TOL = 0.75  # largest trailing term ratio dyadic_tail_sum still calls decaying
 MAX_BISECT_STEPS = 200  # halvings of every bisection; rounds of every Newton solve (LPB, CPT)
-# The one home of the scenario tolerances' defaults (cli._TOLERANCES `bisect`,
-# `slack`, `verify` and `time`) and of the library parameters they are passed to.
+# Fixed parts of every check, read by the meters and verifiers at call time (a
+# test changes one by setting the attribute of the module that reads it).
 BISECT_TOL = 1e-10  # argument tolerance of every bisection and certainty-equivalent solve
 BOUND_SLACK = 1e-7  # slack added to the risk verifiers' bounds
 VERIFY_TOL = 1e-6  # tolerance added to the act and time verifiers' bounds

@@ -92,7 +92,7 @@ def _bracket_ends(flo: np.ndarray, fhi: np.ndarray, lo: np.ndarray, hi: np.ndarr
 
 
 def bisect_monotone_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi,
-                          tol: float = BISECT_TOL) -> np.ndarray:
+                          tol: float) -> np.ndarray:
     """Roots of many monotone functions, each bisected on its bracket, all in lockstep.
 
     f(c, idx) returns, for each k, the idx[k]-th monotone function at c[k];
@@ -510,13 +510,13 @@ class SimplexSampler:
         return G
 
 
-def mixture_utility_batch(model, P, tol: float = BISECT_TOL) -> np.ndarray:
+def mixture_utility_batch(model, P) -> np.ndarray:
     """Calibrated utility of each row p of P: the alpha solving model(seg(alpha)) = model(p).
 
     seg(alpha) puts alpha on the best prize and 1 - alpha on the worst. All
-    rows go to one model.segment_root call, which solves each row as a
-    one-row call would; a repeated row is solved again, so callers pass
-    distinct rows. A value at most SNAP_ULPS units in the last place
+    rows go to one model.segment_root call at BISECT_TOL, which solves each
+    row as a one-row call would; a repeated row is solved again, so callers
+    pass distinct rows. A value at most SNAP_ULPS units in the last place
     outside [v(worst), v(best)] is rounding and is moved onto that end.
     Exact hits on the endpoints return 0.0 or 1.0 exactly; a row the
     segment does not bracket (e.g. a lottery strictly better than the best
@@ -527,12 +527,13 @@ def mixture_utility_batch(model, P, tol: float = BISECT_TOL) -> np.ndarray:
     v = model.value_batch(_rows(P))
     snapped = np.clip(v, *ends)
     band = SNAP_ULPS * EPS * max(map(abs, ends))
-    return model.segment_root(np.where(np.abs(v - snapped) <= band, snapped, v), top, bottom, tol)
+    return model.segment_root(np.where(np.abs(v - snapped) <= band, snapped, v), top, bottom,
+                              BISECT_TOL)
 
 
 def build_affine_benchmark(model) -> ExpectedUtility:
     """Affine benchmark l(p) = sum_i p_i u(delta_i), u calibrated: u(best) = 1, u(worst) = 0."""
-    coeffs = mixture_utility_batch(model, np.eye(model.n_outcomes), BISECT_TOL)
+    coeffs = mixture_utility_batch(model, np.eye(model.n_outcomes))
     return ExpectedUtility(tuple(coeffs.tolist()))
 
 
@@ -604,8 +605,8 @@ def _mixture_probes(G: np.ndarray, sampler: SimplexSampler):
             np.concatenate([whole, at_mixed + np.arange(k)]))
 
 
-def _worst_mixture_defect(model, G: np.ndarray, u: np.ndarray, sampler: SimplexSampler,
-                          tol: float) -> tuple[float, dict, int]:
+def _worst_mixture_defect(model, G: np.ndarray, u: np.ndarray,
+                          sampler: SimplexSampler) -> tuple[float, dict, int]:
     """Largest |u(mixture) - (lam u(left) + (1 - lam) u(right))| over the probes.
 
     Returns the defect (0.0 when nothing was probed), its witness (the first
@@ -623,7 +624,7 @@ def _worst_mixture_defect(model, G: np.ndarray, u: np.ndarray, sampler: SimplexS
     fresh[on_grid] = False
     u_distinct = np.empty(len(U))
     u_distinct[on_grid] = u
-    u_distinct[fresh] = mixture_utility_batch(model, U[fresh], tol)
+    u_distinct[fresh] = mixture_utility_batch(model, U[fresh])
     u = u_distinct[inverse]
     defect = np.abs(u[whole] - (lam * u[left] + (1.0 - lam) * u[right]))
     b = int(np.argmax(defect))
@@ -631,7 +632,7 @@ def _worst_mixture_defect(model, G: np.ndarray, u: np.ndarray, sampler: SimplexS
                               "lam": float(lam[b]), "mixture": _probs(rows[whole[b]])}, len(lam)
 
 
-def measure_eps_rcl(model, u, sampler: SimplexSampler, tol: float = BISECT_TOL) -> ViolationReport:
+def measure_eps_rcl(model, u, sampler: SimplexSampler) -> ViolationReport:
     """Worst sampled reduction-of-compound-lotteries defect, plus 1e-12.
 
     u is the calibrated utility of the sampler's grid lotteries, as
@@ -641,8 +642,7 @@ def measure_eps_rcl(model, u, sampler: SimplexSampler, tol: float = BISECT_TOL) 
     grid-pair mixtures at uniform weights.
     """
     G = sampler.grid(model.n_outcomes)
-    max_defect, witness, count = _worst_mixture_defect(model, G, _grid_utility(u, G), sampler,
-                                                       tol)
+    max_defect, witness, count = _worst_mixture_defect(model, G, _grid_utility(u, G), sampler)
     return ViolationReport(
         axiom="reduction-of-compound-lotteries",
         value=max_defect + STRICTNESS_MARGIN,
@@ -650,7 +650,7 @@ def measure_eps_rcl(model, u, sampler: SimplexSampler, tol: float = BISECT_TOL) 
         samples_evaluated=count,
         details={"margin": STRICTNESS_MARGIN, "max_defect": max_defect,
                  "resolution": sampler.resolution, "seed": sampler.seed,
-                 "bisect_tol": tol},
+                 "bisect_tol": BISECT_TOL},
     )
 
 
@@ -662,9 +662,9 @@ def _first_max(gap: np.ndarray) -> tuple[float, int | None]:
     return (float(gap[k]), k) if gap[k] > 0.0 else (0.0, None)
 
 
-def verify_thm1(u, benchmark: ExpectedUtility, eps_hat: float, sampler: SimplexSampler,
-                slack: float = BOUND_SLACK) -> NearRepresentation:
-    """Check |u(p) - l(p)| <= (support(p) - 1) * eps_hat + slack on the grid.
+def verify_thm1(u, benchmark: ExpectedUtility, eps_hat: float,
+                sampler: SimplexSampler) -> NearRepresentation:
+    """Check |u(p) - l(p)| <= (support(p) - 1) * eps_hat + BOUND_SLACK on the grid.
 
     u is the calibrated utility of the sampler's grid lotteries, as
     mixture_utility_batch returns it. Degenerate lotteries must agree
@@ -677,7 +677,7 @@ def verify_thm1(u, benchmark: ExpectedUtility, eps_hat: float, sampler: SimplexS
     gap = np.abs(_grid_utility(u, G) - benchmark.value_batch(G))
     support = _support_sizes(G)
     degenerate = support == 1
-    allowed = (support - 1) * eps_hat + slack
+    allowed = (support - 1) * eps_hat + BOUND_SLACK
     bad = np.flatnonzero(np.where(degenerate, gap > DEGENERATE_TOL, gap > allowed))
     if len(bad):
         k = int(bad[0])
@@ -696,7 +696,7 @@ def verify_thm1(u, benchmark: ExpectedUtility, eps_hat: float, sampler: SimplexS
         parameters={"coefficients": benchmark.prize_utilities},
         achieved_distance=worst_gap,
         bound=d * eps_hat,
-        details={"slack": slack, "per_point_rule": "support-minus-one",
+        details={"slack": BOUND_SLACK, "per_point_rule": "support-minus-one",
                  "n_points": len(G), "resolution": sampler.resolution,
                  "argmax": None if worst is None else _probs(G[worst]),
                  "eps_hat": eps_hat},
@@ -730,7 +730,7 @@ def converse_check_4eps(model, benchmark: ExpectedUtility, eps: float,
             witness={"p": None if sup is None else _probs(G[sup]), "gap": sup_gap,
                      "eps": eps})
     max_defect, witness, count = _worst_mixture_defect(
-        model, G, mixture_utility_batch(model, G, BISECT_TOL), sampler, BISECT_TOL)
+        model, G, mixture_utility_batch(model, G), sampler)
     if max_defect >= 4.0 * eps:
         raise BoundViolated(
             f"mixture defect {max_defect!r} reached 4 eps = {4.0 * eps!r}",
@@ -773,7 +773,7 @@ def _scan_window(f, center, idx, a_prev, f_prev, sign, ks, step, zero_tol):
     return A, F, hit, (edge < width) | (repeat < width)
 
 
-def _nearest_roots(f, centers, step: float, tol: float, zero_tol: float = 0.0) -> np.ndarray:
+def _nearest_roots(f, centers, step: float, zero_tol: float) -> np.ndarray:
     """Root of each function nearest to its center in [0, 1], scanning outward then bisecting.
 
     Each function has two rays from its center, up and down, that step by
@@ -788,7 +788,7 @@ def _nearest_roots(f, centers, step: float, tol: float, zero_tol: float = 0.0) -
     are scanned together, _SCAN_WINDOW steps each and one f call per round
     (functions in blocks of a few hundred, so a round's points stay near
     _BLOCK_ENTRIES), and the first sign change on each ray gives a bracket;
-    every bracket is then bisected in one lockstep call. Once one ray has
+    every bracket is then bisected to BISECT_TOL in one lockstep call. Once one ray has
     its first hit at step h, its partner stops after step h + 1: a root it
     found further out would be the farther one.
     """
@@ -832,7 +832,7 @@ def _nearest_roots(f, centers, step: float, tol: float, zero_tol: float = 0.0) -
         if len(bracketed):
             who = owner[bracketed]
             found[bracketed] = bisect_monotone_batch(lambda x, k: f(x, who[k]), lo[bracketed],
-                                                     hi[bracketed], tol=tol)
+                                                     hi[bracketed], BISECT_TOL)
         up, down = found[:m], found[m:]
         # the nearer candidate; the upward one on a tie, as it is found first
         nearer = np.where(np.isnan(up) | (np.abs(down - c) < np.abs(up - c)), down, up)
@@ -840,8 +840,7 @@ def _nearest_roots(f, centers, step: float, tol: float, zero_tol: float = 0.0) -
     return roots
 
 
-def measure_eps_independence(model, sampler: SimplexSampler,
-                             tol: float = BISECT_TOL) -> ViolationReport:
+def measure_eps_independence(model, sampler: SimplexSampler) -> ViolationReport:
     """Worst sampled independence defect in mixture-weight units.
 
     For seeded indifferent pairs p ~ q (q found on a segment between
@@ -855,7 +854,7 @@ def measure_eps_independence(model, sampler: SimplexSampler,
     vertex_values = model._degenerate_values
     # indifference is only resolved to the q-segment bisection; value gaps
     # below this floor count as restored rather than driving a root hunt
-    value_floor = 10.0 * tol * max(1.0, max(vertex_values) - min(vertex_values))
+    value_floor = 10.0 * BISECT_TOL * max(1.0, max(vertex_values) - min(vertex_values))
     rng = np.random.default_rng(sampler.seed)
     interior = G[_support_sizes(G) > 1]
     if not len(interior):
@@ -886,7 +885,7 @@ def measure_eps_independence(model, sampler: SimplexSampler,
         def segment_gap(s: np.ndarray, idx: np.ndarray) -> np.ndarray:
             return model.segment_value(s, hi_v[idx], lo_v[idx]) - vp[idx]
 
-        s = bisect_monotone_batch(segment_gap, np.zeros(pairs), np.ones(pairs), tol=tol)
+        s = bisect_monotone_batch(segment_gap, np.zeros(pairs), np.ones(pairs), BISECT_TOL)
         Q = _on_simplex(_segments(s, hi_v, lo_v, n))
         pair_of = np.repeat(np.arange(pairs), sampler.n_alphas)
         alpha, R = np.array(alpha), G[r_rows]
@@ -904,7 +903,7 @@ def measure_eps_independence(model, sampler: SimplexSampler,
                     w * Q[pair_of[k]] + (1.0 - w) * R[k]) - target[k]
             return out
 
-        roots = _nearest_roots(probe_gap, alpha, SCAN_STEP, tol, zero_tol=value_floor)
+        roots = _nearest_roots(probe_gap, alpha, SCAN_STEP, value_floor)
         no_root = np.isnan(roots)
         no_root_seen = bool(np.any(no_root))
         best, b = _first_max(np.where(no_root, 1.0, np.abs(alpha - roots)))
@@ -921,13 +920,13 @@ def measure_eps_independence(model, sampler: SimplexSampler,
         details={"pairs": pairs, "alphas_per_pair": sampler.n_alphas,
                  "scan_step": SCAN_STEP, "no_root_seen": no_root_seen,
                  "resolution": sampler.resolution, "seed": sampler.seed,
-                 "bisect_tol": tol},
+                 "bisect_tol": BISECT_TOL},
     )
 
 
-def verify_thm2(u, benchmark: ExpectedUtility, eps_hat: float, sampler: SimplexSampler,
-                slack: float = BOUND_SLACK) -> NearRepresentation:
-    """Check sup |u - l| <= (d + 1)^2 * eps_hat + slack on the grid.
+def verify_thm2(u, benchmark: ExpectedUtility, eps_hat: float,
+                sampler: SimplexSampler) -> NearRepresentation:
+    """Check sup |u - l| <= (d + 1)^2 * eps_hat + BOUND_SLACK on the grid.
 
     u is the calibrated utility of the sampler's grid lotteries, as
     mixture_utility_batch returns it. Raises BoundViolated with the first
@@ -937,11 +936,11 @@ def verify_thm2(u, benchmark: ExpectedUtility, eps_hat: float, sampler: SimplexS
     G = sampler.grid(d + 1)
     bound = (d + 1) ** 2 * eps_hat
     gap = np.abs(_grid_utility(u, G) - benchmark.value_batch(G))
-    bad = np.flatnonzero(gap > bound + slack)
+    bad = np.flatnonzero(gap > bound + BOUND_SLACK)
     if len(bad):
         k = int(bad[0])
         raise BoundViolated(
-            f"|u - l| = {float(gap[k])!r} exceeds (d+1)^2 eps + slack = {bound + slack!r}",
+            f"|u - l| = {float(gap[k])!r} exceeds (d+1)^2 eps + slack = {bound + BOUND_SLACK!r}",
             witness={"p": _probs(G[k]), "gap": float(gap[k])})
     worst_gap, worst = _first_max(gap)
     return NearRepresentation(
@@ -949,7 +948,7 @@ def verify_thm2(u, benchmark: ExpectedUtility, eps_hat: float, sampler: SimplexS
         parameters={"coefficients": benchmark.prize_utilities},
         achieved_distance=worst_gap,
         bound=bound,
-        details={"slack": slack, "n_points": len(G),
+        details={"slack": BOUND_SLACK, "n_points": len(G),
                  "argmax": None if worst is None else _probs(G[worst]),
                  "eps_hat": eps_hat, "factor": (d + 1) ** 2},
     )
@@ -1006,11 +1005,11 @@ def allais_report() -> AllaisReport:
         P[k, model.prizes.index(prize)] = prob
         P[k, 2] += 1.0 - prob
     values = dict(zip(gambles, model.value_batch(P).tolist()))
-    alphas = dict(zip(gambles, mixture_utility_batch(model, P, BISECT_TOL).tolist()))
+    alphas = dict(zip(gambles, mixture_utility_batch(model, P).tolist()))
     target = values["C"]
     w3000 = model._prize_values[1]  # w(3000), stored with the model
     lam_star = float(bisect_monotone_batch(lambda lam, _: model.weight(lam) * w3000 - target,
-                                           0.0, 1.0)[0])
+                                           0.0, 1.0, BISECT_TOL)[0])
     return AllaisReport(
         value_exponent=FITTED_VALUE_EXPONENT,
         weight_exponent=FITTED_WEIGHT_EXPONENT,
@@ -1024,7 +1023,7 @@ def allais_report() -> AllaisReport:
     )
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-12) -> tuple[float, float]:
+def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     """Argmax of a unimodal f on [lo, hi] by golden-section search."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi

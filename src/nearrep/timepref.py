@@ -50,6 +50,7 @@ __all__ = [
 BRACKET_CAP = 2.0 ** 60  # longest indifference delay or time shift; beyond it NoBracket
 TAU_CAP = 10 ** 6  # exact_recovery scans horizons up to here
 EXACT_TOL = 1e-12  # exact_recovery calls a curve exponential when its level gap is at most this
+FIT_TOL = 1e-9  # Cauchy tolerance of fit_gamma's doubling-rate iterates
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +230,10 @@ class GammaFit:
     iterates: tuple[float, ...]
 
 
-def fit_gamma(model, n_max: int, tol: float = 1e-9) -> GammaFit:
+def fit_gamma(model, n_max: int) -> GammaFit:
     """Fit the exponential rate from log d(2^n) / 2^n.
 
-    Stops on the scaled Cauchy criterion |a_n - a_{n-1}| <= tol 2^{-n}; when
+    Stops on the scaled Cauchy criterion |a_n - a_{n-1}| <= FIT_TOL 2^{-n}; when
     the cap arrives first but the signed increments show a stable geometric
     ratio in (0.05, 0.9), the limit is completed with the geometric tail
     (exact for curves whose increments halve, e.g. a one-shot level shift).
@@ -255,7 +256,7 @@ def fit_gamma(model, n_max: int, tol: float = 1e-9) -> GammaFit:
         inc = a - iterates[-1]
         iterates.append(a)
         increments.append(inc)
-        if abs(inc) <= tol * (2.0 ** -n):
+        if abs(inc) <= FIT_TOL * (2.0 ** -n):
             converged = True
             break
     a_final = iterates[-1]
@@ -265,7 +266,7 @@ def fit_gamma(model, n_max: int, tol: float = 1e-9) -> GammaFit:
             a_final = a_final + increments[-1] * r / (1.0 - r)
             converged = True
             extrapolated = True
-    if not converged and increments and abs(increments[-1]) > tol:
+    if not converged and increments and abs(increments[-1]) > FIT_TOL:
         raise NotConverged(
             f"rate iterates neither Cauchy nor geometric within n={cap}", iterates)
     log_gamma = min(a_final, 0.0)
@@ -551,8 +552,8 @@ def measure_lambda_lipschitz(model, xs: Sequence[float], ts: Sequence[float],
 
 
 def verify_exp3_bound(model, curve: GammaCurve, eps_hat: float, lambda_hat: float,
-                      ts: Sequence[float], tol: float = VERIFY_TOL) -> NearRepresentation:
-    """Check sup |u(x, t) - g(t + gamma(x))| <= lambda-hat eps-hat + tol.
+                      ts: Sequence[float]) -> NearRepresentation:
+    """Check sup |u(x, t) - g(t + gamma(x))| <= lambda-hat eps-hat + VERIFY_TOL.
 
     g is the model's own present-value curve g(t) = u(x_bar, t), so the
     benchmark h(x, t) = g(t + gamma(x)) is stationary by construction;
@@ -577,9 +578,9 @@ def verify_exp3_bound(model, curve: GammaCurve, eps_hat: float, lambda_hat: floa
             count += 1
             if gap > worst[0]:
                 worst = (gap, {"x": x, "t": t})
-            if gap > bound + tol:
+            if gap > bound + VERIFY_TOL:
                 raise BoundViolated(
-                    f"|u - h| = {gap!r} exceeds lambda eps + tol = {bound + tol!r}",
+                    f"|u - h| = {gap!r} exceeds lambda eps + tol = {bound + VERIFY_TOL!r}",
                     witness={"x": x, "t": t, "gap": gap, "bound": bound})
     return NearRepresentation(
         kind="time-shift",
@@ -587,5 +588,5 @@ def verify_exp3_bound(model, curve: GammaCurve, eps_hat: float, lambda_hat: floa
                     "lambda_hat": lambda_hat},
         achieved_distance=worst[0],
         bound=bound,
-        details={"tol": tol, "n_points": count, "argmax": worst[1]},
+        details={"tol": VERIFY_TOL, "n_points": count, "argmax": worst[1]},
     )

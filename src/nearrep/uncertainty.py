@@ -775,8 +775,8 @@ def extract_prior(model) -> LinearBenchmark:
 
 
 def verify_aa_bound(u, benchmark: LinearBenchmark, theta_hat: float, pts: np.ndarray,
-                    converged: bool = True, tol: float = VERIFY_TOL) -> NearRepresentation:
-    """Check sup |u(x) - prior . x| <= Theta-hat + tol over the acts pts.
+                    converged: bool = True) -> NearRepresentation:
+    """Check sup |u(x) - prior . x| <= Theta-hat + VERIFY_TOL over the acts pts.
 
     u is the certainty equivalent of each act, as ce_batch returns it.
     Raises HypothesisFailed when the series was classified divergent: the
@@ -787,12 +787,12 @@ def verify_aa_bound(u, benchmark: LinearBenchmark, theta_hat: float, pts: np.nda
         raise HypothesisFailed(
             "dyadic defect series classified divergent; closeness bound not applicable")
     gaps = np.abs(_grid_utility(u, pts) - benchmark.evaluate_batch(pts))
-    over = np.flatnonzero(gaps > theta_hat + tol)
+    over = np.flatnonzero(gaps > theta_hat + VERIFY_TOL)
     if len(over):
         k = int(over[0])
         gap = float(gaps[k])
         raise BoundViolated(
-            f"|u - prior.x| = {gap!r} exceeds bound + tol = {theta_hat + tol!r}",
+            f"|u - prior.x| = {gap!r} exceeds bound + tol = {theta_hat + VERIFY_TOL!r}",
             witness={"x": tuple(pts[k]), "gap": gap, "bound": theta_hat})
     worst = float(np.max(gaps, initial=0.0))
     return NearRepresentation(
@@ -800,7 +800,7 @@ def verify_aa_bound(u, benchmark: LinearBenchmark, theta_hat: float, pts: np.nda
         parameters={"prior": benchmark.prior},
         achieved_distance=worst,
         bound=theta_hat,
-        details={"form": "theta", "tol": tol, "n_points": len(pts),
+        details={"form": "theta", "tol": VERIFY_TOL, "n_points": len(pts),
                  "argmax": tuple(pts[int(np.argmax(gaps))]) if worst > 0.0 else None},
     )
 
@@ -854,15 +854,14 @@ def smooth_ambiguity_bound(model: SmoothAmbiguity,
 # ---------------------------------------------------------------------------
 # homogeneous benchmark
 
-def verify_homog_bound(model, sampler: BoxSampler,
-                       tol: float = VERIFY_TOL) -> NearRepresentation:
+def verify_homog_bound(model, sampler: BoxSampler) -> NearRepresentation:
     """Check |u(x) - v(x)| <= 2 Theta-hat and degree-one homogeneity of v.
 
     u is the certainty equivalent and v its limit lim 2^{-n} u(2^n x).
     Theta-hat is the largest per-point scaling-defect series over a stride
     of at most HOMOG_MAX_POINTS nonzero acts; the limits scale by
     HOMOG_ETA, and their homogeneity is spot-checked at the HOMOG_ALPHAS
-    multiples (defect at most tol). Raises BoundViolated on either failure.
+    multiples (defect at most VERIFY_TOL). Raises BoundViolated on either failure.
     """
     grid = sampler.points()
     idx = np.flatnonzero(np.any(grid, axis=1))
@@ -880,14 +879,15 @@ def verify_homog_bound(model, sampler: BoxSampler,
     gap = np.abs(its[:n, 0] - value[:n])  # iterates[0] is u(x)
     defect = np.abs(value[n:].reshape(n, m) - alphas * value[:n, None])
     # per point: its limit settles, its gap, then per alpha: that limit settles, its defect
-    failed = np.column_stack([stop[:n] < 0, gap > 2.0 * theta + tol, np.stack(
-        [stop[n:].reshape(n, m) < 0, defect > tol], axis=2).reshape(n, 2 * m)])
+    failed = np.column_stack([stop[:n] < 0, gap > 2.0 * theta + VERIFY_TOL, np.stack(
+        [stop[n:].reshape(n, m) < 0, defect > VERIFY_TOL], axis=2).reshape(n, 2 * m)])
     if np.any(failed):
         k, check = divmod(int(np.argmax(failed)), failed.shape[1])
         j = (check - 2) // 2
         if check == 1:
             g, t = gap[k].item(), theta[k].item()
-            raise BoundViolated(f"|u - v| = {g!r} exceeds 2 Theta + tol = {2.0 * t + tol!r}",
+            raise BoundViolated(f"|u - v| = {g!r} exceeds 2 Theta + tol = "
+                                f"{2.0 * t + VERIFY_TOL!r}",
                                 witness={"x": tuple(pts[k]), "gap": g, "theta": t})
         if check % 2 == 0:
             row = k if check == 0 else n + k * m + j
@@ -903,7 +903,7 @@ def verify_homog_bound(model, sampler: BoxSampler,
         parameters={"eta": HOMOG_ETA},
         achieved_distance=worst,
         bound=2.0 * theta_max,
-        details={"theta_homog": theta_max, "tol": tol, "alphas": HOMOG_ALPHAS,
+        details={"theta_homog": theta_max, "tol": VERIFY_TOL, "alphas": HOMOG_ALPHAS,
                  "homogeneity_defect": float(np.max(defect, initial=0.0)), "n_points": n,
                  "argmax": tuple(pts[int(np.argmax(gap))]) if worst > 0.0 else None},
     )
@@ -1133,7 +1133,6 @@ class QuasiConcaveBenchmark:
     hulls: tuple[LevelHull, ...] = field(repr=False)
     box_bound: float
     resolution: int
-    membership_tol: float
     probes: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
 
     @property
@@ -1149,7 +1148,7 @@ class QuasiConcaveBenchmark:
     def evaluate_batch(self, X) -> np.ndarray:
         """Top feasible hull level for each row of X (acts in the box)."""
         X = np.asarray(X, dtype=float).reshape(-1, self.n_states)
-        member = _membership(self.hulls, X, self.membership_tol)
+        member = _membership(self.hulls, X, MEMBERSHIP_TOL)
         outside = np.flatnonzero(~member[0])
         if len(outside):
             raise InvalidModel(
@@ -1205,8 +1204,7 @@ def quasiconcavify(model, box_bound: float, resolution: int,
     probes = [found[j] for j in sorted(found)]
     return QuasiConcaveBenchmark(
         points=pts, u_values=u, v_values=v, levels=levels, hulls=hulls,
-        box_bound=box_bound, resolution=resolution, membership_tol=MEMBERSHIP_TOL,
-        probes=tuple(probes),
+        box_bound=box_bound, resolution=resolution, probes=tuple(probes),
     )
 
 

@@ -101,7 +101,7 @@ def test_criterion_03_cpt_support_bound_fine_grid():
         u = mixture_utility_batch(model, sampler.grid(3))
         rep = measure_eps_rcl(model, u, sampler)
         bench = build_affine_benchmark(model)
-        near = verify_thm1(u, bench, rep.value, sampler, slack=1e-7)
+        near = verify_thm1(u, bench, rep.value, sampler)
         assert near.achieved_distance <= near.bound + 1e-7
         assert near.details["n_points"] == math.comb(103, 2)
 
@@ -191,7 +191,7 @@ def test_criterion_09_exact_recovery():
         assert abs(rec2.parameters["gamma"] - 0.5) <= 1e-9
 
 
-def test_criterion_10_continuous_shift_bounds():
+def test_criterion_10_continuous_shift_bounds(monkeypatch):
     with criterion(10, 10.0):
         xs = np.linspace(0.0, 2.0, 9)
         ts = np.linspace(0.0, 10.0, 11)
@@ -200,13 +200,14 @@ def test_criterion_10_continuous_shift_bounds():
         curve = continuous_gamma_curve(logd, xs)
         eps = measure_eps_stationarity(logd, curve, deltas)
         lam = measure_lambda_lipschitz(logd, xs, ts, deltas)
-        rep = verify_exp3_bound(logd, curve, eps.value, lam.value, ts, tol=1e-6)
+        rep = verify_exp3_bound(logd, curve, eps.value, lam.value, ts)
         assert rep.achieved_distance <= lam.value * eps.value + 1e-6
         lin = LinearDelay(2.0)
         curve_l = continuous_gamma_curve(lin, xs)
         eps_l = measure_eps_stationarity(lin, curve_l, deltas)
         lam_l = measure_lambda_lipschitz(lin, xs, ts, deltas)
-        rep_l = verify_exp3_bound(lin, curve_l, eps_l.value, lam_l.value, ts, tol=1e-7)
+        monkeypatch.setattr("nearrep.timepref.VERIFY_TOL", 1e-7)
+        rep_l = verify_exp3_bound(lin, curve_l, eps_l.value, lam_l.value, ts)
         assert rep_l.achieved_distance <= 1e-7
 
 

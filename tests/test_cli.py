@@ -61,9 +61,29 @@ def test_run_rejects_nested_unknown_key(tmp_path, capsys):
     assert "model" in capsys.readouterr().err
 
 
+def test_run_rejects_a_tolerances_object(tmp_path, capsys):
+    # the solve tolerance and the slacks are the core constants, not scenario keys
+    scenario = dict(RISK_SCENARIO, tolerances={"bisect": 1e-10})
+    assert main(["run", _write(tmp_path, "s.json", scenario)]) == 1
+    assert capsys.readouterr().err == "error: scenario: unknown key 'tolerances'\n"
+
+
+@pytest.mark.parametrize("argv", [["run", "s.json", "--tol", "1e-9"], ["run"], ["bogus"]],
+                         ids=["unknown-flag", "no-scenario", "unknown-subcommand"])
+def test_a_command_line_that_does_not_parse_exits_1(capsys, argv):
+    # exit 2 means a bound check failed, so a usage error must not read as one
+    assert main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+def test_help_exits_0(capsys, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: nearrep")
+
+
 @pytest.mark.parametrize("section,flag", [("sampler", ["--seed", "3"]),
-                                          ("sampler", ["--grid", "4"]),
-                                          ("tolerances", ["--tol", "1e-9"])])
+                                          ("sampler", ["--grid", "4"])])
 def test_override_of_a_section_that_is_not_an_object(tmp_path, capsys, section, flag):
     scenario = dict(RISK_SCENARIO, **{section: [1]})
     assert main(["run", _write(tmp_path, "s.json", scenario), *flag]) == 1
@@ -360,9 +380,9 @@ def test_a_risk_run_calibrates_each_grid_row_once(monkeypatch):
 
     solve, received = risk.mixture_utility_batch, []
 
-    def recorded(model, P, tol=1e-10):
+    def recorded(model, P):
         received.append(np.array(P, dtype=float).reshape(-1, model.n_outcomes))
-        return solve(model, P, tol)
+        return solve(model, P)
 
     monkeypatch.setattr(risk, "mixture_utility_batch", recorded)
     scenario = json.loads(json.dumps(RISK_SCENARIO))
@@ -649,13 +669,12 @@ _HUGE = 10 ** 400  # a JSON integer no float can hold
     (TIME_SCENARIO, "model", "k", float("nan"), "must be a finite number"),
     (TIME_SCENARIO, "model", "k", _HUGE, "must be a finite number"),
     (UNC_SCENARIO, "sampler", "bound", float("inf"), "must be a finite number"),
-    (RISK_SCENARIO, "tolerances", "bisect", float("inf"), "must be a finite number"),
     (RISK_SCENARIO, "model", "prizes", [4000, float("nan"), 0], "entries must be finite numbers"),
     (RISK_SCENARIO, "model", "prizes", [_HUGE, 3000, 0], "entries must be finite numbers"),
     (UNC_SCENARIO, "model", "priors", [[0.5, float("-inf")], [0.5, 0.5]],
      "entries must be finite numbers"),
     (UNC_SCENARIO, "model", "priors", [[0.5, 0.5], [_HUGE, 0]], "entries must be finite numbers"),
-], ids=["number-nan", "number-huge-int", "sampler-number-inf", "tolerance-inf", "numbers-nan",
+], ids=["number-nan", "number-huge-int", "sampler-number-inf", "numbers-nan",
         "numbers-huge-int", "vectors-inf", "vectors-huge-int"])
 def test_run_rejects_non_finite_numbers(tmp_path, capsys, base, section, key, value, message):
     scenario = json.loads(json.dumps(base))
@@ -766,8 +785,8 @@ def test_every_model_type_builds_through_run_scenario(monkeypatch, domain, model
 
     seen = {}
 
-    def pipeline(name, built, sampler, tols):
-        seen.update(model=built, sampler=sampler, tols=tols)
+    def pipeline(name, built, sampler):
+        seen.update(model=built, sampler=sampler)
         return "ran"
 
     monkeypatch.setitem(cli._DOMAINS, domain, pipeline)
@@ -775,7 +794,6 @@ def test_every_model_type_builds_through_run_scenario(monkeypatch, domain, model
     assert cli.run_scenario(scenario) == "ran"
     assert seen["model"] == getattr(nearrep, cls_name)(*args)
     assert seen["sampler"] == SAMPLER_DEFAULTS[domain]
-    assert seen["tols"] == {"bisect": 1e-10, "slack": 1e-7, "verify": 1e-6, "time": 1e-6}
 
 
 SCENARIOS = {"risk": RISK_SCENARIO, "uncertainty": UNC_SCENARIO,
@@ -828,26 +846,36 @@ def test_an_empty_section_builds_the_bare_dataclass(monkeypatch):
     assert built == [risk.SimplexSampler(), uncertainty.BoxSampler(2), timepref.LinearDelay(3.0)]
 
 
-# scenario tolerance -> every (module, function, parameter) a pipeline passes it to
-TOLERANCE_PARAMETERS = {
-    "bisect": [("risk", "mixture_utility_batch", "tol"), ("risk", "measure_eps_rcl", "tol"),
-               ("risk", "measure_eps_independence", "tol")],
-    "slack": [("risk", "verify_thm1", "slack"), ("risk", "verify_thm2", "slack")],
-    "verify": [("uncertainty", "verify_aa_bound", "tol"),
-               ("uncertainty", "verify_homog_bound", "tol")],
-    "time": [("timepref", "verify_exp_bound", "tol"), ("timepref", "verify_exp3_bound", "tol")],
+def _scenario(domain, model, sampler):
+    return {"version": 1, "name": "t", "domain": domain, "model": model, "sampler": sampler}
+
+
+# tolerance constant, patched where it is read -> (a run, the outputs that record
+# it, their detail key, how many). verify_exp_bound keeps a tol argument (the
+# quasi-hyperbolic builtin passes its own), so no time-discrete run is here
+TOLERANCE_READERS = {
+    "bisect": ("nearrep.risk.BISECT_TOL", RISK_SCENARIO, "reports", "bisect_tol", 2),
+    "slack": ("nearrep.risk.BOUND_SLACK", RISK_SCENARIO, "representations", "slack", 2),
+    "act-verify": ("nearrep.uncertainty.VERIFY_TOL",
+                   _scenario("uncertainty", {"type": "seu", "prior": [0.3, 0.7]},
+                             {"resolution": 5, "n_random_pairs": 5}),
+                   "representations", "tol", 2),
+    "shift-verify": ("nearrep.timepref.VERIFY_TOL",
+                     _scenario("time-continuous", {"type": "log_delay", "x_bar": 2.0, "k": 0.1},
+                               {}),
+                     "representations", "tol", 1),
 }
 
 
-@pytest.mark.parametrize("key", sorted(TOLERANCE_PARAMETERS))
-def test_each_tolerance_default_is_the_library_default(key):
-    import nearrep.cli as cli
+@pytest.mark.parametrize("target,scenario,section,key,count", TOLERANCE_READERS.values(),
+                         ids=TOLERANCE_READERS)
+def test_each_tolerance_constant_reaches_the_outputs_that_record_it(monkeypatch, target, scenario,
+                                                                    section, key, count):
+    from nearrep.cli import run_scenario
 
-    assert set(TOLERANCE_PARAMETERS) == set(cli._TOLERANCES)
-    for module, function, parameter in TOLERANCE_PARAMETERS[key]:
-        fn = getattr(importlib.import_module(f"nearrep.{module}"), function)
-        assert inspect.signature(fn).parameters[parameter].default == \
-            cli._TOLERANCES[key].default, (function, parameter)
+    monkeypatch.setattr(target, 2.5e-6)
+    records = getattr(run_scenario(scenario), section)
+    assert [r["details"].get(key) for r in records].count(2.5e-6) == count
 
 
 # sizes only a pipeline or a builtin passes: the schema entry or the call is their one home
@@ -943,43 +971,12 @@ def test_a_tighter_verify_tolerance_reaches_the_homogeneity_check():
         loose = run_scenario(scenario)
         rep = next(r for r in loose.representations if r["kind"] == "homogeneous")
         defect = rep["details"]["homogeneity_defect"]
-        tight = run_scenario({**scenario, "tolerances": {"verify": defect / 2}})
+        mp.setattr(unc_mod, "VERIFY_TOL", defect / 2)
+        tight = run_scenario(scenario)
     assert loose.verdicts["homogeneous-bound"] is True
     assert 1e-10 < defect < 1e-7  # the tripling defect, far above rounding and below 1e-6
     assert tight.verdicts["homogeneous-bound"] is False
     assert any("limit is not homogeneous" in note for note in tight.notes)
-
-
-# one scenario per uncertainty model type; the smooth one builds the hull envelope
-TOLERANCE_FREE_MODELS = [
-    {"type": "seu", "prior": [0.3, 0.7]},
-    {"type": "meu", "priors": [[0.3, 0.7], [0.7, 0.3]]},
-    {"type": "smooth", "f": "sqrt1pz2", "priors": [[0.3, 0.7], [0.8, 0.2]],
-     "weights": [0.5, 0.5]},
-    {"type": "ces", "weights": [1.0, 2.0], "rho": 0.5},
-    {"type": "linear_plus_bounded", "prior": [0.2, 0.8], "bump": 3.0},
-]
-
-
-@pytest.mark.parametrize("model", TOLERANCE_FREE_MODELS, ids=lambda m: m["type"])
-def test_an_uncertainty_run_does_not_read_the_bisection_tolerance(tmp_path, model):
-    # no uncertainty solve bisects: report and tables are the same bytes at
-    # any tolerances.bisect
-    from nearrep.cli import run_scenario
-    from nearrep.tables import write_csv
-
-    sampler = {"resolution": 5, "n_random_pairs": 10}
-    if model["type"] == "smooth":
-        sampler.update(quasiconcave=True, qc_resolution=7, level_resolution=8)
-    outputs = []
-    for tol in (1e-6, 1e-12):
-        result = run_scenario({"version": 1, "name": "t", "domain": "uncertainty",
-                               "model": model, "sampler": sampler,
-                               "tolerances": {"bisect": tol}})
-        tables = {name: write_csv(tmp_path / f"{tol}-{name}.csv", *table).read_bytes()
-                  for name, table in result.tables.items()}
-        outputs.append((json.dumps(result.report_dict(), sort_keys=True), tables))
-    assert outputs[0] == outputs[1]
 
 
 def test_a_custom_act_model_with_a_one_argument_ce_batch_runs_through_run_scenario(monkeypatch):

@@ -160,11 +160,12 @@ def test_verify_thm1_support_rule_is_per_point():
             assert gap <= (support_size - 1) * rep.value + 1e-7
 
 
-def test_verify_thm1_rejects_eps_zero_for_nonlinear_model():
+def test_verify_thm1_rejects_eps_zero_for_nonlinear_model(monkeypatch):
     sampler = SimplexSampler(resolution=7, n_random_triples=0)
     bench = build_affine_benchmark(CPT3)
+    monkeypatch.setattr("nearrep.risk.BOUND_SLACK", 1e-12)
     with pytest.raises(BoundViolated):
-        verify_thm1(_grid_utility(CPT3, sampler), bench, 0.0, sampler, slack=1e-12)
+        verify_thm1(_grid_utility(CPT3, sampler), bench, 0.0, sampler)
 
 
 # --- converse: sup closeness forces small defects ---------------------------
@@ -258,12 +259,10 @@ def test_nearest_root_paths():
     def nearest_root(f, center, *args, **kwargs):
         return _nearest_roots(lambda a, idx: f(a), [center], *args, **kwargs)[0]
 
-    assert nearest_root(lambda a: a - 0.6, 0.5, 0.01, 1e-10) == pytest.approx(
-        0.6, abs=1e-9)
-    assert math.isnan(nearest_root(np.ones_like, 0.5, 0.01, 1e-10))
+    assert nearest_root(lambda a: a - 0.6, 0.5, 0.01, 0.0) == pytest.approx(0.6, abs=1e-9)
+    assert math.isnan(nearest_root(np.ones_like, 0.5, 0.01, 0.0))
     # noise floor counts as restored indifference
-    assert nearest_root(lambda a: np.full_like(a, 1e-12), 0.5, 0.01, 1e-10,
-                        zero_tol=1e-9) == 0.5
+    assert nearest_root(lambda a: np.full_like(a, 1e-12), 0.5, 0.01, 1e-9) == 0.5
 
 
 # --- worked examples ---------------------------------------------------------

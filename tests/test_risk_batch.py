@@ -247,7 +247,7 @@ def test_bisect_batch_snaps_exact_zeros():
     lo = np.array([0.5, 0.0, 0.0, 0.0])
     hi = np.array([1.0, 0.5, 1.0, 1.0])
     roots = np.array([0.5, 0.5, 0.5, 0.3])
-    got = bisect_monotone_batch(lambda c, idx: c - roots[idx], lo, hi)
+    got = bisect_monotone_batch(lambda c, idx: c - roots[idx], lo, hi, BISECT_TOL)
     assert got[:3].tolist() == [0.5, 0.5, 0.5]
     assert abs(got[3] - 0.3) <= 1e-10
 
@@ -255,9 +255,9 @@ def test_bisect_batch_snaps_exact_zeros():
 def test_bisect_batch_no_bracket_names_the_element():
     with pytest.raises(NoBracket, match="^element 1:"):
         bisect_monotone_batch(lambda c, idx: c + np.array([-0.5, 1.0, -0.5])[idx],
-                              np.zeros(3), np.ones(3))
+                              np.zeros(3), np.ones(3), BISECT_TOL)
     with pytest.raises(InvalidModel):
-        bisect_monotone_batch(lambda c, idx: c, np.zeros(2), np.array([1.0, 0.0]))
+        bisect_monotone_batch(lambda c, idx: c, np.zeros(2), np.array([1.0, 0.0]), BISECT_TOL)
 
 
 def test_bisect_batch_stops_at_float_resolution():
@@ -527,11 +527,11 @@ def test_calibration_never_sees_a_repeated_row():
                 "sampler": {"resolution": 9, "n_random_triples": 40, "n_pairs": 6}}
     sizes = []
 
-    def distinct_only(model, P, tol=BISECT_TOL):
+    def distinct_only(model, P):
         P = np.asarray(P, dtype=float)
         assert len(_distinct_rows(P)[0]) == len(P)
         sizes.append(len(P))
-        return mixture_utility_batch(model, P, tol)
+        return mixture_utility_batch(model, P)
 
     with mock.patch.object(risk, "mixture_utility_batch", side_effect=distinct_only):
         run_scenario(scenario)
@@ -703,7 +703,7 @@ def test_nearest_root_matches_scalar_scan(center, step, freq, phase, offset, zer
     # waves of every frequency: roots closer together than a step, beyond the
     # first scan round, at the boundary, or nowhere
     f = _wave(freq, phase, offset)
-    got = _nearest_roots(lambda a, idx: f(a), [center], step, 1e-10, zero_tol=zero_tol)[0]
+    got = _nearest_roots(lambda a, idx: f(a), [center], step, zero_tol)[0]
     ref = _ref_nearest_root(lambda a: float(f(a)), center, step, 1e-10, zero_tol=zero_tol)
     assert math.isnan(got) == (ref is None)
     if ref is not None:
@@ -729,7 +729,7 @@ def test_nearest_roots_call_the_functions_once_per_scan_round():
         return bisect_monotone_batch(*args, **kwargs)
 
     with mock.patch("nearrep.risk.bisect_monotone_batch", side_effect=bisect):
-        roots = _nearest_roots(f, centers, 1e-3, 1e-10)
+        roots = _nearest_roots(f, centers, 1e-3, 0.0)
     assert scanned == [1 + 3]  # the centers, then one call per round
     assert roots == pytest.approx([0.3997, 0.5401], abs=1e-9)
 
@@ -743,7 +743,7 @@ def test_nearest_roots_of_many_functions_match_one_at_a_time(cases):
     def f(a, idx):
         return np.array([float(waves[k](x)) for x, k in zip(a.tolist(), idx.tolist())])
 
-    roots = _nearest_roots(f, [c for c, *_ in cases], 1e-3, 1e-10)
+    roots = _nearest_roots(f, [c for c, *_ in cases], 1e-3, 0.0)
     for (center, *_), wave, root in zip(cases, waves, roots):
         ref = _ref_nearest_root(lambda a: float(wave(a)), center, 1e-3, 1e-10)
         assert (ref is None) == math.isnan(root)

@@ -34,22 +34,26 @@ def test_sweep_cpt_grid_prints_one_line_per_cell(capsys):
     assert float(eps_rcl) < 1e-9 and float(sup_gap) <= float(allowed)
 
 
-# The option counts this package has reached: parameters with a default, and
-# dataclass fields with a default. A change that adds either raises its
-# number in its own diff.
-MAX_OPTIONS = 24
+# The option counts this package has reached: parameters with a default,
+# dataclass fields with a default, scenario schema keys and command line
+# flags. A change that adds any of them raises its number in its own diff.
+MAX_OPTIONS = 12
 MAX_FIELDS = 17
+MAX_SCHEMA_KEYS = 50
+MAX_FLAGS = 4
 
 
 def test_option_count_stays_at_most_its_reached_total(capsys):
     runpy.run_path(str(SCRIPTS / "option_count.py"), run_name="__main__")
     lines = capsys.readouterr().out.splitlines()
     modules = {line.split()[0]: int(line.split()[1]) for line in lines}
-    fields = modules.pop("fields")
+    fields, schema_keys, flags = (modules.pop(k) for k in ("fields", "schema_keys", "flags"))
     assert {"core", "risk", "uncertainty", "timepref", "cli", "total"} <= set(modules)
     assert modules["total"] == sum(n for m, n in modules.items() if m != "total")
     assert modules["total"] <= MAX_OPTIONS
     assert fields <= MAX_FIELDS
+    assert schema_keys <= MAX_SCHEMA_KEYS
+    assert flags <= MAX_FLAGS
 
 
 def test_option_count_counts_dataclass_fields_that_init_defaults():
@@ -71,6 +75,21 @@ class NotADataclass:
     knob: int = 1
 """
     assert count_fields(ast.parse(source)) == 3
+
+
+def test_option_count_counts_schema_keys_and_flags():
+    script = runpy.run_path(str(SCRIPTS / "option_count.py"))
+    source = """
+_SPEC = {"a": _Key("number"), "b": _Key("any", {})}
+
+def build_parser():
+    parser = argparse.ArgumentParser()
+    parser.add_argument("name")
+    parser.add_argument("--out", default=".")
+    parser.add_argument("-q", "--quiet", action="store_true")
+"""
+    tree = ast.parse(source)
+    assert (script["count_schema_keys"](tree), script["count_flags"](tree)) == (2, 2)
 
 
 def _kept_tree(root: Path, code: int = 0, verdict: str = "PASS", value: str = "0.5",

@@ -117,14 +117,15 @@ def test_verify_exp_bound_rejects_false_rate():
         verify_exp_bound(EXP9, 0.5, 0.0, t_range=range(1, 10), tol=1e-9)
 
 
-def test_perturbed_exponential_band():
+def test_perturbed_exponential_band(monkeypatch):
     # d(t) = gamma^t (1 + a sin t): the defect against the true rate is the
     # wobble itself, so the curve passes a band of |log(1 - a)| and the fit
     # (at a tolerance matching the wobble) lands near the true rate
     a = 0.003
     values = tuple((0.9 ** t) * (1.0 + a * math.sin(t)) for t in range(0, 33))
     model = TabulatedDiscount(values)
-    fit = fit_gamma(model, n_max=5, tol=0.02)
+    monkeypatch.setattr("nearrep.timepref.FIT_TOL", 0.02)
+    fit = fit_gamma(model, n_max=5)
     assert abs(fit.gamma - 0.9) < 0.01
     band = abs(math.log(1.0 - a)) + 1e-12
     sup = max(abs(model.log_d(t) - t * math.log(0.9)) for t in range(0, 33))
@@ -297,13 +298,14 @@ def test_lambda_lipschitz_log_delay():
     assert rep.value == pytest.approx(expected, rel=1e-9)
 
 
-def test_verify_exp3_linear_tight():
+def test_verify_exp3_linear_tight(monkeypatch):
     xs = np.linspace(0.0, 2.0, 9)
     ts = np.linspace(0.0, 10.0, 11)
     curve = continuous_gamma_curve(LIN, xs)
     eps = measure_eps_stationarity(LIN, curve, [0.5, 1.0, 2.0])
     lam = measure_lambda_lipschitz(LIN, xs, ts, [0.5, 1.0, 2.0])
-    rep = verify_exp3_bound(LIN, curve, eps.value, lam.value, ts, tol=1e-7)
+    monkeypatch.setattr("nearrep.timepref.VERIFY_TOL", 1e-7)
+    rep = verify_exp3_bound(LIN, curve, eps.value, lam.value, ts)
     assert rep.achieved_distance <= 1e-7
 
 
@@ -313,6 +315,6 @@ def test_verify_exp3_log_delay():
     curve = continuous_gamma_curve(LOGD, xs)
     eps = measure_eps_stationarity(LOGD, curve, [0.5, 1.0, 2.0])
     lam = measure_lambda_lipschitz(LOGD, xs, ts, [0.5, 1.0, 2.0])
-    rep = verify_exp3_bound(LOGD, curve, eps.value, lam.value, ts, tol=1e-6)
+    rep = verify_exp3_bound(LOGD, curve, eps.value, lam.value, ts)
     assert rep.achieved_distance <= lam.value * eps.value + 1e-6
     assert rep.bound == pytest.approx(lam.value * eps.value)

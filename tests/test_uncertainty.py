@@ -28,6 +28,7 @@ from nearrep.core import (
     dyadic_tail_sum,
 )
 from nearrep.uncertainty import (
+    MEMBERSHIP_TOL,
     BoxSampler,
     CESUtility,
     LinearBenchmark,
@@ -534,7 +535,7 @@ def test_envelope_probes_are_short_convex_decompositions(model, res):
         dist = np.sqrt(np.sum((env.points - rebuilt) ** 2, axis=1))
         j = int(np.argmin(dist))
         scale = 1.0 + math.sqrt(float(env.points[j] @ env.points[j]) + 1.0)
-        assert dist[j] <= env.membership_tol * scale
+        assert dist[j] <= MEMBERSHIP_TOL * scale
 
 
 def test_quasiconcave_run_loads_scipy_spatial_but_not_scipy_optimize(tmp_path):
