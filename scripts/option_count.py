@@ -2,17 +2,18 @@
 
 Every function and lambda under src/nearrep is read with `ast` (nothing is
 imported), and each parameter with a default value counts once, positional
-or keyword-only, public or private. Prints one line per module and the
-total of those parameters, then on its own line the dataclass fields that
-take a default through __init__ (`field(init=False)` and a `field()` with no
-default are not options), then the two kinds of knob a user sets without
+or keyword-only, public or private, `__init__` methods of plain classes
+included. Prints one line per module and the total of those parameters,
+then on its own line the dataclass fields that take a default through the
+generated __init__ (`field(init=False)` and a `field()` with no default are
+not options), then the two kinds of knob a user sets without
 calling the library: the scenario keys the schema in cli.py declares (its
 `_Key(...)` calls) and the `--` flags its build_parser adds:
 
     cli 2
     ...
-    total 12
-    fields 17
+    total 13
+    fields 9
     schema_keys 50
     flags 4
 

@@ -21,17 +21,15 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import json
 import math
 import re
 import sys
-from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
 from .core import (BOUND_SLACK, MAX_GRID_POINTS, BoundViolated, HypothesisFailed, InvalidModel,
                    NearRepError, NoBracket, NoSuchTau, NotAdditive, NotConverged, ScenarioError,
-                   discount, grid_size)
+                   _Record, discount, grid_size)
 from .tables import write_csv, write_report_json
 
 __all__ = ["main", "run_scenario", "BUILTINS"]
@@ -39,16 +37,15 @@ __all__ = ["main", "run_scenario", "BUILTINS"]
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_-]{0,63}$")
 
 
-@dataclass
-class RunResult:
-    name: str
-    domain: str
-    verdicts: dict[str, bool] = field(default_factory=dict)
-    reports: list[dict] = field(default_factory=list)
-    representations: list[dict] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    # name -> (header, rows): rows are mixed-type lists or one 2-D float array
-    tables: dict[str, tuple[list, object]] = field(default_factory=dict)
+class RunResult(_Record):
+    def __init__(self, name: str, domain: str):
+        self.name, self.domain = name, domain
+        self.verdicts: dict[str, bool] = {}
+        self.reports: list[dict] = []
+        self.representations: list[dict] = []
+        self.notes: list[str] = []
+        # name -> (header, rows): rows are mixed-type lists or one 2-D float array
+        self.tables: dict[str, tuple[list, object]] = {}
 
     @property
     def exit_code(self) -> int:
@@ -119,17 +116,20 @@ _KINDS = {
 def _parse(obj, path: str, spec: dict[str, _Key], cls) -> dict:
     """Typed values of every key in spec, defaults filled in.
 
-    A key with no default in spec takes the default of the same-named field
-    of the dataclass cls (None: no class), so that field is the one home of
-    the default; a key with neither is required. Checks in this order: obj
-    is an object; no unknown key (in the file's order); no missing required
-    key (in declared order); then each given key's kind, finiteness (number
-    kinds: NaN, infinities and integers beyond the float range are refused)
-    and floor (in declared order).
+    A key with no default in spec takes the default of the same-named
+    parameter of cls.__init__ (cls None: no class), so that parameter is the
+    one home of the default; a key with neither is required. Checks in this
+    order: obj is an object; no unknown key (in the file's order); no missing
+    required key (in declared order); then each given key's kind, finiteness
+    (number kinds: NaN, infinities and integers beyond the float range are
+    refused) and floor (in declared order).
     """
     if not isinstance(obj, dict):
         raise ScenarioError(f"{path}: expected an object")
-    defaults = {f.name: f.default for f in fields(cls) if f.default is not MISSING} if cls else {}
+    defaults = {}
+    if cls:  # __init__'s defaults belong to its last positional parameters
+        code, values = cls.__init__.__code__, cls.__init__.__defaults__ or ()
+        defaults = dict(zip(code.co_varnames[code.co_argcount - len(values):], values))
     defaults.update({key: want.default for key, want in spec.items() if want.default is not ...})
     for key in obj:
         if key not in spec:
@@ -191,13 +191,13 @@ _MODELS = {
     }),
 }
 
-# a risk or uncertainty key with no default here takes its sampler class field's
+# a risk or uncertainty key with no default here takes its sampler's __init__ default
 _SAMPLERS = {
-    "risk": {"resolution": _Key("integer", floor=2), "seed": _Key("integer"),
+    "risk": {"resolution": _Key("integer", floor=2), "seed": _Key("integer", floor=0),
              "n_random_triples": _Key("integer", floor=0), "n_pairs": _Key("integer", floor=1),
              "n_alphas": _Key("integer", floor=1)},
     "uncertainty": {"bound": _Key("number"), "resolution": _Key("integer", floor=2),
-                    "seed": _Key("integer"), "n_random_pairs": _Key("integer", floor=0),
+                    "seed": _Key("integer", floor=0), "n_random_pairs": _Key("integer", floor=0),
                     "quasiconcave": _Key("bool", False),
                     "qc_resolution": _Key("integer", 21, 2),
                     "level_resolution": _Key("integer", 64, 2), "homog": _Key("bool", True)},
@@ -660,14 +660,15 @@ def _builtin_quasi_hyperbolic() -> RunResult:
     theta_rep, converged = time_mod.theta_over_sample(model, (1, 2, 3, 4), n_max=40)
     result.reports.append(theta_rep.as_dict())
     target = abs(math.log(model.beta))
-    result.verdicts["theta-matches-beta"] = abs(theta_rep.value - target) <= 1e-9
+    tight = time_mod.TIGHT_TOL
+    result.verdicts["theta-matches-beta"] = abs(theta_rep.value - target) <= tight
     fit = time_mod.fit_gamma(model, n_max=40)
     result.verdicts["gamma-matches-delta"] = abs(fit.gamma - model.delta) <= 1e-6
     rep = _check(result, "exponential-log-bound",
                  lambda: time_mod.verify_exp_bound(model, fit.gamma, theta_rep.value,
-                                                   t_range=range(0, 201), tol=1e-9))
+                                                   t_range=range(0, 201), tol=tight))
     if rep is not None:
-        result.verdicts["bound-tight"] = abs(rep.achieved_distance - theta_rep.value) <= 1e-9
+        result.verdicts["bound-tight"] = abs(rep.achieved_distance - theta_rep.value) <= tight
     w = time_mod.measure_W_axiom(model, t_max=16)
     result.reports.append(w.as_dict())
     rec = time_mod.exact_recovery(model, w.value)
@@ -711,6 +712,7 @@ def _emit(result: RunResult, out_dir: Path) -> None:
 
 
 def _cmd_run(args) -> int:
+    import json
     try:
         with open(args.scenario, "r") as fh:
             data = json.load(fh)

@@ -7,9 +7,9 @@ Conventions
 -----------
 * A lottery is a probability vector over d+1 prizes; an act is a nonnegative
   payoff vector over d states; a dated reward is (payment, integer delay).
-* Model evaluators are pure functions of frozen dataclasses: the same inputs
-  always return the same bit pattern, so grid sweeps can run in any order and
-  reports are reproducible byte for byte.
+* Model evaluators are pure functions of the parameters a model is built
+  with: the same inputs always return the same bit pattern, so grid sweeps
+  can run in any order and reports are reproducible byte for byte.
 * Every measurement op returns a ViolationReport whose witness re-evaluates
   to the reported value (up to a recorded strictness margin); every
   construction op returns a NearRepresentation with its achieved distance and
@@ -21,7 +21,6 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 __all__ = [
@@ -120,8 +119,22 @@ def _finite(values: Sequence[float], what: str) -> tuple[float, ...]:
     return v
 
 
-@dataclass(frozen=True)
-class ViolationReport:
+class _Record:
+    """Equal to a record of its own class with equal attributes, as a dataclass is.
+
+    Loading dataclasses (and inspect) and defining each one would cost a cold
+    start more than the rest of the CLI, so the numpy-free records are plain.
+    """
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items() if k[0] != "_")
+        return f"{type(self).__name__}({fields})"
+
+
+class ViolationReport(_Record):
     """Measured worst-case axiom defect with a re-evaluable witness.
 
     value is the reported statistic (possibly including a documented
@@ -129,11 +142,10 @@ class ViolationReport:
     arguments that attained the underlying maximum.
     """
 
-    axiom: str
-    value: float
-    witness: dict[str, Any]
-    samples_evaluated: int
-    details: dict[str, Any] = field(default_factory=dict)
+    def __init__(self, axiom: str, value: float, witness: dict[str, Any],
+                 samples_evaluated: int, details: dict[str, Any]):
+        self.axiom, self.value, self.witness = axiom, value, witness
+        self.samples_evaluated, self.details = samples_evaluated, details
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -145,8 +157,7 @@ class ViolationReport:
         }
 
 
-@dataclass(frozen=True)
-class NearRepresentation:
+class NearRepresentation(_Record):
     """A constructed exact-form benchmark plus its certified distance.
 
     achieved_distance is the measured sup-norm gap to the model on the
@@ -154,11 +165,10 @@ class NearRepresentation:
     against (achieved <= bound + the tolerance recorded in details).
     """
 
-    kind: str
-    parameters: dict[str, Any]
-    achieved_distance: float
-    bound: float
-    details: dict[str, Any] = field(default_factory=dict)
+    def __init__(self, kind: str, parameters: dict[str, Any], achieved_distance: float,
+                 bound: float, details: dict[str, Any]):
+        self.kind, self.parameters = kind, parameters
+        self.achieved_distance, self.bound, self.details = achieved_distance, bound, details
 
     def as_dict(self) -> dict[str, Any]:
         return {

@@ -8,8 +8,6 @@ array; both write the same bytes for the same floats.
 
 from __future__ import annotations
 
-import csv
-import json
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -34,6 +32,7 @@ def _is_float_array(rows) -> bool:
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> Path:
     """Write header and rows; a 2-D float array is formatted in one %-operation."""
+    import csv
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
@@ -52,6 +51,7 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence[A
 
 
 def write_report_json(path: str | Path, report: dict) -> Path:
+    import json
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (RATIO_TOL, SUM_TOL, VERIFY_TOL, BoundViolated, HypothesisFailed, InvalidModel,
                    NearRepresentation, NoBracket, NoSuchTau, NotConverged, ViolationReport,
-                   _finite, discount, dyadic_tail_sum)
+                   _finite, _Record, discount, dyadic_tail_sum)
 
 __all__ = [
     "Exponential",
@@ -51,40 +50,40 @@ BRACKET_CAP = 2.0 ** 60  # longest indifference delay or time shift; beyond it N
 TAU_CAP = 10 ** 6  # exact_recovery scans horizons up to here
 EXACT_TOL = 1e-12  # exact_recovery calls a curve exponential when its level gap is at most this
 FIT_TOL = 1e-9  # Cauchy tolerance of fit_gamma's doubling-rate iterates
+TIGHT_TOL = 1e-9  # slack of the quasi-hyperbolic builtin, whose bound is attained exactly
+CEILING_TOL = 1e-12  # how far a payment, or u(x_bar, 0), may sit from the ceiling x_bar
+NORMALIZATION_TOL = 1e-9  # largest |u(x, 0) - x| continuous_gamma_curve accepts
 
 
 # ---------------------------------------------------------------------------
 # discrete-time discount models: log_d(t) over integer delays up to T_max (None: no horizon)
 
-@dataclass(frozen=True)
-class Exponential:
+class Exponential(_Record):
     """d(t) = gamma^t."""
 
-    gamma: float
     T_max = None
 
-    def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise InvalidModel(f"gamma {self.gamma!r} outside (0, 1)")
+    def __init__(self, gamma: float):
+        if not 0.0 < gamma < 1.0:
+            raise InvalidModel(f"gamma {gamma!r} outside (0, 1)")
+        self.gamma = gamma
 
     def log_d(self, t: int) -> float:
         _check_delay(self, t)
         return t * math.log(self.gamma)
 
 
-@dataclass(frozen=True)
-class QuasiHyperbolic:
+class QuasiHyperbolic(_Record):
     """d(0) = 1, d(t) = beta * delta^t for t >= 1."""
 
-    beta: float
-    delta: float
     T_max = None
 
-    def __post_init__(self):
-        if not 0.0 < self.beta <= 1.0:
-            raise InvalidModel(f"beta {self.beta!r} outside (0, 1]")
-        if not 0.0 < self.delta < 1.0:
-            raise InvalidModel(f"delta {self.delta!r} outside (0, 1)")
+    def __init__(self, beta: float, delta: float):
+        if not 0.0 < beta <= 1.0:
+            raise InvalidModel(f"beta {beta!r} outside (0, 1]")
+        if not 0.0 < delta < 1.0:
+            raise InvalidModel(f"delta {delta!r} outside (0, 1)")
+        self.beta, self.delta = beta, delta
 
     def log_d(self, t: int) -> float:
         _check_delay(self, t)
@@ -93,43 +92,39 @@ class QuasiHyperbolic:
         return math.log(self.beta) + t * math.log(self.delta)
 
 
-@dataclass(frozen=True)
-class Hyperbolic:
+class Hyperbolic(_Record):
     """d(t) = 1 / (1 + k t)."""
 
-    k: float
     T_max = None
 
-    def __post_init__(self):
-        _finite((self.k,), "k")
-        if not self.k > 0.0:
-            raise InvalidModel(f"k {self.k!r} must be positive")
+    def __init__(self, k: float):
+        _finite((k,), "k")
+        if not k > 0.0:
+            raise InvalidModel(f"k {k!r} must be positive")
+        self.k = k
 
     def log_d(self, t: int) -> float:
         _check_delay(self, t)
         return -math.log1p(self.k * t)
 
 
-@dataclass(frozen=True)
-class TabulatedDiscount:
+class TabulatedDiscount(_Record):
     """Finite-horizon curve given by levels d(0), ..., d(T_max).
 
     Levels must be strictly positive with d(0) = 1 within 1e-12; storage is
     log space.
     """
 
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        v = _finite(self.values, "discount levels")
+    def __init__(self, values: Sequence[float]):
+        v = _finite(values, "discount levels")
         if len(v) < 2:
             raise InvalidModel("need at least d(0) and d(1)")
         if any(x <= 0.0 for x in v):
             raise InvalidModel("discount levels must be strictly positive")
         if abs(v[0] - 1.0) > SUM_TOL:
             raise InvalidModel(f"d(0) = {v[0]!r}, must be 1")
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "_log_values", tuple(math.log(x) for x in v))
+        self.values = v
+        self._log_values = tuple(math.log(x) for x in v)
 
     @property
     def T_max(self) -> int:
@@ -218,16 +213,13 @@ def _worst_series(t_sample: Sequence[int], series: Sequence[ViolationReport],
     return report, all_converged
 
 
-@dataclass(frozen=True)
-class GammaFit:
+class GammaFit(_Record):
     """Doubling-rate fit gamma = exp(lim 2^{-n} log d(2^n))."""
 
-    gamma: float
-    log_gamma: float
-    n_used: int
-    degenerate: bool
-    extrapolated: bool
-    iterates: tuple[float, ...]
+    def __init__(self, gamma: float, log_gamma: float, n_used: int, degenerate: bool,
+                 extrapolated: bool, iterates: tuple[float, ...]):
+        self.gamma, self.log_gamma, self.n_used = gamma, log_gamma, n_used
+        self.degenerate, self.extrapolated, self.iterates = degenerate, extrapolated, iterates
 
 
 def fit_gamma(model, n_max: int) -> GammaFit:
@@ -282,13 +274,15 @@ def fit_gamma(model, n_max: int) -> GammaFit:
 
 
 def verify_exp_bound(model, gamma: float, theta_hat: float,
-                     t_range: Sequence[int], tol: float = VERIFY_TOL) -> NearRepresentation:
+                     t_range: Sequence[int], tol: float | None = None) -> NearRepresentation:
     """Check |log d(t) - t log gamma| <= Theta-hat + tol over t_range.
 
-    The defect is measured in log space, matching the series that produced
-    Theta-hat; t_range should stay within the anchors' dyadic coverage (the
-    callers default to the anchor sample itself).
+    tol None reads VERIFY_TOL at call time. The defect is measured in log
+    space, matching the series that produced Theta-hat; t_range should stay
+    within the anchors' dyadic coverage (the callers default to the anchor
+    sample itself).
     """
+    tol = VERIFY_TOL if tol is None else tol
     if not 0.0 < gamma <= 1.0:
         raise InvalidModel(f"gamma {gamma!r} outside (0, 1]")
     log_gamma = math.log(gamma)
@@ -393,17 +387,14 @@ def exact_recovery(model, theta_W: float) -> NearRepresentation:
 # ---------------------------------------------------------------------------
 # continuous-time reward-timing models: value(x, t) on (-inf, x_bar] x [0, inf)
 
-@dataclass(frozen=True)
-class LinearDelay:
+class LinearDelay(_Record):
     """u(x, t) = x - rate * t; stationary benchmark with exact time shifts."""
 
-    x_bar: float
-    rate: float = 1.0  # a scenario's default too
-
-    def __post_init__(self):
-        _finite((self.x_bar, self.rate), "x_bar and rate")
-        if not self.rate > 0.0:
+    def __init__(self, x_bar: float, rate: float = 1.0):  # a scenario's default rate too
+        _finite((x_bar, rate), "x_bar and rate")
+        if not rate > 0.0:
             raise InvalidModel("rate must be positive")
+        self.x_bar, self.rate = x_bar, rate
 
     def value(self, x: float, t: float) -> float:
         _check_xt(self, x, t)
@@ -414,17 +405,14 @@ class LinearDelay:
         return (self.x_bar - v) / self.rate
 
 
-@dataclass(frozen=True)
-class LogDelay:
+class LogDelay(_Record):
     """u(x, t) = x - log(1 + k t); delay sensitivity decays, shifts are inexact."""
 
-    x_bar: float
-    k: float
-
-    def __post_init__(self):
-        _finite((self.x_bar, self.k), "x_bar and k")
-        if not self.k > 0.0:
+    def __init__(self, x_bar: float, k: float):
+        _finite((x_bar, k), "x_bar and k")
+        if not k > 0.0:
             raise InvalidModel("k must be positive")
+        self.x_bar, self.k = x_bar, k
 
     def value(self, x: float, t: float) -> float:
         _check_xt(self, x, t)
@@ -439,7 +427,7 @@ class LogDelay:
 
 
 def _check_xt(model, x: float, t: float) -> None:
-    if x > model.x_bar + 1e-12:
+    if x > model.x_bar + CEILING_TOL:
         raise InvalidModel(f"payment {x!r} above the ceiling x_bar={model.x_bar!r}")
     if t < 0.0:
         raise InvalidModel(f"delay {t!r} must be nonnegative")
@@ -461,12 +449,11 @@ def gamma_of(model, x: float) -> float:
     return t
 
 
-@dataclass(frozen=True)
-class GammaCurve:
+class GammaCurve(_Record):
     """Tabulated indifference delays gamma(x) for a reward-timing model."""
 
-    xs: tuple[float, ...]
-    gammas: tuple[float, ...]
+    def __init__(self, xs: tuple[float, ...], gammas: tuple[float, ...]):
+        self.xs, self.gammas = xs, gammas
 
     def table(self) -> tuple[list[str], list[list]]:
         return ["x", "gamma"], [[x, g] for x, g in zip(self.xs, self.gammas)]
@@ -476,14 +463,14 @@ def continuous_gamma_curve(model, xs: Sequence[float]) -> GammaCurve:
     """Tabulate gamma(x) over xs, validating u(x, 0) = x on the way.
 
     HypothesisFailed when the model does not return the payment at zero
-    delay (within 1e-9); that normalization is what makes the indifference
-    delay well defined.
+    delay (within NORMALIZATION_TOL); that normalization is what makes the
+    indifference delay well defined.
     """
     xs = tuple(float(x) for x in xs)
     gammas = []
     for x in xs:
         now = model.value(x, 0.0)
-        if abs(now - x) > 1e-9:
+        if abs(now - x) > NORMALIZATION_TOL:
             raise HypothesisFailed(
                 f"u(x, 0) = {now!r} differs from x = {x!r}",
                 witness={"x": x, "value_at_zero": now})
@@ -565,7 +552,7 @@ def verify_exp3_bound(model, curve: GammaCurve, eps_hat: float, lambda_hat: floa
     if eps_hat < 0.0 or lambda_hat < 0.0:
         raise InvalidModel("eps_hat and lambda_hat must be nonnegative")
     at_zero = model.value(model.x_bar, 0.0)
-    if abs(at_zero - model.x_bar) > 1e-12:
+    if abs(at_zero - model.x_bar) > CEILING_TOL:
         raise HypothesisFailed(
             f"u(x_bar, 0) = {at_zero!r} differs from x_bar = {model.x_bar!r}")
     bound = lambda_hat * eps_hat

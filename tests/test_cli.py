@@ -135,6 +135,19 @@ def test_run_rejects_bad_count(tmp_path, capsys, key, value, minimum):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("base", [RISK_SCENARIO, UNC_SCENARIO], ids=["risk", "uncertainty"])
+@pytest.mark.parametrize("seed,flag", [(-1, []), (None, ["--seed", "-1"])], ids=["file", "flag"])
+def test_run_rejects_a_negative_seed(tmp_path, capsys, base, seed, flag):
+    # numpy's default_rng and the pair draw raise ValueError on it, past main
+    scenario = json.loads(json.dumps(base))
+    if seed is not None:
+        scenario["sampler"]["seed"] = seed
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, "s.json", scenario), "--out", str(out), *flag]) == 1
+    assert capsys.readouterr().err == "error: sampler.seed: must be at least 0\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("domain_scenario,key,value", [
     ("risk", "resolution", 10 ** 6),
     ("uncertainty", "resolution", 10 ** 6),
@@ -823,8 +836,8 @@ class _Built(Exception):
 
 
 def test_an_empty_section_builds_the_bare_dataclass(monkeypatch):
-    # a sampler (or a linear_delay rate) a scenario leaves out takes the dataclass
-    # field's default, so a library call and a scenario measure the same sample
+    # a sampler key (or a linear_delay rate) a scenario leaves out takes the
+    # class's __init__ default, so a library call and a scenario measure the same sample
     import nearrep.cli as cli
     from nearrep import risk, timepref, uncertainty
 
@@ -851,8 +864,7 @@ def _scenario(domain, model, sampler):
 
 
 # tolerance constant, patched where it is read -> (a run, the outputs that record
-# it, their detail key, how many). verify_exp_bound keeps a tol argument (the
-# quasi-hyperbolic builtin passes its own), so no time-discrete run is here
+# it, their detail key, how many)
 TOLERANCE_READERS = {
     "bisect": ("nearrep.risk.BISECT_TOL", RISK_SCENARIO, "reports", "bisect_tol", 2),
     "slack": ("nearrep.risk.BOUND_SLACK", RISK_SCENARIO, "representations", "slack", 2),
@@ -864,6 +876,10 @@ TOLERANCE_READERS = {
                      _scenario("time-continuous", {"type": "log_delay", "x_bar": 2.0, "k": 0.1},
                                {}),
                      "representations", "tol", 1),
+    "log-verify": ("nearrep.timepref.VERIFY_TOL",
+                   _scenario("time-discrete",
+                             {"type": "quasi_hyperbolic", "beta": 0.9, "delta": 0.95}, {}),
+                   "representations", "tol", 1),
 }
 
 
@@ -1149,11 +1165,17 @@ def test_csv_floats_round_trip(tmp_path):
 
 # --- imports: only the risk and uncertainty pipelines load numpy ---------------
 
+# what a cold start must not pay for: numpy and scipy, dataclasses and the
+# inspect module it loads, and json and csv, which only a run that writes needs
+GUARDED_MODULES = {"numpy", "scipy", "dataclasses", "inspect", "json", "csv"}
+
+
 def _fresh_process(tmp_path, argv):
-    """Exit code and the loaded top-level numpy/scipy packages of one fresh process.
+    """Exit code and the GUARDED_MODULES one fresh process loads, sorted.
 
     argv None only imports nearrep.cli; otherwise main(argv) runs, as the
-    console script does.
+    console script does. Modules the interpreter loaded before the import
+    are not counted.
     """
     import os
     import subprocess
@@ -1164,25 +1186,27 @@ def _fresh_process(tmp_path, argv):
 
     env = dict(os.environ, PYTHONPATH=str(Path(nearrep.__file__).resolve().parents[1]))
     run = "0" if argv is None else "main(sys.argv[1:])"
-    code = (f"import sys; from nearrep.cli import main; code = {run}; "
-            "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'})); "
-            "sys.exit(code)")
+    code = (f"import sys; before = set(sys.modules); from nearrep.cli import main; code = {run}; "
+            f"print(sorted({{m.split('.')[0] for m in set(sys.modules) - before}} & "
+            f"{GUARDED_MODULES!r})); sys.exit(code)")
     proc = subprocess.run([sys.executable, "-c", code, *(argv or [])], env=env, cwd=tmp_path,
                           capture_output=True, text=True)
     return proc.returncode, proc.stdout.splitlines()[-1]
 
 
-@pytest.mark.parametrize("argv,scenario", [
-    (None, None),
-    (["list"], None),
-    (["run"], TIME_SCENARIO),
-    (["run"], CONTINUOUS_SCENARIO),
-    (["builtin", "quasi-hyperbolic"], None),
-], ids=["import", "list", "time-discrete", "time-continuous", "builtin-quasi-hyperbolic"])
-def test_time_commands_and_list_leave_numpy_unloaded(tmp_path, argv, scenario):
+@pytest.mark.parametrize("argv,scenario,loaded", [
+    (None, None, "[]"),
+    (["list"], None, "[]"),
+    (["--help"], None, "[]"),
+    (["run"], TIME_SCENARIO, "['csv', 'json']"),
+    (["run"], CONTINUOUS_SCENARIO, "['csv', 'json']"),
+    (["builtin", "quasi-hyperbolic"], None, "['csv', 'json']"),
+], ids=["import", "list", "help", "time-discrete", "time-continuous",
+        "builtin-quasi-hyperbolic"])
+def test_time_commands_and_list_leave_numpy_unloaded(tmp_path, argv, scenario, loaded):
     if scenario is not None:
         argv = [*argv, _write(tmp_path, "s.json", scenario)]
-    assert _fresh_process(tmp_path, argv) == (0, "[]")
+    assert _fresh_process(tmp_path, argv) == (0, loaded)
 
 
 @pytest.mark.parametrize("scenario", [
@@ -1193,4 +1217,5 @@ def test_time_commands_and_list_leave_numpy_unloaded(tmp_path, argv, scenario):
 ], ids=["risk", "uncertainty"])
 def test_risk_and_uncertainty_runs_load_numpy_but_not_scipy(tmp_path, scenario):
     argv = ["run", _write(tmp_path, "s.json", scenario)]
-    assert _fresh_process(tmp_path, argv) == (0, "['numpy']")
+    assert _fresh_process(tmp_path, argv) == \
+        (0, "['csv', 'dataclasses', 'inspect', 'json', 'numpy']")
