@@ -33,10 +33,11 @@ model with the hull envelope, 3-state CES and linear-plus-bounded models,
 and a 1-state CES envelope, whose level hulls are intervals); and one
 rejected scenario per schema rule (unknown key, missing key, wrong kind,
 below a floor, over a cap, a non-finite number, a payment range that
-overflows, a version that is not the integer 1, a negative seed), whose
-error output is part of the digest. Each case runs in this process; without
---keep the output goes to a temporary directory that is removed afterwards. An exception that
-escapes the command line entry point is recorded as exit code 1 (what the
+overflows, a version that is not the integer 1, a negative seed, a box
+bound that is not positive), whose error output is part of the digest.
+Each case runs in this process; without --keep the output goes to a
+temporary directory that is removed afterwards. An exception that escapes
+the command line entry point is recorded as exit code 1 (what the
 interpreter would exit with) and its type and message as the error output.
 """
 
@@ -117,6 +118,8 @@ REJECTED_SCENARIOS = [
     _scenario("non-finite-entry", "risk", dict(_EU, utilities=[1, float("nan"), 0]), {}),
     dict(_scenario("bool-version", "risk", _CPT, {}), version=True),
     _scenario("negative-seed", "uncertainty", _MEU, {"seed": -1}),
+    _scenario("zero-bound", "uncertainty", _MEU, {"bound": 0}),
+    _scenario("negative-bound", "uncertainty", _MEU, {"bound": -1}),
 ]
 
 

@@ -19,18 +19,20 @@ identical scenario and seed produce byte-identical files.
 
 from __future__ import annotations
 
-import argparse
 import importlib
 import math
 import re
 import sys
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .core import (BOUND_SLACK, MAX_GRID_POINTS, BoundViolated, HypothesisFailed, InvalidModel,
                    NearRepError, NoBracket, NoSuchTau, NotAdditive, NotConverged, ScenarioError,
                    _Record, discount, grid_size)
 from .tables import write_csv, write_report_json
+
+if TYPE_CHECKING:
+    import argparse
 
 __all__ = ["main", "run_scenario", "BUILTINS"]
 
@@ -341,6 +343,8 @@ def _homothetic_exactness(model, pts) -> float:
 def _run_uncertainty(name: str, model, s: dict) -> RunResult:
     import numpy as np
     from . import uncertainty as unc_mod
+    if s["bound"] <= 0.0:
+        raise ScenarioError("sampler.bound: must be positive")
     _check_grid("box", model.n_states, s["resolution"], "resolution")
     if s["quasiconcave"]:
         _check_grid("box", model.n_states, s["qc_resolution"], "qc_resolution")
@@ -398,8 +402,7 @@ def _run_uncertainty(name: str, model, s: dict) -> RunResult:
         ua = unc_mod.measure_eps_ua(model, sampler, extra_probes=envelope.probes)
         result.reports.append(ua.as_dict())
         _check(result, "quasiconcave-bound",
-               lambda: unc_mod.verify_quasiconcave_bound(envelope, ua.value,
-                                                         seed=sampler.seed))
+               lambda: unc_mod.verify_quasiconcave_bound(envelope, ua.value))
     header = [f"x{i}" for i in range(model.n_states)] + ["ce_utility"]
     columns = [pts, ce]
     if benchmark is not None:
@@ -751,6 +754,7 @@ def _cmd_list(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
     parser = argparse.ArgumentParser(
         prog="nearrep",
         description="Measure decision-model axiom defects and verify the "

@@ -66,8 +66,6 @@ HOMOG_ALPHAS = (0.5, 3.0)  # multiples at which that verifier spot-checks homoge
 ZERO_ACT_TOL = 1e-9  # the smooth defect at the zero act must be 1 within this
 MEMBERSHIP_TOL = 1e-9  # relative tolerance of the level hulls' membership and decompositions
 LAMBDAS = (0.25, 0.5, 0.75)  # mixture weights of every seeded pair probe
-QC_CHECKS = 200  # seeded grid pairs that spot-check the envelope's quasi-concavity
-QC_TOL = 1e-9  # shortfall those checks allow beyond one level spacing
 HOMOG_MAX_POINTS = 40  # nonzero grid acts the homogeneous verifier strides over
 ADDITIVITY_TOL = 1e-6  # coordinate limits must sum to the sure act's limit within this
 
@@ -1208,16 +1206,15 @@ def quasiconcavify(model, box_bound: float, resolution: int,
     )
 
 
-def verify_quasiconcave_bound(benchmark: QuasiConcaveBenchmark, eps_ua: float,
-                              seed: int = 0) -> NearRepresentation:
-    """Check v >= u, sup |v - u| <= d eps_ua + slack, and spot quasi-concavity.
+def verify_quasiconcave_bound(benchmark: QuasiConcaveBenchmark,
+                              eps_ua: float) -> NearRepresentation:
+    """Check v >= u, sup |v - u| <= d eps_ua + slack, and the nesting of the level hulls.
 
     slack is one level spacing plus 1e-9 (the envelope is resolved only to
-    the level grid). Quasi-concavity is spot-checked on QC_CHECKS
-    seeded grid pairs at the LAMBDAS weights: the envelope at a mixture may
-    not fall more than one level spacing plus QC_TOL below the worse
-    endpoint. All mixtures are evaluated in one batched half-space pass and
-    all shortfalls formed at once; the first violation in draw order is raised.
+    the level grid). The envelope is the level function of its hulls, so it
+    is quasi-concave when they are nested: every vertex of level i's hull
+    must lie in level i - 1's hull (LevelHull.contains at MEMBERSHIP_TOL).
+    The first vertex outside, in level order, is raised.
     """
     spacing = benchmark.level_spacing
     slack = spacing + 1e-9
@@ -1236,23 +1233,15 @@ def verify_quasiconcave_bound(benchmark: QuasiConcaveBenchmark, eps_ua: float,
         raise BoundViolated(
             f"sup |v - u| = {sup!r} exceeds d eps + slack = {bound + slack!r}",
             witness={"x": tuple(benchmark.points[i_max]), "gap": sup})
-    pts = benchmark.points
-    pairs = np.array(_index_pairs(seed, len(pts), QC_CHECKS), dtype=int).reshape(-1, 2)
-    ends, lams, mixtures = _pair_mixtures(pts, pairs)
-    shortfall = (np.minimum(v[ends[:, 0]], v[ends[:, 1]]) - spacing
-                 - benchmark.evaluate_batch(mixtures))
-
-    def witness(k: int) -> dict:
-        return {"x": tuple(pts[ends[k, 0]]), "y": tuple(pts[ends[k, 1]]), "lam": float(lams[k])}
-
-    over = np.flatnonzero(shortfall > QC_TOL)
-    if len(over):
-        k = int(over[0])
-        raise BoundViolated(
-            f"envelope not quasi-concave: mixture falls {float(shortfall[k])!r} below "
-            f"the worse endpoint minus one level spacing", witness=witness(k))
-    qc_worst = float(np.max(shortfall, initial=0.0))
-    qc_witness = witness(int(np.argmax(shortfall))) if qc_worst > 0.0 else None
+    hulls = benchmark.hulls
+    for i in range(1, len(hulls)):
+        verts = hulls[i].verts
+        outside = np.flatnonzero(~hulls[i - 1].contains(verts, MEMBERSHIP_TOL))
+        if len(outside):
+            vertex = tuple(verts[outside[0]].tolist())
+            raise BoundViolated(
+                f"level hulls not nested: vertex {vertex} of level {i} lies outside "
+                f"the hull of level {i - 1}", witness={"level": i, "vertex": vertex})
     return NearRepresentation(
         kind="quasiconcave",
         parameters={"box_bound": benchmark.box_bound,
@@ -1261,7 +1250,6 @@ def verify_quasiconcave_bound(benchmark: QuasiConcaveBenchmark, eps_ua: float,
         achieved_distance=sup,
         bound=bound,
         details={"slack": slack, "level_spacing": spacing, "eps_ua": eps_ua,
-                 "qc_checks": QC_CHECKS, "qc_worst_shortfall": qc_worst,
-                 "qc_witness": qc_witness,
+                 "nesting_vertices": sum(len(h.verts) for h in hulls[1:]),
                  "argmax": tuple(benchmark.points[i_max])},
     )

@@ -148,6 +148,17 @@ def test_run_rejects_a_negative_seed(tmp_path, capsys, base, seed, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bound", [0, -1], ids=["zero", "negative"])
+def test_run_rejects_a_box_bound_that_is_not_positive(tmp_path, capsys, bound):
+    # a zero box is the zero act over and over; a negative one has negative payoffs
+    scenario = json.loads(json.dumps(UNC_SCENARIO))
+    scenario["sampler"]["bound"] = bound
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, "s.json", scenario), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: sampler.bound: must be positive\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("domain_scenario,key,value", [
     ("risk", "resolution", 10 ** 6),
     ("uncertainty", "resolution", 10 ** 6),
@@ -1166,8 +1177,9 @@ def test_csv_floats_round_trip(tmp_path):
 # --- imports: only the risk and uncertainty pipelines load numpy ---------------
 
 # what a cold start must not pay for: numpy and scipy, dataclasses and the
-# inspect module it loads, and json and csv, which only a run that writes needs
-GUARDED_MODULES = {"numpy", "scipy", "dataclasses", "inspect", "json", "csv"}
+# inspect module it loads, json and csv, which only a run that writes needs,
+# and argparse, which only a command line needs
+GUARDED_MODULES = {"numpy", "scipy", "dataclasses", "inspect", "json", "csv", "argparse"}
 
 
 def _fresh_process(tmp_path, argv):
@@ -1196,11 +1208,11 @@ def _fresh_process(tmp_path, argv):
 
 @pytest.mark.parametrize("argv,scenario,loaded", [
     (None, None, "[]"),
-    (["list"], None, "[]"),
-    (["--help"], None, "[]"),
-    (["run"], TIME_SCENARIO, "['csv', 'json']"),
-    (["run"], CONTINUOUS_SCENARIO, "['csv', 'json']"),
-    (["builtin", "quasi-hyperbolic"], None, "['csv', 'json']"),
+    (["list"], None, "['argparse']"),
+    (["--help"], None, "['argparse']"),
+    (["run"], TIME_SCENARIO, "['argparse', 'csv', 'json']"),
+    (["run"], CONTINUOUS_SCENARIO, "['argparse', 'csv', 'json']"),
+    (["builtin", "quasi-hyperbolic"], None, "['argparse', 'csv', 'json']"),
 ], ids=["import", "list", "help", "time-discrete", "time-continuous",
         "builtin-quasi-hyperbolic"])
 def test_time_commands_and_list_leave_numpy_unloaded(tmp_path, argv, scenario, loaded):
@@ -1218,4 +1230,4 @@ def test_time_commands_and_list_leave_numpy_unloaded(tmp_path, argv, scenario, l
 def test_risk_and_uncertainty_runs_load_numpy_but_not_scipy(tmp_path, scenario):
     argv = ["run", _write(tmp_path, "s.json", scenario)]
     assert _fresh_process(tmp_path, argv) == \
-        (0, "['csv', 'dataclasses', 'inspect', 'json', 'numpy']")
+        (0, "['argparse', 'csv', 'dataclasses', 'inspect', 'json', 'numpy']")

@@ -1,7 +1,7 @@
 """Doubling limits, defect series, and benchmark bounds for act models."""
 
-import dataclasses
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -382,56 +382,58 @@ def test_quasiconcavify_smooth_bound_holds():
     ua = measure_eps_ua(SMOOTH_SQRT, sampler, extra_probes=env.probes)
     rep = verify_quasiconcave_bound(env, ua.value)
     assert rep.achieved_distance <= rep.bound + rep.details["slack"]
-    assert rep.details["qc_worst_shortfall"] <= 1e-9
+    assert rep.details["nesting_vertices"] == sum(len(h.verts) for h in env.hulls[1:])
 
 
-def _quasiconcave_spot_check_loop(benchmark, tol, seed, n_qc_checks=200,
-                                  lambdas=(0.25, 0.5, 0.75)):
-    """Reference: verify_quasiconcave_bound's spot check as a loop over the draws."""
-    spacing, v, d = benchmark.level_spacing, benchmark.v_values, benchmark.n_states
-    pts = benchmark.points
-    pairs = np.array(_index_pairs(seed, len(pts), n_qc_checks), dtype=int).reshape(-1, 2)
-    lam_col = np.asarray(lambdas, dtype=float)[None, :, None]
-    mixtures = lam_col * pts[pairs[:, 0]][:, None, :] \
-        + (1.0 - lam_col) * pts[pairs[:, 1]][:, None, :]
-    vms = benchmark.evaluate_batch(mixtures.reshape(-1, d)).reshape(len(pairs), len(lambdas))
-    qc_worst = 0.0
-    qc_witness = None
-    for (i, j), row in zip(pairs, vms):
-        for lam, vm in zip(lambdas, row):
-            shortfall = min(float(v[i]), float(v[j])) - spacing - float(vm)
-            if shortfall > qc_worst:
-                qc_worst = shortfall
-                qc_witness = {"x": tuple(benchmark.points[i]),
-                              "y": tuple(benchmark.points[j]), "lam": float(lam)}
-            if shortfall > tol:
-                raise BoundViolated(
-                    f"envelope not quasi-concave: mixture falls {shortfall!r} below "
-                    f"the worse endpoint minus one level spacing",
-                    witness={"x": tuple(benchmark.points[i]),
-                             "y": tuple(benchmark.points[j]), "lam": float(lam)})
-    return qc_worst, qc_witness
+def _banded_level_hulls(monkeypatch, model, broken):
+    """Patch _level_hull to cut the clouds of the broken levels to a utility band.
+
+    A cut cloud keeps its points within 5.5 of its lowest utility, so the
+    hulls of the broken levels no longer contain the levels above them.
+    """
+    levels = itertools.count()
+
+    def banded(cloud, tol):
+        if broken(next(levels)):
+            u = ce_batch(model, cloud)
+            cloud = cloud[u <= u.min() + 5.5]
+        return _level_hull(cloud, tol)
+
+    monkeypatch.setattr(nearrep.uncertainty, "_level_hull", banded)
 
 
-@pytest.mark.parametrize("seed", [0, 3])
-def test_quasiconcave_array_pass_raises_the_first_violation_of_the_loop(seed, monkeypatch):
-    # every third grid value raised by 5 keeps v >= u but breaks quasi-concavity
-    env = quasiconcavify(SMOOTH_SQRT, box_bound=10.0, resolution=11,
-                         level_resolution=64)
-    bumped = env.v_values + np.where(np.arange(len(env.v_values)) % 3 == 0, 5.0, 0.0)
-    bad = dataclasses.replace(env, v_values=bumped)
-    with pytest.raises(BoundViolated) as want:
-        _quasiconcave_spot_check_loop(bad, 1e-9, seed)
-    with pytest.raises(BoundViolated) as got:
-        verify_quasiconcave_bound(bad, 10.0, seed=seed)
-    assert str(got.value) == str(want.value)
-    assert got.value.witness == want.value.witness
-    # with a tolerance nothing exceeds, both report the same worst shortfall and witness
-    monkeypatch.setattr(nearrep.uncertainty, "QC_TOL", 1e9)
-    rep = verify_quasiconcave_bound(bad, 10.0, seed=seed)
-    worst, witness = _quasiconcave_spot_check_loop(bad, 1e9, seed)
-    assert worst > 0.0
-    assert (rep.details["qc_worst_shortfall"], rep.details["qc_witness"]) == (worst, witness)
+@pytest.mark.parametrize("broken,level,vertex", [
+    # 6 of 16 levels not nested, which 200 seeded pair mixtures at seeds 0-5 all missed
+    (lambda i: i >= 1, 2, (10.0, 3.0)),
+    # a broken lowest hull, which made the mixtures' evaluation raise InvalidModel
+    (lambda i: i == 0, 1, (10.0, 0.0)),
+], ids=["upper-levels", "lowest-level"])
+def test_the_verdict_fails_on_level_hulls_that_are_not_nested(monkeypatch, tmp_path, capsys,
+                                                              broken, level, vertex):
+    from nearrep.cli import main
+
+    _banded_level_hulls(monkeypatch, SMOOTH_SQRT, broken)
+    env = quasiconcavify(SMOOTH_SQRT, box_bound=10.0, resolution=11, level_resolution=16)
+    ua = measure_eps_ua(SMOOTH_SQRT, BoxSampler(2, bound=10.0, resolution=11),
+                        extra_probes=env.probes)
+    with pytest.raises(BoundViolated) as exc:
+        verify_quasiconcave_bound(env, ua.value)
+    message = (f"level hulls not nested: vertex {vertex} of level {level} lies outside "
+               f"the hull of level {level - 1}")
+    assert str(exc.value) == message
+    assert exc.value.witness == {"level": level, "vertex": vertex}
+
+    _banded_level_hulls(monkeypatch, SMOOTH_SQRT, broken)
+    scenario = {"version": 1, "name": "banded", "domain": "uncertainty",
+                "model": {"type": "smooth", "f": "sqrt1pz2", "priors": [[0.3, 0.7], [0.8, 0.2]],
+                          "weights": [0.5, 0.5]},
+                "sampler": {"quasiconcave": True, "qc_resolution": 11, "level_resolution": 16}}
+    path = tmp_path / "banded.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert "FAIL quasiconcave-bound" in out
+    assert f"note: quasiconcave-bound failed: {message}" in out
 
 
 def test_linear_benchmark_evaluate_is_the_one_row_case():
